@@ -35,6 +35,10 @@ class UnsupportedLabel(ValueError):
     pass
 
 
+class UnknownParameter(ValueError):
+    """A parameter value names no parameter of the family."""
+
+
 class NormalFormMismatch(AssertionError):
     pass
 
@@ -60,7 +64,16 @@ class DeformationFamily:
         self.vars = self.equation.vars
 
     def fibre_equation(self, values: dict) -> MPoly:
-        """Equation of the fibre at exact parameter values."""
+        """Equation of the fibre at exact parameter values.
+
+        Parameters left out are 0; a name that is not a parameter of the
+        family raises ``UnknownParameter``.
+        """
+        unknown = sorted(set(values) - set(self.param_vars))
+        if unknown:
+            raise UnknownParameter(
+                f"{self.label} has no parameter {', '.join(unknown)}; "
+                f"its parameters are {', '.join(self.param_vars)}")
         subs = {}
         for v in self.param_vars:
             subs[v] = _exactify(values.get(v, QQ(0)))

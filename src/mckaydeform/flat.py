@@ -52,9 +52,6 @@ class FlatSystem:
                 return p
         raise KeyError(d)
 
-    def names(self):
-        return [name for _, name, _ in self.coords]
-
 
 def _saito_series(i: int, h: int, gens: dict, vars: VarTable) -> MPoly:
     """psi_i = sum_d (-1)^(d-1) ((h-i+1)/h, d-1)/d! * X_i^d."""
@@ -314,22 +311,13 @@ MU_VARS = VarTable(tuple(f"mu{i}" for i in range(1, 7)))
 
 
 class Q6Poly:
-    """Pair (even, odd) representing even + sqrt(6) * odd, both rational."""
+    """even + sqrt(6) * odd, both rational polynomials in mu."""
 
     __slots__ = ("ev", "od")
 
-    def __init__(self, ev=None, od=None):
-        self.ev = ev if ev is not None else MPoly(MU_VARS)
-        self.od = od if od is not None else MPoly(MU_VARS)
-
-    def __add__(self, other):
-        return Q6Poly(self.ev + other.ev, self.od + other.od)
-
-    def __mul__(self, other):
-        if isinstance(other, Q6Poly):
-            return Q6Poly(self.ev * other.ev + self.od * other.od * 6,
-                          self.ev * other.od + self.od * other.ev)
-        return Q6Poly(self.ev * other, self.od * other)
+    def __init__(self, ev: MPoly, od: MPoly):
+        self.ev = ev
+        self.od = od
 
     def is_rational(self):
         return self.od.is_zero()
@@ -357,45 +345,27 @@ def e6_xy_of_mu():
     return (x1, x2, x3), (y1, y2, y3)
 
 
-def pq_of_mu():
-    """p_i(mu), q_i(mu) as Q6Poly (p rational, q a sqrt(6) multiple)."""
-    xs, ys = e6_xy_of_mu()
-    out = {}
-    for i in (1, 2, 3):
-        x, y = xs[i - 1], ys[i - 1]
-        # p = 6 x~^2 + 2 y~^2 ; q = sqrt6 (2 x~^3 - 2 x~ y~^2)
-        out[f"p{i}"] = Q6Poly(x * x * 6 + y * y * 2)
-        out[f"q{i}"] = Q6Poly(None, x ** 3 * QQ(2) - x * (y * y) * 2)
-    return out
-
-
 def psi_E6_of_mu() -> dict:
     """Each flat coordinate as a Q6Poly in mu1..mu6.
 
-    Even-q-degree terms are rational; odd ones are sqrt(6) multiples (so
-    psi5 and psi9 come out as pure sqrt(6) * rational).
+    With x_i = sqrt(6) x~_i and y_i = sqrt(2) y~_i (``e6_xy_of_mu``),
+    p_i = 6 x~_i^2 + 2 y~_i^2 is rational and q_i = sqrt(6) q~_i with
+    q~_i = 2 x~_i^3 - 2 x~_i y~_i^2.  A term c p^a q^b is therefore
+    6^(b//2) c p^a q~^b, times sqrt(6) when b is odd: even-q-degree terms
+    give the rational part, odd ones the sqrt(6) part (so psi5 and psi9
+    come out as pure sqrt(6) * rational).
     """
-    pq = pq_of_mu()
-    fs = flat_coords_E6()
+    xs, ys = e6_xy_of_mu()
+    subs = {}
+    for i in (1, 2, 3):
+        x, y = xs[i - 1], ys[i - 1]
+        subs[f"p{i}"] = x * x * 6 + y * y * 2
+        subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
     out = {}
-    for _, name, poly in fs.coords:
-        total = Q6Poly()
-        power_cache = {}
-
-        def powered(var, k):
-            if (var, k) not in power_cache:
-                base = pq[var]
-                acc = Q6Poly(MPoly.constant(MU_VARS, QQ(1)))
-                for _ in range(k):
-                    acc = acc * base
-                power_cache[(var, k)] = acc
-            return power_cache[(var, k)]
-
+    for _, name, poly in flat_coords_E6().coords:
+        parts = (MPoly(PQ_VARS), MPoly(PQ_VARS))
         for e, c in poly.terms.items():
-            term = Q6Poly(MPoly.constant(MU_VARS, QQ(1)))
-            for idx, k in enumerate(e):
-                if k:
-                    term = term * powered(PQ_VARS.names[idx], k)
-            total = total + term * c
-        out[name] = total
+            b = e[3] + e[4] + e[5]
+            parts[b % 2].terms[e] = c * 6 ** (b // 2)
+        out[name] = Q6Poly(*(part.substitute(subs) for part in parts))
     return out

@@ -1,15 +1,34 @@
 """Sparse multivariate polynomials over exact scalars, plus ideal machinery.
 
 ``MPoly`` stores a map from exponent tuples to nonzero exact coefficients
-(rational, ``Cyclo`` or ``Radical``).  ``Ideal`` carries a monomial order
-and caches its reduced Groebner basis, computed by Buchberger's algorithm
-with the product and chain pair-elimination criteria.  Zero-dimensional
-quotient dimensions are counted from the staircase of leading terms.
+(rational, ``Cyclo`` or ``Radical``).  Products and substitutions take one
+of two coefficient paths:
+
+* the rational path, when every coefficient involved is a ``QQ`` rational
+  (and, for a product, the operands are not tiny): exponent tuples are
+  packed into one int, one byte per variable, coefficients become int
+  numerators over one common denominator, products and sums are int
+  operations on a plain dict, and each result coefficient becomes a
+  ``QQ`` once, at the end;
+* the generic path, a loop over the exact scalars themselves, for
+  ``Cyclo``, ``Radical`` or bare ``int`` coefficients and for tiny products.
+
+Adding packed monomials multiplies them only while no exponent reaches
+256, the field width; a call whose result could reach it (its maximum
+total degree is 256 or more) takes the generic path.  Both paths build the
+result's terms in the same order, so float evaluation of a result sums in
+the same order whichever path built it.
+
+``Ideal`` carries a monomial order and caches its reduced Groebner basis,
+computed by Buchberger's algorithm with the product and chain
+pair-elimination criteria.  Zero-dimensional quotient dimensions are
+counted from the staircase of leading terms.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .exact import QQ, Cyclo, Radical, embed_complex, is_rat, scalar_to_json
 
@@ -55,12 +74,6 @@ def grevlex_key(e):
 
 def lex_key(e):
     return e
-
-
-def weighted_key(weights):
-    def key(e):
-        return (sum(w * x for w, x in zip(weights, e)), grevlex_key(e))
-    return key
 
 
 ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
@@ -176,6 +189,11 @@ class MPoly:
             return p
         self._check(other)
         a, b = self.terms, other.terms
+        if (len(a) * len(b) >= _PACKED_MIN_PRODUCTS and _rational(a)
+                and _rational(b) and _degree(a) + _degree(b) < _FIELD_LIMIT):
+            da, db = _denominator(a), _denominator(b)
+            return _unpack(self.vars, _mul_packed(_pack(a, da), _pack(b, db)),
+                           da * db)
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -295,6 +313,16 @@ class MPoly:
         binding_polys = {
             v: (_retable(b, out_vars) if isinstance(b, MPoly) else b)
             for v, b in norm.items()}
+        if _rational(self.terms) and all(
+                _rational(b.terms) if isinstance(b, MPoly)
+                else type(b) is _RAT for b in binding_polys.values()):
+            weight = {v: (_degree(b.terms) if isinstance(b, MPoly) else 0)
+                      for v, b in binding_polys.items()}
+            weights = [weight.get(v, 1) for v in self.vars.names]
+            top = max((sum(w * k for w, k in zip(weights, e))
+                       for e in self.terms), default=0)
+            if top < _FIELD_LIMIT:
+                return _substitute_rational(self, out_vars, binding_polys)
         power_cache = {v: {0: MPoly.constant(out_vars, QQ(1))}
                        for v in binding_polys}
 
@@ -388,6 +416,141 @@ def _coeff(x):
     if is_rat(x) or isinstance(x, (Cyclo, Radical)):
         return QQ(x) if isinstance(x, int) else x
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+# -- the rational path: packed monomials, int numerators ----------------------
+
+_RAT = type(QQ(1))
+# One byte per exponent: packed monomials add like exponent tuples while
+# every exponent stays below 256.
+_FIELD_LIMIT = 256
+# Below this many coefficient products, packing the operands and building
+# the result's QQ coefficients costs more than the generic loop saves (the
+# two cross between 9 and 16 products of random 5-variable rational
+# polynomials, Python 3.11, Fraction rationals).
+_PACKED_MIN_PRODUCTS = 16
+
+
+def _rational(terms) -> bool:
+    return all(type(c) is _RAT for c in terms.values())
+
+
+def _degree(terms) -> int:
+    return max(map(sum, terms), default=0)
+
+
+def _denominator(terms) -> int:
+    return lcm(*{c.denominator for c in terms.values()})
+
+
+def _pack(terms, den):
+    """(packed monomial, numerator over ``den``) pairs of rational terms."""
+    return [(int.from_bytes(bytes(e), "little"),
+             c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _unpack(vars, pairs, den) -> MPoly:
+    n = len(vars)
+    p = MPoly(vars)
+    p.terms = {tuple(m.to_bytes(n, "little")): QQ(c, den) for m, c in pairs}
+    return p
+
+
+def _mul_packed(a, b):
+    """Product of two packed term lists, built in the generic loop's order.
+
+    As in ``MPoly.__mul__``, the outer loop runs over the shorter operand
+    and a sum that reaches zero drops its key, so both paths give the same
+    term order.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (m1, c1), = a
+        return [(m1 + m2, c1 * c2) for m2, c2 in b]
+    out = {}
+    get = out.get
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = m1 + m2
+            acc = get(m)
+            if acc is None:
+                out[m] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return list(out.items())
+
+
+def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
+    """``p.substitute`` when every coefficient and binding is rational.
+
+    The common denominator of the result is fixed first, from each term's
+    coefficient and the denominators of its binding powers; every term's
+    product is then added, in ints, into one accumulator, in the order
+    the generic loop adds it.
+    """
+    index = out_vars.index
+    n = len(out_vars)
+    polys = {}                      # name -> (denominator, {k: power})
+    for v, b in bindings.items():
+        if isinstance(b, MPoly):
+            den = _denominator(b.terms)
+            polys[v] = (den, {1: _pack(b.terms, den)})
+
+    def power(v, k):
+        cache = polys[v][1]
+        if k not in cache:
+            best = max(j for j in cache if j <= k)
+            value = cache[best]
+            for j in range(best + 1, k + 1):
+                value = _mul_packed(value, cache[1])
+                cache[j] = value
+        return cache[k]
+
+    plans = []              # (monomial, numerator, denominator, factors)
+    den = 1
+    for e, c in p.terms.items():
+        passthrough = [0] * n
+        num, d = c.numerator, c.denominator
+        factors = []
+        for v, k in zip(p.vars.names, e):
+            if not k:
+                continue
+            if v in polys:
+                factors.append((v, k))
+                d *= polys[v][0] ** k
+            elif v in bindings:
+                s = bindings[v] ** k
+                num *= s.numerator
+                d *= s.denominator
+            else:
+                passthrough[index[v]] = k
+        if num:
+            plans.append((int.from_bytes(bytes(passthrough), "little"), num,
+                          d, factors))
+            den = lcm(den, d)
+
+    total = {}
+    get = total.get
+    for m, num, d, factors in plans:
+        term = [(m, num * (den // d))]
+        for v, k in factors:
+            term = _mul_packed(term, power(v, k))
+        for m, c in term:
+            acc = get(m)
+            if acc is None:
+                total[m] = c
+            else:
+                acc += c
+                if acc:
+                    total[m] = acc
+                else:
+                    del total[m]
+    return _unpack(out_vars, total.items(), den)
 
 
 def _retable(p: MPoly, vars: VarTable) -> MPoly:
@@ -603,9 +766,6 @@ class Ideal:
         return reduce_poly(_retable(p, self.vars), self.groebner_basis(),
                            key, _Budget(self.budget))
 
-    def contains(self, p: MPoly) -> bool:
-        return self.normal_form(p).is_zero()
-
     def leading_exponents(self):
         key = order_key(self.order)
         return [g.leading(key)[0] for g in self.groebner_basis()]
@@ -613,33 +773,21 @@ class Ideal:
     def quotient_dimension(self):
         """Number of standard monomials, or the string 'infinite'."""
         leads = self.leading_exponents()
-        n = len(self.vars)
         if any(not any(e) for e in leads):
             return 0  # the ideal is (1)
-        # finiteness: every variable needs a pure power among the leads
-        bounds = [None] * n
-        for e in leads:
-            support = [i for i in range(n) if e[i]]
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or e[i] < bounds[i]:
-                    bounds[i] = e[i]
-        if any(b is None for b in bounds):
-            return "infinite"
-        count = 0
-        for mono in itertools.product(*(range(b) for b in bounds)):
-            if not any(_divides(e, mono) for e in leads):
-                count += 1
-        return count
+        basis = _staircase(leads, len(self.vars))
+        return "infinite" if basis is None else len(basis)
 
     def is_zero_dimensional(self) -> bool:
         return self.quotient_dimension() != "infinite"
 
 
-def quotient_basis(ideal: Ideal):
-    """Standard monomials (exponent tuples) of a zero-dimensional ideal."""
-    leads = ideal.leading_exponents()
-    n = len(ideal.vars)
+def _staircase(leads, n):
+    """Monomials no leading exponent divides, or None when they are infinite.
+
+    They are finite exactly when every variable has a pure power among the
+    leads; that power bounds the variable's exponent.
+    """
     bounds = [None] * n
     for e in leads:
         support = [i for i in range(n) if e[i]]
@@ -648,13 +796,18 @@ def quotient_basis(ideal: Ideal):
             if bounds[i] is None or e[i] < bounds[i]:
                 bounds[i] = e[i]
     if any(b is None for b in bounds):
+        return None
+    return [mono for mono in itertools.product(*(range(b) for b in bounds))
+            if not any(_divides(e, mono) for e in leads)]
+
+
+def quotient_basis(ideal: Ideal):
+    """Standard monomials (exponent tuples) of a zero-dimensional ideal."""
+    basis = _staircase(ideal.leading_exponents(), len(ideal.vars))
+    if basis is None:
         raise ValueError("ideal is not zero-dimensional")
-    out = []
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(e, mono) for e in leads):
-            out.append(mono)
-    out.sort(key=grevlex_key)
-    return out
+    basis.sort(key=grevlex_key)
+    return basis
 
 
 def monomials_of_degree(vars: VarTable, d: int):

@@ -56,6 +56,14 @@ def test_fiber_analyze_command():
     assert witness["smooth"] in (True, False)
 
 
+def test_fiber_analyze_unknown_parameter_is_usage_error(capsys):
+    # a misspelt parameter must not silently analyse the special fibre
+    code, report = run(["fiber", "analyze", "--label", "B2",
+                        "--params", "zz=1"])
+    assert code == 2 and report is None
+    assert "zz" in capsys.readouterr().err
+
+
 def test_family_show_payload(tmp_path):
     out = tmp_path / "family.json"
     code, _ = run(["family", "--label", "C3", "--show",

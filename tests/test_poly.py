@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from mckaydeform.exact import QQ, rat
+from mckaydeform import poly
+from mckaydeform.exact import QQ, rat, sqrt3
 from mckaydeform.poly import (BudgetExceeded, Ideal, MPoly, VariableMismatch,
                               VarTable, equal_mod_vars, grevlex_key,
                               monomials_of_degree, poly_from_json,
@@ -228,3 +229,121 @@ def test_quotient_basis_and_monomials():
     ideal = Ideal([x * x - 1, y - 2, z])
     assert sorted(quotient_basis(ideal)) == [(0, 0, 0), (1, 0, 0)]
     assert len(monomials_of_degree(V, 3)) == 10
+
+
+# -- the rational path against the generic loop ------------------------------
+
+def _dense_poly(rng, vars, nterms, deg, coeffs):
+    terms = {}
+    while len(terms) < nterms:
+        e = tuple(rng.randint(0, deg) for _ in range(len(vars)))
+        terms[e] = rng.choice(coeffs)
+    return MPoly(vars, terms)
+
+
+def _generic(monkeypatch, fn):
+    """fn() with every product and substitution on the generic loop."""
+    with monkeypatch.context() as m:
+        m.setattr(poly, "_FIELD_LIMIT", 0)
+        return fn()
+
+
+def _same_terms(p, q):
+    # values, coefficient types and term order all agree
+    return (p.vars == q.vars
+            and [(e, type(c), c) for e, c in p.terms.items()]
+            == [(e, type(c), c) for e, c in q.terms.items()])
+
+
+def test_rational_product_matches_generic_loop(monkeypatch):
+    rng = random.Random(31)
+    coeffs = [QQ(k, d) for k in (-2, -1, 1, 3) for d in (1, 2, 3, 4)]
+    cases = []
+    for _ in range(40):
+        a = _dense_poly(rng, V, rng.randint(8, 20), 3, coeffs)
+        b = _dense_poly(rng, V, rng.randint(8, 20), 3, coeffs)
+        cases.append((a, b))
+    # cancellation: (x^2 - y^2) from the sum times the difference
+    s = x + y + MPoly.constant(V, QQ(1, 3))
+    cases.append((s ** 4, (x - y + z) ** 4))
+    cases.append((MPoly.constant(V, QQ(-7, 5)), (x + y + z) ** 6))
+    big = (x + y * QQ(1, 2) + z) ** 5
+    cases.append(((x - y * QQ(1, 2)) ** 5, big))
+    for a, b in cases:
+        got = a * b
+        want = _generic(monkeypatch, lambda: a * b)
+        assert _same_terms(got, want)
+    # terms that cancel inside the product are gone, not stored as 0
+    prod = (x + y) ** 4 * (x - y) ** 4
+    assert prod == (x * x - y * y) ** 4
+    assert all(prod.terms.values())
+
+
+def test_rational_substitution_matches_generic_loop(monkeypatch):
+    rng = random.Random(37)
+    coeffs = [QQ(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 5)]
+    W = VarTable(("u", "v"))
+    for _ in range(30):
+        p = _dense_poly(rng, V, rng.randint(1, 15), 4, coeffs)
+        bindings = {"x": _dense_poly(rng, W, rng.randint(1, 4), 2, coeffs),
+                    "y": rng.choice([QQ(0), QQ(2, 3), QQ(-1)]),
+                    "z": MPoly.constant(W, rng.choice(coeffs))}
+        if rng.random() < 0.5:
+            del bindings["z"]           # z passes through
+        got = p.substitute(bindings)
+        want = _generic(monkeypatch, lambda: p.substitute(bindings))
+        assert _same_terms(got, want)
+    # the whole composition cancels to the zero polynomial
+    U = VarTable(("u",))
+    u = MPoly.variable(U, "u")
+    f = x ** 3 - x * y * 2 + z
+    zero = f.substitute({"x": u + 1, "y": (u + 1) ** 2 * QQ(1, 2),
+                         "z": (u + 1) ** 3 * QQ(0) + u * 0})
+    assert zero.is_zero() and zero.vars == U
+    const = MPoly.constant(V, QQ(3)).substitute({"x": u, "y": u,
+                                                 "z": QQ(2)})
+    assert _same_terms(const, MPoly.constant(U, QQ(3)))
+
+
+def _reference_product(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = c1 * c2 if e not in out else out[e] + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_product_past_the_exponent_field_falls_back():
+    # each exponent fits one byte, their sums do not
+    a = MPoly(V, {(200 + i, i, 0): QQ(i + 1, 2) for i in range(9)})
+    b = MPoly(V, {(50 + i, 0, i): QQ(1, i + 1) for i in range(9)})
+    assert len(a.terms) * len(b.terms) >= poly._PACKED_MIN_PRODUCTS
+    prod = a * b
+    assert prod.terms == _reference_product(a, b)
+    assert prod.terms[(258, 4, 4)] != 0
+    # just below the limit the rational path gives the same answer
+    c = MPoly(V, {(10 + i, 0, i): QQ(1, i + 1) for i in range(9)})
+    assert (a * c).terms == _reference_product(a, c)
+    U = VarTable(("u",))
+    u = MPoly.variable(U, "u")
+    assert equal_mod_vars((x ** 100).substitute({"x": u ** 3}), u ** 300)
+
+
+def test_cyclo_and_int_coefficients_keep_the_generic_types():
+    rng = random.Random(41)
+    ints = _dense_poly(rng, V, 12, 3, [-2, -1, 1, 3])
+    assert all(type(c) is int for c in ints.terms.values())
+    prod = ints * ints
+    assert prod.terms == _reference_product(ints, ints)
+    assert all(type(c) is int for c in prod.terms.values())
+    r3 = sqrt3()
+    cyc = _dense_poly(rng, V, 12, 3, [r3, -r3, r3 * QQ(1, 2)])
+    rational = _dense_poly(rng, V, 12, 3, [QQ(1, 2), QQ(-3)])
+    prod = cyc * rational
+    assert prod.terms == _reference_product(cyc, rational)
+    want = {e: type(c) for e, c in _reference_product(cyc, rational).items()}
+    assert {e: type(c) for e, c in prod.terms.items()} == want
+    moved = rational.substitute({"x": x * r3})
+    assert any(type(c) is not type(QQ(1)) for c in moved.terms.values())
+    assert moved == rational.substitute({"x": x}).substitute({"x": x * r3})
