@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .exact import rat
-from .poly import BudgetExceeded
+from .poly import DEFAULT_BUDGET, BudgetExceeded
 from .rootdata import (DynkinType, UnsupportedType, fold, parse_type,
                        standard_omega, vanishing_roots, omega_average,
                        build_root_system)
@@ -198,33 +198,38 @@ def cmd_quiver_verify(args) -> RunReport:
 
 
 def cmd_quiver_sample(args) -> RunReport:
-    import numpy as np
-    from .quiver import (fibre_residual, invariants_at_point,
-                         lambda_from_central, sample_moment_fibre)
     t = parse_type(args.type)
     central = [complex(rat(v)) for v in args.mu.split(",")]
-    checks = []
-    worst_fibre = 0.0
-    worst_family = 0.0
-    for k in range(args.trials):
-        sample = sample_moment_fibre(t, central, seed=args.seed + k)
-        worst_fibre = max(worst_fibre, fibre_residual(sample))
-        x, y, z = invariants_at_point(t, sample)
-        if t.family == "A":
-            lam = lambda_from_central(central)
-            value = np.prod([z - l for l in lam]) - x * y
-            scale = max(abs(x * y), 1.0)
-            worst_family = max(worst_family, abs(value) / scale)
-        else:
-            worst_family = max(worst_family,
-                               _d4_family_residual(central, x, y, z))
-    checks.append(Check.of(f"{t}_moment_residual", worst_fibre < 1e-10,
-                           {"max": worst_fibre}))
-    checks.append(Check.of(f"{t}_family_equation_residual",
-                           worst_family < 1e-8, {"max": worst_family}))
+    worst_fibre, worst_family = _mc_residuals(t, central, args.seed,
+                                              args.trials)
+    checks = [Check.of(f"{t}_moment_residual", worst_fibre < 1e-10,
+                       {"max": worst_fibre}),
+              Check.of(f"{t}_family_equation_residual",
+                       worst_family < 1e-8, {"max": worst_family})]
     return RunReport(
         f"quiver sample --type {t} --mu {args.mu} --trials {args.trials}",
         checks, seed=args.seed)
+
+
+def _mc_residuals(t, central, seed, trials) -> tuple:
+    """(worst moment-map residual, worst relative family-equation residual)
+    over ``trials`` fibre samples drawn with seeds seed, seed + 1, ..."""
+    import numpy as np
+    from .quiver import (fibre_residual, invariants_at_point,
+                         lambda_from_central, sample_moment_fibre)
+    lam = lambda_from_central(central) if t.family == "A" else None
+    worst_fibre = worst_family = 0.0
+    for k in range(trials):
+        sample = sample_moment_fibre(t, central, seed=seed + k)
+        worst_fibre = max(worst_fibre, fibre_residual(sample))
+        x, y, z = invariants_at_point(t, sample)
+        if lam is not None:
+            value = abs(np.prod([z - l for l in lam]) - x * y) \
+                / max(abs(x * y), 1.0)
+        else:
+            value = _d4_family_residual(central, x, y, z)
+        worst_family = max(worst_family, value)
+    return worst_fibre, worst_family
 
 
 def _d4_family_residual(mu, x, y, z) -> float:
@@ -281,8 +286,7 @@ def cmd_fiber(args) -> RunReport:
         for item in args.params.split(","):
             k, v = item.split("=")
             values[k.strip()] = rat(v.strip())
-    budget = args.budget or 10 ** 6
-    rep = analyze_fibre(fam, values, budget=budget)
+    rep = analyze_fibre(fam, values, budget=args.budget)
     checks = [Check.of(
         f"fiber_{fam.label}_analyzed", True, rep.to_json())]
     return RunReport(
@@ -328,10 +332,7 @@ def cmd_suite(args) -> RunReport:
 
     def run(name, fn):
         start = time.monotonic()
-        try:
-            ok, witness = fn()
-        except BudgetExceeded:
-            raise
+        ok, witness = fn()
         ms = int((time.monotonic() - start) * 1000)
         checks.append(Check.of(name, ok, witness, ms))
 
@@ -407,15 +408,11 @@ def _suite_smoke(run, seed):
 
 
 def _suite_full(run, seed):
-    import numpy as np
     from .deform import verify_e6_coefficients
     from .flat import (FRAME_GENERATOR_KEYS, flat_coords_E6,
                        frame_reflection_subs, psi_E6_in_xy,
                        verify_w_invariance)
-    from .quiver import (fibre_residual, invariants_at_point,
-                         lambda_from_central, reference_action,
-                         sample_moment_fibre,
-                         verify_moment_equivariance_numeric)
+    from .quiver import reference_action, verify_moment_equivariance_numeric
     from .quotient import verify_g2_intermediate, verify_quotient_pullback
 
     run("e6_frame_invariance", lambda: (
@@ -433,19 +430,7 @@ def _suite_full(run, seed):
         lambda: (verify_quotient_pullback("G2")["ok"], None))
 
     def mc_family(tname, central):
-        t = parse_type(tname)
-        worst = 0.0
-        for k in range(100):
-            s = sample_moment_fibre(t, central, seed=seed + k)
-            worst = max(worst, fibre_residual(s))
-            x, y, z = invariants_at_point(t, s)
-            if t.family == "A":
-                lam = lambda_from_central(central)
-                val = abs(np.prod([z - l for l in lam]) - x * y)
-                worst = max(worst, val / max(abs(x * y), 1.0))
-            else:
-                worst = max(worst,
-                            _d4_family_residual(central, x, y, z))
+        worst = max(_mc_residuals(parse_type(tname), central, seed, 100))
         return worst < 1e-8, {"max_residual": worst}
 
     run("mc_fibres[A3]", lambda: mc_family(
@@ -519,6 +504,8 @@ def build_parser():
     fb.add_argument("action", choices=("analyze",))
     fb.add_argument("--label", required=True)
     fb.add_argument("--params", default="")
+    fb.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="reduction budget (steps)")
     fb.set_defaults(fn=cmd_fiber)
 
     qt = sub.add_parser("quotient", help="quotient family verification")
@@ -534,8 +521,6 @@ def build_parser():
     for parser in (f, rd, k, fl, qv, qp, fa, fb, qt, su):
         parser.add_argument("--out", default=None,
                             help="write the JSON report to this path")
-        parser.add_argument("--budget", type=int, default=None,
-                            help="reduction budget override")
     return p
 
 

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import (QQ, Cyclo, Radical, embed_complex, imag_unit, is_rat,
-                    rat, scalar_to_json, sqrt6, sqrt_rational)
+                    rat, rref, scalar_to_json, sqrt6, sqrt_rational)
 from .flat import (MU_VARS, epsilon_from_psi, psi_D_in_xi,
                    psi_E6_of_mu, xi_table)
-from .poly import (Ideal, MPoly, VarTable, monomials_of_degree, quotient_basis)
+from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
+                   monomials_of_degree, quotient_basis)
 from .rootdata import DynkinType, coweight_reflection_subs
 
 
@@ -37,10 +38,6 @@ class UnsupportedLabel(ValueError):
 
 class UnknownParameter(ValueError):
     """A parameter value names no parameter of the family."""
-
-
-class NormalFormMismatch(AssertionError):
-    pass
 
 
 class UnclassifiedSingularity(Exception):
@@ -299,27 +296,11 @@ def fixed_parameter_locus(fam: DeformationFamily):
             row = [M[i][j] - (QQ(1) if i == j else QQ(0)) for j in range(n)]
             if any(row):
                 rows.append(row)
-    # exact RREF
-    rp = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(rp, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rp], rows[piv] = rows[piv], rows[rp]
-        inv = rows[rp][col]
-        rows[rp] = [x / inv for x in rows[rp]]
-        for i in range(len(rows)):
-            if i != rp and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rp])]
-        pivots.append(col)
-        rp += 1
-    unit = all(
-        sum(1 for x in rows[k] if x) == 1 for k in range(rp))
-    if unit:
+    rows, pivots = rref(rows, n)
+    rows = rows[:len(pivots)]
+    if all(sum(1 for x in row if x) == 1 for row in rows):
         return sorted(fam.param_vars[c] for c in pivots)
-    return rows[:rp]
+    return rows
 
 
 def verify_parameter_actions(fam: DeformationFamily) -> dict:
@@ -341,7 +322,7 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
                 for i in range(n)}
         for i in range(2, n + 1):
             p = psis[f"psi{i}"]
-            ok = (p.substitute(subs) - p * QQ(-1) ** i).is_zero()
+            ok = p.substitute(subs) == p * QQ(-1) ** i
             checks.append({"check": f"psi{i} -> (-1)^{i} psi{i}", "ok": ok})
     elif label in ("D4", "C3", "G2"):
         psis = psi_D_in_xi(3)
@@ -363,11 +344,11 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
             "psi": p4 * QQ(1, 4) - pp * half,
         }
         for name, want in expect_rho.items():
-            ok = (psis[name].substitute(rho) - want).is_zero()
+            ok = psis[name].substitute(rho) == want
             checks.append({"check": f"rho: {name}", "ok": ok})
         expect_sigma = {"psi2": p2, "psi4": p4, "psi6": p6, "psi": -pp}
         for name, want in expect_sigma.items():
-            ok = (psis[name].substitute(sigma) - want).is_zero()
+            ok = psis[name].substitute(sigma) == want
             checks.append({"check": f"sigma: {name}", "ok": ok})
     elif label in ("E6", "F4"):
         psis = psi_E6_of_mu()
@@ -377,7 +358,6 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
                 "mu5": MPoly.variable(MU_VARS, "mu4")}
         signs = {"psi2": 1, "psi5": -1, "psi6": 1, "psi8": 1, "psi9": -1,
                  "psi12": 1}
-        from .poly import equal_mod_vars
         for name, q in psis.items():
             ok = True
             for part in (q.ev, q.od):
@@ -417,7 +397,7 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
                "Z": MPoly.variable(V, "y")}
         inv = {"z": X, "x": Y, "y": Z}
         image = klein.relation.substitute(fwd)
-        match = (image - fam_fibre.extend(image.vars)).is_zero()
+        match = image == fam_fibre.extend(image.vars)
         zero_t = {n: QQ(0) for n in fam.param_vars}
         subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
                  for k, v in _full_subs(fam, "sigma").items()}
@@ -444,7 +424,7 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
         image = klein.relation.substitute(
             {k: v.extend(V) for k, v in
              {"X": fwd["X"], "Y": fwd["Y"], "Z": fwd["Z"]}.items()})
-        match = (image - fam_fibre.extend(image.vars)).is_zero()
+        match = image == fam_fibre.extend(image.vars)
         gens = {"sigma": "h", "rho": "g"} if label != "C3" else {
             "sigma": "h"}
         action_ok = True
@@ -475,7 +455,7 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
         inv = {"x": X * one_i, "y": Y, "z": Z}
         image = klein.relation.substitute(
             {"X": fwd["X"], "Y": fwd["Y"], "Z": fwd["Z"]})
-        match = (image - fam_fibre.extend(image.vars)).is_zero()
+        match = image == fam_fibre.extend(image.vars)
         zero_t = {n: QQ(0) for n in fam.param_vars}
         subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
                  for k, v in _full_subs(fam, "sigma").items()}
@@ -569,7 +549,7 @@ def verify_d4_coefficients() -> dict:
     for j in (1, 2, 3, 4):
         subs = coweight_reflection_subs(D4, j, D4_MU.names)
         for name, p in coeffs.items():
-            ok = (p.substitute(subs) - p).is_zero()
+            ok = p.substitute(subs) == p
             checks.append({"check": f"{name} invariant under r_{j}",
                            "ok": ok})
     # flat-coordinate match through xi(mu)
@@ -586,8 +566,7 @@ def verify_d4_coefficients() -> dict:
         * QQ(1, 4),
     }
     for name in "ABCD":
-        ok = (coeffs[name].extend(expected[name].vars)
-              - expected[name]).is_zero()
+        ok = coeffs[name].extend(expected[name].vars) == expected[name]
         checks.append({"check": f"{name} matches its flat form", "ok": ok})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
@@ -651,7 +630,7 @@ def verify_e6_coefficients() -> dict:
     for j in range(1, 7):
         subs = coweight_reflection_subs(E6, j, names)
         for name, p in coeffs.items():
-            ok = (p.substitute(subs) - p).is_zero()
+            ok = p.substitute(subs) == p
             checks.append({"check": f"{name} invariant under r_{j}",
                            "ok": ok})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
@@ -785,38 +764,15 @@ def _hessian_rank_and_kernel(f2: MPoly, names):
             half = c * QQ(1, 2)
             G[i][j] = G[i][j] + half
             G[j][i] = G[j][i] + half
-    # exact row reduction
-    rows = [list(r) for r in G]
-    pivots = []
-    rp = 0
-    cols = list(range(n))
-    for col in cols:
-        piv = None
-        for i in range(rp, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rp], rows[piv] = rows[piv], rows[rp]
-        inv = rows[rp][col]
-        rows[rp] = [x / inv for x in rows[rp]]
-        for i in range(n):
-            if i != rp and rows[i][col]:
-                fct = rows[i][col]
-                rows[i] = [x - fct * y for x, y in zip(rows[i], rows[rp])]
-        pivots.append(col)
-        rp += 1
-    rank = rp
+    rows, pivots = rref(G, n)
     kernel = []
-    free = [c for c in cols if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [QQ(0)] * n
         v[fc] = QQ(1)
         for k, pc in enumerate(pivots):
             v[pc] = -rows[k][fc]
         kernel.append(tuple(v))
-    return rank, kernel
+    return len(pivots), kernel
 
 
 def _binary_cubic_class(c3, c2, c1, c0) -> str:
@@ -886,7 +842,7 @@ def _classify_point(f_local: MPoly, names, tjurina: int) -> str:
 
 
 def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
-                         budget: int = 10 ** 6) -> SingularityReport:
+                         budget: int = DEFAULT_BUDGET) -> SingularityReport:
     """Singular points of the hypersurface f = 0 with local data.
 
     Points come from the Jacobian ideal: the quotient algebra of (f, df)
@@ -968,7 +924,7 @@ def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
 
 
 def analyze_fibre(fam: DeformationFamily, values: dict,
-                  budget: int = 10 ** 6) -> SingularityReport:
+                  budget: int = DEFAULT_BUDGET) -> SingularityReport:
     """Singularity report of the fibre of a family at parameter values."""
     return analyze_hypersurface(fam.fibre_equation(values),
                                 fam.ambient_vars, budget=budget)

@@ -225,22 +225,10 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise DivisionByZero("inverse of zero")
-        # Extended Euclid in Q[x] against Phi_n, rebuilt from x^phi = rows[0].
-        phi, rows = _cyclo_data(self.n)
+        # Phi_n rebuilt from x^phi = rows[0]
+        _, rows = _cyclo_data(self.n)
         modulus = [-c for c in rows[0]] + [QQ(1)]
-        a = list(self.coeffs)
-        r0, r1 = modulus, _trim(a)
-        s0, s1 = [QQ(0)], [QQ(1)]
-        while _deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _deg(r1) < 0:
-            raise DivisionByZero("element not invertible")
-        inv_lead = 1 / r1[0]
-        inv = [c * inv_lead for c in s1]
-        inv = inv[:phi] + [QQ(0)] * max(0, phi - len(inv))
-        return Cyclo(self.n, inv[:phi])
+        return Cyclo(self.n, _inverse_mod(self.coeffs, modulus))
 
     def __truediv__(self, other):
         if is_rat(other):
@@ -295,6 +283,8 @@ class Cyclo:
         return " + ".join(terms) if terms else "0"
 
 
+# -- univariate polynomials over any exact scalar (lists, low degree first) --
+
 def _deg(p):
     d = len(p) - 1
     while d >= 0 and not p[d]:
@@ -304,7 +294,7 @@ def _deg(p):
 
 def _trim(p):
     d = _deg(p)
-    return [QQ(c) for c in p[: d + 1]] if d >= 0 else [QQ(0)]
+    return list(p[: d + 1]) if d >= 0 else [QQ(0)]
 
 
 def _poly_sub(a, b):
@@ -324,17 +314,62 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    q = [QQ(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _deg(r) >= _deg(b) >= 0 and any(r):
-        shift = _deg(r) - _deg(b)
-        c = r[_deg(r)] / b[_deg(b)]
-        q[shift] += c
-        for j in range(len(b)):
-            r[shift + j] -= c * b[j]
+    r, b = _trim(a), _trim(b)
+    db = _deg(b)
+    inv_lead = QQ(1) / b[db]
+    q = [QQ(0)] * max(1, len(r) - len(b) + 1)
+    dr = _deg(r)
+    while dr >= db:
+        c = r[dr] * inv_lead
+        q[dr - db] += c
+        for j, y in enumerate(b):
+            r[dr - db + j] -= c * y
+        dr = _deg(r)
     return _trim(q), _trim(r)
+
+
+def _inverse_mod(coeffs, modulus):
+    """The deg(modulus) coordinates of 1/a(x) modulo ``modulus``, by the
+    extended Euclid; DivisionByZero when a(x) shares a factor with it."""
+    r0, r1 = _trim(modulus), _trim(coeffs)
+    s0, s1 = [QQ(0)], [QQ(1)]
+    while _deg(r1) > 0:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    if _deg(r1) < 0:
+        raise DivisionByZero("element not invertible")
+    inv_lead = QQ(1) / r1[0]
+    k = len(modulus) - 1
+    inv = [c * inv_lead for c in s1[:k]]
+    return inv + [QQ(0)] * (k - len(inv))
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over any exact scalar field.
+
+    Pivots on the first ``ncols`` columns (later columns, e.g. a right-hand
+    side, are carried along).  Returns (rows, pivots): the reduced rows, the
+    pivot rows first, and the pivot column of each of those rows.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rp = len(pivots)
+        if rp == len(rows):
+            break
+        piv = next((i for i in range(rp, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rp], rows[piv] = rows[piv], rows[rp]
+        inv = QQ(1) / rows[rp][col]
+        rows[rp] = [x * inv for x in rows[rp]]
+        for i, row in enumerate(rows):
+            if i != rp and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, rows[rp])]
+        pivots.append(col)
+    return rows, pivots
 
 
 # -- named constants ------------------------------------------------------
@@ -421,7 +456,7 @@ class Radical:
 
     def _lift(self, other):
         if isinstance(other, Radical):
-            if other.k != self.k or not _sc_eq(other.c, self.c):
+            if other.k != self.k or other.c != self.c:
                 raise IncompatibleRadicals(
                     f"u^{self.k}={self.c} vs u^{other.k}={other.c}")
             return other
@@ -473,21 +508,8 @@ class Radical:
     def inverse(self) -> "Radical":
         if not self:
             raise DivisionByZero("inverse of zero")
-        # Extended Euclid in F[u] against u^k - c.
-        k = self.k
-        modulus = [-self.c] + [QQ(0)] * (k - 1) + [QQ(1)]
-        r0, r1 = _trim_sc(modulus), _trim_sc(list(self.coeffs))
-        s0, s1 = [QQ(0)], [QQ(1)]
-        while _deg_sc(r1) > 0:
-            q, r = _divmod_sc(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _sub_sc(s0, _mul_sc(q, s1))
-        if _deg_sc(r1) < 0:
-            raise DivisionByZero("element not invertible")
-        inv_lead = _sc_inv(r1[0])
-        inv = [x * inv_lead for x in s1]
-        inv = list(inv[:k]) + [QQ(0)] * max(0, k - len(inv))
-        return Radical(k, self.c, inv[:k])
+        modulus = [-self.c] + [QQ(0)] * (self.k - 1) + [QQ(1)]
+        return Radical(self.k, self.c, _inverse_mod(self.coeffs, modulus))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -520,7 +542,7 @@ class Radical:
             return False
         if o is None:
             return NotImplemented
-        return all(_sc_eq(x, y) for x, y in zip(self.coeffs, o.coeffs))
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         if not any(bool(x) for x in self.coeffs[1:]):
@@ -536,60 +558,6 @@ class Radical:
 
     def __repr__(self):
         return f"Radical(u^{self.k}={self.c}; {list(self.coeffs)})"
-
-
-def _sc_eq(a, b):
-    return a == b
-
-
-def _sc_inv(a):
-    if isinstance(a, Cyclo):
-        return a.inverse()
-    return QQ(1) / a
-
-
-def _deg_sc(p):
-    d = len(p) - 1
-    while d >= 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _trim_sc(p):
-    d = _deg_sc(p)
-    return list(p[: d + 1]) if d >= 0 else [QQ(0)]
-
-
-def _sub_sc(a, b):
-    m = max(len(a), len(b))
-    a = list(a) + [QQ(0)] * (m - len(a))
-    b = list(b) + [QQ(0)] * (m - len(b))
-    return _trim_sc([x - y for x, y in zip(a, b)])
-
-
-def _mul_sc(a, b):
-    out = [QQ(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return _trim_sc(out)
-
-
-def _divmod_sc(a, b):
-    a = _trim_sc(a)
-    b = _trim_sc(b)
-    q = [QQ(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _deg_sc(r) >= _deg_sc(b) >= 0 and any(bool(x) for x in r):
-        da, db = _deg_sc(r), _deg_sc(b)
-        if da < db:
-            break
-        c = r[da] * _sc_inv(b[db]) if isinstance(b[db], Cyclo) else r[da] / b[db]
-        q[da - db] = q[da - db] + c
-        for j in range(db + 1):
-            r[da - db + j] = r[da - db + j] - c * b[j]
-    return _trim_sc(q), _trim_sc(r)
 
 
 # -- numeric shadow --------------------------------------------------------

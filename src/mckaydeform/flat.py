@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from .exact import QQ, Cyclo
 from .poly import MPoly, VarTable
@@ -53,26 +54,29 @@ class FlatSystem:
         raise KeyError(d)
 
 
-def _saito_series(i: int, h: int, gens: dict, vars: VarTable) -> MPoly:
-    """psi_i = sum_d (-1)^(d-1) ((h-i+1)/h, d-1)/d! * X_i^d."""
+def _composition_series(i: int, gens: dict, vars: VarTable, coeff) -> MPoly:
+    """sum_d coeff(d) * sum of gens[j_1] ... gens[j_d] over the ordered
+    compositions i = j_1 + ... + j_d into parts from ``gens``."""
+    by_length = {}
+    for comp in _compositions(i, sorted(gens)):
+        by_length.setdefault(len(comp), []).append(comp)
     total = MPoly(vars)
-    parts = sorted(gens)
-    max_d = i // min(parts)
-    fact = QQ(1)
-    for d in range(1, max_d + 1):
-        fact = fact * d
-        coeff = QQ(-1) ** (d - 1) * pochhammer(QQ(h - i + 1, h), d - 1) / fact
+    for d in sorted(by_length):
         comp_sum = MPoly(vars)
-        for comp in _compositions(i, parts):
-            if len(comp) != d:
-                continue
+        for comp in by_length[d]:
             term = MPoly.constant(vars, QQ(1))
             for j in comp:
                 term = term * gens[j]
             comp_sum = comp_sum + term
-        if comp_sum:
-            total = total + comp_sum * coeff
+        total = total + comp_sum * coeff(d)
     return total
+
+
+def _saito_series(i: int, h: int, gens: dict, vars: VarTable) -> MPoly:
+    """psi_i = sum_d (-1)^(d-1) ((h-i+1)/h, d-1)/d! * X_i^d."""
+    return _composition_series(
+        i, gens, vars, lambda d: QQ(-1) ** (d - 1)
+        * pochhammer(QQ(h - i + 1, h), d - 1) / factorial(d))
 
 
 def flat_coords_A(r: int) -> FlatSystem:
@@ -117,21 +121,9 @@ def epsilon_from_psi(r: int) -> list:
     gens = {i: MPoly.variable(V, f"psi{i}") for i in range(2, 2 * r + 1)}
     out = []
     for i in range(2, 2 * r + 1):
-        total = MPoly(V)
-        fact = QQ(1)
-        for d in range(1, i // 2 + 1):
-            fact = fact * d
-            coeff = pochhammer(QQ(h - i + 1), d - 1) / (fact * QQ(h) ** (d - 1))
-            comp_sum = MPoly(V)
-            for comp in _compositions(i, sorted(gens)):
-                if len(comp) != d:
-                    continue
-                term = MPoly.constant(V, QQ(1))
-                for j in comp:
-                    term = term * gens[j]
-                comp_sum = comp_sum + term
-            if comp_sum:
-                total = total + comp_sum * coeff
+        total = _composition_series(
+            i, gens, V, lambda d: pochhammer(QQ(h - i + 1), d - 1)
+            / (factorial(d) * QQ(h) ** (d - 1)))
         out.append((i, f"eps{i}", total))
     return out
 
@@ -301,7 +293,7 @@ def verify_w_invariance(fs: FlatSystem, generator_subs, expand=None) -> dict:
         for name, p in coords:
             moved = p.substitute(subs)
             checks.append({"generator": label, "coordinate": name,
-                           "ok": (moved - p).is_zero()})
+                           "ok": moved == p})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 

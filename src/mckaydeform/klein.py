@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 
 from .exact import QQ, Cyclo, embed_complex, imag_unit, sqrt2, zeta
 from .poly import MPoly, VarTable
-from .rootdata import DynkinType
+from .rootdata import DynkinType, UnsupportedType
 
 
 class ClosureBudgetExceeded(RuntimeError):
-    pass
-
-
-class UnsupportedType(ValueError):
     pass
 
 
@@ -180,9 +176,6 @@ class ScaledPoly:
     poly: MPoly
     rad_base: int = 1
     rad_exp: object = QQ(0)
-
-    def scale_numeric(self) -> complex:
-        return float(self.rad_base) ** float(QQ(self.rad_exp))
 
 
 Z_VARS = VarTable(("z1", "z2"))
@@ -349,7 +342,7 @@ def verify_invariance(kd: KleinData) -> dict:
             moved = substitute_matrix(sp.poly, gen)
             checks.append({
                 "check": f"gamma_gen{gi}_fixes_{name}",
-                "ok": (moved - sp.poly).is_zero(),
+                "ok": moved == sp.poly,
             })
     scaled = kd.scaled()
     total = MPoly(Z_VARS)
@@ -415,7 +408,7 @@ def verify_omega_action(kd: KleinData) -> dict:
                     ok = False
                     break
                 expect = expect + so.poly * (coef * ratio)
-            status = ok and (moved - expect).is_zero()
+            status = ok and moved == expect
             checks.append({"generator": gname, "polynomial": name,
                            "ok": status})
     report = {"label": kd.label, "checks": checks,

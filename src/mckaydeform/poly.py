@@ -574,7 +574,7 @@ def _retable(p: MPoly, vars: VarTable) -> MPoly:
 def equal_mod_vars(a: MPoly, b: MPoly) -> bool:
     """Equality after aligning the two variable tables (sorted union)."""
     union = VarTable(tuple(sorted(set(a.vars.names) | set(b.vars.names))))
-    return (_retable(a, union) - _retable(b, union)).is_zero()
+    return _retable(a, union) == _retable(b, union)
 
 
 def poly_from_json(data) -> MPoly:

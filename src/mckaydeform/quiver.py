@@ -344,7 +344,7 @@ def verify_symplectic_action(act: OmegaActionOnM) -> bool:
 
     form = symplectic_form(q, _View(phi.vars, moved_phi),
                            _View(psi.vars, moved_psi))
-    return (form - base).is_zero()
+    return form == base
 
 
 # -- reference actions ---------------------------------------------------------
@@ -461,13 +461,14 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
     q = build_mckay_quiver(t)
     rng = np.random.default_rng(seed)
     z = [complex(v) for v in central]
+    if len(z) != q.vertex_count():
+        raise ValueError(f"central value arity: {t} needs "
+                         f"{q.vertex_count()} values, got {len(z)}")
     total = sum(d * m for d, m in zip(q.dims, z))
     if abs(total) > 1e-12:
         raise ValueError("central value must satisfy sum d_i z_i = 0")
     if t.family == "A":
         n = t.rank + 1
-        if len(z) != n:
-            raise ValueError("central value arity")
         c0 = complex(_rng_annulus(rng))
         c = [c0]
         for i in range(1, n):
@@ -479,8 +480,6 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
             rep[f"b{i}"] = np.array([[c[i] / a[i]]])
         return {"rep": rep, "quiver": q, "central": z}
     if t == DynkinType("D", 4):
-        if len(z) != 5:
-            raise ValueError("central value arity")
         outer = (0, 1, 3, 4)
         for attempt in range(10):
             cols = {i: _rng_annulus(rng, (2, 1)) for i in outer}
@@ -489,7 +488,7 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
             rhs = np.zeros(8, dtype=complex)
             for idx, i in enumerate(outer):
                 A[idx, 2 * idx: 2 * idx + 2] = cols[i][:, 0]
-                rhs[idx] = -z[_vertex_index_d4(i)]
+                rhs[idx] = -z[i]
             # centre block: sum_i cols_i rows_i = z_2 * Id
             eq = 4
             for p in range(2):
@@ -509,10 +508,6 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
                 return {"rep": rep, "quiver": q, "central": z}
         raise SingularSystem("no well-conditioned sample in 10 attempts")
     raise UnsupportedType(f"no sampler for {t}")
-
-
-def _vertex_index_d4(i):
-    return i
 
 
 def _fibre_residual_d4(mm, z):

@@ -5,7 +5,7 @@ uses the six-dimensional model in which the Weyl group is the symmetry group
 of the 27-vertex polytope: simple roots are sqrt(2) times the unit normals
 of six reflection hyperplanes, with coordinates in Q(zeta_24) (they involve
 sqrt(2), sqrt(3), sqrt(6)).  The E6 vertex numbering follows the deformation
-computations, not the reference-book order; ``E6_TO_BOURBAKI`` translates.
+computations, not the reference-book order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exact import QQ, Cyclo, embed_complex, is_rat, sqrt2, sqrt3
+from .exact import QQ, Cyclo, embed_complex, is_rat, rref, sqrt2, sqrt3
 
 
 class UnsupportedType(ValueError):
@@ -56,7 +56,6 @@ def parse_type(text: str) -> DynkinType:
 
 # Paper numbering of the E6 diagram: chain 1-4-6-5-2 with 3 on the centre 6.
 E6_EDGES = ((1, 4), (4, 6), (6, 3), (6, 5), (5, 2))
-E6_TO_BOURBAKI = {1: 1, 4: 3, 6: 4, 3: 2, 5: 5, 2: 6}
 
 
 def dynkin_edges(t: DynkinType):
@@ -127,36 +126,14 @@ def _dot(u, v):
 
 def _linsolve_overdetermined(basis, target):
     """Solve sum c_i basis_i = target exactly; raise if inconsistent."""
-    m = len(target)
     n = len(basis)
-    rows = [[basis[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    piv_cols = []
-    rp = 0
-    for col in range(n):
-        piv = None
-        for i in range(rp, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rp], rows[piv] = rows[piv], rows[rp]
-        inv = rows[rp][col]
-        rows[rp] = [x / inv for x in rows[rp]]
-        for i in range(m):
-            if i != rp and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rp])]
-        piv_cols.append(col)
-        rp += 1
-        if rp == m:
-            break
+    rows, pivots = rref([[v[i] for v in basis] + [target[i]]
+                         for i in range(len(target))], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        raise DimensionMismatch("vector outside the root span")
     coeffs = [QQ(0)] * n
-    for k, col in enumerate(piv_cols):
-        coeffs[col] = rows[k][n]
-    for i in range(rp, m):
-        if rows[i][n]:
-            raise DimensionMismatch("vector outside the root span")
+    for row, col in zip(rows, pivots):
+        coeffs[col] = row[n]
     return coeffs
 
 
@@ -326,9 +303,6 @@ def close_group(gens):
                     nxt.append(h)
         frontier = nxt
     return list(elems.values())
-
-
-STANDARD_OMEGAS = {"trivial": (), "z2": None, "z3": None, "s3": None}
 
 
 def standard_omega(t: DynkinType, name: str):

@@ -36,6 +36,19 @@ def test_budget_exit_code(monkeypatch):
     assert code == 3
 
 
+def test_budget_is_a_fiber_option_only():
+    # no other subcommand reads a reduction budget, so none accepts one
+    code, report = run(["suite", "smoke", "--budget", "1"])
+    assert code == 2 and report is None
+
+
+def test_fiber_budget_zero_is_honoured():
+    # 0 steps is a budget of 0, not a request for the default
+    code, report = run(["fiber", "analyze", "--label", "C3",
+                        "--budget", "0"])
+    assert code == 3 and report is None
+
+
 def test_klein_command():
     code, report = run(["klein", "verify", "--type", "D4"])
     assert code == 0 and report.ok
@@ -46,6 +59,15 @@ def test_quiver_sample_command():
                         "--mu", "1,1,-2,1,1", "--seed", "42",
                         "--trials", "10"])
     assert code == 0 and report.ok
+
+
+def test_quiver_sample_wrong_arity_is_usage_error(capsys):
+    # A3 has four vertices; two values must be refused for their number,
+    # not for the sum condition they also fail
+    code, report = run(["quiver", "sample", "--type", "A3", "--mu", "1,2"])
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "arity" in err and "4" in err and "sum" not in err
 
 
 def test_fiber_analyze_command():

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from mckaydeform.exact import (Cyclo, DivisionByZero, IncompatibleRadicals,
-                               QQ, Radical, embed_complex, rat,
-                               scalar_to_json, sqrt2, sqrt3, sqrt6,
+                               QQ, Radical, embed_complex, imag_unit, rat,
+                               rref, scalar_to_json, sqrt2, sqrt3, sqrt6,
                                sqrt_rational, zeta)
 
 
@@ -109,3 +109,109 @@ def test_scalar_serialization():
     payload = scalar_to_json(zeta(4))
     assert payload == {"conductor": 4, "coords": ["0", "1"]}
     assert scalar_to_json(Cyclo.from_rat(rat(-2, 7), 8)) == "-2/7"
+
+
+def test_radical_inverse_randomised_rational_radicand():
+    rng = random.Random(13)
+    for _ in range(100):
+        a = Radical(3, QQ(2), [QQ(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(3)])
+        if not a:
+            continue
+        assert a * a.inverse() == 1
+
+
+def test_radical_inverse_randomised_cyclo_radicand():
+    # u^2 = 2 + omega: its norm 3 is no square, so Q(omega)[u] is a field
+    c = 2 + zeta(3)
+    rng = random.Random(17)
+    for _ in range(60):
+        a = Radical(2, c, [Cyclo(3, [QQ(rng.randint(-9, 9)),
+                                     QQ(rng.randint(-9, 9))])
+                           for _ in range(2)])
+        if not a:
+            continue
+        assert a * a.inverse() == 1
+
+
+def test_radical_zero_divisor_is_not_invertible():
+    u = Radical.generator(2, QQ(4))     # u^2 - 4 = (u - 2)(u + 2)
+    with pytest.raises(DivisionByZero):
+        (u - 2).inverse()
+
+
+def _sympy_rational(x):
+    import sympy
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _random_rational_matrix(rng, m, n, rank):
+    """m x n with rank at most ``rank``: random rows, then combinations."""
+    base = [[QQ(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(rank)]
+    rows = list(base)
+    while len(rows) < m:
+        f = [QQ(rng.randint(-3, 3)) for _ in range(rank)]
+        rows.append([sum((fk * b[j] for fk, b in zip(f, base)), QQ(0))
+                     for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rref_matches_sympy_on_random_rational_matrices():
+    import sympy
+    rng = random.Random(23)
+    for trial in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rank = rng.randint(0, min(m, n))
+        rows = _random_rational_matrix(rng, m, n, rank)
+        got, pivots = rref(rows, n)
+        want, want_pivots = sympy.Matrix(
+            [[_sympy_rational(x) for x in row] for row in rows]).rref()
+        assert tuple(pivots) == want_pivots
+        assert [[_sympy_rational(x) for x in row] for row in got] \
+            == want.tolist()
+
+
+def test_rref_leaves_an_inconsistent_right_hand_side_in_a_zero_row():
+    import sympy
+    # column 2 = column 0 + column 1, so (0, 0, 1) is outside the span
+    A = [[QQ(1), QQ(2), QQ(3)], [QQ(2), QQ(-1), QQ(1)], [QQ(4), QQ(3), QQ(7)]]
+    rhs = [QQ(1), QQ(0), QQ(5)]
+    rows, pivots = rref([a + [b] for a, b in zip(A, rhs)], 3)
+    want, want_pivots = sympy.Matrix(
+        [[_sympy_rational(x) for x in a + [b]] for a, b in zip(A, rhs)]).rref()
+    assert pivots == [0, 1] and want_pivots == (0, 1, 3)
+    # same left block as sympy; the spare row keeps a nonzero right side
+    assert [[_sympy_rational(x) for x in row[:3]] for row in rows] \
+        == want[:, :3].tolist()
+    assert not any(rows[2][:3]) and rows[2][3]
+
+
+def test_rref_stops_once_every_row_has_a_pivot():
+    rows, pivots = rref([[QQ(2), QQ(4), QQ(6)]], 3)
+    assert pivots == [0] and rows == [[1, 2, 3]]
+
+
+def test_rref_over_a_cyclotomic_field_matches_sympy():
+    import sympy
+    r3, i = sqrt3().lift(12), imag_unit().lift(12)
+    a = [r3 + i, Cyclo.from_rat(1, 12), i * 2, r3 * QQ(1, 2)]
+    b = [Cyclo.from_rat(QQ(2, 3), 12), r3 - 1, Cyclo.from_rat(0, 12), i]
+    c = [x * (r3 + 1) - y * i for x, y in zip(a, b)]     # rank 2
+    rows, pivots = rref([a, b, c], 4)
+    zeta12 = (sympy.sqrt(3) + sympy.I) / 2
+
+    def to_sympy(x):
+        if not isinstance(x, Cyclo):
+            return _sympy_rational(QQ(x))
+        return sympy.expand(sum(_sympy_rational(q) * zeta12 ** j
+                                for j, q in enumerate(x.lift(12).coeffs)))
+
+    want, want_pivots = sympy.Matrix(
+        [[to_sympy(x) for x in row] for row in (a, b, c)]).rref(
+            simplify=True)
+    assert tuple(pivots) == want_pivots == (0, 1)
+    for row, want_row in zip(rows, want.tolist()):
+        for x, y in zip(row, want_row):
+            assert sympy.simplify(to_sympy(x) - y) == 0
