@@ -6,7 +6,8 @@ keys; the per-check runtime field is zeroed in JSON output and only shown
 in the human-readable text rendering).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
-exhausted.
+exhausted, 4 internal mismatch (variable tables, dimensions or matrix shapes
+that the program itself failed to match).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import time
 
 from . import __version__
 from .exact import rat
-from .poly import DEFAULT_BUDGET, BudgetExceeded
-from .rootdata import (DynkinType, UnsupportedType, fold, parse_type,
-                       standard_omega, vanishing_roots, omega_average,
-                       build_root_system)
+from .poly import DEFAULT_BUDGET, BudgetExceeded, VariableMismatch
+from .rootdata import (DimensionMismatch, DynkinType, UnsupportedType,
+                       fold, parse_type, standard_omega, vanishing_roots,
+                       omega_average, build_root_system)
 
 
 class Check:
@@ -449,6 +450,13 @@ def _suite_full(run, seed):
 
 # -- argument parsing -----------------------------------------------------------
 
+def _positive_int(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mckaydeform",
@@ -486,13 +494,13 @@ def build_parser():
     qv.add_argument("--type", required=True)
     qv.add_argument("--generator", default="all")
     qv.add_argument("--seed", type=int, default=0)
-    qv.add_argument("--trials", type=int, default=25)
+    qv.add_argument("--trials", type=_positive_int, default=25)
     qv.set_defaults(fn=cmd_quiver_verify)
     qp = qs.add_parser("sample")
     qp.add_argument("--type", required=True)
     qp.add_argument("--mu", required=True)
     qp.add_argument("--seed", type=int, default=0)
-    qp.add_argument("--trials", type=int, default=100)
+    qp.add_argument("--trials", type=_positive_int, default=100)
     qp.set_defaults(fn=cmd_quiver_sample)
 
     fa = sub.add_parser("family", help="deformation families")
@@ -573,6 +581,22 @@ OPERATION_COVERAGE = {
 }
 
 
+def _exit_code(exc):
+    """Exit code for an error a subcommand raised, or None to re-raise it.
+
+    The first row whose kinds match wins: the internal mismatches are
+    subclasses of ValueError and KeyError, so they precede the user errors.
+    """
+    from .quiver import ShapeMismatch  # needs numpy; only on this path
+    for kinds, code in (((VariableMismatch, DimensionMismatch,
+                          ShapeMismatch), 4),
+                        (BudgetExceeded, 3),
+                        ((ValueError, KeyError), 2)):
+        if isinstance(exc, kinds):
+            return code
+    return None
+
+
 def run(argv) -> tuple:
     """Parse and execute; returns (exit_code, RunReport | None)."""
     parser = build_parser()
@@ -582,11 +606,12 @@ def run(argv) -> tuple:
         return (2 if exc.code not in (0, None) else 0), None
     try:
         report = args.fn(args)
-    except BudgetExceeded:
-        return 3, None
-    except (UnsupportedType, ValueError, KeyError) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2, None
+        return code, None
     payload = report.to_json()
     if getattr(report, "payload", None) is not None:
         payload["payload"] = report.payload

@@ -20,13 +20,14 @@ result's terms in the same order, so float evaluation of a result sums in
 the same order whichever path built it.
 
 ``Ideal`` carries a monomial order and caches its reduced Groebner basis,
-computed by Buchberger's algorithm with the product and chain
-pair-elimination criteria.  Zero-dimensional quotient dimensions are
-counted from the staircase of leading terms.
+computed by Buchberger's algorithm (cached leads, a pair heap and the
+Gebauer-Moller update).  Zero-dimensional quotient dimensions are counted
+from the staircase of leading terms.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from math import lcm
 
@@ -655,15 +656,11 @@ def reduce_poly(p: MPoly, basis, key, budget=None) -> MPoly:
     return remainder
 
 
-def _spoly(f: MPoly, g: MPoly, key) -> MPoly:
-    (ef, cf) = f.leading(key)
-    (eg, cg) = g.leading(key)
+def _spoly(f: MPoly, ef, g: MPoly, eg) -> MPoly:
+    """S-polynomial of the monic f and g, whose leading exponents are ef, eg."""
     l = _elcm(ef, eg)
-    tf = MPoly(f.vars)
-    tf.terms[_ediff(l, ef)] = _inv(cf)
-    tg = MPoly(g.vars)
-    tg.terms[_ediff(l, eg)] = _inv(cg)
-    return tf * f - tg * g
+    return (MPoly(f.vars, {_ediff(l, ef): f.terms[ef]}) * f
+            - MPoly(g.vars, {_ediff(l, eg): g.terms[eg]}) * g)
 
 
 def _inv(c):
@@ -672,57 +669,59 @@ def _inv(c):
     return c.inverse()
 
 
+def _coprime(e1, e2):
+    return not any(a and b for a, b in zip(e1, e2))
+
+
 def buchberger(gens, key, budget=None):
-    """Reduced Groebner basis by Buchberger with both standard criteria."""
+    """Reduced Groebner basis: Buchberger's algorithm, pairs taken smallest
+    lcm first, with the Gebauer-Moller update (J. Symb. Comput. 6, 1988)."""
     budget = budget or _Budget(DEFAULT_BUDGET)
-    basis = [g for g in gens if g]
-    if not basis:
-        return []
-    # interreduce the input a little for stability
-    basis = [g * _inv(g.leading(key)[1]) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    basis, leads = [], []       # monic elements and their leading exponents
+    live, heap = {}, []         # pair (t, g), t > g -> lcm; heap of live keys
+    G = []                      # elements whose lead no later lead divides
 
-    def lead(i):
-        return basis[i].leading(key)[0]
+    def update(h):
+        e, c = h.leading(key)
+        t = len(basis)
+        basis.append(h * _inv(c))
+        leads.append(e)
+        new = {g: _elcm(leads[g], e) for g in G}
+        # M and F: keep a new pair unless another new pair's lcm divides its
+        # lcm; coprime pairs stay as witnesses and are dropped afterwards
+        kept = []
+        for n, g in enumerate(G):
+            if _coprime(leads[g], e) or not any(
+                    _divides(new[o], new[g]) for o in G[n + 1:] + kept):
+                kept.append(g)
+        # B_k: drop old pairs (i, j) with e | l, lcm(i, e) != l != lcm(j, e)
+        for (i, j), l in list(live.items()):
+            if (_divides(e, l) and _elcm(leads[i], e) != l
+                    and _elcm(leads[j], e) != l):
+                del live[i, j]
+        for g in kept:
+            if not _coprime(leads[g], e):
+                live[t, g] = new[g]
+                heapq.heappush(heap, (key(new[g]), t, g))
+        G[:] = [g for g in G if not _divides(e, leads[g])] + [t]
 
-    while pairs:
-        # normal selection strategy: smallest lcm in the order
-        i, j = min(pairs, key=lambda ij: key(_elcm(lead(ij[0]), lead(ij[1]))))
-        pairs.discard((i, j))
-        li, lj = lead(i), lead(j)
-        l = _elcm(li, lj)
-        # product criterion
-        if l == tuple(a + b for a, b in zip(li, lj)):
+    for g in gens:
+        if g:
+            update(g)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
             continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lead(k), l):
-                p1 = (max(i, k), min(i, k))
-                p2 = (max(j, k), min(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly(basis[i], basis[j], key)
+        s = _spoly(basis[i], leads[i], basis[j], leads[j])
         r = reduce_poly(s, basis, key, budget)
         if r:
-            r = r * _inv(r.leading(key)[1])
-            basis.append(r)
-            t = len(basis) - 1
-            for k in range(t):
-                pairs.add((t, k))
+            update(r)
     # minimize: drop elements whose leading term another one divides
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
     minimal = []
-    for g in basis:
-        lg = g.leading(key)[0]
-        if any(_divides(h.leading(key)[0], lg) for h in minimal):
-            continue
-        minimal.append(g)
+    for g in sorted(G, key=lambda g: key(leads[g])):
+        if not any(_divides(leads[h], leads[g]) for h in minimal):
+            minimal.append(g)
+    minimal = [basis[g] for g in minimal]
     # tail-reduce each against the others (leading terms are now stable)
     final = []
     for i, g in enumerate(minimal):

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
 from mckaydeform.cli import OPERATION_COVERAGE, run
+from mckaydeform.poly import VariableMismatch
+from mckaydeform.quiver import ShapeMismatch
+from mckaydeform.rootdata import DimensionMismatch
 
 
 def test_fold_command(tmp_path):
@@ -34,6 +39,32 @@ def test_budget_exit_code(monkeypatch):
     monkeypatch.setattr(cli, "cmd_fiber", exhausted)
     code, _ = run(["fiber", "analyze", "--label", "C3"])
     assert code == 3
+
+
+@pytest.mark.parametrize("kind", [VariableMismatch, DimensionMismatch,
+                                  ShapeMismatch])
+def test_internal_mismatch_exit_code(monkeypatch, kind):
+    # the program's own mismatches subclass ValueError/KeyError but are not
+    # usage errors: they get their own exit code
+    import mckaydeform.cli as cli
+
+    def mismatched(args):
+        raise kind("tables differ")
+
+    monkeypatch.setattr(cli, "cmd_fiber", mismatched)
+    code, report = run(["fiber", "analyze", "--label", "C3"])
+    assert code == 4 and report is None
+
+
+def test_error_outside_the_exit_code_table_propagates(monkeypatch):
+    import mckaydeform.cli as cli
+
+    def broken(args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cli, "cmd_fiber", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(["fiber", "analyze", "--label", "C3"])
 
 
 def test_budget_is_a_fiber_option_only():
@@ -68,6 +99,21 @@ def test_quiver_sample_wrong_arity_is_usage_error(capsys):
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert "arity" in err and "4" in err and "sum" not in err
+
+
+def test_quiver_sample_zero_trials_is_usage_error(capsys):
+    # no sample drawn would leave every residual at 0 and pass
+    code, report = run(["quiver", "sample", "--type", "D4",
+                        "--mu", "1,1,-2,1,1", "--trials", "0"])
+    assert code == 2 and report is None
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_quiver_verify_action_zero_trials_is_usage_error(capsys):
+    code, report = run(["quiver", "verify-action", "--type", "A3",
+                        "--trials", "0"])
+    assert code == 2 and report is None
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_fiber_analyze_command():

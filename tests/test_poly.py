@@ -347,3 +347,86 @@ def test_cyclo_and_int_coefficients_keep_the_generic_types():
     moved = rational.substitute({"x": x * r3})
     assert any(type(c) is not type(QQ(1)) for c in moved.terms.values())
     assert moved == rational.substitute({"x": x}).substitute({"x": x * r3})
+
+
+# -- Groebner bases: lex, local Tjurina ideals, the pair criteria -------------
+
+def _as_sympy(g, syms):
+    import sympy as sp
+    return sp.expand(sum(
+        sp.Rational(str(c)) * sp.Mul(*(s ** k for s, k in zip(syms, e)))
+        for e, c in g.terms.items()))
+
+
+def _sympy_reduced_basis(gens, order):
+    """sympy's reduced basis, each element divided by its leading coefficient
+    (over ZZ sympy clears denominators instead)."""
+    import sympy as sp
+    syms = sp.symbols("x y z")
+    G = sp.groebner([_as_sympy(g, syms) for g in gens], *syms, order=order)
+    return sorted(
+        sp.srepr(sp.expand(e / sp.Poly(e, *syms).LC(order=order)))
+        for e in G.exprs)
+
+
+def _reduced_basis(gens, order):
+    import sympy as sp
+    syms = sp.symbols("x y z")
+    return sorted(sp.srepr(_as_sympy(g, syms))
+                  for g in Ideal(gens, order=order).groebner_basis())
+
+
+def _count_reductions(monkeypatch):
+    """A one-element list counting the calls of poly.reduce_poly."""
+    calls = [0]
+    reduce = poly.reduce_poly
+
+    def counted(*args):
+        calls[0] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(poly, "reduce_poly", counted)
+    return calls
+
+
+def test_lex_groebner_matches_sympy_oracle():
+    rng = random.Random(31)
+    for _ in range(12):
+        gens = [g for g in (_random_poly(rng) for _ in range(3)) if g]
+        assert _reduced_basis(gens, "lex") == _sympy_reduced_basis(gens, "lex")
+
+
+# f, N and the most S-pairs the smallest-lcm-first strategy with the
+# Gebauer-Moller criteria reduces on (f, df/dx, df/dy, df/dz) + m^N
+TJURINA_SHAPES = [
+    (x ** 3 + y ** 3 + z ** 3 + x * y * z, 4, 24),
+    (x ** 3 + y ** 3 + z ** 3 + x * y * z, 5, 30),
+    (x ** 2 * y + y ** 4 + z ** 2 + x ** 3, 4, 18),
+    (x ** 2 * y + y ** 4 + z ** 2 + x ** 3, 5, 24),
+]
+
+
+@pytest.mark.parametrize("f, n, most", TJURINA_SHAPES)
+def test_local_tjurina_ideal_matches_sympy(monkeypatch, f, n, most):
+    # the ideal deform._local_tjurina builds: f, its partials and every
+    # monomial of degree n, the later generators' leads divisible by the
+    # earlier ones'
+    gens = [f] + [f.diff(v) for v in "xyz"] + monomials_of_degree(V, n)
+    assert _reduced_basis(gens, "grevlex") == \
+        _sympy_reduced_basis(gens, "grevlex")
+    calls = _count_reductions(monkeypatch)
+    gb = poly.buchberger(gens, grevlex_key)
+    # every call past the final tail reduction of each element is an S-pair
+    assert calls[0] - len(gb) <= most
+
+
+def test_coprime_leads_need_no_s_pair(monkeypatch):
+    # leads x^3, y^2, z^2 are pairwise coprime: the product criterion
+    # discards every pair, and the generators already form the basis
+    gens = [x ** 3 + y + z, y ** 2 + z, z ** 2 + x]
+    calls = _count_reductions(monkeypatch)
+    gb = poly.buchberger(gens, grevlex_key)
+    assert sorted(map(repr, gb)) == sorted(map(repr, gens))
+    assert calls[0] == len(gb)
+    assert _reduced_basis(gens, "grevlex") == \
+        _sympy_reduced_basis(gens, "grevlex")
