@@ -43,6 +43,7 @@ class RunReport:
         self.checks = sorted(checks, key=lambda c: c.name)
         self.seed = seed
         self.version = __version__
+        self.error_code = None      # set when a check raised a mapped error
 
     @property
     def ok(self):
@@ -135,40 +136,37 @@ def cmd_klein(args) -> RunReport:
 
 
 def cmd_flat(args) -> RunReport:
-    from .flat import (FRAME_GENERATOR_KEYS, flat_coords_A, flat_coords_D,
-                       flat_coords_E6, frame_reflection_subs,
-                       psi_E6_in_xy, pq_weighted_degrees,
-                       verify_w_invariance)
+    from .flat import (flat_coords_A, flat_coords_D, flat_coords_E6,
+                       pq_weighted_degrees)
     t = parse_type(args.type)
     checks = []
-    if t.family == "A":
-        fs = flat_coords_A((t.rank + 1) // 2)
-        payload = {name: p.to_json() for _, name, p in fs.coords}
-        checks.append(Check.of(f"flat_{t}_built", True,
-                               {"degrees": [d for d, _, _ in fs.coords]}))
-    elif t.family == "D":
-        fs = flat_coords_D(t.rank - 1)
-        payload = {name: p.to_json() for _, name, p in fs.coords}
+    if t.family in ("A", "D"):
+        fs = flat_coords_A((t.rank + 1) // 2) if t.family == "A" \
+            else flat_coords_D(t.rank - 1)
         checks.append(Check.of(f"flat_{t}_built", True,
                                {"degrees": [d for d, _, _ in fs.coords]}))
     elif t == DynkinType("E", 6):
         fs = flat_coords_E6()
-        payload = {name: p.to_json() for _, name, p in fs.coords}
         degs_ok = all(pq_weighted_degrees(p) == {d}
                       for d, _, p in fs.coords)
         checks.append(Check.of("flat_E6_homogeneous", degs_ok,
                                {"degrees": [d for d, _, _ in fs.coords]}))
         if args.full:
-            xy = psi_E6_in_xy()
-            gens = [(str(k), frame_reflection_subs(k))
-                    for k in FRAME_GENERATOR_KEYS]
-            rep = verify_w_invariance(fs, gens, expand=xy)
-            checks.append(Check.of("flat_E6_frame_invariance", rep["ok"]))
+            checks.append(Check.of("flat_E6_frame_invariance",
+                                   _e6_frame_invariance(fs)))
     else:
         raise UnsupportedType(str(t))
     report = RunReport(f"flat --type {t}", checks)
-    report.payload = payload
+    report.payload = {name: p.to_json() for _, name, p in fs.coords}
     return report
+
+
+def _e6_frame_invariance(fs) -> bool:
+    """The E6 flat coordinates are invariant under the Frame generators."""
+    from .flat import (FRAME_GENERATOR_KEYS, frame_reflection_subs,
+                       psi_E6_in_xy, verify_w_invariance)
+    gens = [(str(k), frame_reflection_subs(k)) for k in FRAME_GENERATOR_KEYS]
+    return verify_w_invariance(fs, gens, expand=psi_E6_in_xy())["ok"]
 
 
 def cmd_quiver_verify(args) -> RunReport:
@@ -176,10 +174,12 @@ def cmd_quiver_verify(args) -> RunReport:
                          verify_moment_equivariance_numeric,
                          verify_symplectic_action)
     t = parse_type(args.type)
-    gens = ("sigma",) if args.generator == "all" and t.family != "D" \
-        else (("sigma", "rho") if t == DynkinType("D", 4)
-              else (args.generator,) if args.generator != "all"
-              else ("sigma",))
+    if args.generator != "all":
+        gens = (args.generator,)
+    elif t == DynkinType("D", 4):
+        gens = ("sigma", "rho")
+    else:
+        gens = ("sigma",)
     checks = []
     for gen in gens:
         act = reference_action(t, gen)
@@ -285,8 +285,10 @@ def cmd_fiber(args) -> RunReport:
     values = {}
     if args.params:
         for item in args.params.split(","):
-            k, v = item.split("=")
-            values[k.strip()] = rat(v.strip())
+            k, v = (part.strip() for part in item.split("="))
+            if k in values:
+                raise ValueError(f"parameter {k} is given twice")
+            values[k] = rat(v)
     rep = analyze_fibre(fam, values, budget=args.budget)
     checks = [Check.of(
         f"fiber_{fam.label}_analyzed", True, rep.to_json())]
@@ -328,124 +330,119 @@ def cmd_quotient(args) -> RunReport:
 
 
 def cmd_suite(args) -> RunReport:
-    checks = []
-    seed = args.seed
+    """Run the suite's rows in order, each timed.
 
-    def run(name, fn):
+    A check that raises an error ``_exit_code`` maps fails with the error as
+    its witness and the rest still run; the run then exits with the largest
+    such code.  Any other error propagates.
+    """
+    checks, codes = [], []
+    for name, fn, *fn_args in _suite_rows(args.name, args.seed):
         start = time.monotonic()
-        ok, witness = fn()
+        try:
+            ok, witness = fn(*fn_args)
+        except Exception as exc:
+            code = _exit_code(exc)
+            if code is None:
+                raise
+            codes.append(code)
+            ok, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
         ms = int((time.monotonic() - start) * 1000)
         checks.append(Check.of(name, ok, witness, ms))
-
-    _suite_smoke(run, seed)
-    if args.name == "full":
-        _suite_full(run, seed)
-    return RunReport(f"suite {args.name}", checks, seed=seed)
+    report = RunReport(f"suite {args.name}", checks, seed=args.seed)
+    report.error_code = max(codes, default=None)
+    return report
 
 
-def _suite_smoke(run, seed):
-    from .deform import (family, special_fibre_normal_form,
-                         verify_d4_coefficients, verify_equivariance)
-    from .klein import klein_data, verify_invariance, verify_omega_action
-    from .quiver import reference_action, verify_symplectic_action
-    from .quotient import (discriminant_B2, non_semiuniversality_check,
-                           verify_invariant_generators,
-                           verify_quotient_pullback, verify_singular_locus)
+def _suite_rows(name, seed) -> list:
+    """The checks of ``suite name`` as (check name, function, *args) rows.
 
-    folds = [("A3", "z2", "B2"), ("A5", "z2", "B3"), ("A4", "z2", "B2"),
-             ("A6", "z2", "C3"), ("D4", "z2", "C3"), ("D5", "z2", "C4"),
-             ("E6", "z2", "F4"), ("D4", "s3", "G2"), ("D4", "z3", "G2")]
-    for tname, om, want in folds:
+    Every function returns (ok, witness).  Building the rows computes
+    nothing; each construction happens inside its own check.
+    """
+    from . import deform, klein, quiver, quotient
+    from .flat import flat_coords_E6
+
+    def ok(verifier, *args):
+        return verifier(*args)["ok"], None
+
+    def ok_on(verifier, build, arg):
+        return verifier(build(arg))["ok"], None
+
+    def klein_of(tname):
+        return klein.klein_data(parse_type(tname))
+
+    def folds_to(tname, om, want):
         t = parse_type(tname)
-        run(f"fold[{tname},{om}]",
-            lambda t=t, om=om, want=want:
-            (str(fold(t, standard_omega(t, om))) == want,
-             {"folded": str(fold(t, standard_omega(t, om)))}))
+        folded = str(fold(t, standard_omega(t, om)))
+        return folded == want, {"folded": folded}
 
-    for tname in ("A3", "A5", "D4", "D5", "E6"):
-        t = parse_type(tname)
-        kd = klein_data(t)
-        run(f"klein_invariance[{tname}]",
-            lambda kd=kd: (verify_invariance(kd)["ok"], None))
-        run(f"klein_action[{tname}]",
-            lambda kd=kd: (verify_omega_action(kd)["ok"], None))
+    def symplectic(tname, gen, flip=None):
+        # an action with one arrow's sign flipped must fail the identity
+        act = quiver.reference_action(parse_type(tname), gen, flip=flip)
+        return quiver.verify_symplectic_action(act) == (flip is None), None
 
-    for label in ("A3", "B2", "B3", "D4", "C3", "G2", "E6", "F4"):
-        run(f"family_equivariance[{label}]",
-            lambda label=label:
-            (verify_equivariance(family(label))["ok"], None))
-    for label in ("B2", "B3", "C3", "G2", "F4"):
-        run(f"normal_form[{label}]",
-            lambda label=label:
-            (special_fibre_normal_form(family(label))["ok"], None))
-
-    run("d4_coefficients", lambda: (verify_d4_coefficients()["ok"], None))
-
-    for t, gen in (("A3", "sigma"), ("D4", "sigma"), ("D4", "rho"),
-                   ("E6", "sigma")):
-        run(f"symplectic[{t},{gen}]",
-            lambda t=t, gen=gen:
-            (verify_symplectic_action(reference_action(parse_type(t), gen)),
-             None))
-    run("symplectic_perturbed_fails",
-        lambda: (not verify_symplectic_action(
-            reference_action(parse_type("A3"), "sigma", flip="a0")), None))
-
-    for label in ("B2", "C3", "F4"):
-        run(f"quotient_pullback[{label}]",
-            lambda label=label:
-            (verify_quotient_pullback(label)["ok"], None))
-    for label in ("B2", "C3", "G2"):
-        run(f"singular_locus[{label}]",
-            lambda label=label:
-            (verify_singular_locus(label)["ok"], None))
-    run("discriminant_B2", lambda: (discriminant_B2()["ok"], None))
-    for label in ("B2", "C3", "G2", "F4"):
-        run(f"non_semiuniversal[{label}]",
-            lambda label=label:
-            (non_semiuniversality_check(label)["ok"], None))
-    run("quotient_generators[G2]",
-        lambda: (verify_invariant_generators("G2")["ok"], None))
-
-
-def _suite_full(run, seed):
-    from .deform import verify_e6_coefficients
-    from .flat import (FRAME_GENERATOR_KEYS, flat_coords_E6,
-                       frame_reflection_subs, psi_E6_in_xy,
-                       verify_w_invariance)
-    from .quiver import reference_action, verify_moment_equivariance_numeric
-    from .quotient import verify_g2_intermediate, verify_quotient_pullback
-
-    run("e6_frame_invariance", lambda: (
-        verify_w_invariance(
-            flat_coords_E6(),
-            [(str(k), frame_reflection_subs(k))
-             for k in FRAME_GENERATOR_KEYS],
-            expand=psi_E6_in_xy())["ok"], None))
-    run("e6_coefficients_weyl_invariant",
-        lambda: (verify_e6_coefficients()["ok"], None))
-    run("quotient_pullback[B3]",
-        lambda: (verify_quotient_pullback("B3")["ok"], None))
-    run("g2_intermediate", lambda: (verify_g2_intermediate()["ok"], None))
-    run("g2_pullback",
-        lambda: (verify_quotient_pullback("G2")["ok"], None))
+    def e6_frame():
+        return _e6_frame_invariance(flat_coords_E6()), None
 
     def mc_family(tname, central):
         worst = max(_mc_residuals(parse_type(tname), central, seed, 100))
         return worst < 1e-8, {"max_residual": worst}
 
-    run("mc_fibres[A3]", lambda: mc_family(
-        "A3", [1.5, -0.5, 0.25, -1.25]))
-    run("mc_fibres[A5]", lambda: mc_family(
-        "A5", [0.5, -0.25, 0.75, -1.0, 0.25, -0.25]))
-    run("mc_fibres[D4]", lambda: mc_family("D4", [1, 1, -2, 1, 1]))
-    for t, gen in (("A3", "sigma"), ("A5", "sigma"), ("D4", "sigma"),
-                   ("D4", "rho")):
-        run(f"mc_equivariance[{t},{gen}]",
-            lambda t=t, gen=gen: (
-                verify_moment_equivariance_numeric(
-                    reference_action(parse_type(t), gen), seed=seed,
-                    trials=100)["ok"], None))
+    def mc_equivariance(tname, gen):
+        act = quiver.reference_action(parse_type(tname), gen)
+        return ok(quiver.verify_moment_equivariance_numeric, act, seed, 100)
+
+    def per(kind, fn, *head, over):
+        return [(f"{kind}[{x}]", fn, *head, x) for x in over]
+
+    rows = [(f"fold[{t},{om}]", folds_to, t, om, want) for t, om, want in (
+        ("A3", "z2", "B2"), ("A5", "z2", "B3"), ("A4", "z2", "B2"),
+        ("A6", "z2", "C3"), ("D4", "z2", "C3"), ("D5", "z2", "C4"),
+        ("E6", "z2", "F4"), ("D4", "s3", "G2"), ("D4", "z3", "G2"))]
+    for t in ("A3", "A5", "D4", "D5", "E6"):
+        rows += [(f"klein_invariance[{t}]", ok_on, klein.verify_invariance,
+                  klein_of, t),
+                 (f"klein_action[{t}]", ok_on, klein.verify_omega_action,
+                  klein_of, t)]
+    rows += per("family_equivariance", ok_on, deform.verify_equivariance,
+                deform.family,
+                over=("A3", "B2", "B3", "D4", "C3", "G2", "E6", "F4"))
+    rows += per("normal_form", ok_on, deform.special_fibre_normal_form,
+                deform.family, over=("B2", "B3", "C3", "G2", "F4"))
+    rows.append(("d4_coefficients", ok, deform.verify_d4_coefficients))
+    rows += [(f"symplectic[{t},{gen}]", symplectic, t, gen)
+             for t, gen in (("A3", "sigma"), ("D4", "sigma"), ("D4", "rho"),
+                            ("E6", "sigma"))]
+    rows.append(("symplectic_perturbed_fails", symplectic, "A3", "sigma",
+                 "a0"))
+    rows += per("quotient_pullback", ok, quotient.verify_quotient_pullback,
+                over=("B2", "C3", "F4"))
+    rows += per("singular_locus", ok, quotient.verify_singular_locus,
+                over=("B2", "C3", "G2"))
+    rows.append(("discriminant_B2", ok, quotient.discriminant_B2))
+    rows += per("non_semiuniversal", ok, quotient.non_semiuniversality_check,
+                over=("B2", "C3", "G2", "F4"))
+    rows.append(("quotient_generators[G2]", ok,
+                 quotient.verify_invariant_generators, "G2"))
+    if name == "smoke":
+        return rows
+
+    rows += [("e6_frame_invariance", e6_frame),
+             ("e6_coefficients_weyl_invariant", ok,
+              deform.verify_e6_coefficients),
+             ("quotient_pullback[B3]", ok, quotient.verify_quotient_pullback,
+              "B3"),
+             ("g2_intermediate", ok, quotient.verify_g2_intermediate),
+             ("g2_pullback", ok, quotient.verify_quotient_pullback, "G2")]
+    rows += [(f"mc_fibres[{t}]", mc_family, t, central)
+             for t, central in (("A3", [1.5, -0.5, 0.25, -1.25]),
+                                ("A5", [0.5, -0.25, 0.75, -1.0, 0.25, -0.25]),
+                                ("D4", [1, 1, -2, 1, 1]))]
+    rows += [(f"mc_equivariance[{t},{gen}]", mc_equivariance, t, gen)
+             for t, gen in (("A3", "sigma"), ("A5", "sigma"), ("D4", "sigma"),
+                            ("D4", "rho"))]
+    return rows
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -474,7 +471,8 @@ def build_parser():
     rd.add_argument("--type", required=True)
     rd.add_argument("--h", default=None,
                     help="comma-separated Cartan vector")
-    rd.add_argument("--omega", default="z2")
+    rd.add_argument("--omega", default="z2",
+                    choices=("trivial", "z2", "z3", "s3"))
     rd.set_defaults(fn=cmd_rootdata)
 
     k = sub.add_parser("klein", help="Klein invariant verification")
@@ -492,7 +490,8 @@ def build_parser():
     qs = q.add_subparsers(dest="quiver_cmd", required=True)
     qv = qs.add_parser("verify-action")
     qv.add_argument("--type", required=True)
-    qv.add_argument("--generator", default="all")
+    qv.add_argument("--generator", default="all",
+                    choices=("all", "sigma", "rho"))
     qv.add_argument("--seed", type=int, default=0)
     qv.add_argument("--trials", type=_positive_int, default=25)
     qv.set_defaults(fn=cmd_quiver_verify)
@@ -620,7 +619,7 @@ def run(argv) -> tuple:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
     print(report.render_text())
-    return (0 if report.ok else 1), report
+    return report.error_code or (0 if report.ok else 1), report
 
 
 def main():

@@ -118,21 +118,6 @@ def family_A(r: int) -> DeformationFamily:
                              {"sigma": sigma}, restricted=False)
 
 
-def family_B(r: int) -> DeformationFamily:
-    """Restriction of A_{2r-1} to the fixed parameters (odd t's zero)."""
-    base = family_A(r)
-    tnames = tuple(f"t{i}" for i in range(2, 2 * r + 1, 2))
-    V = VarTable(("x", "y", "z") + tnames)
-    kill = {f"t{i}": QQ(0) for i in range(3, 2 * r + 1, 2)}
-    eqn = base.equation.substitute(kill).extend(V)
-    sgn = QQ(-1) ** r
-    sigma = {"x": MPoly.variable(V, "y") * sgn,
-             "y": MPoly.variable(V, "x") * sgn,
-             "z": -MPoly.variable(V, "z")}
-    return DeformationFamily(f"B{r}", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=True)
-
-
 def family_D4() -> DeformationFamily:
     tnames = ("t2", "t4", "t6", "t")
     V = VarTable(("x", "y", "z") + tnames)
@@ -149,31 +134,6 @@ def family_D4() -> DeformationFamily:
     return DeformationFamily("D4", ("x", "y", "z"), tnames, eqn,
                              {"sigma": sigma}, restricted=False,
                              param_actions={"rho": rho_params})
-
-
-def family_C3() -> DeformationFamily:
-    base = family_D4()
-    tnames = ("t2", "t4", "t6")
-    V = VarTable(("x", "y", "z") + tnames)
-    eqn = base.equation.substitute({"t": QQ(0)}).extend(V)
-    x, y, z = _variables(V, ("x", "y", "z"))
-    t2 = MPoly.variable(V, "t2")
-    sigma = {"x": x, "y": -x - y + t2 * QQ(1, 2), "z": -z}
-    return DeformationFamily("C3", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=True)
-
-
-def family_G2() -> DeformationFamily:
-    base = family_D4()
-    tnames = ("t2", "t6")
-    V = VarTable(("x", "y", "z") + tnames)
-    eqn = base.equation.substitute({"t": QQ(0), "t4": QQ(0)}).extend(V)
-    x, y, z = _variables(V, ("x", "y", "z"))
-    t2 = MPoly.variable(V, "t2")
-    sigma = {"x": x, "y": -x - y + t2 * QQ(1, 2), "z": -z}
-    rho = {"x": y, "y": -x - y + t2 * QQ(1, 2), "z": z}
-    return DeformationFamily("G2", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma, "rho": rho}, restricted=True)
 
 
 def family_E6() -> DeformationFamily:
@@ -195,27 +155,50 @@ def family_E6() -> DeformationFamily:
                              {"sigma": sigma}, restricted=False)
 
 
-def family_F4() -> DeformationFamily:
-    base = family_E6()
-    tnames = ("t2", "t6", "t8", "t12")
-    V = VarTable(("x", "y", "z") + tnames)
-    eqn = base.equation.substitute({"t5": QQ(0), "t9": QQ(0)}).extend(V)
-    x, y, z = _variables(V, ("x", "y", "z"))
-    sigma = {"x": -x, "z": -z}
-    return DeformationFamily("F4", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=True)
+def _restrict(base: DeformationFamily, label: str, killed,
+              extra=None) -> DeformationFamily:
+    """``base`` on the locus where the ``killed`` parameters are 0.
+
+    The surviving parameters keep the base family's order, and every
+    symmetry's substitution is restricted to the new table.  ``extra``
+    maps generator names to substitutions, written in the base family's
+    variables, that act only on the restricted family.
+    """
+    tnames = tuple(v for v in base.param_vars if v not in killed)
+    V = VarTable(base.ambient_vars + tnames)
+    zero = {v: QQ(0) for v in killed}
+    actions = {}
+    for gen, subs in {**base.omega_action, **(extra or {})}.items():
+        actions[gen] = {k: p.substitute(zero).extend(V)
+                        for k, p in subs.items() if k not in zero}
+    return DeformationFamily(label, base.ambient_vars, tnames,
+                             base.equation.substitute(zero).extend(V),
+                             actions, restricted=True)
 
 
 def family(label: str) -> DeformationFamily:
+    """A_{2r-1}, D4 and E6 are built directly; B_r, C3, G2 and F4 restrict
+    A_{2r-1}, D4 or E6 to the parameters the diagram symmetry fixes."""
     label = label.upper()
     if label.startswith("A") and int(label[1:]) % 2 == 1:
         return family_A((int(label[1:]) + 1) // 2)
     if label.startswith("B"):
-        return family_B(int(label[1:]))
-    builders = {"D4": family_D4, "C3": family_C3, "G2": family_G2,
-                "E6": family_E6, "F4": family_F4}
-    if label in builders:
-        return builders[label]()
+        r = int(label[1:])
+        return _restrict(family_A(r), f"B{r}",
+                         [f"t{i}" for i in range(3, 2 * r + 1, 2)])
+    if label == "C3":
+        return _restrict(family_D4(), label, ("t",))
+    if label == "G2":
+        d4 = family_D4()
+        x, y, z, t2 = _variables(d4.vars, ("x", "y", "z", "t2"))
+        rho = {"x": y, "y": -x - y + t2 * QQ(1, 2), "z": z}
+        return _restrict(d4, label, ("t4", "t"), {"rho": rho})
+    if label == "F4":
+        return _restrict(family_E6(), label, ("t5", "t9"))
+    if label == "D4":
+        return family_D4()
+    if label == "E6":
+        return family_E6()
     raise UnsupportedLabel(label)
 
 
@@ -382,90 +365,56 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     from .klein import klein_data
 
     KV = VarTable(("X", "Y", "Z"))
-    X, Y, Z = _variables(KV, ("X", "Y", "Z"))
-    fam_fibre = fam.special_fibre()
-    label = fam.label
-
-    if label.startswith("B") or (label.startswith("A")
-                                 and not fam.restricted):
-        r = int(label[1:]) if label.startswith("B") else \
-            (int(label[1:]) + 1) // 2
-        klein = klein_data(DynkinType("A", 2 * r - 1))
-        V = fam.vars
-        # identity change up to slot names: (X, Y, Z) = (z, x, y)
-        fwd = {"X": MPoly.variable(V, "z"), "Y": MPoly.variable(V, "x"),
-               "Z": MPoly.variable(V, "y")}
-        inv = {"z": X, "x": Y, "y": Z}
-        image = klein.relation.substitute(fwd)
-        match = image == fam_fibre.extend(image.vars)
-        zero_t = {n: QQ(0) for n in fam.param_vars}
+    V = fam.vars
+    klein_type, fwd, inv, change, gens = _klein_change(
+        fam.label, _variables(V, ("x", "y", "z")), _variables(KV, KV.names))
+    klein = klein_data(klein_type)
+    image = klein.relation.substitute(fwd)
+    match = image == fam.special_fibre().extend(image.vars)
+    zero_t = {n: QQ(0) for n in fam.param_vars}
+    details = {}
+    for gen, klein_gen in gens.items():
+        if gen not in fam.omega_action:
+            continue
         subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
-                 for k, v in _full_subs(fam, "sigma").items()}
+                 for k, v in _full_subs(fam, gen).items()}
         got = _transport_linear(fwd, inv, subs0, V, KV)
-        want = klein.omega_action["h"][1]
-        ok_action = got is not None and _matrix_eq(got, want)
-        return {"label": label, "change": "(X, Y, Z) = (z, x, y)",
-                "relation_match": match, "action_match": ok_action,
-                "ok": match and ok_action}
+        want = klein.omega_action[klein_gen][1]
+        details[gen] = got is not None and _matrix_eq(got, want)
+    action_ok = all(details.values())
+    return {"label": fam.label, "change": change,
+            "relation_match": match, "action_match": action_ok,
+            "per_generator": details, "ok": match and action_ok}
 
+
+def _klein_change(label, xyz, XYZ):
+    """The Klein type of a family's special fibre, the change of variables
+    onto its relation (forward, inverse), the change as text, and the Klein
+    generator each family generator becomes."""
+    x, y, z = xyz
+    X, Y, Z = XYZ
+    if label[0] in "AB":
+        n = int(label[1:])
+        klein_type = DynkinType("A", 2 * n - 1 if label[0] == "B" else n)
+        # identity change up to slot names
+        return (klein_type, {"X": z, "Y": x, "Z": y}, {"z": X, "x": Y, "y": Z},
+                "(X, Y, Z) = (z, x, y)", {"sigma": "h"})
     if label in ("C3", "G2", "D4"):
-        klein = klein_data(DynkinType("D", 4))
         u = Radical.generator(3, QQ(2))          # u = 2^(1/3)
-        half_u = u * QQ(1, 2)                    # 4^(-1/3) = u/2
-        V = fam.vars
-        x, y, z = _variables(V, ("x", "y", "z"))
-        fwd = {"X": -(x * half_u), "Y": -((y + x * QQ(1, 2)) * u),
-               "Z": z}
-        # inverse: x = -u^2 X, y = -(u^2/2) Y + (u^2/2) X
         u2 = u * u
-        inv = {"x": X * (-u2),
-               "y": Y * (u2 * QQ(-1, 2)) + X * (u2 * QQ(1, 2)),
-               "z": Z}
-        image = klein.relation.substitute(
-            {k: v.extend(V) for k, v in
-             {"X": fwd["X"], "Y": fwd["Y"], "Z": fwd["Z"]}.items()})
-        match = image == fam_fibre.extend(image.vars)
-        gens = {"sigma": "h", "rho": "g"} if label != "C3" else {
-            "sigma": "h"}
-        action_ok = True
-        details = {}
-        for gen, klein_gen in gens.items():
-            if gen not in fam.omega_action:
-                continue
-            zero_t = {n: QQ(0) for n in fam.param_vars}
-            subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
-                     for k, v in _full_subs(fam, gen).items()}
-            got = _transport_linear(fwd, inv, subs0, V, KV)
-            want = klein.omega_action[klein_gen][1]
-            same = got is not None and _matrix_eq(got, want)
-            details[gen] = same
-            action_ok = action_ok and same
-        return {"label": label, "change": "X=-4^(-1/3) x, "
-                "Y=-4^(1/6) (y+x/2), Z=z",
-                "relation_match": match, "action_match": action_ok,
-                "per_generator": details, "ok": match and action_ok}
-
+        # inverse: x = -u^2 X, y = -(u^2/2) Y + (u^2/2) X
+        return (DynkinType("D", 4),
+                {"X": -(x * (u * QQ(1, 2))), "Y": -((y + x * QQ(1, 2)) * u),
+                 "Z": z},
+                {"x": X * (-u2),
+                 "y": Y * (u2 * QQ(-1, 2)) + X * (u2 * QQ(1, 2)), "z": Z},
+                "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z",
+                {"sigma": "h", "rho": "g"})
     if label in ("F4", "E6"):
-        klein = klein_data(DynkinType("E", 6))
-        i = imag_unit()
-        one_i = QQ(1) + i    # (1+i)^4 = -4
-        V = fam.vars
-        fwd = {"X": MPoly.variable(V, "x") * (QQ(1) / one_i),
-               "Y": MPoly.variable(V, "y"), "Z": MPoly.variable(V, "z")}
-        inv = {"x": X * one_i, "y": Y, "z": Z}
-        image = klein.relation.substitute(
-            {"X": fwd["X"], "Y": fwd["Y"], "Z": fwd["Z"]})
-        match = image == fam_fibre.extend(image.vars)
-        zero_t = {n: QQ(0) for n in fam.param_vars}
-        subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
-                 for k, v in _full_subs(fam, "sigma").items()}
-        got = _transport_linear(fwd, inv, subs0, V, KV)
-        want = klein.omega_action["g"][1]
-        ok_action = got is not None and _matrix_eq(got, want)
-        return {"label": label, "change": "x = (1+i) X",
-                "relation_match": match, "action_match": ok_action,
-                "ok": match and ok_action}
-
+        one_i = QQ(1) + imag_unit()    # (1+i)^4 = -4
+        return (DynkinType("E", 6), {"X": x * (QQ(1) / one_i), "Y": y, "Z": z},
+                {"x": X * one_i, "y": Y, "z": Z}, "x = (1+i) X",
+                {"sigma": "g"})
     raise UnsupportedLabel(label)
 
 
@@ -668,19 +617,6 @@ class SingularityReport:
                 "smooth": self.is_smooth}
 
 
-def _eval_exact(p: MPoly, point: dict):
-    total = QQ(0)
-    for e, c in p.terms.items():
-        term = c
-        for i, k in enumerate(e):
-            if k:
-                v = point[p.vars.names[i]]
-                for _ in range(k):
-                    term = term * v
-        total = total + term
-    return total
-
-
 def _multiplication_matrix(ideal: Ideal, basis, name: str):
     V = ideal.vars
     lookup = {e: i for i, e in enumerate(basis)}
@@ -710,7 +646,7 @@ def _cluster(values, radius=1e-6):
             ((c[0], c[1]) for c in out)]
 
 
-def _reconstruct_scalar(z: complex, conductor: int = 24):
+def _reconstruct_scalar(z: complex):
     """Recognise a complex number as an exact scalar, or return None.
 
     Tried in order: small rational, purely imaginary rational, square root
@@ -896,7 +832,7 @@ def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
         have_exact = all(e is not None for e in exact_coords)
         if have_exact:
             point = dict(zip(names, exact_coords))
-            if any(_eval_exact(g, point) for g in gens if g):
+            if any(g.substitute(point) for g in gens if g):
                 have_exact = False
         if have_exact:
             shift = {nm: MPoly.variable(f.vars, nm)

@@ -36,9 +36,15 @@ class IncompatibleRadicals(ValueError):
 
 
 def rat(p, q=1):
-    """Exact rational from ints or a 'p/q' string."""
+    """Exact rational from ints or a 'p/q' string.
+
+    A string with a zero denominator is malformed input: ``ValueError``.
+    """
     if isinstance(p, str):
-        return QQ(p)
+        try:
+            return QQ(p)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {p!r}") from None
     return QQ(p, q)
 
 

@@ -113,10 +113,6 @@ class MPoly:
 
     # -- constructors --------------------------------------------------
     @staticmethod
-    def zero(vars: VarTable) -> "MPoly":
-        return MPoly(vars)
-
-    @staticmethod
     def constant(vars: VarTable, c) -> "MPoly":
         p = MPoly(vars)
         if c:
@@ -131,16 +127,6 @@ class MPoly:
         e[vars.index[name]] = 1
         p = MPoly(vars)
         p.terms[tuple(e)] = QQ(1)
-        return p
-
-    @staticmethod
-    def monomial(vars: VarTable, exps: dict, c=1) -> "MPoly":
-        e = [0] * len(vars)
-        for name, k in exps.items():
-            e[vars.index[name]] = k
-        p = MPoly(vars)
-        if c:
-            p.terms[tuple(e)] = c
         return p
 
     def _check(self, other):
@@ -244,10 +230,6 @@ class MPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index[name]
-        return max((e[i] for e in self.terms), default=-1)
-
     def leading(self, key):
         """(exponent, coefficient) of the leading term for an order key."""
         e = max(self.terms, key=key)
@@ -256,17 +238,6 @@ class MPoly:
     def sorted_terms(self, key=grevlex_key):
         return sorted(self.terms.items(), key=lambda t: key(t[0]),
                       reverse=True)
-
-    def coefficient_of(self, name: str, k: int) -> "MPoly":
-        """Coefficient of name**k, a polynomial in the remaining variables."""
-        i = self.vars.index[name]
-        p = MPoly(self.vars)
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                p.terms[tuple(e2)] = c
-        return p
 
     def homogeneous_part(self, d: int) -> "MPoly":
         p = MPoly(self.vars)
@@ -776,9 +747,6 @@ class Ideal:
             return 0  # the ideal is (1)
         basis = _staircase(leads, len(self.vars))
         return "infinite" if basis is None else len(basis)
-
-    def is_zero_dimensional(self) -> bool:
-        return self.quotient_dimension() != "infinite"
 
 
 def _staircase(leads, n):

@@ -502,20 +502,11 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
             for idx, i in enumerate(outer):
                 rep[f"pa{i}"] = cols[i]
                 rep[f"pb{i}"] = sol[2 * idx: 2 * idx + 2].reshape(1, 2)
-            mm = numeric_moment_map(q, rep)
-            res = _fibre_residual_d4(mm, z)
-            if res <= 1e-10:
-                return {"rep": rep, "quiver": q, "central": z}
+            sample = {"rep": rep, "quiver": q, "central": z}
+            if fibre_residual(sample) <= 1e-10:
+                return sample
         raise SingularSystem("no well-conditioned sample in 10 attempts")
     raise UnsupportedType(f"no sampler for {t}")
-
-
-def _fibre_residual_d4(mm, z):
-    res = 0.0
-    for v in (0, 1, 3, 4):
-        res = max(res, abs(mm[v][0, 0] - z[v]))
-    res = max(res, float(np.max(np.abs(mm[2] - z[2] * np.eye(2)))))
-    return res
 
 
 def fibre_residual(sample: dict) -> float:

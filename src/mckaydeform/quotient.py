@@ -12,8 +12,7 @@ and verified:
 * G2: the intermediate presentation (eigenbasis cube invariants) is
   verified exactly; the last, unpublished change of variables is recovered
   by fitting an invertible weighted-linear map from the eliminated
-  presentation onto the printed normal form, making the pullback exact; a
-  numeric sample check is kept as the secondary tier.
+  presentation onto the printed normal form, making the pullback exact.
 
 Also here: the singular-section certificates behind the everywhere-
 singular propositions, and the two-branch discriminant of the B2 case.
@@ -22,8 +21,6 @@ singular propositions, and the two-branch discriminant of the B2 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .deform import UnsupportedLabel, family, _full_subs
 from .exact import QQ, imag_unit, omega as omega_scalar, sqrt_rational
@@ -369,40 +366,8 @@ def verify_quotient_pullback(label: str) -> dict:
               "residual_terms": len(residual.terms),
               "ok": residual.is_zero()}
     if label.upper() == "G2":
-        report["tier"] = "exact-fit" if report["ok"] else "numeric"
-        if not report["ok"]:
-            report["numeric"] = g2_numeric_pullback()
-            report["ok"] = report["numeric"]["ok"]
+        report["tier"] = "exact-fit"
     return report
-
-
-def g2_numeric_pullback(seed: int = 0, trials: int = 100) -> dict:
-    """Secondary tier: the fitted map on sampled fibre points."""
-    qf = quotient_family("G2")
-    fam = family(qf.source_label)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        vals = {"x": _cnum(rng), "y": _cnum(rng), "t2": _cnum(rng),
-                "t6": _cnum(rng)}
-        # solve the fibre equation for z^2 and take a square root
-        eq = fam.equation
-        rhs = -eq.substitute({"z": QQ(0)}).evaluate_numeric(vals)
-        vals["z"] = np.sqrt(complex(rhs))
-        point = {
-            name: image.evaluate_numeric(vals)
-            for name, image in qf.invariant_map.items()}
-        point.update({v: vals[v] for v in qf.param_vars})
-        res = abs(qf.equation.evaluate_numeric(point))
-        scale = max(1.0, max(abs(v) for v in point.values()))
-        worst = max(worst, res / scale ** 4)
-    return {"trials": trials, "max_relative_residual": worst,
-            "ok": worst < 1e-8}
-
-
-def _cnum(rng):
-    return complex(rng.uniform(0.5, 2.0)
-                   * np.exp(2j * np.pi * rng.uniform()))
 
 
 def verify_singular_locus(label: str) -> dict:

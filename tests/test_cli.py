@@ -116,6 +116,45 @@ def test_quiver_verify_action_zero_trials_is_usage_error(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+def test_verify_action_explicit_generator_runs_only_that_one():
+    code, report = run(["quiver", "verify-action", "--type", "D4",
+                        "--generator", "sigma", "--trials", "2"])
+    assert code == 0 and report.checks
+    assert all(c.name.startswith("D4_sigma_") for c in report.checks)
+    code, report = run(["quiver", "verify-action", "--type", "D4",
+                        "--trials", "2"])
+    assert {c.name.split("_")[1] for c in report.checks} == {"sigma", "rho"}
+
+
+def test_verify_action_unknown_generator_is_usage_error():
+    code, report = run(["quiver", "verify-action", "--type", "D4",
+                        "--generator", "bogus"])
+    assert code == 2 and report is None
+
+
+def test_rootdata_unknown_omega_is_usage_error():
+    # refused at parsing even when no --h would have read it
+    code, report = run(["rootdata", "--type", "A5", "--omega", "bogus"])
+    assert code == 2 and report is None
+
+
+@pytest.mark.parametrize("argv", (
+    ["fiber", "analyze", "--label", "B2", "--params", "t2=1/0"],
+    ["quiver", "sample", "--type", "D4", "--mu", "1,1,-2,1,1/0"],
+    ["rootdata", "--type", "A5", "--h", "1/0,2,-3,-3,2,1"]))
+def test_zero_denominator_is_usage_error(argv, capsys):
+    code, report = run(argv)
+    assert code == 2 and report is None
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_fiber_analyze_repeated_parameter_is_usage_error(capsys):
+    code, report = run(["fiber", "analyze", "--label", "B2",
+                        "--params", "t2=1,t2=5"])
+    assert code == 2 and report is None
+    assert "t2" in capsys.readouterr().err
+
+
 def test_fiber_analyze_command():
     code, report = run(["fiber", "analyze", "--label", "B2",
                         "--params", "t2=1,t4=0"])
@@ -176,6 +215,58 @@ def test_suite_fails_on_corrupted_table(monkeypatch):
     assert code == 1
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert "d4_coefficients" in failed
+
+
+def test_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch,
+                                                        tmp_path):
+    import mckaydeform.deform as deform
+    from mckaydeform.poly import BudgetExceeded
+
+    def exhausted():
+        raise BudgetExceeded("reduction budget exhausted")
+
+    monkeypatch.setattr(deform, "verify_d4_coefficients", exhausted)
+    out = tmp_path / "suite.json"
+    code, report = run(["suite", "smoke", "--out", str(out)])
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    failed = checks.pop("d4_coefficients")
+    assert failed["status"] == "fail"
+    assert failed["witness"] == {
+        "error": "BudgetExceeded: reduction budget exhausted"}
+    assert len(checks) == 49
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
+def test_suite_exit_code_is_the_largest_among_raised_errors(monkeypatch):
+    import mckaydeform.deform as deform
+    import mckaydeform.quotient as quotient
+    from mckaydeform.poly import BudgetExceeded
+
+    def exhausted():
+        raise BudgetExceeded("reduction budget exhausted")
+
+    def mismatched(label):
+        raise VariableMismatch("tables differ")
+
+    monkeypatch.setattr(deform, "verify_d4_coefficients", exhausted)
+    monkeypatch.setattr(quotient, "verify_singular_locus", mismatched)
+    code, report = run(["suite", "smoke"])
+    assert code == 4
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == {"d4_coefficients", "singular_locus[B2]",
+                      "singular_locus[C3]", "singular_locus[G2]"}
+
+
+def test_suite_error_outside_the_exit_code_table_propagates(monkeypatch):
+    import mckaydeform.deform as deform
+
+    def broken():
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(deform, "verify_d4_coefficients", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(["suite", "smoke"])
 
 
 def test_operation_coverage():

@@ -74,6 +74,37 @@ def test_normal_forms(label):
     assert rep["action_match"], rep
 
 
+@pytest.mark.parametrize("label, params, gens", (
+    ("B2", ("t2", "t4"), {"sigma"}),
+    ("B3", ("t2", "t4", "t6"), {"sigma"}),
+    ("C3", ("t2", "t4", "t6"), {"sigma"}),
+    ("G2", ("t2", "t6"), {"sigma", "rho"}),
+    ("F4", ("t2", "t6", "t8", "t12"), {"sigma"})))
+def test_restricted_family_parameters_and_generators(label, params, gens):
+    # the parameters the symmetry fixes, in the base family's order; only
+    # G2 gains an action (rho) that exists downstairs alone
+    fam = family(label)
+    assert fam.restricted and fam.param_vars == params
+    assert set(fam.omega_action) == gens
+    assert fam.vars.names == ("x", "y", "z") + params
+
+
+def test_g2_normal_form_checks_both_generators():
+    rep = special_fibre_normal_form(family("G2"))
+    assert rep["per_generator"] == {"sigma": True, "rho": True}
+
+
+def test_normal_form_rejects_a_wrong_action():
+    # negative control: sigma fixing z still preserves the special fibre
+    # relation's form but is not the Klein generator h
+    fam = family("C3")
+    fam.omega_action["sigma"]["z"] = MPoly.variable(fam.vars, "z")
+    rep = special_fibre_normal_form(fam)
+    assert rep["relation_match"]
+    assert rep["action_match"] is False and not rep["ok"]
+    assert rep["per_generator"] == {"sigma": False}
+
+
 def test_d4_coefficient_identities():
     rep = verify_d4_coefficients()
     assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]

@@ -27,6 +27,13 @@ def test_rational_arithmetic():
     assert rat(1, 2) + rat(1, 3) == rat(5, 6)
 
 
+@pytest.mark.parametrize("text", ("1/0", "-3/0", " 0/0"))
+def test_zero_denominator_string_is_a_value_error(text):
+    # malformed input, not an arithmetic fault of the program
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat(text)
+
+
 def test_root_of_unity_order():
     w = zeta(3)
     assert (w * w * w).reduce_rat() == 1

@@ -7,8 +7,7 @@ from mckaydeform.deform import analyze_hypersurface
 from mckaydeform.exact import QQ, rat
 from mckaydeform.poly import MPoly
 from mckaydeform.quotient import (UnsupportedLabel, discriminant_B2,
-                                  g2_fit_map, g2_numeric_pullback,
-                                  g2_star2_equation,
+                                  g2_fit_map, g2_star2_equation,
                                   non_semiuniversality_check,
                                   quotient_family, verify_g2_intermediate,
                                   verify_invariant_generators,
@@ -64,11 +63,6 @@ def test_g2_fit_and_pullback():
     assert fit["scale"] == QQ(1, 4)
     rep = verify_quotient_pullback("G2")
     assert rep["ok"] and rep["tier"] == "exact-fit"
-
-
-def test_g2_numeric_tier():
-    rep = g2_numeric_pullback(seed=1, trials=25)
-    assert rep["ok"] and rep["max_relative_residual"] < 1e-8
 
 
 @pytest.mark.parametrize("label", ("B2", "C3", "G2"))
