@@ -7,7 +7,8 @@ in the human-readable text rendering).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
 exhausted, 4 internal mismatch (variable tables, dimensions or matrix shapes
-that the program itself failed to match).
+that the program itself failed to match), 5 inexact answer refused (a
+``fiber analyze`` point that is not exact or not classified).
 """
 
 from __future__ import annotations
@@ -290,11 +291,16 @@ def cmd_fiber(args) -> RunReport:
                 raise ValueError(f"parameter {k} is given twice")
             values[k] = rat(v)
     rep = analyze_fibre(fam, values, budget=args.budget)
+    inexact = any(not pt.exact or pt.ade == "unclassified"
+                  for pt in rep.singular_points)
     checks = [Check.of(
-        f"fiber_{fam.label}_analyzed", True, rep.to_json())]
-    return RunReport(
+        f"fiber_{fam.label}_analyzed", not inexact, rep.to_json())]
+    report = RunReport(
         f"fiber analyze --label {fam.label} --params {args.params or ''}",
         checks)
+    if inexact:
+        report.error_code = 5       # inexact answer refused
+    return report
 
 
 def cmd_quotient(args) -> RunReport:

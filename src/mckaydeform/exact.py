@@ -406,6 +406,31 @@ def omega() -> Cyclo:
     return zeta(3)
 
 
+def split_quadratic(x, root: Cyclo) -> tuple:
+    """Rationals (a, b) with x = a + b * root, for an irrational ``root``
+    whose square is rational (such as ``sqrt3()``).
+
+    Exact: b is read off one coordinate where ``root`` is nonzero, a off
+    the constant one, and every coordinate is then checked.  An x outside
+    Q(root) raises ``ValueError``.
+    """
+    if is_rat(x):
+        return QQ(x), QQ(0)
+    if not isinstance(x, Cyclo):
+        raise ValueError(f"{x!r} is not a cyclotomic scalar")
+    x, r = Cyclo._pair(x, root)
+    j = next((j for j, c in enumerate(r.coeffs) if j and c), None)
+    if j is None:
+        raise ValueError(f"{root} is rational")
+    b = x.coeffs[j] / r.coeffs[j]
+    a = x.coeffs[0] - b * r.coeffs[0]
+    want = [b * c for c in r.coeffs]
+    want[0] += a
+    if list(x.coeffs) != want:
+        raise ValueError(f"{x} does not lie in Q({root})")
+    return a, b
+
+
 def sqrt_rational(x):
     """sqrt(x) inside a cyclotomic field when the squarefree part allows it.
 

@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .exact import QQ, Cyclo
-from .poly import MPoly, VarTable
+from .exact import QQ, Cyclo, split_quadratic, sqrt3
+from .poly import MPoly, VarTable, fold_square
 from .rootdata import DynkinType
 
 
@@ -279,21 +279,41 @@ FRAME_GENERATOR_KEYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1),
                         (3, 0, 0), (0, 0, 3), (3, 3, 3))
 
 
+SQRT3_VAR = "s"
+
+
+def _over_sqrt3(p: MPoly) -> MPoly:
+    """``p`` on its table plus s, each coefficient a + b sqrt(3) held as the
+    rational terms a and b s (``ValueError`` outside Q(sqrt 3))."""
+    root = sqrt3()
+    out = MPoly(VarTable(p.vars.names + (SQRT3_VAR,)))
+    for e, c in p.terms.items():
+        for k, part in enumerate(split_quadratic(c, root)):
+            if part:
+                out.terms[e + (k,)] = part
+    return out
+
+
 def verify_w_invariance(fs: FlatSystem, generator_subs, expand=None) -> dict:
     """Exact invariance of each flat coordinate under each generator.
 
-    ``generator_subs`` is a list of (label, substitution dict); ``expand``
-    optionally maps the system into the variables the substitutions act on
-    (e.g. the eigenvalue coordinates).
+    ``generator_subs`` is a list of (label, substitution dict) with
+    coefficients in Q(sqrt 3); ``expand`` optionally maps the system into
+    the variables the substitutions act on (e.g. the eigenvalue
+    coordinates).  sqrt(3) is the extra variable s, so every substitution
+    runs on the rational kernel; the moved coordinate is folded by s^2 = 3
+    and compared with the coordinate.
     """
     checks = []
-    coords = [(name, (expand[name] if expand else p))
+    coords = [(name, _over_sqrt3(expand[name] if expand else p))
               for _, name, p in fs.coords]
     for label, subs in generator_subs:
+        lifted = {v: _over_sqrt3(b) for v, b in subs.items()}
+        lifted[SQRT3_VAR] = MPoly.variable(VarTable((SQRT3_VAR,)), SQRT3_VAR)
         for name, p in coords:
-            moved = p.substitute(subs)
+            moved = fold_square(p.substitute(lifted), SQRT3_VAR, 3)
             checks.append({"generator": label, "coordinate": name,
-                           "ok": moved == p})
+                           "ok": moved == p.extend(moved.vars)})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
@@ -310,12 +330,6 @@ class Q6Poly:
     def __init__(self, ev: MPoly, od: MPoly):
         self.ev = ev
         self.od = od
-
-    def is_rational(self):
-        return self.od.is_zero()
-
-    def is_sqrt6_multiple(self):
-        return self.ev.is_zero()
 
 
 def e6_xy_of_mu():

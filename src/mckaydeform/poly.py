@@ -19,6 +19,12 @@ total degree is 256 or more) takes the generic path.  Both paths build the
 result's terms in the same order, so float evaluation of a result sums in
 the same order whichever path built it.
 
+A coefficient in a quadratic field Q(a), a^2 = d rational, can stay on the
+rational path: a becomes one more variable of the table, x + y a is held
+as the two rational terms x and y a, and ``fold_square`` brings a product
+or substitution back to degree at most 1 in a (a^k -> d^(k//2) a^(k%2)).
+The E6 Frame-invariance check holds sqrt(3) this way.
+
 ``Ideal`` carries a monomial order and caches its reduced Groebner basis,
 computed by Buchberger's algorithm (cached leads, a pair heap and the
 Gebauer-Moller update).  Zero-dimensional quotient dimensions are counted
@@ -541,6 +547,28 @@ def _retable(p: MPoly, vars: VarTable) -> MPoly:
             e2[pos[i]] = k
         out.terms[tuple(e2)] = c
     return out
+
+
+def fold_square(p: MPoly, name: str, d) -> MPoly:
+    """``p`` reduced by a^2 = d in its variable a = ``name``: each a^k
+    becomes d^(k//2) a^(k%2), so the result has degree at most 1 in a."""
+    if name not in p.vars.index:
+        raise VariableMismatch(name)
+    i = p.vars.index[name]
+    out = {e: c for e, c in p.terms.items() if e[i] < 2}
+    for e, c in [(e, c) for e, c in p.terms.items() if e[i] > 1]:
+        k = e[i]
+        e = e[:i] + (k % 2,) + e[i + 1:]
+        c = c * d ** (k // 2)
+        acc = out.get(e)
+        c = c if acc is None else acc + c
+        if c:
+            out[e] = c
+        elif acc is not None:
+            del out[e]
+    folded = MPoly(p.vars)
+    folded.terms = out
+    return folded
 
 
 def equal_mod_vars(a: MPoly, b: MPoly) -> bool:

@@ -158,9 +158,29 @@ def test_fiber_analyze_repeated_parameter_is_usage_error(capsys):
 def test_fiber_analyze_command():
     code, report = run(["fiber", "analyze", "--label", "B2",
                         "--params", "t2=1,t4=0"])
+    # a smooth fibre is an exact answer: it passes
+    assert code == 0 and report.checks[0].status == "pass"
+    assert report.checks[0].witness["smooth"] is True
+
+
+def test_fiber_analyze_inexact_fibre_is_refused(tmp_path):
+    # at (t2, t4) = (5, 25/8) the two A1 points lie at z = +-sqrt(-5/2),
+    # outside Q(zeta_24): an inexact answer is refused, witness kept
+    out = tmp_path / "fiber.json"
+    code, _ = run(["fiber", "analyze", "--label", "B2",
+                   "--params", "t2=5,t4=25/8", "--out", str(out)])
+    assert code == 5
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["status"] == "fail"
+    points = check["witness"]["points"]
+    assert len(points) == 2
+    assert all(not p["exact"] and p["ade"] == "unclassified" for p in points)
+
+
+def test_fiber_analyze_exact_singular_fibre_passes():
+    code, report = run(["fiber", "analyze", "--label", "C3"])
     assert code == 0
-    witness = report.checks[0].witness
-    assert witness["smooth"] in (True, False)
+    assert [p["ade"] for p in report.checks[0].witness["points"]] == ["D4"]
 
 
 def test_fiber_analyze_unknown_parameter_is_usage_error(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from mckaydeform.exact import (Cyclo, DivisionByZero, IncompatibleRadicals,
                                QQ, Radical, embed_complex, imag_unit, rat,
-                               rref, scalar_to_json, sqrt2, sqrt3, sqrt6,
-                               sqrt_rational, zeta)
+                               rref, scalar_to_json, split_quadratic, sqrt2,
+                               sqrt3, sqrt6, sqrt_rational, zeta)
 
 
 def test_embed_zeta4_is_i():
@@ -55,6 +55,32 @@ def test_incompatible_radicals():
     v = Radical.generator(3, QQ(2))
     with pytest.raises(IncompatibleRadicals):
         u + v
+
+
+def test_split_quadratic_round_trips_random_sqrt3_elements():
+    rng = random.Random(29)
+    r3 = sqrt3()
+    for _ in range(40):
+        a = QQ(rng.randint(-9, 9), rng.randint(1, 7))
+        b = QQ(rng.randint(-9, 9), rng.randint(1, 7))
+        x = r3 * b + a
+        assert split_quadratic(x, r3) == (a, b)
+        assert split_quadratic(x.lift(24), r3) == (a, b)
+        assert split_quadratic(x, r3.lift(24)) == (a, b)
+    assert split_quadratic(QQ(5, 3), r3) == (QQ(5, 3), 0)
+
+
+@pytest.mark.parametrize("x", [zeta(24), sqrt2(), sqrt6(), imag_unit(),
+                               sqrt3() + zeta(24, 5)],
+                         ids=["zeta24", "sqrt2", "sqrt6", "i", "mixed"])
+def test_split_quadratic_refuses_an_element_outside_q_sqrt3(x):
+    with pytest.raises(ValueError):
+        split_quadratic(x, sqrt3())
+
+
+def test_split_quadratic_refuses_a_rational_root():
+    with pytest.raises(ValueError):
+        split_quadratic(sqrt3(), Cyclo.from_rat(2, 12))
 
 
 def test_named_square_roots():

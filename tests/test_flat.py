@@ -4,15 +4,17 @@ import random
 
 import numpy as np
 
-from mckaydeform.exact import QQ
-from mckaydeform.flat import (FRAME_GENERATOR_KEYS, PQ_VARS,
+import pytest
+
+from mckaydeform.exact import QQ, Cyclo, sqrt2, sqrt3
+from mckaydeform.flat import (FRAME_GENERATOR_KEYS, PQ_VARS, XY_VARS,
                               e6_tower, elementary_symmetric,
                               epsilon_from_psi, flat_coords_A, flat_coords_D,
                               flat_coords_E6, frame_reflection_subs,
                               lambda_table, pochhammer, pq_weighted_degrees,
                               psi_A_in_lambda, psi_D_in_xi, psi_E6_in_xy,
                               psi_E6_of_mu, verify_w_invariance, xi_table)
-from mckaydeform.poly import MPoly, VarTable
+from mckaydeform.poly import MPoly, VarTable, fold_square
 
 
 def test_pochhammer():
@@ -105,6 +107,101 @@ def test_e6_full_frame_invariance():
     assert rep["ok"]
 
 
+def test_frame_verdicts_match_the_cyclo_substitution():
+    # the 36 verdicts of the s^2 = 3 route against MPoly.substitute run
+    # directly with the Cyclo-coefficient substitutions
+    fs = flat_coords_E6()
+    xy = psi_E6_in_xy()
+    for k in FRAME_GENERATOR_KEYS:
+        subs = frame_reflection_subs(k)
+        rep = verify_w_invariance(fs, [(str(k), subs)], expand=xy)
+        want = [xy[name].substitute(subs) == xy[name]
+                for _, name, _ in fs.coords]
+        assert [c["ok"] for c in rep["checks"]] == want
+
+
+def _sheared_sqrt3_generator():
+    # (1, 0, 0) has sqrt(3) entries; y1 += x1 makes it non-orthogonal
+    subs = dict(frame_reflection_subs((1, 0, 0)))
+    subs["y1"] = subs["y1"] + MPoly.variable(XY_VARS, "x1")
+    return subs
+
+
+def test_sheared_sqrt3_generator_moves_every_coordinate():
+    rep = verify_w_invariance(flat_coords_E6(),
+                              [("sheared", _sheared_sqrt3_generator())],
+                              expand=psi_E6_in_xy())
+    assert [c["ok"] for c in rep["checks"]] == [False] * 6
+
+
+def test_frame_check_multiplies_no_cyclo_inside_substitute(monkeypatch):
+    fs = flat_coords_E6()
+    xy = psi_E6_in_xy()
+    gens = [(str(k), frame_reflection_subs(k)) for k in FRAME_GENERATOR_KEYS]
+    gens.append(("sheared", _sheared_sqrt3_generator()))
+    inside, count = [False], [0]
+    substitute, cyclo_mul = MPoly.substitute, Cyclo.__mul__
+
+    def traced_substitute(self, bindings):
+        inside[0] = True
+        try:
+            return substitute(self, bindings)
+        finally:
+            inside[0] = False
+
+    def counted_mul(self, other):
+        count[0] += inside[0]
+        return cyclo_mul(self, other)
+
+    monkeypatch.setattr(MPoly, "substitute", traced_substitute)
+    monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
+    rep = verify_w_invariance(fs, gens, expand=xy)
+    assert len(rep["checks"]) == 42 and count[0] == 0
+
+
+def test_frame_check_refuses_a_coefficient_outside_q_sqrt3():
+    subs = dict(frame_reflection_subs((3, 0, 0)))
+    subs["x1"] = subs["x1"] * sqrt2()
+    with pytest.raises(ValueError):
+        verify_w_invariance(flat_coords_E6(), [("sqrt2", subs)],
+                            expand=psi_E6_in_xy())
+
+
+def _random_over_sqrt3(rng, vars, nterms, deg):
+    """Random rational polynomial on ``vars`` (last variable s) of degree at
+    most 1 in s."""
+    p = MPoly(vars)
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, deg) for _ in range(len(vars) - 1))
+        c = QQ(rng.randint(-4, 4), rng.randint(1, 3))
+        p = p + MPoly(vars, {e + (rng.randint(0, 1),): c})
+    return p
+
+
+def test_fold_matches_the_cyclo_substitution():
+    # a substitution over Q(sqrt 3) run with s and folded by s^2 = 3 equals
+    # the same substitution run on Cyclo coefficients, once s -> sqrt(3)
+    rng = random.Random(31)
+    V = VarTable(("x", "y", "z", "s"))
+    s = MPoly.variable(VarTable(("s",)), "s")
+    to_cyclo = {"s": sqrt3()}
+    for _ in range(12):
+        p = _random_over_sqrt3(rng, V, 6, 3)
+        subs = {v: _random_over_sqrt3(rng, V, 3, 2) for v in "xyz"}
+        folded = fold_square(p.substitute({**subs, "s": s}), "s", 3)
+        assert max((e[-1] for e in folded.terms), default=0) <= 1
+        generic = p.substitute(to_cyclo).substitute(
+            {v: b.substitute(to_cyclo) for v, b in subs.items()})
+        assert folded.substitute(to_cyclo) == generic
+
+
+def test_fold_square_reduces_powers():
+    V = VarTable(("x", "a"))
+    x, a = (MPoly.variable(V, n) for n in ("x", "a"))
+    assert fold_square(a ** 5 * x + a ** 2, "a", 6) == a * x * 36 + 6
+    assert fold_square(a ** 2 - 6, "a", 6).is_zero()
+
+
 def test_a_type_weyl_invariance_under_transpositions():
     r = 2
     psis = psi_A_in_lambda(r)
@@ -162,10 +259,10 @@ def test_algebraic_independence_at_random_point():
 
 def test_psi_mu_parity_structure():
     psis = psi_E6_of_mu()
-    assert psis["psi5"].is_sqrt6_multiple()
-    assert psis["psi9"].is_sqrt6_multiple()
+    assert psis["psi5"].ev.is_zero()
+    assert psis["psi9"].ev.is_zero()
     for name in ("psi2", "psi6", "psi8", "psi12"):
-        assert psis[name].is_rational()
+        assert psis[name].od.is_zero()
 
 
 def test_elementary_symmetric():
