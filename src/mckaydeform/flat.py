@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .exact import QQ, Cyclo, split_quadratic, sqrt3
+from .exact import QQ, split_quadratic, sqrt3
 from .poly import MPoly, VarTable, fold_square
 from .rootdata import DynkinType
 
@@ -259,16 +259,20 @@ def pq_weighted_degrees(p: MPoly):
 
 def frame_reflection_subs(normal_key) -> dict:
     """The Frame reflection s_k = Id - 2 D_k D_k^T as a substitution."""
-    from .rootdata import _frame_normals
-    D = _frame_normals()[normal_key]
+    from .rootdata import _frame_normal
+    D = _frame_normal(normal_key)
+    outer = {}                          # 2 D_i D_j, over the nonzero D_i
+    for i, j in itertools.combinations_with_replacement(range(6), 2):
+        if D[i] and D[j]:
+            outer[i, j] = outer[j, i] = (D[i] + D[i]) * D[j]
     names = XY_VARS.names
     subs = {}
     for i in range(6):
         p = MPoly(XY_VARS)
         for j in range(6):
-            coef = (QQ(1) if i == j else QQ(0)) - 2 * D[i] * D[j]
-            if isinstance(coef, Cyclo):
-                coef = coef.reduce_rat()
+            coef = QQ(1) if i == j else QQ(0)
+            if (i, j) in outer:
+                coef = (coef - outer[i, j]).reduce_rat()
             if coef:
                 p = p + MPoly.variable(XY_VARS, names[j]) * coef
         subs[names[i]] = p
@@ -360,6 +364,11 @@ def psi_E6_of_mu() -> dict:
     6^(b//2) c p^a q~^b, times sqrt(6) when b is odd: even-q-degree terms
     give the rational part, odd ones the sqrt(6) part (so psi5 and psi9
     come out as pure sqrt(6) * rational).
+
+    p1, q1, p3, q3 have three or four terms in mu, p2 and q2 have 21 and
+    55, so the sparse four are bound first and p2, q2 second: the
+    substitution then builds each product p2^a q2^b once, for all the
+    terms that share it.
     """
     xs, ys = e6_xy_of_mu()
     subs = {}
@@ -367,11 +376,13 @@ def psi_E6_of_mu() -> dict:
         x, y = xs[i - 1], ys[i - 1]
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
+    dense = {v: subs.pop(v) for v in ("p2", "q2")}
     out = {}
     for _, name, poly in flat_coords_E6().coords:
         parts = (MPoly(PQ_VARS), MPoly(PQ_VARS))
         for e, c in poly.terms.items():
             b = e[3] + e[4] + e[5]
             parts[b % 2].terms[e] = c * 6 ** (b // 2)
-        out[name] = Q6Poly(*(part.substitute(subs) for part in parts))
+        out[name] = Q6Poly(*(part.substitute(subs).substitute(dense)
+                             for part in parts))
     return out

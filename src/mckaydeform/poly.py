@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import lcm
+from operator import mul
 
 from .exact import QQ, Cyclo, Radical, embed_complex, is_rat, scalar_to_json
 
@@ -297,8 +298,8 @@ class MPoly:
             weight = {v: (_degree(b.terms) if isinstance(b, MPoly) else 0)
                       for v, b in binding_polys.items()}
             weights = [weight.get(v, 1) for v in self.vars.names]
-            top = max((sum(w * k for w, k in zip(weights, e))
-                       for e in self.terms), default=0)
+            top = max((sum(map(mul, weights, e)) for e in self.terms),
+                      default=0)
             if top < _FIELD_LIMIT:
                 return _substitute_rational(self, out_vars, binding_polys)
         power_cache = {v: {0: MPoly.constant(out_vars, QQ(1))}
@@ -466,18 +467,47 @@ def _mul_packed(a, b):
 def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
     """``p.substitute`` when every coefficient and binding is rational.
 
-    The common denominator of the result is fixed first, from each term's
-    coefficient and the denominators of its binding powers; every term's
-    product is then added, in ints, into one accumulator, in the order
-    the generic loop adds it.
+    Work is shared across terms, and the result still has the generic
+    loop's terms in the generic loop's order:
+
+    * a binding of at most one term, c * m (a scalar, a fixed coordinate
+      or a sign flip), is folded into each term up front: m^k goes into the
+      term's packed monomial and c^k into its numerator and denominator;
+    * the product of the other bindings' powers depends only on a term's
+      exponents on those variables, its pattern, so it is built once per
+      pattern, as one chain of ``_mul_packed`` calls (the unit monomial
+      (0, 1) for the empty pattern); every term with that pattern adds a
+      copy shifted by its monomial and scaled by its numerator.  The uses
+      of each pattern are counted first and its product is dropped after
+      the last one.
+
+    The generic loop multiplies each term, a one-term list, by the same
+    chain.  ``_mul_packed`` by a one-term factor keeps the other factor's
+    order, and shifting every packed key by one offset and scaling every
+    numerator by one nonzero int keep every key collision and every zero
+    sum, so each term's copy matches the generic product term for term.
+    The common denominator of the result is fixed first; the copies are
+    added, in ints, into one accumulator in the order of ``p``'s terms.
     """
-    index = out_vars.index
     n = len(out_vars)
-    polys = {}                      # name -> (denominator, {k: power})
-    for v, b in bindings.items():
-        if isinstance(b, MPoly):
-            den = _denominator(b.terms)
-            polys[v] = (den, {1: _pack(b.terms, den)})
+    folds = []              # (position, packed monomial, num, den)
+    moved = []              # (position, name) of the multi-term bindings
+    polys = {}              # name -> (denominator, {k: power})
+    for i, v in enumerate(p.vars.names):
+        if v not in bindings:       # v passes through
+            folds.append((i, 1 << 8 * out_vars.index[v], 1, 1))
+            continue
+        b = bindings[v]
+        terms = b.terms if isinstance(b, MPoly) else {(0,) * n: b}
+        if len(terms) > 1:
+            den = _denominator(terms)
+            polys[v] = (den, {1: _pack(terms, den)})
+            moved.append((i, v))
+        else:                       # the zero polynomial folds as 0
+            (e, c), = terms.items() or [((0,) * n, QQ(0))]
+            folds.append((i, int.from_bytes(bytes(e), "little"),
+                          c.numerator, c.denominator))
+    at = [i for i, _ in moved]
 
     def power(v, k):
         cache = polys[v][1]
@@ -489,45 +519,52 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
                 cache[j] = value
         return cache[k]
 
-    plans = []              # (monomial, numerator, denominator, factors)
+    plans = []              # (monomial, numerator, denominator, pattern)
+    uses = {}
     den = 1
     for e, c in p.terms.items():
-        passthrough = [0] * n
-        num, d = c.numerator, c.denominator
-        factors = []
-        for v, k in zip(p.vars.names, e):
-            if not k:
-                continue
-            if v in polys:
-                factors.append((v, k))
-                d *= polys[v][0] ** k
-            elif v in bindings:
-                s = bindings[v] ** k
-                num *= s.numerator
-                d *= s.denominator
-            else:
-                passthrough[index[v]] = k
+        m, num, d = 0, c.numerator, c.denominator
+        for i, mv, nv, dv in folds:
+            k = e[i]
+            if k:
+                m += mv * k
+                num *= nv ** k
+                d *= dv ** k
+        pattern = tuple(map(e.__getitem__, at))
+        for (_, v), k in zip(moved, pattern):
+            d *= polys[v][0] ** k
         if num:
-            plans.append((int.from_bytes(bytes(passthrough), "little"), num,
-                          d, factors))
+            plans.append((m, num, d, pattern))
+            uses[pattern] = uses.get(pattern, 0) + 1
             den = lcm(den, d)
 
+    products = {}
     total = {}
     get = total.get
-    for m, num, d, factors in plans:
-        term = [(m, num * (den // d))]
-        for v, k in factors:
-            term = _mul_packed(term, power(v, k))
-        for m, c in term:
-            acc = get(m)
+    for m, num, d, pattern in plans:
+        product = products.pop(pattern, None)
+        if product is None:
+            for (_, v), k in zip(moved, pattern):
+                if k:
+                    product = (power(v, k) if product is None
+                               else _mul_packed(product, power(v, k)))
+            if product is None:
+                product = [(0, 1)]
+        uses[pattern] -= 1
+        if uses[pattern]:
+            products[pattern] = product
+        scale = num * (den // d)
+        for mq, cq in product:
+            mq += m
+            acc = get(mq)
             if acc is None:
-                total[m] = c
+                total[mq] = scale * cq
             else:
-                acc += c
+                acc += scale * cq
                 if acc:
-                    total[m] = acc
+                    total[mq] = acc
                 else:
-                    del total[m]
+                    del total[mq]
     return _unpack(out_vars, total.items(), den)
 
 

@@ -137,26 +137,41 @@ def _linsolve_overdetermined(basis, target):
     return coeffs
 
 
-def _frame_normals():
-    """The 36 unit normals of the E6 mirror arrangement, over Q(zeta_24)."""
-    one = Cyclo.from_rat(1, 24)
+_FRAME_KEYS = tuple(
+    [key for k in (1, 2, 3) for key in ((k, 0, 0), (0, k, 0), (0, 0, k))]
+    + list(itertools.product((1, 2, 3), repeat=3)))
+
+
+def _frame_normal(key):
+    """One of the 36 unit normals of the E6 mirror arrangement, over
+    Q(zeta_24).  With (c_k, s_k) = (cos, sin)(2 pi k / 3), (k, 0, 0) is
+    (-s_k, c_k) in the first coordinate plane (likewise (0, k, 0), (0, 0, k))
+    and (k, l, m) is (c_k, s_k, c_l, s_l, c_m, s_m) / sqrt(3)."""
+    if key not in _FRAME_KEYS:
+        raise KeyError(key)
     zero = Cyclo.from_rat(0, 24)
     half = Cyclo.from_rat(QQ(1, 2), 24)
     r3 = sqrt3().lift(24)
-    cos = {1: -half, 2: -half, 3: one}
-    sin = {1: r3 * half, 2: -(r3 * half), 3: zero}
-    inv_r3 = (r3 / 3)
 
-    normals = {}
-    for k in (1, 2, 3):
-        normals[(k, 0, 0)] = (-sin[k], cos[k], zero, zero, zero, zero)
-        normals[(0, k, 0)] = (zero, zero, -sin[k], cos[k], zero, zero)
-        normals[(0, 0, k)] = (zero, zero, zero, zero, -sin[k], cos[k])
-    for k, l, m in itertools.product((1, 2, 3), repeat=3):
-        normals[(k, l, m)] = tuple(
-            inv_r3 * c for c in
-            (cos[k], sin[k], cos[l], sin[l], cos[m], sin[m]))
-    return normals
+    def cos_sin(k):
+        if k == 3:
+            return Cyclo.from_rat(1, 24), zero
+        s = r3 * half
+        return -half, (s if k == 1 else -s)
+
+    if key.count(0) == 2:
+        normal = ()
+        for k in key:
+            c, s = cos_sin(k) if k else (zero, zero)
+            normal += (-s, c)
+        return normal
+    inv_r3 = r3 / 3
+    return tuple(inv_r3 * c for k in key for c in cos_sin(k))
+
+
+def _frame_normals():
+    """The 36 unit normals of the E6 mirror arrangement, over Q(zeta_24)."""
+    return {key: _frame_normal(key) for key in _FRAME_KEYS}
 
 
 E6_SIMPLE_NORMALS = {1: (3, 0, 0), 2: (0, 0, 3), 3: (0, 1, 0),

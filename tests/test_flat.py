@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mckaydeform.exact import QQ, Cyclo, sqrt2, sqrt3
-from mckaydeform.flat import (FRAME_GENERATOR_KEYS, PQ_VARS, XY_VARS,
-                              e6_tower, elementary_symmetric,
+from mckaydeform.flat import (FRAME_GENERATOR_KEYS, MU_VARS, PQ_VARS,
+                              XY_VARS, e6_tower, e6_xy_of_mu,
+                              elementary_symmetric,
                               epsilon_from_psi, flat_coords_A, flat_coords_D,
                               flat_coords_E6, frame_reflection_subs,
                               lambda_table, pochhammer, pq_weighted_degrees,
@@ -263,6 +264,27 @@ def test_psi_mu_parity_structure():
     assert psis["psi9"].ev.is_zero()
     for name in ("psi2", "psi6", "psi8", "psi12"):
         assert psis[name].od.is_zero()
+
+
+def test_two_stage_psi_mu_equals_one_substitution():
+    # psi_E6_of_mu binds p1, q1, p3, q3 first and p2, q2 second; one
+    # substitution of all six bindings gives the same polynomials
+    xs, ys = e6_xy_of_mu()
+    subs = {}
+    for i, (x, y) in enumerate(zip(xs, ys), 1):
+        subs[f"p{i}"] = x * x * 6 + y * y * 2
+        subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
+    psis = psi_E6_of_mu()
+    for _, name, poly in flat_coords_E6().coords:
+        for parity, got in enumerate((psis[name].ev, psis[name].od)):
+            part = MPoly(PQ_VARS)
+            for e, c in poly.terms.items():
+                b = e[3] + e[4] + e[5]
+                if b % 2 == parity:
+                    part.terms[e] = c * 6 ** (b // 2)
+            want = part.substitute(subs)
+            assert got.vars == want.vars == MU_VARS
+            assert got.terms == want.terms, (name, parity)
 
 
 def test_elementary_symmetric():

@@ -305,6 +305,85 @@ def test_rational_substitution_matches_generic_loop(monkeypatch):
     assert _same_terms(const, MPoly.constant(U, QQ(3)))
 
 
+MU = VarTable(tuple(f"mu{i}" for i in range(1, 7)))
+
+
+def test_coweight_reflections_match_generic_loop(monkeypatch):
+    # every E6 coweight reflection fixes some mu_i, flips the sign of one
+    # and moves its neighbours: one-term and multi-term bindings together
+    from mckaydeform.rootdata import DynkinType, coweight_reflection_subs
+    rng = random.Random(43)
+    coeffs = [QQ(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 7)]
+    p = _dense_poly(rng, MU, 150, 6, coeffs)
+    for j in range(1, 7):
+        subs = coweight_reflection_subs(DynkinType("E", 6), j, MU.names)
+        got = p.substitute(subs)
+        want = _generic(monkeypatch, lambda: p.substitute(subs))
+        assert _same_terms(got, want)
+
+
+def test_one_term_binding_with_a_coefficient(monkeypatch):
+    rng = random.Random(47)
+    coeffs = [QQ(k, d) for k in (-2, 1, 3) for d in (1, 4, 5)]
+    mu1, mu2, mu3 = (MPoly.variable(MU, f"mu{i}") for i in (1, 2, 3))
+    bindings = {"mu1": mu2 ** 2 * QQ(2, 3), "mu2": mu2 + mu3 * QQ(1, 2),
+                "mu4": mu3 * QQ(-5, 7), "mu5": QQ(3, 4)}
+    for _ in range(10):
+        p = _dense_poly(rng, MU, rng.randint(1, 40), 4, coeffs)
+        got = p.substitute(bindings)
+        want = _generic(monkeypatch, lambda: p.substitute(bindings))
+        assert _same_terms(got, want)
+    moved = (mu1 ** 3 * mu2).substitute(bindings)
+    assert equal_mod_vars(moved, mu2 ** 6 * (mu2 + mu3 * QQ(1, 2))
+                          * QQ(8, 27))
+
+
+def test_zero_polynomial_binding(monkeypatch):
+    rng = random.Random(53)
+    coeffs = [QQ(k, d) for k in (-1, 1, 2) for d in (1, 3)]
+    W = VarTable(("u", "v"))
+    u, v = (MPoly.variable(W, n) for n in "uv")
+    bindings = {"x": MPoly(W), "y": u - v * QQ(2, 3), "z": u + v}
+    for _ in range(10):
+        p = _dense_poly(rng, V, rng.randint(1, 30), 3, coeffs)
+        got = p.substitute(bindings)
+        want = _generic(monkeypatch, lambda: p.substitute(bindings))
+        assert _same_terms(got, want)
+        # only the terms free of x survive
+        free = MPoly(V, {e: c for e, c in p.terms.items() if not e[0]})
+        assert got == free.substitute(bindings)
+    assert (x * y + x ** 2).substitute(bindings).is_zero()
+
+
+def test_each_binding_power_product_is_built_once(monkeypatch):
+    # Ax2 under r_6: the product of the moved variables' powers is one
+    # chain of _mul_packed calls per distinct exponent pattern on them (one
+    # call fewer than the pattern's nonzero exponents), on top of the calls
+    # that build each binding's powers
+    from mckaydeform.deform import e6_mu_coefficients
+    from mckaydeform.rootdata import DynkinType, coweight_reflection_subs
+    p = e6_mu_coefficients()["Ax2"]
+    subs = coweight_reflection_subs(DynkinType("E", 6), 6, p.vars.names)
+    moved = [i for i, v in enumerate(p.vars.names)
+             if len(subs[v].terms) > 1]
+    assert len(moved) >= 2
+    patterns = {tuple(e[i] for i in moved) for e in p.terms}
+    chains = sum(max(sum(1 for k in pat if k) - 1, 0) for pat in patterns)
+    powers = sum(max(e[i] for e in p.terms) - 1 for i in moved)
+    calls = [0]
+    mul_packed = poly._mul_packed
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul_packed(a, b)
+
+    monkeypatch.setattr(poly, "_mul_packed", counted)
+    moved_p = p.substitute(subs)
+    assert moved_p == p
+    assert calls[0] <= chains + powers
+    assert chains + powers < len(p.terms)
+
+
 def _reference_product(a, b):
     out = {}
     for e1, c1 in a.terms.items():

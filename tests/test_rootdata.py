@@ -50,6 +50,59 @@ def test_e6_simple_roots_are_scaled_frame_normals():
     assert rs.cartan == cartan_matrix(E6)
 
 
+def _frame_normals_table():
+    """The 36 normals written out as one table, cos and sin of 2 pi k / 3."""
+    import itertools
+    from mckaydeform.exact import Cyclo, sqrt3
+    one, zero = Cyclo.from_rat(1, 24), Cyclo.from_rat(0, 24)
+    half = Cyclo.from_rat(QQ(1, 2), 24)
+    r3 = sqrt3().lift(24)
+    cos = {1: -half, 2: -half, 3: one}
+    sin = {1: r3 * half, 2: -(r3 * half), 3: zero}
+    table = {}
+    for k in (1, 2, 3):
+        table[k, 0, 0] = (-sin[k], cos[k], zero, zero, zero, zero)
+        table[0, k, 0] = (zero, zero, -sin[k], cos[k], zero, zero)
+        table[0, 0, k] = (zero, zero, zero, zero, -sin[k], cos[k])
+    for k, l, m in itertools.product((1, 2, 3), repeat=3):
+        table[k, l, m] = tuple(r3 / 3 * c for c in (
+            cos[k], sin[k], cos[l], sin[l], cos[m], sin[m]))
+    return table
+
+
+def test_each_frame_normal_is_built_alone():
+    from mckaydeform.rootdata import _frame_normal, _frame_normals
+    table = _frame_normals_table()
+    assert list(_frame_normals()) == list(table)
+    for key, normal in table.items():
+        assert _frame_normal(key) == normal
+        assert _frame_normals()[key] == normal
+    with pytest.raises(KeyError):
+        _frame_normal((0, 0, 0))
+    with pytest.raises(KeyError):
+        _frame_normal((1, 2, 0))
+
+
+def test_frame_reflection_subs_builds_one_normal(monkeypatch):
+    # the whole table costs about 170 Cyclo products; one reflection
+    # needs its own normal and the products of its nonzero entries
+    from mckaydeform.exact import Cyclo
+    from mckaydeform.flat import FRAME_GENERATOR_KEYS, frame_reflection_subs
+    calls = [0]
+    mul = Cyclo.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    monkeypatch.setattr(Cyclo, "__rmul__", counted)
+    for key in FRAME_GENERATOR_KEYS:
+        calls[0] = 0
+        frame_reflection_subs(key)
+        assert calls[0] <= 16, key
+
+
 def test_folding_table():
     cases = [("A3", "z2", "B2"), ("A5", "z2", "B3"), ("A7", "z2", "B4"),
              ("A4", "z2", "B2"), ("A6", "z2", "C3"), ("A8", "z2", "C4"),
