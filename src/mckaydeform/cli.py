@@ -104,6 +104,9 @@ def cmd_rootdata(args) -> RunReport:
         {"count": len(rs.positive_roots)}))
     if args.h:
         h = tuple(rat(v) for v in args.h.split(","))
+        if len(h) != rs.ambient_dim:
+            raise ValueError(f"--h needs {rs.ambient_dim} values for {t}, "
+                             f"got {len(h)}")
         van = vanishing_roots(rs, h)
         avg = omega_average(rs, standard_omega(t, args.omega), h)
         checks.append(Check.of(
@@ -141,6 +144,9 @@ def cmd_flat(args) -> RunReport:
                        pq_weighted_degrees)
     t = parse_type(args.type)
     checks = []
+    if t.family == "A" and t.rank % 2 == 0:
+        raise UnsupportedType(f"flat coordinates are built for A_(2r-1), "
+                              f"not {t}")
     if t.family in ("A", "D"):
         fs = flat_coords_A((t.rank + 1) // 2) if t.family == "A" \
             else flat_coords_D(t.rank - 1)
@@ -535,55 +541,6 @@ def build_parser():
         parser.add_argument("--out", default=None,
                             help="write the JSON report to this path")
     return p
-
-
-# spec-operation -> subcommand coverage (asserted by the test suite)
-OPERATION_COVERAGE = {
-    "exact.embed_complex": "quiver sample",
-    "exact.field_arith": "all (coefficient arithmetic)",
-    "poly.substitute": "family",
-    "poly.partial_derivative": "fiber analyze",
-    "poly.groebner_basis": "fiber analyze",
-    "poly.quotient_dimension": "fiber analyze",
-    "poly.normal_form": "quotient verify",
-    "poly.evaluate_numeric": "quiver sample",
-    "rootdata.build_root_system": "rootdata",
-    "rootdata.fold": "fold",
-    "rootdata.weyl_generators": "flat --full",
-    "rootdata.vanishing_roots": "rootdata --h",
-    "rootdata.omega_average": "rootdata --h",
-    "rootdata.mckay_dimension_vector": "rootdata",
-    "rootdata.fundamental_coweights": "family (coefficient identities)",
-    "klein.enumerate_group": "klein verify",
-    "klein.klein_data": "klein verify",
-    "klein.verify_invariance": "klein verify",
-    "klein.verify_omega_action": "klein verify",
-    "quiver.build_mckay_quiver": "quiver verify-action",
-    "quiver.symplectic_form": "quiver verify-action",
-    "quiver.moment_map": "quiver verify-action",
-    "quiver.check_action_admissible": "quiver verify-action",
-    "quiver.verify_symplectic_action": "quiver verify-action",
-    "quiver.sample_moment_fibre": "quiver sample",
-    "quiver.invariants_at_point": "quiver sample",
-    "quiver.verify_moment_equivariance_numeric": "quiver verify-action",
-    "flat.flat_coords_A": "flat --type A3",
-    "flat.flat_coords_D": "flat --type D4",
-    "flat.flat_coords_E6": "flat --type E6",
-    "flat.epsilon_from_psi": "family --label B2",
-    "flat.verify_w_invariance": "flat --type E6 --full",
-    "deform.family": "family",
-    "deform.verify_equivariance": "family",
-    "deform.special_fibre_normal_form": "family",
-    "deform.analyze_fibre": "fiber analyze",
-    "quotient.quotient_family": "quotient verify",
-    "quotient.verify_invariant_generators": "quotient verify",
-    "quotient.verify_quotient_pullback": "quotient verify",
-    "quotient.verify_singular_locus": "quotient verify",
-    "quotient.discriminant_B2": "quotient discriminant",
-    "quotient.non_semiuniversality_check": "quotient verify",
-    "cli.run": "(entry point)",
-    "cli.suite": "suite",
-}
 
 
 def _exit_code(exc):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import (QQ, Cyclo, Radical, embed_complex, imag_unit, is_rat,
-                    rat, rref, scalar_to_json, sqrt6, sqrt_rational)
+                    rref, scalar_to_json, sqrt6, sqrt_rational)
 from .flat import (MU_VARS, epsilon_from_psi, psi_D_in_xi,
                    psi_E6_of_mu, xi_table)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
@@ -64,32 +64,19 @@ class DeformationFamily:
         """Equation of the fibre at exact parameter values.
 
         Parameters left out are 0; a name that is not a parameter of the
-        family raises ``UnknownParameter``.
+        family raises ``UnknownParameter``, and a value that is not an exact
+        scalar (a float, say) raises ``TypeError``.
         """
         unknown = sorted(set(values) - set(self.param_vars))
         if unknown:
             raise UnknownParameter(
                 f"{self.label} has no parameter {', '.join(unknown)}; "
                 f"its parameters are {', '.join(self.param_vars)}")
-        subs = {}
-        for v in self.param_vars:
-            subs[v] = _exactify(values.get(v, QQ(0)))
-        return self.equation.substitute(subs)
+        return self.equation.substitute(
+            {v: values.get(v, QQ(0)) for v in self.param_vars})
 
     def special_fibre(self) -> MPoly:
         return self.fibre_equation({})
-
-
-def _exactify(v):
-    if isinstance(v, float):
-        from fractions import Fraction
-        fr = Fraction(v).limit_denominator(10 ** 12)
-        return QQ(fr.numerator, fr.denominator)
-    if isinstance(v, (Cyclo, Radical)):
-        return v
-    if isinstance(v, str):
-        return rat(v)
-    return QQ(v)
 
 
 def _variables(V, names):

@@ -580,13 +580,6 @@ class Radical:
             return hash(self.coeffs[0])
         return hash((self.k, tuple(hash(x) for x in self.coeffs)))
 
-    def reduce_base(self):
-        """Return the degree-0 part as a base scalar when u does not occur."""
-        if not any(bool(x) for x in self.coeffs[1:]):
-            c = self.coeffs[0]
-            return c.reduce_rat() if isinstance(c, Cyclo) else c
-        return self
-
     def __repr__(self):
         return f"Radical(u^{self.k}={self.c}; {list(self.coeffs)})"
 

@@ -47,11 +47,6 @@ class FlatSystem:
     coords: list          # ordered (degree, name, MPoly in natural vars)
     natural_vars: VarTable
 
-    def by_degree(self, d):
-        for deg, name, p in self.coords:
-            if deg == d:
-                return p
-        raise KeyError(d)
 
 
 def _composition_series(i: int, gens: dict, vars: VarTable, coeff) -> MPoly:

@@ -47,10 +47,6 @@ def _mat_key(A):
     return tuple(out)
 
 
-def mat_eq(A, B):
-    return all(A[i][j] == B[i][j] for i in range(2) for j in range(2))
-
-
 def identity_matrix():
     return ((QQ(1), QQ(0)), (QQ(0), QQ(1)))
 
@@ -89,13 +85,6 @@ class SU2Group:
     def order(self) -> int:
         return len(self.enumerate())
 
-    def contains(self, M) -> bool:
-        key = _mat_key(M)
-        for e in self.enumerate():
-            if _mat_key(e) == key and mat_eq(e, M):
-                return True
-        return False
-
 
 def cyclic_group(n: int) -> SU2Group:
     zero = Cyclo.from_rat(0, n)
@@ -129,16 +118,6 @@ def binary_octahedral() -> SU2Group:
     zero = Cyclo.from_rat(0, 8)
     h = ((zeta(8, 3), zero), (zero, zeta(8, 5)))
     return SU2Group("O", g.generators + [h], 48)
-
-
-def binary_icosahedral() -> SU2Group:
-    eta = zeta(5)
-    zero = Cyclo.from_rat(0, 5)
-    a = ((-zeta(5, 3), zero), (zero, -zeta(5, 2)))
-    inv_s5 = (eta - zeta(5, 2) - zeta(5, 3) + zeta(5, 4)).inverse()
-    b = ((inv_s5 * (zeta(5, 4) - eta), inv_s5 * (zeta(5, 2) - zeta(5, 3))),
-         (inv_s5 * (zeta(5, 2) - zeta(5, 3)), inv_s5 * (eta - zeta(5, 4))))
-    return SU2Group("I", [a, b], 120)
 
 
 # -- invariant data -----------------------------------------------------------
@@ -416,38 +395,3 @@ def verify_omega_action(kd: KleinData) -> dict:
     if kd.no_valid_gamma_prime:
         report["no_valid_gamma_prime"] = True
     return report
-
-
-def coset_order(kd: KleinData, gen) -> int:
-    """Order of gen * Gamma in Gamma' / Gamma."""
-    kd.gamma.enumerate()
-    power = gen
-    for k in range(1, 49):
-        if kd.gamma.contains(power):
-            return k
-        power = mat_mul(power, gen)
-    raise ClosureBudgetExceeded("coset order exceeds 48")
-
-
-def action_matrix_order(M) -> int:
-    ident = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
-             (QQ(0), QQ(0), QQ(1)))
-
-    def mul3(A, B):
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = A[i][0] * B[0][j]
-                for k in (1, 2):
-                    acc = acc + A[i][k] * B[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    P = M
-    for k in range(1, 49):
-        if all(P[i][j] == ident[i][j] for i in range(3) for j in range(3)):
-            return k
-        P = mul3(P, M)
-    raise ValueError("matrix order exceeds 48")

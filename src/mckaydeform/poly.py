@@ -614,22 +614,6 @@ def equal_mod_vars(a: MPoly, b: MPoly) -> bool:
     return _retable(a, union) == _retable(b, union)
 
 
-def poly_from_json(data) -> MPoly:
-    from .exact import rat
-    vars = VarTable(data["vars"])
-    p = MPoly(vars)
-    for t in data["terms"]:
-        c = t["c"]
-        if isinstance(c, str):
-            coeff = rat(c)
-        elif "conductor" in c:
-            coeff = Cyclo(c["conductor"], [rat(x) for x in c["coords"]])
-        else:
-            raise ValueError("unsupported coefficient payload")
-        p.terms[tuple(t["e"])] = coeff
-    return p
-
-
 # -- division and Groebner bases ---------------------------------------------
 
 def _divides(e1, e2):

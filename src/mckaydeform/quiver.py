@@ -188,14 +188,6 @@ def moment_map(quiver: McKayQuiver, phi: SymbolicRep) -> dict:
     return out
 
 
-def moment_trace(quiver: McKayQuiver, phi: SymbolicRep) -> MPoly:
-    mm = moment_map(quiver, phi)
-    total = MPoly(phi.vars)
-    for v, mat in mm.items():
-        total = total + _mat_trace(mat)
-    return total
-
-
 # -- symmetry actions ----------------------------------------------------------
 
 @dataclass
@@ -545,21 +537,6 @@ def invariants_at_point(t: DynkinType, sample: dict):
                      + mu3 * (mu2 + mu3) * (mu1 + mu2 + mu3)) / 2
         return complex(x), complex(y), complex(zc)
     raise UnsupportedType(f"no invariants for {t}")
-
-
-def d4_trace_invariants(sample: dict) -> dict:
-    """Raw cycle traces of a D4 sample (for the trace-identity checks)."""
-    rep = sample["rep"]
-    m = {i: rep[f"pa{i}"] @ rep[f"pb{i}"] for i in (0, 1, 3, 4)}
-    out = {}
-    for i in (0, 1, 3, 4):
-        for j in (0, 1, 3, 4):
-            if i < j:
-                out[f"p{i}{j}"] = complex(np.trace(m[i] @ m[j]))
-    out["q034"] = complex(np.trace(m[4] @ m[3] @ m[0]))
-    out["q030"] = complex(np.trace(m[0] @ m[3] @ m[0]))
-    out["q343"] = complex(np.trace(m[3] @ m[4] @ m[3]))
-    return out
 
 
 def lambda_from_central(central) -> list:

@@ -260,16 +260,6 @@ class DiagramAutomorphism:
     def __call__(self, i: int) -> int:
         return self.vertex_perm[i - 1]
 
-    @property
-    def order(self) -> int:
-        k, p = 1, self
-        ident = tuple(range(1, len(self.vertex_perm) + 1))
-        current = self.vertex_perm
-        while current != ident:
-            current = tuple(self.vertex_perm[i - 1] for i in current)
-            k += 1
-        return k
-
     def compose(self, other: "DiagramAutomorphism") -> "DiagramAutomorphism":
         return DiagramAutomorphism(
             tuple(self.vertex_perm[j - 1] for j in other.vertex_perm))
@@ -286,18 +276,6 @@ def validate_automorphism(t: DynkinType, sigma: DiagramAutomorphism):
             if C[p[i] - 1][p[j] - 1] != C[i][j]:
                 raise InvalidAutomorphism(
                     f"permutation {p} breaks the Cartan matrix")
-
-
-def automorphism_group(t: DynkinType):
-    """All diagram automorphisms, by exhaustive search."""
-    C = cartan_matrix(t)
-    r = t.rank
-    out = []
-    for p in itertools.permutations(range(1, r + 1)):
-        if all(C[p[i] - 1][p[j] - 1] == C[i][j]
-               for i in range(r) for j in range(r)):
-            out.append(DiagramAutomorphism(p))
-    return out
 
 
 def close_group(gens):
@@ -435,39 +413,9 @@ def fold(t: DynkinType, omega) -> DynkinType:
 
 # -- Weyl group action -------------------------------------------------------
 
-def weyl_reflections(rs: RootSystem):
-    """Simple reflections as exact matrices on the ambient space."""
-    mats = []
-    n = rs.ambient_dim
-    for a in rs.simple_roots:
-        norm = _dot(a, a)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                delta = QQ(1) if i == j else QQ(0)
-                row.append(delta - 2 * a[i] * a[j] / norm)
-            rows.append(row)
-        mats.append(rows)
-    return mats
-
-
-def apply_matrix(M, v):
-    return tuple(_dot(row, v) for row in M)
-
-
-def coweight_reflection(t: DynkinType, j: int):
-    """r_{alpha_j^vee} on coweight coordinates: mu_i -> mu_i - C_ij mu_j."""
-    C = cartan_matrix(t)
-    r = t.rank
-
-    def act(mu):
-        return tuple(mu[i] - C[i][j - 1] * mu[j - 1] for i in range(r))
-    return act
-
-
 def coweight_reflection_subs(t: DynkinType, j: int, names):
-    """The same reflection as an MPoly substitution dict on ``names``."""
+    """r_{alpha_j^vee} on coweight coordinates, mu_i -> mu_i - C_ij mu_j,
+    as an MPoly substitution dict on ``names``."""
     from .poly import MPoly, VarTable
     C = cartan_matrix(t)
     r = t.rank
@@ -561,81 +509,3 @@ def mckay_dimension_vector(t: DynkinType):
     if fam == "E" and r == 8:
         return (1, 2, 3, 4, 6, 5, 4, 3, 2)
     raise UnsupportedType(str(t))
-
-
-def validate_dimension_vector(t: DynkinType):
-    """2 d_v = sum of neighbour d's: the defining balance of delta."""
-    d = mckay_dimension_vector(t)
-    edges = extended_edges(t)
-    n = len(d)
-    for v in range(n):
-        s = sum(d[j] for i, j in edges if i == v) + \
-            sum(d[i] for i, j in edges if j == v)
-        if 2 * d[v] != s:
-            return False
-    return True
-
-
-# -- fundamental coweights ---------------------------------------------------
-
-# Columns of the inverse Cartan matrix: Lambda_j = sum_i combo[i] alpha_i.
-# The j = 6 row is symmetric under the diagram involution (1<->2, 4<->5),
-# as duality forces.
-E6_WEIGHT_COMBOS = {
-    1: (QQ(4, 3), QQ(2, 3), QQ(1), QQ(5, 3), QQ(4, 3), QQ(2)),
-    2: (QQ(2, 3), QQ(4, 3), QQ(1), QQ(4, 3), QQ(5, 3), QQ(2)),
-    3: (QQ(1), QQ(1), QQ(2), QQ(2), QQ(2), QQ(3)),
-    4: (QQ(5, 3), QQ(4, 3), QQ(2), QQ(10, 3), QQ(8, 3), QQ(4)),
-    5: (QQ(4, 3), QQ(5, 3), QQ(2), QQ(8, 3), QQ(10, 3), QQ(4)),
-    6: (QQ(2), QQ(2), QQ(3), QQ(4), QQ(4), QQ(6)),
-}
-
-
-class CoweightBasis:
-    def __init__(self, dtype, vectors):
-        self.dtype = dtype
-        self.fundamental_coweights = vectors
-
-
-def fundamental_coweights(t: DynkinType) -> CoweightBasis:
-    """Lambda_i^vee in orthonormal coordinates, <alpha_i, L_j^vee> = d_ij."""
-    fam, r = t.family, t.rank
-    if fam == "A":
-        # Lambda_i = e_1 + .. + e_i - (i/(r+1)) * sum(e)
-        n = r + 1
-        vecs = []
-        for i in range(1, r + 1):
-            v = [QQ(1) - QQ(i, n) if k < i else -QQ(i, n) for k in range(n)]
-            vecs.append(tuple(v))
-        return CoweightBasis(t, vecs)
-    if t == DynkinType("D", 4):
-        h = QQ(1, 2)
-        vecs = [
-            (QQ(1), QQ(0), QQ(0), QQ(0)),
-            (QQ(1), QQ(1), QQ(0), QQ(0)),
-            (h, h, h, -h),
-            (h, h, h, h),
-        ]
-        return CoweightBasis(t, vecs)
-    if t == DynkinType("E", 6):
-        rs = build_root_system(t)
-        vecs = []
-        for i in range(1, 7):
-            combo = E6_WEIGHT_COMBOS[i]
-            v = [Cyclo.from_rat(0, 24)] * 6
-            for j, c in enumerate(combo):
-                alpha = rs.simple_roots[j]
-                v = [x + c * y for x, y in zip(v, alpha)]
-            vecs.append(tuple(v))
-        return CoweightBasis(t, vecs)
-    raise UnsupportedType(f"no coweight table for {t}")
-
-
-def duality_matrix(t: DynkinType):
-    """<alpha_i, Lambda_j^vee> as an integer matrix (should be identity)."""
-    rs = build_root_system(t)
-    cw = fundamental_coweights(t)
-    out = []
-    for a in rs.simple_roots:
-        out.append([_as_int(_dot(a, v)) for v in cw.fundamental_coweights])
-    return out

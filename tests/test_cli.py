@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mckaydeform.cli import OPERATION_COVERAGE, run
+from mckaydeform.cli import run
 from mckaydeform.poly import VariableMismatch
 from mckaydeform.quiver import ShapeMismatch
 from mckaydeform.rootdata import DimensionMismatch
@@ -136,6 +136,27 @@ def test_rootdata_unknown_omega_is_usage_error():
     # refused at parsing even when no --h would have read it
     code, report = run(["rootdata", "--type", "A5", "--omega", "bogus"])
     assert code == 2 and report is None
+
+
+@pytest.mark.parametrize("h", ("1,2,3", "1,2,-3,-3,2,1,0"))
+def test_rootdata_h_of_the_wrong_length_is_usage_error(h, capsys):
+    # a malformed --h is the user's error (2), not an internal mismatch (4)
+    code, report = run(["rootdata", "--type", "A5", "--h", h])
+    assert code == 2 and report is None
+    assert "--h needs 6 values for A5" in capsys.readouterr().err
+
+
+def test_flat_even_rank_a_is_refused(tmp_path):
+    # flat_coords_A(r) builds A_(2r-1); A4 used to pass with A3's system
+    code, report = run(["flat", "--type", "A4"])
+    assert code == 2 and report is None
+    for tname, degrees in (("A3", [2, 3, 4]), ("A5", [2, 3, 4, 5, 6])):
+        out = tmp_path / f"{tname}.json"
+        code, _ = run(["flat", "--type", tname, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert code == 0 and payload["command"] == f"flat --type {tname}"
+        assert payload["checks"][0]["witness"]["degrees"] == degrees
+        assert list(payload["payload"]) == [f"psi{d}" for d in degrees]
 
 
 @pytest.mark.parametrize("argv", (
@@ -288,34 +309,3 @@ def test_suite_error_outside_the_exit_code_table_propagates(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         run(["suite", "smoke"])
 
-
-def test_operation_coverage():
-    spec_operations = [
-        "exact.embed_complex", "exact.field_arith",
-        "poly.substitute", "poly.partial_derivative",
-        "poly.groebner_basis", "poly.quotient_dimension",
-        "poly.normal_form", "poly.evaluate_numeric",
-        "rootdata.build_root_system", "rootdata.fold",
-        "rootdata.weyl_generators", "rootdata.vanishing_roots",
-        "rootdata.omega_average", "rootdata.mckay_dimension_vector",
-        "rootdata.fundamental_coweights",
-        "klein.enumerate_group", "klein.klein_data",
-        "klein.verify_invariance", "klein.verify_omega_action",
-        "quiver.build_mckay_quiver", "quiver.symplectic_form",
-        "quiver.moment_map", "quiver.check_action_admissible",
-        "quiver.verify_symplectic_action", "quiver.sample_moment_fibre",
-        "quiver.invariants_at_point",
-        "quiver.verify_moment_equivariance_numeric",
-        "flat.flat_coords_A", "flat.flat_coords_D", "flat.flat_coords_E6",
-        "flat.epsilon_from_psi", "flat.verify_w_invariance",
-        "deform.family", "deform.verify_equivariance",
-        "deform.special_fibre_normal_form", "deform.analyze_fibre",
-        "quotient.quotient_family",
-        "quotient.verify_invariant_generators",
-        "quotient.verify_quotient_pullback",
-        "quotient.verify_singular_locus", "quotient.discriminant_B2",
-        "quotient.non_semiuniversality_check",
-        "cli.run", "cli.suite",
-    ]
-    for op in spec_operations:
-        assert op in OPERATION_COVERAGE, op

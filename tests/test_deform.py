@@ -197,9 +197,10 @@ def test_b2_fibre_with_rational_parameters():
     assert origin
 
 
-def test_float_parameters_are_snapped():
-    rep = analyze_fibre(family("B2"), {"t2": 1.0, "t4": -0.125})
-    assert not rep.is_smooth
+def test_float_parameters_are_refused():
+    # parameters must be exact: a float is never rounded to a rational
+    with pytest.raises(TypeError):
+        analyze_fibre(family("B2"), {"t2": 1.0, "t4": rat(-1, 8)})
 
 
 def test_a5_family_fibre_generic_smooth():

@@ -5,9 +5,9 @@ import pytest
 
 from mckaydeform.poly import MPoly
 from mckaydeform.quiver import (SymbolicRep, build_mckay_quiver,
-                                check_action_admissible, d4_trace_invariants,
-                                fibre_residual, invariants_at_point,
-                                lambda_from_central, moment_map, moment_trace,
+                                check_action_admissible, fibre_residual,
+                                invariants_at_point, lambda_from_central,
+                                moment_map, numeric_moment_map,
                                 random_numeric_rep, reference_action,
                                 sample_moment_fibre, symbolic_action_order,
                                 symplectic_form,
@@ -108,9 +108,40 @@ def test_moment_map_center_vertex_d4():
 
 
 def test_moment_trace_vanishes():
+    # each arrow pair enters with opposite signs at its two ends
     for t in (A3, D4, E6):
         q = build_mckay_quiver(t)
-        assert moment_trace(q, SymbolicRep(q)).is_zero()
+        phi = SymbolicRep(q)
+        total = MPoly(phi.vars)
+        for mat in moment_map(q, phi).values():
+            for i in range(len(mat)):
+                total = total + mat[i][i]
+        assert total.is_zero()
+
+
+@pytest.mark.parametrize("t", (A3, D4, E6))
+def test_numeric_moment_map_matches_the_exact_one(t):
+    q = build_mckay_quiver(t)
+    phi = SymbolicRep(q)
+    exact = moment_map(q, phi)
+    for seed in (0, 1):
+        rep = random_numeric_rep(q, seed)
+        point = {}
+        for a in q.arrows:
+            rows, cols = q.shape(a.name)
+            for i in range(rows):
+                for j in range(cols):
+                    name = a.name if rows == cols == 1 else \
+                        f"{a.name}_{i + 1}{j + 1}"
+                    point[name] = rep[a.name][i, j]
+        numeric = numeric_moment_map(q, rep)
+        for v, mat in exact.items():
+            d = len(mat)
+            assert numeric[v].shape == (d, d)
+            for i in range(d):
+                for j in range(d):
+                    assert abs(mat[i][j].evaluate_numeric(point)
+                               - numeric[v][i, j]) < 1e-12
 
 
 def test_zero_rep_moment_is_zero():
@@ -224,12 +255,16 @@ def test_sample_fibre_d4_and_trace_identities():
     mu = (1, 1, -2, 1, 1)
     s = sample_moment_fibre(D4, mu, seed=42)
     assert fibre_residual(s) < 1e-10
-    tr = d4_trace_invariants(s)
+    rep = s["rep"]
+    m = {i: rep[f"pa{i}"] @ rep[f"pb{i}"] for i in (0, 1, 3, 4)}
+
+    def tr(*idx):
+        return complex(np.trace(np.linalg.multi_dot([m[i] for i in idx])))
     mu0, mu1, mu2, mu3, mu4 = (complex(v) for v in mu)
-    lhs = tr["p01"] + tr["p03"] + tr["p04"]
+    lhs = tr(0, 1) + tr(0, 3) + tr(0, 4)
     assert abs(lhs + mu0 * (mu0 + mu2)) < 1e-9
-    assert abs(tr["q030"] + mu0 * tr["p03"]) < 1e-9
-    assert abs(tr["q343"] + mu3 * tr["p34"]) < 1e-9
+    assert abs(tr(0, 3, 0) + mu0 * tr(0, 3)) < 1e-9
+    assert abs(tr(3, 4, 3) + mu3 * tr(3, 4)) < 1e-9
 
 
 def test_sampler_determinism():

@@ -1,13 +1,17 @@
-"""The layers the benchmark's tracer wraps still exist in the package.
+"""Checks on the package's source, not its mathematics.
 
 ``bench/spans.py`` names each traced layer by module and attribute path; a
 renamed or deleted function would break a traced run (``bench/run.py
---trace 1``), so this checks every name against the package.
+--trace 1``), so every name is checked against the package.  And no
+function, class or method in ``src/`` may exist only for the tests.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
+import re
+from collections import Counter
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -36,3 +40,55 @@ def test_every_traced_layer_resolves_in_src(monkeypatch):
         found = owner.__dict__.get(attr) if owner_path else getattr(
             owner, attr, None)
         assert callable(found), f"{layer.metric}: {layer.module}.{layer.path}"
+
+
+# Names kept although only tests reach them, each with its reason.
+TEST_ONLY_ALLOWED = {
+    "moment_map": "exact reference that tests compare numeric_moment_map "
+                  "against",
+}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _references(tree) -> Counter:
+    """Identifiers a tree names: variables, attributes, imports, and
+    dotted-path strings such as the tracer's ``"MPoly.substitute"``.
+    Docstrings are prose and do not count."""
+    docs = {id(n.body[0].value) for n in ast.walk(tree)
+            if isinstance(n, _DEFS + (ast.Module,)) and n.body
+            and isinstance(n.body[0], ast.Expr)
+            and isinstance(n.body[0].value, ast.Constant)}
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and id(n) not in docs and _DOTTED.fullmatch(n.value)):
+            out.update(n.value.split("."))
+    return out
+
+
+def test_no_test_only_code_in_src():
+    package = SRC / "mckaydeform"
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) + sorted(
+                 BENCH.glob("*.py"))}
+    named = sum((_references(t) for t in trees.values()), Counter())
+    unreached = []
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if (not isinstance(node, _DEFS) or node.name in TEST_ONLY_ALLOWED
+                    or (node.name.startswith("__")
+                        and node.name.endswith("__"))):
+                continue
+            # a recursive call inside its own body does not count
+            if named[node.name] <= _references(node)[node.name]:
+                unreached.append(f"{path.stem}.{node.name}:{node.lineno}")
+    assert not unreached, unreached
