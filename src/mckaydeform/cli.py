@@ -84,8 +84,10 @@ def cmd_fold(args) -> RunReport:
     t = parse_type(args.type)
     omega = standard_omega(t, args.omega)
     folded = fold(t, omega)
+    # one simple root of the folded system per Omega-orbit of vertices
+    orbits = {frozenset(g(i) for g in omega) for i in range(1, t.rank + 1)}
     checks = [Check.of(
-        f"fold_{t}_{args.omega}", True,
+        f"fold_{t}_{args.omega}", folded.rank == len(orbits),
         {"folded": str(folded),
          "cartan": cartan_matrix(t),
          "omega_generators": sorted(
@@ -95,12 +97,15 @@ def cmd_fold(args) -> RunReport:
 
 
 def cmd_rootdata(args) -> RunReport:
-    from .rootdata import mckay_dimension_vector
+    from .rootdata import (coxeter_number, extended_edges,
+                           mckay_dimension_vector)
     t = parse_type(args.type)
     checks = []
     rs = build_root_system(t)
+    # |Phi+| = rank * h / 2
     checks.append(Check.of(
-        f"positive_root_count_{t}", True,
+        f"positive_root_count_{t}",
+        2 * len(rs.positive_roots) == t.rank * coxeter_number(rs),
         {"count": len(rs.positive_roots)}))
     if args.h:
         h = tuple(rat(v) for v in args.h.split(","))
@@ -109,14 +114,28 @@ def cmd_rootdata(args) -> RunReport:
                              f"got {len(h)}")
         van = vanishing_roots(rs, h)
         avg = omega_average(rs, standard_omega(t, args.omega), h)
+        # rebuilt from their simple-root coefficients, the returned roots
+        # are exactly the positive roots orthogonal to h
+        rebuilt = [tuple(sum(c * a[k] for c, a in zip(v, rs.simple_roots))
+                         for k in range(rs.ambient_dim)) for v in van]
+        zero = [a for a in rs.positive_roots
+                if not sum(x * y for x, y in zip(a, h))]
         checks.append(Check.of(
-            f"vanishing_roots_{t}", True,
+            f"vanishing_roots_{t}",
+            len(rebuilt) == len(zero) and all(a in rebuilt for a in zero),
             {"roots": [[str(c) for c in v] for v in van],
              "average": [str(c) for c in avg]}))
     if t.homogeneous:
+        # the minimal imaginary root: 2 d_v is the sum of the neighbours' d
+        d = mckay_dimension_vector(t)
+        around = [0] * len(d)
+        for i, j in extended_edges(t):
+            around[i] += d[j]
+            around[j] += d[i]
         checks.append(Check.of(
-            f"dimension_vector_{t}", True,
-            {"d": list(mckay_dimension_vector(t))}))
+            f"dimension_vector_{t}",
+            all(2 * dv == s for dv, s in zip(d, around)),
+            {"d": list(d)}))
     return RunReport(f"rootdata --type {t}", checks)
 
 
@@ -140,29 +159,32 @@ def cmd_klein(args) -> RunReport:
 
 
 def cmd_flat(args) -> RunReport:
-    from .flat import (flat_coords_A, flat_coords_D, flat_coords_E6,
-                       pq_weighted_degrees)
+    from .flat import (PQ_WEIGHTS, flat_coords_A, flat_coords_D,
+                       flat_coords_E6, weighted_degrees)
     t = parse_type(args.type)
-    checks = []
     if t.family == "A" and t.rank % 2 == 0:
         raise UnsupportedType(f"flat coordinates are built for A_(2r-1), "
                               f"not {t}")
-    if t.family in ("A", "D"):
-        fs = flat_coords_A((t.rank + 1) // 2) if t.family == "A" \
-            else flat_coords_D(t.rank - 1)
-        checks.append(Check.of(f"flat_{t}_built", True,
-                               {"degrees": [d for d, _, _ in fs.coords]}))
+    # each coordinate is weighted-homogeneous of its degree: eps_i has
+    # degree i, x_2i degree 2i, the D_n coordinate psi degree n
+    if t.family == "A":
+        fs, check = flat_coords_A((t.rank + 1) // 2), f"flat_{t}_built"
+        weights = tuple(range(2, t.rank + 2))
+    elif t.family == "D":
+        fs, check = flat_coords_D(t.rank - 1), f"flat_{t}_built"
+        weights = tuple(range(2, 2 * t.rank - 1, 2)) + (t.rank,)
     elif t == DynkinType("E", 6):
-        fs = flat_coords_E6()
-        degs_ok = all(pq_weighted_degrees(p) == {d}
-                      for d, _, p in fs.coords)
-        checks.append(Check.of("flat_E6_homogeneous", degs_ok,
-                               {"degrees": [d for d, _, _ in fs.coords]}))
-        if args.full:
-            checks.append(Check.of("flat_E6_frame_invariance",
-                                   _e6_frame_invariance(fs)))
+        fs, check = flat_coords_E6(), "flat_E6_homogeneous"
+        weights = PQ_WEIGHTS
     else:
         raise UnsupportedType(str(t))
+    checks = [Check.of(
+        check, all(weighted_degrees(p, weights) == {d}
+                  for d, _, p in fs.coords),
+        {"degrees": [d for d, _, _ in fs.coords]})]
+    if t.family == "E" and args.full:
+        checks.append(Check.of("flat_E6_frame_invariance",
+                               _e6_frame_invariance(fs)))
     report = RunReport(f"flat --type {t}", checks)
     report.payload = {name: p.to_json() for _, name, p in fs.coords}
     return report

@@ -6,13 +6,19 @@ The three family presentations:
   elementary symmetric functions written in flat coordinates;
 * type D4: z^2 = xy(x+y) - t2/2 xy - t y - (t + t4/2)/2 x + (t6 + t2 t4/6
   + t t2 + t2^3/108)/4;
-* type E6: the degree-12 normal form with sqrt(6)-normalised coefficients.
+* type E6: the degree-12 normal form whose six coefficients are the rows
+  of ``e6_flat_coefficients``, two of them normalised by sqrt(6).
 
 Restricting to the symmetry-fixed parameters yields the B_r, C3, G2, F4
-families.  ``analyze_fibre`` locates singular points of a fibre through the
-Jacobian ideal, computes local Tjurina numbers by translating each point to
-the origin and saturating with powers of the maximal ideal, and classifies
-ADE type by Hessian corank plus the root multiplicities of the restricted
+families.  The E6 coefficients in the coweight variables mu hold sqrt(6),
+and the changes of variables onto the Klein relations hold 2^(1/3) or i,
+as one extra variable of a rational polynomial, folded by its relation
+(``poly.fold_root``).
+
+``analyze_fibre`` locates singular points of a fibre through the Jacobian
+ideal, computes local Tjurina numbers by translating each point to the
+origin and saturating with powers of the maximal ideal, and classifies ADE
+type by Hessian corank plus the root multiplicities of the restricted
 cubic.
 """
 
@@ -23,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (QQ, Cyclo, Radical, embed_complex, imag_unit, is_rat,
-                    rref, scalar_to_json, sqrt6, sqrt_rational)
-from .flat import (MU_VARS, epsilon_from_psi, psi_D_in_xi,
+from .exact import (QQ, embed_complex, imag_unit, rref, scalar_to_json,
+                    sqrt6, sqrt_rational)
+from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
                    psi_E6_of_mu, xi_table)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
-                   monomials_of_degree, quotient_basis)
+                   fold_root, monomials_of_degree, quotient_basis)
 from .rootdata import DynkinType, coweight_reflection_subs
 
 
@@ -124,19 +130,19 @@ def family_D4() -> DeformationFamily:
 
 
 def family_E6() -> DeformationFamily:
+    """The degree-12 normal form: x^4/(-4) + y^3 + z^2 plus each row of
+    ``e6_flat_coefficients`` (on t for psi) times its monomial, sqrt(6)
+    kept as a ``Cyclo`` scalar in the Ax and Axy rows."""
     tnames = ("t2", "t5", "t6", "t8", "t9", "t12")
     V = VarTable(("x", "y", "z") + tnames)
-    x, y, z = _variables(V, ("x", "y", "z"))
-    t2, t5, t6, t8, t9, t12 = _variables(V, tnames)
-    r6 = sqrt6()
-    eqn = x ** 4 * QQ(-1, 4) + y ** 3 + z ** 2 \
-        - t2 * x ** 2 * y * QQ(1, 4) \
-        + t5 * x * y * (r6 / 12) \
-        + (t6 - t2 ** 3 * QQ(1, 8)) * x ** 2 * QQ(1, 48) \
-        + (-t8 + t6 * t2 * QQ(1, 4) - t2 ** 4 * QQ(1, 192)) * y * QQ(1, 48) \
-        + (-t9 + t5 * t2 ** 2 * QQ(1, 4)) * x * (r6 / 144) \
-        + (t12 - t8 * t2 ** 2 * QQ(1, 8) - t6 ** 2 * QQ(1, 8)
-           + t6 * t2 ** 3 * QQ(1, 96) - t5 ** 2 * t2) * QQ(1, 576)
+    x, y, z, t5, t9 = _variables(V, ("x", "y", "z", "t5", "t9"))
+    eqn = x ** 4 * QQ(-1, 4) + y ** 3 + z ** 2
+    to_t = dict(zip(PSI_E6_VARS.names, tnames))
+    coeffs = e6_flat_coefficients()
+    for name, (a, b) in E6_MONOMIALS.items():
+        row = coeffs[name].rename(to_t).extend(V) * x ** a * y ** b
+        eqn = eqn + (row * (sqrt6() * E6_SQRT6_ROWS[name])
+                     if name in E6_SQRT6_ROWS else row)
     sigma = {"x": -x, "z": -z, "t5": -t5, "t9": -t9}
     return DeformationFamily("E6", ("x", "y", "z"), tnames, eqn,
                              {"sigma": sigma}, restricted=False)
@@ -329,12 +335,7 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
         signs = {"psi2": 1, "psi5": -1, "psi6": 1, "psi8": 1, "psi9": -1,
                  "psi12": 1}
         for name, q in psis.items():
-            ok = True
-            for part in (q.ev, q.od):
-                if part.is_zero():
-                    continue
-                ok = ok and equal_mod_vars(part.substitute(swap),
-                                           part * QQ(signs[name]))
+            ok = equal_mod_vars(q.substitute(swap), q * QQ(signs[name]))
             checks.append({"check": f"sigma: {name} -> "
                            f"{signs[name]:+d} {name}", "ok": ok})
     else:
@@ -348,79 +349,84 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
 def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     """Exact change of variables onto the Klein relation, plus the
     transported symmetry action compared with the printed action matrices.
+
+    The change is rational in one adjoined root a, a^k = c, held as one
+    more variable; each composite is folded by a^k = c.
     """
     from .klein import klein_data
 
-    KV = VarTable(("X", "Y", "Z"))
-    V = fam.vars
-    klein_type, fwd, inv, change, gens = _klein_change(
-        fam.label, _variables(V, ("x", "y", "z")), _variables(KV, KV.names))
+    W = VarTable(fam.vars.names + ("X", "Y", "Z", "a"))
+    klein_type, root, fwd, inv, change, gens = _klein_change(
+        fam.label, _variables(W, ("x", "y", "z", "X", "Y", "Z", "a")))
+
+    def fold(p):
+        return fold_root(p, "a", *root) if root else p
+
     klein = klein_data(klein_type)
-    image = klein.relation.substitute(fwd)
+    image = fold(klein.relation.substitute(fwd))
     match = image == fam.special_fibre().extend(image.vars)
     zero_t = {n: QQ(0) for n in fam.param_vars}
     details = {}
     for gen, klein_gen in gens.items():
         if gen not in fam.omega_action:
             continue
-        subs0 = {k: (v.substitute(zero_t) if isinstance(v, MPoly) else v)
+        subs0 = {k: v.substitute(zero_t)
                  for k, v in _full_subs(fam, gen).items()}
-        got = _transport_linear(fwd, inv, subs0, V, KV)
-        want = klein.omega_action[klein_gen][1]
-        details[gen] = got is not None and _matrix_eq(got, want)
+        got = _transport_linear(fwd, inv, subs0, fold)
+        details[gen] = got == klein.omega_action[klein_gen][1]
     action_ok = all(details.values())
     return {"label": fam.label, "change": change,
             "relation_match": match, "action_match": action_ok,
             "per_generator": details, "ok": match and action_ok}
 
 
-def _klein_change(label, xyz, XYZ):
-    """The Klein type of a family's special fibre, the change of variables
-    onto its relation (forward, inverse), the change as text, and the Klein
-    generator each family generator becomes."""
-    x, y, z = xyz
-    X, Y, Z = XYZ
+def _klein_change(label, variables):
+    """The Klein type of a family's special fibre; the relation a^k = c,
+    as (k, c), of the root a its change of variables adjoins (None when it
+    adjoins none); the change onto the Klein relation, forward (X, Y, Z in
+    x, y, z, a) and inverse (x, y, z in X, Y, Z, a), rational in a; the
+    change as text; and the Klein generator each family generator becomes.
+    """
+    x, y, z, X, Y, Z, a = variables
     if label[0] in "AB":
         n = int(label[1:])
         klein_type = DynkinType("A", 2 * n - 1 if label[0] == "B" else n)
         # identity change up to slot names
-        return (klein_type, {"X": z, "Y": x, "Z": y}, {"z": X, "x": Y, "y": Z},
-                "(X, Y, Z) = (z, x, y)", {"sigma": "h"})
+        return (klein_type, None, {"X": z, "Y": x, "Z": y},
+                {"z": X, "x": Y, "y": Z}, "(X, Y, Z) = (z, x, y)",
+                {"sigma": "h"})
     if label in ("C3", "G2", "D4"):
-        u = Radical.generator(3, QQ(2))          # u = 2^(1/3)
-        u2 = u * u
-        # inverse: x = -u^2 X, y = -(u^2/2) Y + (u^2/2) X
-        return (DynkinType("D", 4),
-                {"X": -(x * (u * QQ(1, 2))), "Y": -((y + x * QQ(1, 2)) * u),
+        # a = 2^(1/3); inverse: x = -a^2 X, y = (a^2/2) (X - Y)
+        return (DynkinType("D", 4), (3, QQ(2)),
+                {"X": -x * a * QQ(1, 2), "Y": -(y + x * QQ(1, 2)) * a,
                  "Z": z},
-                {"x": X * (-u2),
-                 "y": Y * (u2 * QQ(-1, 2)) + X * (u2 * QQ(1, 2)), "z": Z},
+                {"x": -X * a ** 2, "y": (X - Y) * a ** 2 * QQ(1, 2), "z": Z},
                 "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z",
                 {"sigma": "h", "rho": "g"})
     if label in ("F4", "E6"):
-        one_i = QQ(1) + imag_unit()    # (1+i)^4 = -4
-        return (DynkinType("E", 6), {"X": x * (QQ(1) / one_i), "Y": y, "Z": z},
-                {"x": X * one_i, "y": Y, "z": Z}, "x = (1+i) X",
+        # a = i; 1/(1+i) = (1-i)/2, and (1+i)^4 = -4
+        return (DynkinType("E", 6), (2, QQ(-1)),
+                {"X": (x - x * a) * QQ(1, 2), "Y": y, "Z": z},
+                {"x": X + X * a, "y": Y, "z": Z}, "x = (1+i) X",
                 {"sigma": "g"})
     raise UnsupportedLabel(label)
 
 
-def _transport_linear(fwd, inv, action_subs, V, KV):
-    """Matrix of P o alpha o P^-1 on (X, Y, Z); None if not linear."""
+def _transport_linear(fwd, inv, action_subs, fold):
+    """Matrix of P o alpha o P^-1 on (X, Y, Z); None if not linear.
+
+    ``fold`` reduces the composite by the relation of the root the change
+    adjoins; a matrix entry left with that root makes it None."""
     out = []
     for name in ("X", "Y", "Z"):
-        p = fwd[name].extend(V) if isinstance(fwd[name], MPoly) else fwd[name]
-        moved = p.substitute(action_subs)
-        back = moved.substitute(inv)
-        row = []
-        for target in ("X", "Y", "Z"):
-            row.append(_linear_coeff(back, target))
+        back = fold(fwd[name].substitute(action_subs).substitute(inv))
+        row = tuple(_linear_coeff(back, target) for target in ("X", "Y", "Z"))
         rest = back
         for target, c in zip(("X", "Y", "Z"), row):
             rest = rest - MPoly.variable(rest.vars, target) * c
-        if not rest.is_zero():
+        if rest:
             return None
-        out.append(tuple(row))
+        out.append(row)
     return tuple(out)
 
 
@@ -433,13 +439,6 @@ def _linear_coeff(p: MPoly, name: str):
         if e[i] == 1 and sum(e) == 1:
             total = total + c
     return total
-
-
-def _matrix_eq(A, B):
-    return all(
-        (QQ(A[i][j]) == QQ(B[i][j])) if (is_rat(A[i][j]) and is_rat(B[i][j]))
-        else (A[i][j] == B[i][j])
-        for i in range(3) for j in range(3))
 
 
 # -- the D4 coefficient identities -----------------------------------------------
@@ -516,8 +515,8 @@ def e6_flat_coefficients() -> dict:
     """The six E6 family coefficients as polynomials in the flat coordinates.
 
     A_x and A_xy carry a factor sqrt(6); they are stored as the rational
-    polynomial multiplying sqrt(6)/144 resp. 1/(2 sqrt(6)) exactly as in
-    the family equation.
+    polynomial multiplying sqrt(6)/144 resp. 1/(2 sqrt(6)) = sqrt(6)/12
+    (``E6_SQRT6_ROWS``) exactly as in the family equation.
     """
     p2, p5, p6, p8, p9, p12 = _variables(PSI_E6_VARS, PSI_E6_VARS.names)
     return {
@@ -531,29 +530,38 @@ def e6_flat_coefficients() -> dict:
     }
 
 
+# the monomial x^a y^b of each coefficient, as (a, b), in the order the
+# family equation adds them; and the rational factor beside sqrt(6) in the
+# two rows that carry it
+E6_MONOMIALS = {"Ax2y": (2, 1), "Axy": (1, 1), "Ax2": (2, 0), "Ay": (0, 1),
+                "Ax": (1, 0), "A0": (0, 0)}
+E6_SQRT6_ROWS = {"Ax": QQ(1, 144), "Axy": QQ(1, 12)}
+
+
 def e6_mu_coefficients() -> dict:
     """The six coefficients as rational polynomials in mu_1..mu_6.
 
-    psi5 and psi9 are sqrt(6) times rational polynomials, so every
-    coefficient of the family is rational in mu after the normalisations.
+    Each row of ``e6_flat_coefficients`` is taken at the flat coordinates
+    of ``psi_E6_of_mu`` (polynomials in mu and r = sqrt(6)), times r/144
+    resp. r/12 in the Ax and Axy rows, and folded by r^2 = 6: psi5 and
+    psi9 are r times rational polynomials, so no r is left.  They are
+    bound first and folded before the other four, so that the r^2 terms
+    of psi5^2 psi2 merge with the rest at once; one substitution would
+    carry A0 with almost twice its terms (and memory) until the fold.
     """
     psi = psi_E6_of_mu()
-    E = {n: q.ev for n, q in psi.items()}
-    O = {n: q.od for n, q in psi.items()}
-    one = MPoly.constant(MU_VARS, QQ(1))
+    odd = {v: psi.pop(v) for v in ("psi5", "psi9")}
     out = {}
-    out["A0"] = (E["psi12"] - E["psi8"] * E["psi2"] ** 2 * QQ(1, 8)
-                 - E["psi6"] ** 2 * QQ(1, 8)
-                 + E["psi6"] * E["psi2"] ** 3 * QQ(1, 96)
-                 - O["psi5"] ** 2 * E["psi2"] * 6) * QQ(1, 576)
-    # sqrt6/144 * (-psi9 + psi5 psi2^2 / 4) with psi_odd = sqrt6 * O
-    out["Ax"] = (-O["psi9"] + O["psi5"] * E["psi2"] ** 2 * QQ(1, 4)) \
-        * QQ(6, 144)
-    out["Ay"] = (-E["psi8"] + E["psi6"] * E["psi2"] * QQ(1, 4)
-                 - E["psi2"] ** 4 * QQ(1, 192)) * QQ(1, 48)
-    out["Ax2"] = (E["psi6"] - E["psi2"] ** 3 * QQ(1, 8)) * QQ(1, 48)
-    out["Axy"] = O["psi5"] * QQ(1, 2)     # (1/(2 sqrt6)) sqrt6 O5
-    out["Ax2y"] = E["psi2"] * QQ(-1, 4)
+    for name, coeff in e6_flat_coefficients().items():
+        p = coeff.substitute(odd)
+        if name in E6_SQRT6_ROWS:
+            p = p * MPoly.variable(p.vars, SQRT6_VAR) * E6_SQRT6_ROWS[name]
+        p = fold_root(p, SQRT6_VAR, 2, 6).substitute(psi)
+        r = p.vars.index[SQRT6_VAR]
+        if any(e[r] for e in p.terms):
+            raise ArithmeticError(f"{name} is not rational in mu")
+        out[name] = MPoly(MU_VARS, {e[:r] + e[r + 1:]: c
+                                    for e, c in p.terms.items()})
     return out
 
 

@@ -1,17 +1,18 @@
-"""Exact scalar arithmetic: rationals, cyclotomic fields, one radical step.
+"""Exact scalar arithmetic: rationals and cyclotomic fields.
 
-Every symbolic computation in this package runs over one of three scalar
+Every symbolic computation in this package runs over one of two scalar
 kinds:
 
 * plain rationals (gmpy2 ``mpq``, falling back to ``fractions.Fraction``),
 * ``Cyclo`` -- elements of Q(zeta_n) on the power basis 1, zeta, ...,
-  zeta^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial,
-* ``Radical`` -- elements of Q(zeta_n)[u]/(u^k - c) for a single radical u.
+  zeta^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
 
-Values are immutable; mixed arithmetic coerces upward (rational -> Cyclo ->
-Radical) and across conductors via the lcm embedding.  A float shadow
+Values are immutable; mixed arithmetic coerces upward (rational -> Cyclo)
+and across conductors via the lcm embedding.  A float shadow
 ``embed_complex`` maps any scalar to a complex number with
-zeta_n = exp(2*pi*i/n) and the principal k-th root for radicals.
+zeta_n = exp(2*pi*i/n).  A single root a with a^k = c rational, such as
+sqrt(6) or 2^(1/3), is no scalar kind of its own: polynomials hold it as
+one more variable, folded by ``poly.fold_root``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ RAT_TYPES = (int, type(QQ(1)))
 
 class DivisionByZero(ZeroDivisionError):
     pass
-
-
-class IncompatibleRadicals(ValueError):
-    """Two radical scalars with distinct defining relations u^k = c."""
 
 
 def rat(p, q=1):
@@ -271,8 +268,6 @@ class Cyclo:
         if isinstance(other, Cyclo):
             a, b = Cyclo._pair(self, other)
             return a.coeffs == b.coeffs
-        if isinstance(other, Radical):
-            return other == self
         return NotImplemented
 
     def __hash__(self):
@@ -462,128 +457,6 @@ def sqrt_rational(x):
     return value.reduce_rat() if isinstance(value, Cyclo) else value
 
 
-class Radical:
-    """Element of F[u]/(u^k - c) over a cyclotomic (or rational) base F."""
-
-    __slots__ = ("k", "c", "coeffs")
-
-    def __init__(self, k: int, c, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != k:
-            raise ValueError("need k coordinates")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Radical is immutable")
-
-    @staticmethod
-    def generator(k: int, c) -> "Radical":
-        """The radical u itself, with u^k = c."""
-        coeffs = [QQ(0)] * k
-        coeffs[1 % k] = QQ(1)
-        return Radical(k, c, coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, Radical):
-            if other.k != self.k or other.c != self.c:
-                raise IncompatibleRadicals(
-                    f"u^{self.k}={self.c} vs u^{other.k}={other.c}")
-            return other
-        if is_rat(other) or isinstance(other, Cyclo):
-            coeffs = [other] + [QQ(0)] * (self.k - 1)
-            return Radical(self.k, self.c, coeffs)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Radical(self.k, self.c,
-                       tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Radical(self.k, self.c, tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        k = self.k
-        conv = [QQ(0)] * (2 * k - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(o.coeffs):
-                    if y:
-                        conv[i + j] = conv[i + j] + x * y
-        out = list(conv[:k])
-        for t in range(k, 2 * k - 1):
-            if conv[t]:
-                out[t - k] = out[t - k] + conv[t] * self.c
-        return Radical(k, self.c, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Radical":
-        if not self:
-            raise DivisionByZero("inverse of zero")
-        modulus = [-self.c] + [QQ(0)] * (self.k - 1) + [QQ(1)]
-        return Radical(self.k, self.c, _inverse_mod(self.coeffs, modulus))
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self._lift(QQ(1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __bool__(self):
-        return any(bool(x) for x in self.coeffs)
-
-    def __eq__(self, other):
-        try:
-            o = self._lift(other)
-        except IncompatibleRadicals:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        if not any(bool(x) for x in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.k, tuple(hash(x) for x in self.coeffs)))
-
-    def __repr__(self):
-        return f"Radical(u^{self.k}={self.c}; {list(self.coeffs)})"
-
-
 # -- numeric shadow --------------------------------------------------------
 
 def embed_complex(x) -> complex:
@@ -595,13 +468,6 @@ def embed_complex(x) -> complex:
         value = 0j
         for c in reversed(x.coeffs):
             value = value * z + complex(c)
-        return value
-    if isinstance(x, Radical):
-        base = embed_complex(x.c)
-        root = base ** (1.0 / x.k)
-        value = 0j
-        for c in reversed(x.coeffs):
-            value = value * root + embed_complex(c)
         return value
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -620,7 +486,4 @@ def scalar_to_json(x):
         if is_rat(r):
             return str(r)
         return {"conductor": x.n, "coords": [str(c) for c in x.coeffs]}
-    if isinstance(x, Radical):
-        return {"radical_power": x.k, "radicand": scalar_to_json(x.c),
-                "coords": [scalar_to_json(c) for c in x.coeffs]}
     raise TypeError(f"not an exact scalar: {x!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .exact import QQ, split_quadratic, sqrt3
-from .poly import MPoly, VarTable, fold_square
+from .poly import MPoly, VarTable, fold_root
 from .rootdata import DynkinType
 
 
@@ -246,9 +246,13 @@ def psi_E6_in_xy() -> dict:
     return {name: p.substitute(subs) for _, name, p in fs.coords}
 
 
-def pq_weighted_degrees(p: MPoly):
-    """Set of (x,y)-degrees of a (p,q)-polynomial (p wt 2, q wt 3)."""
-    weights = (2, 2, 2, 3, 3, 3)
+# degrees of the natural variables p1, p2, p3 and q1, q2, q3
+PQ_WEIGHTS = (2, 2, 2, 3, 3, 3)
+
+
+def weighted_degrees(p: MPoly, weights):
+    """Set of weighted degrees of the terms of p, the variables weighted
+    by ``weights`` in table order."""
     return {sum(w * k for w, k in zip(weights, e)) for e in p.terms}
 
 
@@ -310,7 +314,7 @@ def verify_w_invariance(fs: FlatSystem, generator_subs, expand=None) -> dict:
         lifted = {v: _over_sqrt3(b) for v, b in subs.items()}
         lifted[SQRT3_VAR] = MPoly.variable(VarTable((SQRT3_VAR,)), SQRT3_VAR)
         for name, p in coords:
-            moved = fold_square(p.substitute(lifted), SQRT3_VAR, 3)
+            moved = fold_root(p.substitute(lifted), SQRT3_VAR, 2, 3)
             checks.append({"generator": label, "coordinate": name,
                            "ok": moved == p.extend(moved.vars)})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
@@ -321,18 +325,9 @@ def verify_w_invariance(fs: FlatSystem, generator_subs, expand=None) -> dict:
 MU_VARS = VarTable(tuple(f"mu{i}" for i in range(1, 7)))
 
 
-class Q6Poly:
-    """even + sqrt(6) * odd, both rational polynomials in mu."""
-
-    __slots__ = ("ev", "od")
-
-    def __init__(self, ev: MPoly, od: MPoly):
-        self.ev = ev
-        self.od = od
-
-
 def e6_xy_of_mu():
-    """The linear map mu -> (x, y) of the 27-line model, split over sqrt(6).
+    """The linear map mu -> (x, y) of the 27-line model, up to sqrt(6) and
+    sqrt(2).
 
     Returns (x_parts, y_parts): x_i = sqrt(6) * x_parts[i], y_i = sqrt(2) *
     y_parts[i] with rational linear forms in mu (mu_i = -lambda_i).
@@ -350,15 +345,19 @@ def e6_xy_of_mu():
     return (x1, x2, x3), (y1, y2, y3)
 
 
+SQRT6_VAR = "r"
+
+
 def psi_E6_of_mu() -> dict:
-    """Each flat coordinate as a Q6Poly in mu1..mu6.
+    """Each flat coordinate as a rational polynomial in mu1..mu6 and r,
+    r = sqrt(6), of degree at most 1 in r.
 
     With x_i = sqrt(6) x~_i and y_i = sqrt(2) y~_i (``e6_xy_of_mu``),
-    p_i = 6 x~_i^2 + 2 y~_i^2 is rational and q_i = sqrt(6) q~_i with
-    q~_i = 2 x~_i^3 - 2 x~_i y~_i^2.  A term c p^a q^b is therefore
-    6^(b//2) c p^a q~^b, times sqrt(6) when b is odd: even-q-degree terms
-    give the rational part, odd ones the sqrt(6) part (so psi5 and psi9
-    come out as pure sqrt(6) * rational).
+    p_i = 6 x~_i^2 + 2 y~_i^2 is rational and q_i = r q~_i with
+    q~_i = 2 x~_i^3 - 2 x~_i y~_i^2.  Each term c p^a q^b is tagged by r^b
+    on the (p, q) side and folded by r^2 = 6, then p and q~ are bound (so
+    psi5 and psi9 come out as r times a rational polynomial, the others
+    free of r).
 
     p1, q1, p3, q3 have three or four terms in mu, p2 and q2 have 21 and
     55, so the sparse four are bound first and p2, q2 second: the
@@ -372,12 +371,11 @@ def psi_E6_of_mu() -> dict:
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
     dense = {v: subs.pop(v) for v in ("p2", "q2")}
+    tagged = VarTable(PQ_VARS.names + (SQRT6_VAR,))
     out = {}
     for _, name, poly in flat_coords_E6().coords:
-        parts = (MPoly(PQ_VARS), MPoly(PQ_VARS))
-        for e, c in poly.terms.items():
-            b = e[3] + e[4] + e[5]
-            parts[b % 2].terms[e] = c * 6 ** (b // 2)
-        out[name] = Q6Poly(*(part.substitute(subs).substitute(dense)
-                             for part in parts))
+        p = MPoly(tagged, {e + (e[3] + e[4] + e[5],): c
+                           for e, c in poly.terms.items()})
+        out[name] = fold_root(p, SQRT6_VAR, 2, 6).substitute(
+            subs).substitute(dense)
     return out

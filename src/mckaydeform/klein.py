@@ -72,7 +72,14 @@ class SU2Group:
                 for g in self.generators:
                     h = mat_mul(g, e)
                     k = _mat_key(h)
-                    if k not in seen:
+                    if k in seen:
+                        # the float key finds the candidate; the exact
+                        # entries decide
+                        if seen[k] != h:
+                            raise ArithmeticError(
+                                f"{self.label}: unequal elements share the "
+                                f"key {k}")
+                    else:
                         if len(seen) >= cap:
                             raise ClosureBudgetExceeded(
                                 f"{self.label}: more than {cap} elements")

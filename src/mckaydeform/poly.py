@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over exact scalars, plus ideal machinery.
 
 ``MPoly`` stores a map from exponent tuples to nonzero exact coefficients
-(rational, ``Cyclo`` or ``Radical``).  Products and substitutions take one
-of two coefficient paths:
+(rational or ``Cyclo``).  Products and substitutions take one of two
+coefficient paths:
 
 * the rational path, when every coefficient involved is a ``QQ`` rational
   (and, for a product, the operands are not tiny): exponent tuples are
@@ -11,7 +11,7 @@ of two coefficient paths:
   operations on a plain dict, and each result coefficient becomes a
   ``QQ`` once, at the end;
 * the generic path, a loop over the exact scalars themselves, for
-  ``Cyclo``, ``Radical`` or bare ``int`` coefficients and for tiny products.
+  ``Cyclo`` or bare ``int`` coefficients and for tiny products.
 
 Adding packed monomials multiplies them only while no exponent reaches
 256, the field width; a call whose result could reach it (its maximum
@@ -19,11 +19,13 @@ total degree is 256 or more) takes the generic path.  Both paths build the
 result's terms in the same order, so float evaluation of a result sums in
 the same order whichever path built it.
 
-A coefficient in a quadratic field Q(a), a^2 = d rational, can stay on the
-rational path: a becomes one more variable of the table, x + y a is held
-as the two rational terms x and y a, and ``fold_square`` brings a product
-or substitution back to degree at most 1 in a (a^k -> d^(k//2) a^(k%2)).
-The E6 Frame-invariance check holds sqrt(3) this way.
+A coefficient in a field Q(a), a^k = c rational, can stay on the rational
+path (the Q[a]/(a^k - c) presentation): a becomes one more variable of the
+table, x_0 + x_1 a + ... is held as the rational terms x_j a^j, and
+``fold_root`` brings a product or substitution back to degree below k in a
+(a^j -> c^(j//k) a^(j%k)).  sqrt(3) (Frame invariance), sqrt(6) (the E6
+flat coordinates in mu), 2^(1/3) and i (the Klein changes of variables)
+are held this way.
 
 ``Ideal`` carries a monomial order and caches its reduced Groebner basis,
 computed by Buchberger's algorithm (cached leads, a pair heap and the
@@ -38,7 +40,7 @@ import itertools
 from math import lcm
 from operator import mul
 
-from .exact import QQ, Cyclo, Radical, embed_complex, is_rat, scalar_to_json
+from .exact import QQ, Cyclo, embed_complex, is_rat, scalar_to_json
 
 
 class VariableMismatch(KeyError):
@@ -392,7 +394,7 @@ class MPoly:
 
 
 def _coeff(x):
-    if is_rat(x) or isinstance(x, (Cyclo, Radical)):
+    if is_rat(x) or isinstance(x, Cyclo):
         return QQ(x) if isinstance(x, int) else x
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -493,7 +495,10 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
     folds = []              # (position, packed monomial, num, den)
     moved = []              # (position, name) of the multi-term bindings
     polys = {}              # name -> (denominator, {k: power})
+    used = list(map(any, zip(*p.terms))) or [False] * len(p.vars)
     for i, v in enumerate(p.vars.names):
+        if not used[i]:             # v occurs in no term: nothing to bind
+            continue
         if v not in bindings:       # v passes through
             folds.append((i, 1 << 8 * out_vars.index[v], 1, 1))
             continue
@@ -586,21 +591,22 @@ def _retable(p: MPoly, vars: VarTable) -> MPoly:
     return out
 
 
-def fold_square(p: MPoly, name: str, d) -> MPoly:
-    """``p`` reduced by a^2 = d in its variable a = ``name``: each a^k
-    becomes d^(k//2) a^(k%2), so the result has degree at most 1 in a."""
+def fold_root(p: MPoly, name: str, k: int, c) -> MPoly:
+    """``p`` reduced by a^k = c in its variable a = ``name``: each a^j
+    becomes c^(j//k) a^(j%k), so the result has degree below k in a."""
     if name not in p.vars.index:
         raise VariableMismatch(name)
     i = p.vars.index[name]
-    out = {e: c for e, c in p.terms.items() if e[i] < 2}
-    for e, c in [(e, c) for e, c in p.terms.items() if e[i] > 1]:
-        k = e[i]
-        e = e[:i] + (k % 2,) + e[i + 1:]
-        c = c * d ** (k // 2)
+    out = {}
+    for e, x in p.terms.items():
+        j = e[i]
+        if j >= k:
+            e = e[:i] + (j % k,) + e[i + 1:]
+            x = x * c ** (j // k)
         acc = out.get(e)
-        c = c if acc is None else acc + c
-        if c:
-            out[e] = c
+        x = x if acc is None else acc + x
+        if x:
+            out[e] = x
         elif acc is not None:
             del out[e]
     folded = MPoly(p.vars)

@@ -207,6 +207,13 @@ def build_root_system(t: DynkinType) -> RootSystem:
     raise UnsupportedType(f"root system not built for {t}")
 
 
+def coxeter_number(rs: RootSystem) -> int:
+    """1 + the height of the highest root, a root's height being the sum of
+    its simple-root coefficients."""
+    return 1 + max(_as_int(sum(rs.simple_coordinates(a)))
+                   for a in rs.positive_roots)
+
+
 def _unit_diff(n, i, j):
     v = [QQ(0)] * n
     v[i], v[j] = QQ(1), QQ(-1)

@@ -53,11 +53,11 @@ def test_criterion_02_klein_verification():
 
 
 def test_criterion_03_flat_coordinate_identities():
-    from mckaydeform.flat import (FRAME_GENERATOR_KEYS, epsilon_from_psi,
-                                  flat_coords_A, flat_coords_D,
-                                  flat_coords_E6, frame_reflection_subs,
-                                  psi_E6_in_xy, pq_weighted_degrees,
-                                  verify_w_invariance)
+    from mckaydeform.flat import (FRAME_GENERATOR_KEYS, PQ_WEIGHTS,
+                                  epsilon_from_psi, flat_coords_A,
+                                  flat_coords_D, flat_coords_E6,
+                                  frame_reflection_subs, psi_E6_in_xy,
+                                  verify_w_invariance, weighted_degrees)
     start = time.monotonic()
     fsA = flat_coords_A(2)
     coordA = {name: p for _, name, p in fsA.coords}
@@ -82,7 +82,7 @@ def test_criterion_03_flat_coordinate_identities():
     fsE = flat_coords_E6()
     ok = ok and [d for d, _, _ in fsE.coords] == [2, 5, 6, 8, 9, 12]
     for d, _, p in fsE.coords:
-        ok = ok and pq_weighted_degrees(p) == {d}
+        ok = ok and weighted_degrees(p, PQ_WEIGHTS) == {d}
     gens = [(str(k), frame_reflection_subs(k))
             for k in FRAME_GENERATOR_KEYS]
     ok = ok and verify_w_invariance(fsE, gens, expand=psi_E6_in_xy())["ok"]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mckaydeform.cli import run
-from mckaydeform.poly import VariableMismatch
+from mckaydeform.poly import MPoly, VariableMismatch
 from mckaydeform.quiver import ShapeMismatch
 from mckaydeform.rootdata import DimensionMismatch
 
@@ -157,6 +157,86 @@ def test_flat_even_rank_a_is_refused(tmp_path):
         assert code == 0 and payload["command"] == f"flat --type {tname}"
         assert payload["checks"][0]["witness"]["degrees"] == degrees
         assert list(payload["payload"]) == [f"psi{d}" for d in degrees]
+
+
+def _check_status(tmp_path, argv, name):
+    """Exit code and the status of one named check of a run."""
+    out = tmp_path / "report.json"
+    code, _ = run(argv + ["--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return code, {c["name"]: c["status"] for c in checks}[name]
+
+
+def test_fold_check_counts_the_orbits(monkeypatch, tmp_path):
+    # E6 has four Omega-orbits of vertices; a folding that left the type
+    # alone (rank 6) fails
+    import mckaydeform.cli as cli
+    argv = ["fold", "--type", "E6"]
+    assert _check_status(tmp_path, argv, "fold_E6_z2") == (0, "pass")
+    monkeypatch.setattr(cli, "fold", lambda t, omega: t)
+    assert _check_status(tmp_path, argv, "fold_E6_z2") == (1, "fail")
+
+
+def test_positive_root_count_check_uses_the_coxeter_number(monkeypatch,
+                                                          tmp_path):
+    # 15 positive roots of A5 = 5 * 6 / 2; a system missing one fails
+    import mckaydeform.cli as cli
+    build = cli.build_root_system
+
+    def short(t):
+        rs = build(t)
+        rs.positive_roots = rs.positive_roots[1:]
+        return rs
+
+    argv = ["rootdata", "--type", "A5"]
+    name = "positive_root_count_A5"
+    assert _check_status(tmp_path, argv, name) == (0, "pass")
+    monkeypatch.setattr(cli, "build_root_system", short)
+    assert _check_status(tmp_path, argv, name) == (1, "fail")
+
+
+def test_vanishing_roots_check_recounts_the_orthogonal_roots(monkeypatch,
+                                                             tmp_path):
+    # h = (1, 1, 2, -1, -1, -2) kills e1 - e2 and e4 - e5 only; a list
+    # missing one of them fails
+    import mckaydeform.cli as cli
+    found = cli.vanishing_roots
+    argv = ["rootdata", "--type", "A5", "--h", "1,1,2,-1,-1,-2"]
+    name = "vanishing_roots_A5"
+    assert _check_status(tmp_path, argv, name) == (0, "pass")
+    monkeypatch.setattr(cli, "vanishing_roots", lambda rs, h: found(rs, h)[1:])
+    assert _check_status(tmp_path, argv, name) == (1, "fail")
+
+
+def test_dimension_vector_check_is_the_balance_condition(monkeypatch,
+                                                        tmp_path):
+    # 2 d_v = the sum of the neighbours' d on the extended diagram; the
+    # all-ones vector is not balanced on D4 (the centre has four neighbours)
+    import mckaydeform.rootdata as rootdata
+    argv = ["rootdata", "--type", "D4"]
+    assert _check_status(tmp_path, argv, "dimension_vector_D4") == (
+        0, "pass")
+    monkeypatch.setattr(rootdata, "mckay_dimension_vector",
+                        lambda t: (1,) * (t.rank + 1))
+    assert _check_status(tmp_path, argv, "dimension_vector_D4") == (
+        1, "fail")
+
+
+def test_flat_built_check_is_weighted_homogeneity(monkeypatch, tmp_path):
+    # psi4 of A3 plus eps2 (degree 2) is not homogeneous of degree 4
+    import mckaydeform.flat as flat
+    build = flat.flat_coords_A
+
+    def broken(r):
+        fs = build(r)
+        d, name, p = fs.coords[-1]
+        fs.coords[-1] = (d, name, p + MPoly.variable(p.vars, "eps2"))
+        return fs
+
+    argv = ["flat", "--type", "A3"]
+    assert _check_status(tmp_path, argv, "flat_A3_built") == (0, "pass")
+    monkeypatch.setattr(flat, "flat_coords_A", broken)
+    assert _check_status(tmp_path, argv, "flat_A3_built") == (1, "fail")
 
 
 @pytest.mark.parametrize("argv", (

@@ -67,13 +67,6 @@ def test_fixed_parameter_loci():
     assert fixed_parameter_locus(family("E6")) == ["t5", "t9"]
 
 
-@pytest.mark.parametrize("label", ("B2", "B3", "C3", "G2", "F4"))
-def test_normal_forms(label):
-    rep = special_fibre_normal_form(family(label))
-    assert rep["relation_match"], rep
-    assert rep["action_match"], rep
-
-
 @pytest.mark.parametrize("label, params, gens", (
     ("B2", ("t2", "t4"), {"sigma"}),
     ("B3", ("t2", "t4", "t6"), {"sigma"}),
@@ -87,6 +80,26 @@ def test_restricted_family_parameters_and_generators(label, params, gens):
     assert fam.restricted and fam.param_vars == params
     assert set(fam.omega_action) == gens
     assert fam.vars.names == ("x", "y", "z") + params
+
+
+_D4_CHANGE = "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z"
+NORMAL_FORM_CHANGES = {"A3": "(X, Y, Z) = (z, x, y)",
+                       "A5": "(X, Y, Z) = (z, x, y)",
+                       "B2": "(X, Y, Z) = (z, x, y)",
+                       "B3": "(X, Y, Z) = (z, x, y)",
+                       "D4": _D4_CHANGE, "C3": _D4_CHANGE, "G2": _D4_CHANGE,
+                       "E6": "x = (1+i) X", "F4": "x = (1+i) X"}
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_normal_forms(label):
+    # the same report on every label family() accepts, whether the change
+    # adjoins no root (A, B), 2^(1/3) (D4 type) or i (E6 type)
+    gens = {"sigma": True, "rho": True} if label == "G2" else {"sigma": True}
+    assert special_fibre_normal_form(family(label)) == {
+        "label": label, "change": NORMAL_FORM_CHANGES[label],
+        "relation_match": True, "action_match": True,
+        "per_generator": gens, "ok": True}
 
 
 def test_g2_normal_form_checks_both_generators():

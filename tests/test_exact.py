@@ -1,13 +1,13 @@
-"""Scalar arithmetic: canonical forms, embeddings, radicals."""
+"""Scalar arithmetic: canonical forms, embeddings, square roots."""
 
 import random
 
 import pytest
 
-from mckaydeform.exact import (Cyclo, DivisionByZero, IncompatibleRadicals,
-                               QQ, Radical, embed_complex, imag_unit, rat,
-                               rref, scalar_to_json, split_quadratic, sqrt2,
-                               sqrt3, sqrt6, sqrt_rational, zeta)
+from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, embed_complex,
+                               imag_unit, rat, rref, scalar_to_json,
+                               split_quadratic, sqrt2, sqrt3, sqrt6,
+                               sqrt_rational, zeta)
 
 
 def test_embed_zeta4_is_i():
@@ -39,23 +39,9 @@ def test_root_of_unity_order():
     assert (w * w * w).reduce_rat() == 1
 
 
-def test_radical_defining_relation():
-    u = Radical.generator(3, QQ(4))
-    assert u * u * u == 4
-    assert u * u != 4
-    assert u / u == 1
-
-
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         zeta(8).inverse() * Cyclo.from_rat(0, 8).inverse()
-
-
-def test_incompatible_radicals():
-    u = Radical.generator(3, QQ(4))
-    v = Radical.generator(3, QQ(2))
-    with pytest.raises(IncompatibleRadicals):
-        u + v
 
 
 def test_split_quadratic_round_trips_random_sqrt3_elements():
@@ -143,35 +129,6 @@ def test_scalar_serialization():
     payload = scalar_to_json(zeta(4))
     assert payload == {"conductor": 4, "coords": ["0", "1"]}
     assert scalar_to_json(Cyclo.from_rat(rat(-2, 7), 8)) == "-2/7"
-
-
-def test_radical_inverse_randomised_rational_radicand():
-    rng = random.Random(13)
-    for _ in range(100):
-        a = Radical(3, QQ(2), [QQ(rng.randint(-9, 9), rng.randint(1, 5))
-                               for _ in range(3)])
-        if not a:
-            continue
-        assert a * a.inverse() == 1
-
-
-def test_radical_inverse_randomised_cyclo_radicand():
-    # u^2 = 2 + omega: its norm 3 is no square, so Q(omega)[u] is a field
-    c = 2 + zeta(3)
-    rng = random.Random(17)
-    for _ in range(60):
-        a = Radical(2, c, [Cyclo(3, [QQ(rng.randint(-9, 9)),
-                                     QQ(rng.randint(-9, 9))])
-                           for _ in range(2)])
-        if not a:
-            continue
-        assert a * a.inverse() == 1
-
-
-def test_radical_zero_divisor_is_not_invertible():
-    u = Radical.generator(2, QQ(4))     # u^2 - 4 = (u - 2)(u + 2)
-    with pytest.raises(DivisionByZero):
-        (u - 2).inverse()
 
 
 def _sympy_rational(x):

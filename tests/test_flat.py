@@ -6,16 +6,17 @@ import numpy as np
 
 import pytest
 
-from mckaydeform.exact import QQ, Cyclo, sqrt2, sqrt3
+from mckaydeform.exact import QQ, Cyclo, imag_unit, sqrt2, sqrt3
 from mckaydeform.flat import (FRAME_GENERATOR_KEYS, MU_VARS, PQ_VARS,
-                              XY_VARS, e6_tower, e6_xy_of_mu,
-                              elementary_symmetric,
+                              PQ_WEIGHTS, SQRT6_VAR, XY_VARS, e6_tower,
+                              e6_xy_of_mu, elementary_symmetric,
                               epsilon_from_psi, flat_coords_A, flat_coords_D,
                               flat_coords_E6, frame_reflection_subs,
-                              lambda_table, pochhammer, pq_weighted_degrees,
-                              psi_A_in_lambda, psi_D_in_xi, psi_E6_in_xy,
-                              psi_E6_of_mu, verify_w_invariance, xi_table)
-from mckaydeform.poly import MPoly, VarTable, fold_square
+                              lambda_table, pochhammer, psi_A_in_lambda,
+                              psi_D_in_xi, psi_E6_in_xy, psi_E6_of_mu,
+                              verify_w_invariance, weighted_degrees,
+                              xi_table)
+from mckaydeform.poly import MPoly, VarTable, fold_root
 
 
 def test_pochhammer():
@@ -81,7 +82,7 @@ def test_e6_homogeneity_degrees():
     fs = flat_coords_E6()
     assert [d for d, _, _ in fs.coords] == [2, 5, 6, 8, 9, 12]
     for d, _, p in fs.coords:
-        assert pq_weighted_degrees(p) == {d}
+        assert weighted_degrees(p, PQ_WEIGHTS) == {d}
 
 
 def test_e6_psi2_is_A():
@@ -171,39 +172,72 @@ def test_frame_check_refuses_a_coefficient_outside_q_sqrt3():
                             expand=psi_E6_in_xy())
 
 
-def _random_over_sqrt3(rng, vars, nterms, deg):
-    """Random rational polynomial on ``vars`` (last variable s) of degree at
-    most 1 in s."""
+def _random_over_root(rng, vars, nterms, deg, k=2):
+    """Random rational polynomial on ``vars`` (last variable the root) of
+    degree below k in the root."""
     p = MPoly(vars)
     for _ in range(nterms):
         e = tuple(rng.randint(0, deg) for _ in range(len(vars) - 1))
         c = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-        p = p + MPoly(vars, {e + (rng.randint(0, 1),): c})
+        p = p + MPoly(vars, {e + (rng.randint(0, k - 1),): c})
     return p
 
 
-def test_fold_matches_the_cyclo_substitution():
-    # a substitution over Q(sqrt 3) run with s and folded by s^2 = 3 equals
-    # the same substitution run on Cyclo coefficients, once s -> sqrt(3)
-    rng = random.Random(31)
-    V = VarTable(("x", "y", "z", "s"))
-    s = MPoly.variable(VarTable(("s",)), "s")
-    to_cyclo = {"s": sqrt3()}
+def _fold_against_cyclo(root, c, value, seed):
+    # a substitution over Q(a), a^2 = c, run with a as a variable and folded
+    # equals the same substitution run on Cyclo coefficients, once a is
+    # replaced by its value
+    rng = random.Random(seed)
+    V = VarTable(("x", "y", "z", root))
+    a = MPoly.variable(VarTable((root,)), root)
+    to_cyclo = {root: value}
     for _ in range(12):
-        p = _random_over_sqrt3(rng, V, 6, 3)
-        subs = {v: _random_over_sqrt3(rng, V, 3, 2) for v in "xyz"}
-        folded = fold_square(p.substitute({**subs, "s": s}), "s", 3)
+        p = _random_over_root(rng, V, 6, 3)
+        subs = {v: _random_over_root(rng, V, 3, 2) for v in "xyz"}
+        folded = fold_root(p.substitute({**subs, root: a}), root, 2, c)
         assert max((e[-1] for e in folded.terms), default=0) <= 1
         generic = p.substitute(to_cyclo).substitute(
             {v: b.substitute(to_cyclo) for v, b in subs.items()})
         assert folded.substitute(to_cyclo) == generic
 
 
+def test_fold_matches_the_cyclo_substitution():
+    _fold_against_cyclo("s", 3, sqrt3(), 31)
+
+
+def test_fold_by_i_matches_the_cyclo_substitution():
+    _fold_against_cyclo("i", -1, imag_unit(), 37)
+
+
+def test_fold_by_a_cube_root_matches_sympy():
+    # a^3 = 2: the fold of a product is its remainder modulo a^3 - 2
+    import sympy
+    rng = random.Random(41)
+    V = VarTable(("x", "y", "a"))
+    sx, sy, sa = sympy.symbols("x y a")
+    for _ in range(12):
+        p, q = (_random_over_root(rng, V, 5, 3, k=3) for _ in range(2))
+        folded = fold_root(p * q, "a", 3, 2)
+        want = sympy.Poly(sympy.rem(sympy.expand(_sympy(p, sx, sy, sa)
+                                                 * _sympy(q, sx, sy, sa)),
+                                    sa ** 3 - 2, sa), sx, sy, sa)
+        assert {e: sympy.Rational(c.numerator, c.denominator)
+                for e, c in folded.terms.items()} == dict(want.terms())
+
+
+def _sympy(p, *symbols):
+    import sympy
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([s ** k for s, k in zip(symbols, e)])
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
 def test_fold_square_reduces_powers():
     V = VarTable(("x", "a"))
     x, a = (MPoly.variable(V, n) for n in ("x", "a"))
-    assert fold_square(a ** 5 * x + a ** 2, "a", 6) == a * x * 36 + 6
-    assert fold_square(a ** 2 - 6, "a", 6).is_zero()
+    assert fold_root(a ** 5 * x + a ** 2, "a", 2, 6) == a * x * 36 + 6
+    assert fold_root(a ** 2 - 6, "a", 2, 6).is_zero()
+    assert fold_root(a ** 7 * x + a ** 3, "a", 3, 2) == a * x * 4 + 2
 
 
 def test_a_type_weyl_invariance_under_transpositions():
@@ -262,11 +296,13 @@ def test_algebraic_independence_at_random_point():
 
 
 def test_psi_mu_parity_structure():
+    # psi5 and psi9 are r = sqrt(6) times rational polynomials, the others
+    # free of r
     psis = psi_E6_of_mu()
-    assert psis["psi5"].ev.is_zero()
-    assert psis["psi9"].ev.is_zero()
-    for name in ("psi2", "psi6", "psi8", "psi12"):
-        assert psis[name].od.is_zero()
+    for name, p in psis.items():
+        r = p.vars.index[SQRT6_VAR]
+        assert {e[r] for e in p.terms} == (
+            {1} if name in ("psi5", "psi9") else {0}), name
 
 
 def test_two_stage_psi_mu_equals_one_substitution():
@@ -278,16 +314,16 @@ def test_two_stage_psi_mu_equals_one_substitution():
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
     psis = psi_E6_of_mu()
+    tagged = VarTable(PQ_VARS.names + (SQRT6_VAR,))
     for _, name, poly in flat_coords_E6().coords:
-        for parity, got in enumerate((psis[name].ev, psis[name].od)):
-            part = MPoly(PQ_VARS)
-            for e, c in poly.terms.items():
-                b = e[3] + e[4] + e[5]
-                if b % 2 == parity:
-                    part.terms[e] = c * 6 ** (b // 2)
-            want = part.substitute(subs)
-            assert got.vars == want.vars == MU_VARS
-            assert got.terms == want.terms, (name, parity)
+        part = MPoly(tagged)
+        for e, c in poly.terms.items():
+            b = e[3] + e[4] + e[5]
+            part.terms[e + (b % 2,)] = c * 6 ** (b // 2)
+        got = psis[name]
+        assert set(got.vars.names) == set(MU_VARS.names) | {SQRT6_VAR}
+        assert got.terms == part.substitute(subs).extend(got.vars).terms, \
+            name
 
 
 def test_elementary_symmetric():

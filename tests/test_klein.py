@@ -25,6 +25,18 @@ def test_closure_budget():
         binary_octahedral().enumerate(cap=20)
 
 
+def test_closure_refuses_a_key_collision(monkeypatch):
+    # a float key too coarse to tell the elements apart: the exact check
+    # on a key hit refuses to merge unequal matrices
+    import mckaydeform.klein as klein
+    coarse = klein._mat_key
+    monkeypatch.setattr(klein, "_mat_key",
+                        lambda A: tuple((round(re), round(im))
+                                        for re, im in coarse(A)))
+    with pytest.raises(ArithmeticError, match="unequal elements"):
+        binary_tetrahedral().enumerate()
+
+
 def test_rational_power():
     assert rational_power(4, QQ(1, 2)) == 2
     assert rational_power(4, QQ(-1, 2)) == QQ(1, 2)

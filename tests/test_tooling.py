@@ -92,3 +92,21 @@ def test_no_test_only_code_in_src():
             if named[node.name] <= _references(node)[node.name]:
                 unreached.append(f"{path.stem}.{node.name}:{node.lineno}")
     assert not unreached, unreached
+
+
+def test_no_unused_imports_in_src():
+    # every name a module of the package imports is used in that module
+    unused = []
+    for path in sorted((SRC / "mckaydeform").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}.{name}:{line}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
