@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .exact import rat
+from .exact import rat, scalar_to_json
 from .poly import DEFAULT_BUDGET, BudgetExceeded, VariableMismatch
 from .rootdata import (DimensionMismatch, DynkinType, UnsupportedType,
                        fold, parse_type, standard_omega, vanishing_roots,
@@ -105,7 +105,7 @@ def cmd_rootdata(args) -> RunReport:
     # |Phi+| = rank * h / 2
     checks.append(Check.of(
         f"positive_root_count_{t}",
-        2 * len(rs.positive_roots) == t.rank * coxeter_number(rs),
+        2 * len(rs.positive_roots) == t.rank * coxeter_number(t),
         {"count": len(rs.positive_roots)}))
     if args.h:
         h = tuple(rat(v) for v in args.h.split(","))
@@ -124,7 +124,7 @@ def cmd_rootdata(args) -> RunReport:
             f"vanishing_roots_{t}",
             len(rebuilt) == len(zero) and all(a in rebuilt for a in zero),
             {"roots": [[str(c) for c in v] for v in van],
-             "average": [str(c) for c in avg]}))
+             "average": [scalar_to_json(c) for c in avg]}))
     if t.homogeneous:
         # the minimal imaginary root: 2 d_v is the sum of the neighbours' d
         d = mckay_dimension_vector(t)

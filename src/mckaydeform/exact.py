@@ -62,6 +62,20 @@ def _euler_phi(n: int) -> int:
     return result
 
 
+def _trace_weight(k: int):
+    """mu(k)/phi(k) = Tr(zeta_k)/phi(k): the product of 1/(1 - p) over the
+    primes p of a squarefree k, else 0."""
+    w, p = QQ(1), 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return QQ(0)
+            w /= 1 - p
+        p += 1
+    return w / (1 - k) if k > 1 else w
+
+
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -271,10 +285,10 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self):
-        r = self.reduce_rat()
-        if is_rat(r):
-            return hash(r)
-        return hash((self.n, self.coeffs))
+        # the normalised trace Tr(x)/phi(n), which ``lift`` keeps: equal
+        # elements of two conductors hash alike, a rational as itself
+        return hash(sum((c * _trace_weight(self.n // gcd(self.n, j))
+                         for j, c in enumerate(self.coeffs) if c), QQ(0)))
 
     def __repr__(self):
         terms = []

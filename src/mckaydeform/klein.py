@@ -1,21 +1,22 @@
 """Finite subgroups of SU(2) and the invariant presentations of C^2/Gamma.
 
 Groups are generated by exact 2x2 cyclotomic matrices and enumerated by
-closure.  For each singularity type the three invariant polynomials X, Y, Z
-and their single relation are stored with any irrational normalising
-constant (4^(1/r), 4^(1/3), 108^(1/4)) kept as a *formal* scale: a base and
-a rational exponent.  Invariance checks run on the scale-free parts, and
-the relation check clears the scales exactly -- every monomial of each
-relation combines the scales into a rational number, which is multiplied
-into the coefficients.
+closure, each element keyed by the exact coordinates of its entries over
+one common conductor.  For each singularity type the three invariant
+polynomials X, Y, Z and their single relation are stored exactly.  An
+irrational normalising constant (4^(1/r), 4^(1/3), 108^(1/4)) is a power of
+one adjoined root a, held as one more variable beside z1, z2: a^r = 2 on
+D_(r+1) (D4 included) and a^4 = 108 on E6.  Every check is one
+substitution folded by that relation (``poly.fold_root``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
-from .exact import QQ, Cyclo, embed_complex, imag_unit, sqrt2, zeta
-from .poly import MPoly, VarTable
+from .exact import QQ, Cyclo, imag_unit, sqrt2, zeta
+from .poly import MPoly, VarTable, fold_root
 from .rootdata import DynkinType, UnsupportedType
 
 
@@ -38,15 +39,6 @@ def mat_det(A):
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
-def _mat_key(A):
-    out = []
-    for row in A:
-        for x in row:
-            z = embed_complex(x)
-            out.append((round(z.real, 9), round(z.imag, 9)))
-    return tuple(out)
-
-
 def identity_matrix():
     return ((QQ(1), QQ(0)), (QQ(0), QQ(1)))
 
@@ -64,22 +56,30 @@ class SU2Group:
         for g in self.generators:
             if mat_det(g) != 1:
                 raise ValueError(f"{self.label}: generator not in SL2")
-        seen = {_mat_key(identity_matrix()): identity_matrix()}
-        frontier = [identity_matrix()]
+        # one conductor for every entry: then the entries' coordinates are
+        # an exact key, equal for equal elements only
+        n = lcm(*(x.n for g in self.generators for row in g for x in row
+                  if isinstance(x, Cyclo)))
+
+        def lifted(A):
+            return tuple(tuple(x.lift(n) if isinstance(x, Cyclo)
+                               else Cyclo.from_rat(x, n) for x in row)
+                         for row in A)
+
+        def key(A):
+            return tuple(x.coeffs for row in A for x in row)
+
+        gens = [lifted(g) for g in self.generators]
+        one = lifted(identity_matrix())
+        seen = {key(one): one}
+        frontier = [one]
         while frontier:
             new = []
             for e in frontier:
-                for g in self.generators:
+                for g in gens:
                     h = mat_mul(g, e)
-                    k = _mat_key(h)
-                    if k in seen:
-                        # the float key finds the candidate; the exact
-                        # entries decide
-                        if seen[k] != h:
-                            raise ArithmeticError(
-                                f"{self.label}: unequal elements share the "
-                                f"key {k}")
-                    else:
+                    k = key(h)
+                    if k not in seen:
                         if len(seen) >= cap:
                             raise ClosureBudgetExceeded(
                                 f"{self.label}: more than {cap} elements")
@@ -129,55 +129,21 @@ def binary_octahedral() -> SU2Group:
 
 # -- invariant data -----------------------------------------------------------
 
-def rational_power(base: int, exp) -> "QQ | None":
-    """base**exp as an exact rational, or None if irrational."""
-    exp = QQ(exp)
-    num, den = int(exp.numerator), int(exp.denominator)
-    value = QQ(base) ** abs(num)
-    # take the den-th root of value if it is a perfect power
-    p, q = int(value.numerator), int(value.denominator)
-
-    def iroot(m, k):
-        if m == 0:
-            return 0
-        lo, hi = 0, max(2, 1 << ((m.bit_length() + k - 1) // k + 1))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** k < m:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo ** k == m else None
-
-    rp, rq = iroot(p, den), iroot(q, den)
-    if rp is None or rq is None:
-        return None
-    root = QQ(rp, rq)
-    return root if num >= 0 else QQ(1) / root
-
-
-@dataclass
-class ScaledPoly:
-    """scale * poly with scale = rad_base ** rad_exp kept formal."""
-    poly: MPoly
-    rad_base: int = 1
-    rad_exp: object = QQ(0)
-
-
-Z_VARS = VarTable(("z1", "z2"))
+Z_VARS = VarTable(("z1", "z2", "a"))
 XYZ_VARS = VarTable(("X", "Y", "Z"))
 
 
 def _zpoly():
-    return (MPoly.variable(Z_VARS, "z1"), MPoly.variable(Z_VARS, "z2"))
+    return tuple(MPoly.variable(Z_VARS, v) for v in Z_VARS.names)
 
 
 def substitute_matrix(p: MPoly, M) -> MPoly:
-    """p(z) -> p(M z) for a 2x2 matrix acting on (z1, z2)."""
-    z1, z2 = _zpoly()
+    """p(z) -> p(M z) for a 2x2 matrix acting on (z1, z2); a stays."""
+    z1, z2, a = _zpoly()
     return p.substitute({
         "z1": z1 * M[0][0] + z2 * M[0][1],
         "z2": z1 * M[1][0] + z2 * M[1][1],
+        "a": a,
     })
 
 
@@ -185,28 +151,32 @@ def substitute_matrix(p: MPoly, M) -> MPoly:
 class KleinData:
     label: str
     gamma_type: DynkinType
-    X: ScaledPoly
-    Y: ScaledPoly
-    Z: ScaledPoly
+    X: MPoly
+    Y: MPoly
+    Z: MPoly
     relation: MPoly
     gamma: SU2Group
     gamma_prime: "SU2Group | None"
     omega_action: dict        # generator name -> (matrix, 3x3 action on XYZ)
+    root: "tuple | None" = None   # (k, c): a^k = c, None when a is unused
     no_valid_gamma_prime: bool = False
 
-    def scaled(self):
+    def invariants(self):
         return {"X": self.X, "Y": self.Y, "Z": self.Z}
+
+    def fold(self, p: MPoly) -> MPoly:
+        return fold_root(p, "a", *self.root) if self.root else p
 
 
 def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
     """Invariant parametrisation of C^2/Gamma and the Gamma'-action tables.
 
     Supported: A_{2r-1} (r >= 1), A_{2r} (r >= 1, flagged: no valid
-    Gamma'), D_{r+1} (r >= 3), E6, and D4 with its full S3 symmetry.  For
+    Gamma'), D_{r+1} (r >= 3; D4 with its full S3 symmetry) and E6.  For
     D_{r+1} the ``variant`` flag 'swapped' builds the opposite sign
     convention for comparison.
     """
-    z1, z2 = _zpoly()
+    z1, z2, a = _zpoly()
     X, Y, Z = (MPoly.variable(XYZ_VARS, v) for v in "XYZ")
     i = imag_unit()
 
@@ -214,9 +184,7 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
         n = t.rank + 1  # |Gamma| = n, Gamma = C_n
         ident3 = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
                   (QQ(0), QQ(0), QQ(1)))
-        data_X = ScaledPoly(z1 * z2)
-        data_Y = ScaledPoly(z1 ** n)
-        data_Z = ScaledPoly(z2 ** n)
+        data = (z1 * z2, z1 ** n, z2 ** n)
         relation = X ** n - Y * Z
         gamma = cyclic_group(n)
         if t.rank % 2 == 1:
@@ -231,8 +199,8 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
                      (QQ(0), QQ(0), sgn),
                      (QQ(0), sgn, QQ(0)))
             omega = {"g2": (g2, ident3), "h": (h, act_h)}
-            return KleinData(f"A{t.rank}", t, data_X, data_Y, data_Z,
-                             relation, gamma, gamma_prime, omega)
+            return KleinData(f"A{t.rank}", t, *data, relation, gamma,
+                             gamma_prime, omega)
         # even A: the candidate C_{4r+2}-action fails to lift (stored flag)
         m = 2 * n
         g = ((zeta(m), Cyclo.from_rat(0, m)),
@@ -240,65 +208,57 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
         act_g = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
                  (QQ(0), QQ(0), QQ(-1)))
         gamma_prime = SU2Group(f"C{m}", [g], m)
-        return KleinData(f"A{t.rank}", t, data_X, data_Y, data_Z, relation,
-                         gamma, gamma_prime, {"g": (g, act_g)},
+        return KleinData(f"A{t.rank}", t, *data, relation, gamma,
+                         gamma_prime, {"g": (g, act_g)},
                          no_valid_gamma_prime=True)
 
-    if t.family == "D" and t.rank >= 5:
+    if t.family == "D":
         r = t.rank - 1  # D_{r+1}, Gamma = binary dihedral D_{r-1}
         sY = 1 if variant == "paper" else -1
         sgn_y = QQ(-1) ** (r + 1) * sY
         sgn_z = QQ(-1) ** r * sY
         w = 2 * (r - 1)
-        data_X = ScaledPoly((z1 * z2) ** 2, 4, QQ(1, r))
-        data_Y = ScaledPoly(z1 ** w + sgn_y * z2 ** w, 4, QQ(-1, 2 * r))
-        data_Z = ScaledPoly((z1 * z2) * (z1 ** w + sgn_z * z2 ** w) * i)
+        # a = 2^(1/r): the scales 4^(1/r) and 4^(-1/(2r)) are a^2 and
+        # a^(r-1)/2
+        data = (a ** 2 * (z1 * z2) ** 2,
+                a ** (r - 1) * (z1 ** w + sgn_y * z2 ** w) * QQ(1, 2),
+                (z1 * z2) * (z1 ** w + sgn_z * z2 ** w) * i)
         relation = X * Y ** 2 + QQ(-1) ** r * X ** r + Z ** 2
         gamma = binary_dihedral(r - 1)
-        gamma_prime = binary_dihedral(2 * (r - 1))
-        g = gamma_prime.generators[0]
-        h = gamma_prime.generators[1]
-        act_g = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
-                 (QQ(0), QQ(0), QQ(-1)))
-        ident = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
-                 (QQ(0), QQ(0), QQ(1)))
-        omega = {"g": (g, act_g), "h": (h, ident)}
-        return KleinData(f"D{t.rank}", t, data_X, data_Y, data_Z, relation,
-                         gamma, gamma_prime, omega)
-
-    if t == DynkinType("D", 4):
-        # Gamma = D2 (quaternion), Gamma' = O, Omega = S3
-        data_X = ScaledPoly((z1 * z2) ** 2, 4, QQ(1, 3))
-        data_Y = ScaledPoly(z1 ** 4 + z2 ** 4, 4, QQ(-1, 6))
-        data_Z = ScaledPoly(z1 * z2 * (z1 ** 4 - z2 ** 4) * i)
-        relation = X * Y ** 2 - X ** 3 + Z ** 2
-        gamma = binary_dihedral(2)
-        gamma_prime = binary_octahedral()
-        inv_s2 = sqrt2().inverse()
-        # this octahedral representative induces the order-3 action below;
-        # the diagonal-antidiagonal representative induces its square
-        g = ((inv_s2 * zeta(8, 7), inv_s2 * zeta(8, 7)),
-             (-(inv_s2 * zeta(8)), inv_s2 * zeta(8)))
-        zero8 = Cyclo.from_rat(0, 8)
-        h = ((zeta(8, 3), zero8), (zero8, zeta(8, 5)))
-        half = QQ(1, 2)
-        act_g = ((-half, half, QQ(0)),
-                 (QQ(-3) * half, -half, QQ(0)),
-                 (QQ(0), QQ(0), QQ(1)))
-        act_h = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
-                 (QQ(0), QQ(0), QQ(-1)))
-        omega = {"g": (g, act_g), "h": (h, act_h)}
-        return KleinData("D4", t, data_X, data_Y, data_Z, relation, gamma,
-                         gamma_prime, omega)
+        flip = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
+                (QQ(0), QQ(0), QQ(-1)))
+        if r == 3:
+            # D4: Gamma = D2 (quaternion), Gamma' = O, Omega = S3
+            gamma_prime = binary_octahedral()
+            inv_s2 = sqrt2().inverse()
+            # this octahedral representative induces the order-3 action
+            # below; the diagonal-antidiagonal representative induces its
+            # square
+            g = ((inv_s2 * zeta(8, 7), inv_s2 * zeta(8, 7)),
+                 (-(inv_s2 * zeta(8)), inv_s2 * zeta(8)))
+            zero8 = Cyclo.from_rat(0, 8)
+            h = ((zeta(8, 3), zero8), (zero8, zeta(8, 5)))
+            half = QQ(1, 2)
+            act_g = ((-half, half, QQ(0)),
+                     (QQ(-3) * half, -half, QQ(0)),
+                     (QQ(0), QQ(0), QQ(1)))
+            omega = {"g": (g, act_g), "h": (h, flip)}
+        else:
+            gamma_prime = binary_dihedral(2 * (r - 1))
+            g, h = gamma_prime.generators
+            ident = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
+                     (QQ(0), QQ(0), QQ(1)))
+            omega = {"g": (g, flip), "h": (h, ident)}
+        return KleinData(f"D{t.rank}", t, *data, relation, gamma,
+                         gamma_prime, omega, root=(r, 2))
 
     if t == DynkinType("E", 6):
         z6 = zeta(6)
-        data_X = ScaledPoly(z1 * z2 * (z1 ** 4 - z2 ** 4), 108, QQ(1, 4))
-        data_Y = ScaledPoly(
-            (z1 ** 8 + z2 ** 8 + 14 * (z1 * z2) ** 4) * z6)
-        data_Z = ScaledPoly(
-            (z1 ** 4 + z2 ** 4) ** 3 - 36 * (z1 * z2) ** 4 *
-            (z1 ** 4 + z2 ** 4))
+        # a = 108^(1/4)
+        data = (a * z1 * z2 * (z1 ** 4 - z2 ** 4),
+                (z1 ** 8 + z2 ** 8 + 14 * (z1 * z2) ** 4) * z6,
+                (z1 ** 4 + z2 ** 4) ** 3 - 36 * (z1 * z2) ** 4 *
+                (z1 ** 4 + z2 ** 4))
         relation = X ** 4 + Y ** 3 + Z ** 2
         gamma = binary_tetrahedral()
         gamma_prime = binary_octahedral()
@@ -307,8 +267,8 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
         act_g = ((QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
                  (QQ(0), QQ(0), QQ(-1)))
         omega = {"g": (g, act_g)}
-        return KleinData("E6", t, data_X, data_Y, data_Z, relation, gamma,
-                         gamma_prime, omega)
+        return KleinData("E6", t, *data, relation, gamma, gamma_prime,
+                         omega, root=(4, 108))
 
     raise UnsupportedType(f"no Klein data for {t}")
 
@@ -318,44 +278,16 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
 def verify_invariance(kd: KleinData) -> dict:
     """Gamma fixes X, Y, Z and the relation vanishes on the parametrisation.
 
-    Both checks are exact: generator invariance is tested on the
-    scale-free parts, and the relation is tested after clearing scales
-    (each relation monomial must combine them to a rational number).
-    """
+    Each check is one exact substitution folded by the relation of a."""
     checks = []
+    invariants = kd.invariants()
     for gi, gen in enumerate(kd.gamma.generators):
-        for name, sp in kd.scaled().items():
-            moved = substitute_matrix(sp.poly, gen)
-            checks.append({
-                "check": f"gamma_gen{gi}_fixes_{name}",
-                "ok": moved == sp.poly,
-            })
-    scaled = kd.scaled()
-    total = MPoly(Z_VARS)
-    clearable = True
-    for e, c in kd.relation.terms.items():
-        factor = QQ(1)
-        base_exp = {}
-        term = MPoly.constant(Z_VARS, QQ(1))
-        for k, name in zip(e, "XYZ"):
-            if not k:
-                continue
-            sp = scaled[name]
-            if sp.rad_base != 1:
-                base_exp[sp.rad_base] = base_exp.get(sp.rad_base, QQ(0)) \
-                    + k * QQ(sp.rad_exp)
-            term = term * sp.poly ** k
-        for b, ex in base_exp.items():
-            r = rational_power(b, ex)
-            if r is None:
-                clearable = False
-                break
-            factor = factor * r
-        if not clearable:
-            break
-        total = total + term * (factor * c)
-    checks.append({"check": "relation_vanishes",
-                   "ok": clearable and total.is_zero()})
+        for name, p in invariants.items():
+            moved = kd.fold(substitute_matrix(p, gen))
+            checks.append({"check": f"gamma_gen{gi}_fixes_{name}",
+                           "ok": moved == p})
+    image = kd.fold(kd.relation.substitute(invariants))
+    checks.append({"check": "relation_vanishes", "ok": image.is_zero()})
     return {"label": kd.label, "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
@@ -364,39 +296,19 @@ def verify_omega_action(kd: KleinData) -> dict:
     """The printed Gamma'-action tables hold exactly on the parametrisation.
 
     For generator gamma' with action matrix M: substituting z -> gamma' z
-    into the scale-free part of P_i must equal sum_j M_ij (scale_j /
-    scale_i) P~_j, and every needed scale ratio must be rational.
+    into P_i, folded by the relation of a, must equal sum_j M_ij P_j.
     """
     checks = []
-    names = ("X", "Y", "Z")
-    scaled = kd.scaled()
+    invariants = kd.invariants()
     for gname, (gen, M) in kd.omega_action.items():
-        for a, name in enumerate(names):
-            sp = scaled[name]
-            moved = substitute_matrix(sp.poly, gen)
+        for row, (name, p) in zip(M, invariants.items()):
             expect = MPoly(Z_VARS)
-            ok = True
-            for b, other in enumerate(names):
-                coef = M[a][b]
-                if not coef:
-                    continue
-                so = scaled[other]
-                if so.rad_base == sp.rad_base:
-                    ratio = rational_power(
-                        sp.rad_base, QQ(so.rad_exp) - QQ(sp.rad_exp))
-                elif sp.rad_base == 1:
-                    ratio = rational_power(so.rad_base, QQ(so.rad_exp))
-                elif so.rad_base == 1:
-                    ratio = rational_power(sp.rad_base, -QQ(sp.rad_exp))
-                else:
-                    ratio = None
-                if ratio is None:
-                    ok = False
-                    break
-                expect = expect + so.poly * (coef * ratio)
-            status = ok and moved == expect
+            for coef, q in zip(row, invariants.values()):
+                if coef:
+                    expect = expect + q * coef
+            moved = kd.fold(substitute_matrix(p, gen))
             checks.append({"generator": gname, "polynomial": name,
-                           "ok": status})
+                           "ok": moved == expect})
     report = {"label": kd.label, "checks": checks,
               "ok": all(c["ok"] for c in checks)}
     if kd.no_valid_gamma_prime:

@@ -24,8 +24,9 @@ path (the Q[a]/(a^k - c) presentation): a becomes one more variable of the
 table, x_0 + x_1 a + ... is held as the rational terms x_j a^j, and
 ``fold_root`` brings a product or substitution back to degree below k in a
 (a^j -> c^(j//k) a^(j%k)).  sqrt(3) (Frame invariance), sqrt(6) (the E6
-flat coordinates in mu), 2^(1/3) and i (the Klein changes of variables)
-are held this way.
+flat coordinates in mu), 2^(1/3) and i (the Klein changes of variables),
+2^(1/r) and 108^(1/4) (the scales of the Klein invariants) are held this
+way.
 
 ``Ideal`` carries a monomial order and caches its reduced Groebner basis,
 computed by Buchberger's algorithm (cached leads, a pair heap and the

@@ -6,6 +6,11 @@ of the 27-vertex polytope: simple roots are sqrt(2) times the unit normals
 of six reflection hyperplanes, with coordinates in Q(zeta_24) (they involve
 sqrt(2), sqrt(3), sqrt(6)).  The E6 vertex numbering follows the deformation
 computations, not the reference-book order.
+
+Root identity, positivity and height are integer facts: the positive
+roots are integer coefficient vectors over the simple roots, closed under
+the simple reflections through the Cartan matrix, and an embedded root is
+the same combination of the embedded simple roots.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exact import QQ, Cyclo, embed_complex, is_rat, rref, sqrt2, sqrt3
+from .exact import QQ, Cyclo, sqrt2, sqrt3
 
 
 class UnsupportedType(ValueError):
@@ -89,32 +94,24 @@ def cartan_matrix(t: DynkinType):
 # -- root systems ------------------------------------------------------------
 
 class RootSystem:
-    """Simple and positive roots in orthonormal coordinates (exact)."""
+    """Simple roots in orthonormal coordinates (exact) and the positive
+    roots.  ``positive_coeffs`` holds each positive root's integer
+    coefficients over the simple roots; ``positive_roots`` the same
+    combinations of the embedded simple roots."""
 
-    def __init__(self, dtype, ambient_dim, simple_roots, positive_roots):
+    def __init__(self, dtype, ambient_dim, simple_roots):
         self.dtype = dtype
         self.ambient_dim = ambient_dim
         self.simple_roots = simple_roots
-        self.positive_roots = positive_roots
-        self.cartan = [[_as_int(2 * _dot(a, b) / _dot(b, b))
-                        for b in simple_roots] for a in simple_roots]
-
-    def simple_coordinates(self, vector):
-        """Coefficients of ``vector`` over the simple roots."""
-        cols = list(self.simple_roots)
-        return _linsolve_overdetermined(cols, vector)
-
-
-def _as_int(x):
-    if is_rat(x):
-        q = QQ(x)
-        if q.denominator == 1:
-            return int(q.numerator)
-    if isinstance(x, Cyclo):
-        r = x.reduce_rat()
-        if is_rat(r) and QQ(r).denominator == 1:
-            return int(QQ(r).numerator)
-    raise ValueError(f"expected integer, got {x!r}")
+        self.cartan = cartan_matrix(dtype)
+        gram = [[_dot(a, b) for b in simple_roots] for a in simple_roots]
+        if gram != self.cartan:
+            raise DimensionMismatch(
+                f"the embedded simple roots of {dtype} do not have its "
+                f"Cartan matrix as Gram matrix")
+        self.positive_coeffs = _positive_coeffs(self.cartan)
+        self.positive_roots = [_combine(b, simple_roots)
+                               for b in self.positive_coeffs]
 
 
 def _dot(u, v):
@@ -124,17 +121,33 @@ def _dot(u, v):
     return total
 
 
-def _linsolve_overdetermined(basis, target):
-    """Solve sum c_i basis_i = target exactly; raise if inconsistent."""
-    n = len(basis)
-    rows, pivots = rref([[v[i] for v in basis] + [target[i]]
-                         for i in range(len(target))], n)
-    if any(row[n] for row in rows[len(pivots):]):
-        raise DimensionMismatch("vector outside the root span")
-    coeffs = [QQ(0)] * n
-    for row, col in zip(rows, pivots):
-        coeffs[col] = row[n]
-    return coeffs
+def _combine(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i], coordinate by coordinate."""
+    return tuple(sum((c * v[k] for c, v in zip(coeffs, vectors) if c), QQ(0))
+                 for k in range(len(vectors[0])))
+
+
+def _positive_coeffs(C):
+    """The positive roots of the Cartan matrix C as integer coefficient
+    vectors over the simple roots, by height: the unit vectors closed
+    under s_i(b) = b - <b, a_i^v> a_i, keeping the roots whose
+    coefficients are all >= 0 (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, §10)."""
+    r = len(C)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    roots, frontier = set(units), units
+    while frontier:
+        new = []
+        for b in frontier:
+            for i in range(r):
+                pairing = sum(b[j] * C[j][i] for j in range(r))
+                w = b[:i] + (b[i] - pairing,) + b[i + 1:]
+                if w not in roots:
+                    roots.add(w)
+                    new.append(w)
+        frontier = new
+    return sorted((b for b in roots if min(b) >= 0),
+                  key=lambda b: (sum(b), b))
 
 
 _FRAME_KEYS = tuple(
@@ -169,92 +182,49 @@ def _frame_normal(key):
     return tuple(inv_r3 * c for k in key for c in cos_sin(k))
 
 
-def _frame_normals():
-    """The 36 unit normals of the E6 mirror arrangement, over Q(zeta_24)."""
-    return {key: _frame_normal(key) for key in _FRAME_KEYS}
-
-
 E6_SIMPLE_NORMALS = {1: (3, 0, 0), 2: (0, 0, 3), 3: (0, 1, 0),
                      4: (1, 0, 0), 5: (0, 0, 1), 6: (3, 3, 3)}
 
 
 def build_root_system(t: DynkinType) -> RootSystem:
     fam, r = t.family, t.rank
-    if fam == "A":
-        ambient = r + 1
-        simples = [_unit_diff(ambient, i, i + 1) for i in range(r)]
-        positives = [_unit_diff(ambient, i, j)
-                     for i in range(ambient) for j in range(ambient) if i < j]
-        return RootSystem(t, ambient, simples, positives)
-    if fam == "D":
-        simples = [_unit_diff(r, i, i + 1) for i in range(r - 1)]
-        simples.append(_unit_sum(r, r - 2, r - 1))
-        positives = []
-        for i in range(r):
-            for j in range(i + 1, r):
-                positives.append(_unit_diff(r, i, j))
-                positives.append(_unit_sum(r, i, j))
-        return RootSystem(t, r, simples, positives)
+    if fam in ("A", "D"):
+        # alpha_i = e_i - e_(i+1); D's last one is e_(r-1) + e_r
+        n = r + 1 if fam == "A" else r
+        simples = [tuple(QQ(int(k == i) - int(k == i + 1)) for k in range(n))
+                   for i in range(r if fam == "A" else r - 1)]
+        if fam == "D":
+            simples.append(tuple(QQ(int(k >= r - 2)) for k in range(n)))
+        return RootSystem(t, n, simples)
     if fam == "E" and r == 6:
-        normals = _frame_normals()
         s2 = sqrt2().lift(24)
-        simples = [tuple(s2 * c for c in normals[E6_SIMPLE_NORMALS[i]])
+        simples = [tuple(s2 * c for c in _frame_normal(E6_SIMPLE_NORMALS[i]))
                    for i in range(1, 7)]
-        rs = RootSystem(t, 6, simples, [])
-        positives = _closure_positive(rs)
-        rs.positive_roots = positives
-        return rs
+        return RootSystem(t, 6, simples)
     raise UnsupportedType(f"root system not built for {t}")
 
 
-def coxeter_number(rs: RootSystem) -> int:
-    """1 + the height of the highest root, a root's height being the sum of
-    its simple-root coefficients."""
-    return 1 + max(_as_int(sum(rs.simple_coordinates(a)))
-                   for a in rs.positive_roots)
+def coxeter_number(t: DynkinType) -> int:
+    """The order of the Coxeter element s_1 ... s_r, the simple reflections
+    acting on simple-root coordinates through the Cartan matrix."""
+    C = cartan_matrix(t)
+    r = t.rank
+    ident = [[int(i == j) for j in range(r)] for i in range(r)]
+    c = ident
+    for i in range(r):
+        # s_i(b) = b - <b, a_i^v> a_i changes coordinate i only
+        s = [row[:] for row in ident]
+        s[i] = [int(i == j) - C[j][i] for j in range(r)]
+        c = _mat_mul(c, s)
+    power, h = c, 1
+    while power != ident:
+        power, h = _mat_mul(power, c), h + 1
+    return h
 
 
-def _unit_diff(n, i, j):
-    v = [QQ(0)] * n
-    v[i], v[j] = QQ(1), QQ(-1)
-    return tuple(v)
-
-
-def _unit_sum(n, i, j):
-    v = [QQ(0)] * n
-    v[i], v[j] = QQ(1), QQ(1)
-    return tuple(v)
-
-
-def _vec_key(v):
-    return tuple(round(embed_complex(c).real, 9) for c in v)
-
-
-def _closure_positive(rs: RootSystem):
-    """All roots by reflection closure; keep those >= 0 over the simples."""
-    seen = {}
-    frontier = list(rs.simple_roots)
-    for v in frontier:
-        seen[_vec_key(v)] = v
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in rs.simple_roots:
-                coef = 2 * _dot(v, a) / _dot(a, a)
-                w = tuple(x - coef * y for x, y in zip(v, a))
-                key = _vec_key(w)
-                if key not in seen:
-                    seen[key] = w
-                    nxt.append(w)
-        frontier = nxt
-    positives = []
-    for v in seen.values():
-        coords = rs.simple_coordinates(v)
-        vals = [embed_complex(c).real for c in coords]
-        if all(x > -1e-9 for x in vals) and any(x > 1e-9 for x in vals):
-            positives.append(v)
-    positives.sort(key=_vec_key)
-    return positives
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
 
 
 # -- diagram automorphisms ---------------------------------------------------
@@ -407,7 +377,7 @@ def fold(t: DynkinType, omega) -> DynkinType:
         return DynkinType("C", k) if k >= 3 else DynkinType("B", 2)
     gram = [[sum(QQ(C[i - 1][j - 1]) for i in P for j in Q)
              for Q in orbits] for P in orbits]
-    cartan = [[_as_int(2 * gram[a][b] / gram[b][b]) for b in range(k)]
+    cartan = [[2 * gram[a][b] / gram[b][b] for b in range(k)]
               for a in range(k)]
     candidates = _candidate_cartans(k)
     for label, M in candidates.items():
@@ -436,28 +406,41 @@ def coweight_reflection_subs(t: DynkinType, j: int, names):
 
 
 def vanishing_roots(rs: RootSystem, h):
-    """Positive roots alpha with alpha(h) = 0, as simple-root coefficients."""
+    """Positive roots alpha with alpha(h) = 0, as simple-root coefficients;
+    alpha(h) is the same integer combination of the alpha_i(h)."""
     if len(h) != rs.ambient_dim:
         raise DimensionMismatch(
             f"expected ambient dim {rs.ambient_dim}, got {len(h)}")
-    out = []
-    for alpha in rs.positive_roots:
-        if not _dot(alpha, h):
-            coeffs = rs.simple_coordinates(alpha)
-            out.append(tuple(coeffs))
-    return sorted(out)
+    pairings = [_dot(a, h) for a in rs.simple_roots]
+    return sorted(b for b in rs.positive_coeffs
+                  if not sum(c * p for c, p in zip(b, pairings)))
 
 
 def omega_action_on_cartan(rs: RootSystem, sigma: DiagramAutomorphism, h):
-    """sigma . h through the coroot basis (alpha_i^vee = alpha_i here)."""
-    coeffs = rs.simple_coordinates(h)
+    """sigma . h through the coroot basis (alpha_i^vee = alpha_i here).
+
+    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j;
+    an h outside their span fails the exact back-check and is refused."""
+    coeffs = _cartan_solve(rs.cartan, [_dot(h, a) for a in rs.simple_roots])
+    if _combine(coeffs, rs.simple_roots) != tuple(h):
+        raise ValueError(
+            f"h is outside the span of the simple roots of {rs.dtype}")
     r = len(rs.simple_roots)
-    new = [QQ(0)] * rs.ambient_dim
-    new = list(new)
-    for i in range(r):
-        target = rs.simple_roots[sigma(i + 1) - 1]
-        new = [x + coeffs[i] * y for x, y in zip(new, target)]
-    return tuple(new)
+    return _combine(coeffs, [rs.simple_roots[sigma(i + 1) - 1]
+                             for i in range(r)])
+
+
+def _cartan_solve(C, p):
+    """x with C x = p, by elimination without pivot search (C is symmetric
+    and positive definite)."""
+    r = len(C)
+    rows = [[QQ(c) for c in row] + [q] for row, q in zip(C, p)]
+    for k in range(r):
+        for i in range(r):
+            if i != k and rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return [row[r] / row[k] for k, row in enumerate(rows)]
 
 
 def omega_average(rs: RootSystem, omega, h):

@@ -146,6 +146,29 @@ def test_rootdata_h_of_the_wrong_length_is_usage_error(h, capsys):
     assert "--h needs 6 values for A5" in capsys.readouterr().err
 
 
+def test_rootdata_h_off_the_root_span_is_usage_error(capsys):
+    # A5's Cartan space is the trace-zero hyperplane: an h off it is the
+    # user's error (2), not an internal mismatch (4)
+    code, report = run(["rootdata", "--type", "A5", "--h", "1,1,1,1,1,1"])
+    assert code == 2 and report is None
+    assert "outside the span of the simple roots of A5" in \
+        capsys.readouterr().err
+
+
+def test_rootdata_e6_h_prints_integer_roots(tmp_path):
+    # the E6 roots orthogonal to e1, as integer coefficients in order
+    out = tmp_path / "report.json"
+    code, _ = run(["rootdata", "--type", "E6", "--h", "1,0,0,0,0,0",
+                   "--out", str(out)])
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert code == 0
+    assert checks["vanishing_roots_E6"]["status"] == "pass"
+    roots = checks["vanishing_roots_E6"]["witness"]["roots"]
+    assert roots == sorted(roots) and len(roots) == 7
+    assert ["1", "1", "2", "2", "2", "3"] in roots
+    assert all(c in ("0", "1", "2", "3") for v in roots for c in v)
+
+
 def test_flat_even_rank_a_is_refused(tmp_path):
     # flat_coords_A(r) builds A_(2r-1); A4 used to pass with A3's system
     code, report = run(["flat", "--type", "A4"])

@@ -115,6 +115,28 @@ def test_conductor_round_trip():
     assert abs(embed_complex(lifted) - embed_complex(a)) < 1e-14
 
 
+def test_hash_agrees_with_eq_across_conductors():
+    # equal elements of two conductors are one set member; a rational
+    # hashes as itself
+    rng = random.Random(5)
+    elements = [zeta(4), sqrt2(), sqrt3(), zeta(3), zeta(8, 3) - rat(1, 2)]
+    for n in (1, 2, 3, 4, 6, 8, 12):
+        for _ in range(3):
+            elements.append(sum((zeta(n, j) * rat(rng.randint(-9, 9),
+                                                  rng.randint(1, 5))
+                                 for j in range(n)), Cyclo.from_rat(0, n)))
+    for x in elements:
+        for m in (8, 12, 24):
+            if m % x.n == 0:
+                y = x.lift(m)
+                assert y == x and hash(y) == hash(x), (x, m)
+                assert len({x, y}) == 1
+    assert len({zeta(4), zeta(4).lift(8)}) == 1
+    assert len({sqrt3(), sqrt3().lift(24)}) == 1
+    for q in (rat(0), rat(-3, 7), rat(5)):
+        assert hash(Cyclo.from_rat(q, 12)) == hash(q)
+
+
 def test_field_inverse_randomised():
     rng = random.Random(11)
     for _ in range(100):

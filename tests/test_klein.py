@@ -1,13 +1,14 @@
 """Finite SU(2) subgroups and the invariant presentations."""
 
+import json
+
 import pytest
 
 from mckaydeform.exact import QQ
 from mckaydeform.klein import (ClosureBudgetExceeded, binary_dihedral,
                                binary_octahedral, binary_tetrahedral,
                                cyclic_group, klein_data, mat_mul,
-                               rational_power, verify_invariance,
-                               verify_omega_action)
+                               verify_invariance, verify_omega_action)
 from mckaydeform.rootdata import DynkinType
 
 
@@ -18,32 +19,17 @@ def test_group_orders():
     assert cyclic_group(1).order() == 1
     assert cyclic_group(6).order() == 6
     assert binary_dihedral(4).order() == 16
+    # the closure keeps no element twice, by exact comparison
+    for group in (binary_dihedral(3), binary_tetrahedral(),
+                  binary_octahedral(), cyclic_group(6)):
+        elements = group.enumerate()
+        for k, e in enumerate(elements):
+            assert not any(e == f for f in elements[:k]), group.label
 
 
 def test_closure_budget():
     with pytest.raises(ClosureBudgetExceeded):
         binary_octahedral().enumerate(cap=20)
-
-
-def test_closure_refuses_a_key_collision(monkeypatch):
-    # a float key too coarse to tell the elements apart: the exact check
-    # on a key hit refuses to merge unequal matrices
-    import mckaydeform.klein as klein
-    coarse = klein._mat_key
-    monkeypatch.setattr(klein, "_mat_key",
-                        lambda A: tuple((round(re), round(im))
-                                        for re, im in coarse(A)))
-    with pytest.raises(ArithmeticError, match="unequal elements"):
-        binary_tetrahedral().enumerate()
-
-
-def test_rational_power():
-    assert rational_power(4, QQ(1, 2)) == 2
-    assert rational_power(4, QQ(-1, 2)) == QQ(1, 2)
-    assert rational_power(4, QQ(1, 3)) is None
-    assert rational_power(108, 1) == 108
-    assert rational_power(108, QQ(1, 4)) is None
-    assert rational_power(4, 0) == 1
 
 
 @pytest.mark.parametrize("tname", ["A3", "A5", "D4", "D5", "E6"])
@@ -60,6 +46,37 @@ def test_omega_action_tables(tname):
     kd = klein_data(t)
     report = verify_omega_action(kd)
     assert report["ok"], report
+
+
+def test_a_scale_off_by_one_power_fails_the_relation(monkeypatch, tmp_path):
+    # X = a^3 X~ on D5 (a^4 = 2) in place of a^2 X~: the relation check
+    # fails and every other check still passes
+    import mckaydeform.klein as klein
+    from mckaydeform.cli import run
+    build = klein.klein_data
+
+    def off_by_one(t, variant="paper"):
+        kd = build(t, variant)
+        kd.X = kd.X * klein.MPoly.variable(klein.Z_VARS, "a")
+        return kd
+
+    monkeypatch.setattr(klein, "klein_data", off_by_one)
+    out = tmp_path / "report.json"
+    code, _ = run(["klein", "verify", "--type", "D5", "--out", str(out)])
+    status = {c["name"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert code == 1
+    assert status.pop("klein_D5_relation_vanishes") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("tname", ["D4", "D5", "E6"])
+def test_folding_by_the_wrong_root_relation_fails(tname):
+    # a^(k+1) = c in place of a^k = c
+    kd = klein_data(DynkinType(tname[0], int(tname[1:])))
+    k, c = kd.root
+    kd.root = (k + 1, c)
+    assert not verify_invariance(kd)["ok"]
 
 
 def test_a3_action_values():

@@ -31,6 +31,72 @@ def test_positive_root_counts():
     assert len(build_root_system(E6).positive_roots) == 36
 
 
+def _unit(n, *signed):
+    v = [QQ(0)] * n
+    for i, c in signed:
+        v[i] = QQ(c)
+    return tuple(v)
+
+
+def test_closure_gives_the_classical_positive_roots():
+    # A_r: e_i - e_j (i < j) in r + 1 coordinates; D_r: e_i -+ e_j (i < j)
+    for r in range(1, 8):
+        rs = build_root_system(DynkinType("A", r))
+        want = {_unit(r + 1, (i, 1), (j, -1))
+                for i in range(r + 1) for j in range(i + 1, r + 1)}
+        assert len(rs.positive_roots) == len(want)
+        assert set(rs.positive_roots) == want, r
+    for r in range(4, 8):
+        rs = build_root_system(DynkinType("D", r))
+        want = {_unit(r, (i, 1), (j, s)) for i in range(r)
+                for j in range(i + 1, r) for s in (1, -1)}
+        assert len(rs.positive_roots) == len(want)
+        assert set(rs.positive_roots) == want, r
+
+
+def test_e6_positive_roots_have_norm_two_and_integer_coefficients():
+    rs = build_root_system(E6)
+    assert len(rs.positive_coeffs) == len(set(rs.positive_coeffs)) == 36
+    for b, alpha in zip(rs.positive_coeffs, rs.positive_roots):
+        assert all(type(c) is int and c >= 0 for c in b)
+        assert sum((x * x for x in alpha), QQ(0)) == 2
+    assert max(rs.positive_coeffs, key=sum) == (1, 1, 2, 2, 2, 3)
+
+
+def test_coxeter_element_order_is_one_plus_the_highest_height():
+    from mckaydeform.rootdata import _positive_coeffs, coxeter_number
+    types = [DynkinType("A", r) for r in range(1, 8)] + \
+        [DynkinType("D", r) for r in range(4, 8)] + [E6]
+    for t in types:
+        heights = [sum(b) for b in build_root_system(t).positive_coeffs]
+        assert coxeter_number(t) == 1 + max(heights), t
+    # E7 and E8 have no embedding here; their Cartan matrices close alike
+    for rank, h, count in ((7, 18, 63), (8, 30, 120)):
+        t = DynkinType("E", rank)
+        roots = _positive_coeffs(cartan_matrix(t))
+        assert len(roots) == count and 2 * count == rank * h
+        assert coxeter_number(t) == h == 1 + max(map(sum, roots))
+
+
+def test_an_embedding_without_the_cartan_gram_matrix_is_refused():
+    from mckaydeform.rootdata import DimensionMismatch, RootSystem
+    simples = build_root_system(D4).simple_roots
+    with pytest.raises(DimensionMismatch, match="Gram matrix"):
+        RootSystem(D4, 4, simples[:3] + [_unit(4, (2, 1), (3, -1))])
+
+
+def test_h_outside_the_root_span_is_refused():
+    from mckaydeform.rootdata import omega_action_on_cartan
+    rs = build_root_system(A5)
+    swap = standard_omega(A5, "z2")[1]
+    # alpha_i -> alpha_(6-i) is v -> -(v reversed) on the trace-zero plane
+    inside = tuple(QQ(v) for v in (1, 2, -3, 5, 0, -5))
+    assert omega_action_on_cartan(rs, swap, inside) == tuple(
+        -x for x in reversed(inside))
+    with pytest.raises(ValueError, match="outside the span"):
+        omega_action_on_cartan(rs, swap, (QQ(1),) * 6)
+
+
 def test_a5_ambient_is_trace_zero_hyperplane():
     rs = build_root_system(A5)
     assert rs.ambient_dim == 6
@@ -67,12 +133,11 @@ def _frame_normals_table():
 
 
 def test_each_frame_normal_is_built_alone():
-    from mckaydeform.rootdata import _frame_normal, _frame_normals
+    from mckaydeform.rootdata import _FRAME_KEYS, _frame_normal
     table = _frame_normals_table()
-    assert list(_frame_normals()) == list(table)
+    assert list(_FRAME_KEYS) == list(table)
     for key, normal in table.items():
         assert _frame_normal(key) == normal
-        assert _frame_normals()[key] == normal
     with pytest.raises(KeyError):
         _frame_normal((0, 0, 0))
     with pytest.raises(KeyError):
