@@ -5,7 +5,8 @@ The three family presentations:
 * type A_{2r-1}: z^(2r) + sum (-1)^i f_i(t) z^(2r-i) = x y with the f_i the
   elementary symmetric functions written in flat coordinates;
 * type D4: z^2 = xy(x+y) - t2/2 xy - t y - (t + t4/2)/2 x + (t6 + t2 t4/6
-  + t t2 + t2^3/108)/4;
+  + t t2 + t2^3/108)/4, whose four coefficients are the rows of
+  ``d4_flat_coefficients``;
 * type E6: the degree-12 normal form whose six coefficients are the rows
   of ``e6_flat_coefficients``, two of them normalised by sqrt(6).
 
@@ -112,13 +113,16 @@ def family_A(r: int) -> DeformationFamily:
 
 
 def family_D4() -> DeformationFamily:
+    """z^2 - xy(x+y) minus the ``d4_flat_coefficients`` times xy, y, x, 1."""
     tnames = ("t2", "t4", "t6", "t")
     V = VarTable(("x", "y", "z") + tnames)
     x, y, z = _variables(V, ("x", "y", "z"))
     t2, t4, t6, t = _variables(V, tnames)
-    eqn = z ** 2 - x * y * (x + y) + t2 * x * y * QQ(1, 2) + t * y \
-        + (t + t4 * QQ(1, 2)) * x * QQ(1, 2) \
-        - (t6 + t2 * t4 * QQ(1, 6) + t * t2 + t2 ** 3 * QQ(1, 108)) * QQ(1, 4)
+    eqn = z ** 2 - x * y * (x + y)
+    to_t = dict(zip(PSI_D4_VARS.names, tnames))
+    monomials = {"A": x * y, "B": y, "C": x, "D": MPoly.constant(V, QQ(1))}
+    for name, row in d4_flat_coefficients().items():
+        eqn = eqn - row.rename(to_t).extend(V) * monomials[name]
     sigma = {"x": x, "y": -x - y + t2 * QQ(1, 2), "z": -z, "t": -t}
     # the ambient three-cycle formula is exact only on the t4 = t = 0
     # locus; on the full base only its parameter part is carried
@@ -280,66 +284,57 @@ def fixed_parameter_locus(fam: DeformationFamily):
 
 
 def verify_parameter_actions(fam: DeformationFamily) -> dict:
-    """The stated linear parameter actions hold exactly upstairs on h.
+    """The base family's linear parameter actions hold exactly upstairs on h.
 
-    Checked by substituting the Cartan-space action into the flat
-    coordinates: reversal-negation for type A, the order-3 map on the xi
-    for D4, the vertex swap on mu for E6.
+    Each flat coordinate's expected image is read off the base family's
+    ``parameter_action_matrix`` (A_(2r-1) for A and B, D4 for D4, C3 and
+    G2, E6 for E6 and F4), and compared with the Cartan-space action
+    substituted into it: reversal-negation for type A, the order-3 map and
+    xi4 -> -xi4 on the xi for D4, the vertex swap on mu for E6.
     """
     label = fam.label
-    checks = []
     if label[0] in ("A", "B"):
         r = (int(label[1:]) + 1) // 2 if label[0] == "A" else int(label[1:])
         from .flat import psi_A_in_lambda
-        psis = psi_A_in_lambda(r)
-        LV = next(iter(psis.values())).vars
-        n = 2 * r
-        subs = {f"lam{i}": -MPoly.variable(LV, f"lam{n - 1 - i}")
-                for i in range(n)}
-        for i in range(2, n + 1):
-            p = psis[f"psi{i}"]
-            ok = p.substitute(subs) == p * QQ(-1) ** i
-            checks.append({"check": f"psi{i} -> (-1)^{i} psi{i}", "ok": ok})
+        base, psis = family_A(r), psi_A_in_lambda(r)
+        lam = _variables(next(iter(psis.values())).vars,
+                         [f"lam{i}" for i in range(2 * r)])
+        actions = {"sigma": {f"lam{i}": -lam[2 * r - 1 - i]
+                             for i in range(2 * r)}}
+        title = "{name} -> (-1)^{degree} {name}"
     elif label in ("D4", "C3", "G2"):
-        psis = psi_D_in_xi(3)
-        XV = next(iter(psis.values())).vars
-        xi = [MPoly.variable(XV, f"xi{i}") for i in range(1, 5)]
+        base, psis = family_D4(), psi_D_in_xi(3)
+        xi = _variables(next(iter(psis.values())).vars,
+                        ("xi1", "xi2", "xi3", "xi4"))
         half = QQ(1, 2)
-        rho = {
-            "xi1": (xi[0] + xi[1] + xi[2] + xi[3]) * half,
-            "xi2": (xi[0] + xi[1] - xi[2] - xi[3]) * half,
-            "xi3": (xi[0] - xi[1] + xi[2] - xi[3]) * half,
-            "xi4": (-xi[0] + xi[1] + xi[2] - xi[3]) * half,
-        }
-        sigma = {"xi4": -xi[3]}
-        p2, p4, p6, pp = (psis["psi2"], psis["psi4"], psis["psi6"],
-                          psis["psi"])
-        expect_rho = {
-            "psi2": p2, "psi6": p6,
-            "psi4": p4 * QQ(-1, 2) - pp * 3,
-            "psi": p4 * QQ(1, 4) - pp * half,
-        }
-        for name, want in expect_rho.items():
-            ok = psis[name].substitute(rho) == want
-            checks.append({"check": f"rho: {name}", "ok": ok})
-        expect_sigma = {"psi2": p2, "psi4": p4, "psi6": p6, "psi": -pp}
-        for name, want in expect_sigma.items():
-            ok = psis[name].substitute(sigma) == want
-            checks.append({"check": f"sigma: {name}", "ok": ok})
+        actions = {
+            "rho": {"xi1": (xi[0] + xi[1] + xi[2] + xi[3]) * half,
+                    "xi2": (xi[0] + xi[1] - xi[2] - xi[3]) * half,
+                    "xi3": (xi[0] - xi[1] + xi[2] - xi[3]) * half,
+                    "xi4": (-xi[0] + xi[1] + xi[2] - xi[3]) * half},
+            "sigma": {"xi4": -xi[3]}}
+        title = "{gen}: {name}"
     elif label in ("E6", "F4"):
-        psis = psi_E6_of_mu()
-        swap = {"mu1": MPoly.variable(MU_VARS, "mu2"),
-                "mu2": MPoly.variable(MU_VARS, "mu1"),
-                "mu4": MPoly.variable(MU_VARS, "mu5"),
-                "mu5": MPoly.variable(MU_VARS, "mu4")}
-        signs = {"psi2": 1, "psi5": -1, "psi6": 1, "psi8": 1, "psi9": -1,
-                 "psi12": 1}
-        for name, q in psis.items():
-            ok = equal_mod_vars(q.substitute(swap), q * QQ(signs[name]))
-            checks.append({"check": f"sigma: {name} -> "
-                           f"{signs[name]:+d} {name}", "ok": ok})
+        base, psis = family_E6(), psi_E6_of_mu()
+        mu = dict(zip(MU_VARS.names, _variables(MU_VARS, MU_VARS.names)))
+        actions = {"sigma": {"mu1": mu["mu2"], "mu2": mu["mu1"],
+                             "mu4": mu["mu5"], "mu5": mu["mu4"]}}
+        title = "{gen}: {name} -> {sign:+d} {name}"
     else:
         raise UnsupportedLabel(label)
+    names = ["psi" + t[1:] for t in base.param_vars]
+    checks = []
+    for gen, subs in actions.items():
+        M = parameter_action_matrix(base, gen)
+        for i, name in enumerate(names):
+            want = MPoly(psis[name].vars)
+            for other, c in zip(names, M[i]):
+                if c:
+                    want = want + psis[other] * c
+            ok = equal_mod_vars(psis[name].substitute(subs), want)
+            check = title.format(gen=gen, name=name, degree=name[3:],
+                                 sign=int(M[i][i]))
+            checks.append({"check": check, "ok": ok})
     return {"label": label, "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
@@ -476,6 +471,22 @@ def d4_xi_of_mu() -> dict:
     }
 
 
+PSI_D4_VARS = VarTable(("psi2", "psi4", "psi6", "psi"))
+
+
+def d4_flat_coefficients() -> dict:
+    """The four D4 family coefficients in the flat coordinates: the family
+    is z^2 = xy(x+y) + A xy + B y + C x + D."""
+    p2, p4, p6, pp = _variables(PSI_D4_VARS, PSI_D4_VARS.names)
+    return {
+        "A": p2 * QQ(-1, 2),
+        "B": -pp,
+        "C": (pp + p4 * QQ(1, 2)) * QQ(-1, 2),
+        "D": (p6 + p2 * p4 * QQ(1, 6) + pp * p2 + p2 ** 3 * QQ(1, 108))
+        * QQ(1, 4),
+    }
+
+
 def verify_d4_coefficients() -> dict:
     """W-invariance of the mu-coefficients and their flat-coordinate match."""
     coeffs = d4_mu_coefficients()
@@ -488,20 +499,11 @@ def verify_d4_coefficients() -> dict:
             checks.append({"check": f"{name} invariant under r_{j}",
                            "ok": ok})
     # flat-coordinate match through xi(mu)
-    psis = psi_D_in_xi(3)
     ximu = d4_xi_of_mu()
-    psimu = {name: p.substitute(ximu) for name, p in psis.items()}
-    p2, p4, p6, pp = (psimu["psi2"], psimu["psi4"], psimu["psi6"],
-                      psimu["psi"])
-    expected = {
-        "A": p2 * QQ(-1, 2),
-        "B": -pp,
-        "C": (pp + p4 * QQ(1, 2)) * QQ(-1, 2),
-        "D": (p6 + p2 * p4 * QQ(1, 6) + pp * p2 + p2 ** 3 * QQ(1, 108))
-        * QQ(1, 4),
-    }
-    for name in "ABCD":
-        ok = coeffs[name].extend(expected[name].vars) == expected[name]
+    psimu = {name: p.substitute(ximu) for name, p in psi_D_in_xi(3).items()}
+    for name, row in d4_flat_coefficients().items():
+        expected = row.substitute(psimu)
+        ok = coeffs[name].extend(expected.vars) == expected
         checks.append({"check": f"{name} matches its flat form", "ok": ok})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
@@ -628,11 +630,18 @@ def _multiplication_matrix(ideal: Ideal, basis, name: str):
     return M
 
 
-def _cluster(values, radius=1e-6):
+# eigenvalues closer than this are one root
+CLUSTER_RADIUS = 1e-6
+# the largest power of the maximal ideal tried before the local Tjurina
+# number counts as not stabilised
+LOCAL_ORDER_CAP = 24
+
+
+def _cluster(values):
     out = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         for c in out:
-            if abs(v - c[0]) < radius:
+            if abs(v - c[0]) < CLUSTER_RADIUS:
                 c[1].append(v)
                 break
         else:
@@ -723,12 +732,12 @@ def _binary_cubic_class(c3, c2, c1, c0) -> str:
     return "double"
 
 
-def _local_tjurina(f: MPoly, names, max_n: int = 24) -> int:
+def _local_tjurina(f: MPoly, names) -> int:
     """Stabilised dimension of (f, df) + m^N at the origin."""
     V = f.vars
     gens = [f] + [f.diff(nm) for nm in names]
     prev = None
-    for N in range(1, max_n):
+    for N in range(1, LOCAL_ORDER_CAP):
         mN = monomials_of_degree(VarTable(names), N)
         mN = [m.extend(V) for m in mN]
         ideal = Ideal([g for g in gens if g] + mN)

@@ -24,6 +24,10 @@ class ClosureBudgetExceeded(RuntimeError):
     pass
 
 
+# a group closure that reaches more elements is refused
+CLOSURE_CAP = 500
+
+
 # -- 2x2 matrices over exact scalars ----------------------------------------
 
 def mat_mul(A, B):
@@ -50,7 +54,7 @@ class SU2Group:
     order_expected: int
     elements: list = field(default=None, repr=False)
 
-    def enumerate(self, cap: int = 500):
+    def enumerate(self):
         if self.elements is not None:
             return self.elements
         for g in self.generators:
@@ -80,9 +84,10 @@ class SU2Group:
                     h = mat_mul(g, e)
                     k = key(h)
                     if k not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) >= CLOSURE_CAP:
                             raise ClosureBudgetExceeded(
-                                f"{self.label}: more than {cap} elements")
+                                f"{self.label}: more than {CLOSURE_CAP} "
+                                "elements")
                         seen[k] = h
                         new.append(h)
             frontier = new

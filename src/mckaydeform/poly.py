@@ -237,25 +237,20 @@ class MPoly:
         return not self.terms
 
     # -- structure ---------------------------------------------------------
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def leading(self, key):
         """(exponent, coefficient) of the leading term for an order key."""
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
-    def sorted_terms(self, key=grevlex_key):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]),
+    def sorted_terms(self):
+        """Terms in decreasing grevlex order."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=True)
 
     def homogeneous_part(self, d: int) -> "MPoly":
         p = MPoly(self.vars)
         p.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
         return p
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), QQ(0))
 
     # -- calculus ------------------------------------------------------------
     def diff(self, name: str) -> "MPoly":
@@ -641,8 +636,8 @@ class _Budget:
     def __init__(self, steps):
         self.left = steps
 
-    def spend(self, n=1):
-        self.left -= n
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("reduction budget exhausted")
 
@@ -763,7 +758,10 @@ class Ideal:
     """Polynomial ideal with a monomial order and a cached reduced basis."""
 
     def __init__(self, generators, order="grevlex", budget=DEFAULT_BUDGET):
-        gens = [g for g in generators if isinstance(g, MPoly)]
+        gens = list(generators)
+        for g in gens:
+            if not isinstance(g, MPoly):
+                raise TypeError(f"generator {g} is not a polynomial")
         if not gens:
             raise ValueError("need at least one generator")
         vars = gens[0].vars

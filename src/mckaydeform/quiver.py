@@ -243,10 +243,14 @@ class OmegaActionOnM:
         return out
 
 
-def symbolic_action_order(act: OmegaActionOnM, cap: int = 6) -> int:
+# the diagram symmetries act with order 2 or 3
+ACTION_ORDER_CAP = 6
+
+
+def symbolic_action_order(act: OmegaActionOnM) -> int:
     rep = SymbolicRep(act.quiver)
     current = {a.name: rep.matrices[a.name] for a in act.quiver.arrows}
-    for k in range(1, cap + 1):
+    for k in range(1, ACTION_ORDER_CAP + 1):
         moved = {}
         for slot, (src, scalar) in act.arrow_map.items():
             moved[slot] = tuple(tuple(x * scalar for x in row)
@@ -257,7 +261,7 @@ def symbolic_action_order(act: OmegaActionOnM, cap: int = 6) -> int:
         if all(current[a.name] == rep.matrices[a.name]
                for a in act.quiver.arrows):
             return k
-    raise ValueError(f"action order exceeds {cap}")
+    raise ValueError(f"action order exceeds {ACTION_ORDER_CAP}")
 
 
 def check_action_admissible(act: OmegaActionOnM) -> dict:

@@ -9,10 +9,10 @@ and verified:
   family equation (checked by reduction).
 * F4: the invariant map (X, Y, Z) -> (x^2, y, x z) reproduces the quotient
   equation times x^2 exactly.
-* G2: the intermediate presentation (eigenbasis cube invariants) is
-  verified exactly; the last, unpublished change of variables is recovered
-  by fitting an invertible weighted-linear map from the eliminated
-  presentation onto the printed normal form, making the pullback exact.
+* G2: the intermediate presentation (eigenbasis cube invariants, over
+  Q(zeta_3)) is verified exactly; the last change of variables onto the
+  printed normal form is not published.  It is stated here as found by an
+  exact fit, and the pullback and invariance checks certify it exactly.
 
 Also here: the singular-section certificates behind the everywhere-
 singular propositions, and the two-branch discriminant of the B2 case.
@@ -23,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deform import UnsupportedLabel, family, _full_subs
-from .exact import QQ, imag_unit, omega as omega_scalar, sqrt_rational
+from .exact import QQ, imag_unit, omega as omega_scalar
 from .flat import epsilon_from_psi
 from .poly import Ideal, MPoly, VarTable, equal_mod_vars
 from .rootdata import DynkinType
-
-
-class PullbackMismatch(AssertionError):
-    pass
 
 
 @dataclass
@@ -40,7 +36,7 @@ class QuotientFamily:
     param_vars: tuple
     equation: MPoly
     invariant_map: dict      # quotient var -> MPoly in source variables
-    map_status: str          # 'complete' | 'fitted' | 'partial'
+    map_status: str          # 'complete' | 'fitted'
     target_ade: DynkinType
 
     def special_fibre(self) -> MPoly:
@@ -121,12 +117,10 @@ def _quotient_C3() -> QuotientFamily:
                           "complete", DynkinType("D", 6))
 
 
-def g2_star2_equation(V=None) -> MPoly:
+def g2_star2_equation() -> MPoly:
     """The printed G2 quotient normal form on (X, Y, Z; t2, t6)."""
-    if V is None:
-        V = VarTable(("X", "Y", "Z", "t2", "t6"))
-    X, Y, Z, t2, t6 = (MPoly.variable(V, v)
-                       for v in ("X", "Y", "Z", "t2", "t6"))
+    V = VarTable(("X", "Y", "Z", "t2", "t6"))
+    X, Y, Z, t2, t6 = (MPoly.variable(V, v) for v in V.names)
     P = t2 ** 6 * QQ(-11, 32) + t2 ** 3 * t6 * QQ(-189, 4) \
         - t6 ** 2 * 729
     Qc = t2 ** 4 * QQ(-15, 16) - t2 * t6 * 81
@@ -140,19 +134,19 @@ def g2_intermediate_generators():
 
     XX and YY diagonalise the three-cycle; the S3-invariant ring is
     generated by W = XX YY, Xg = XX^3 + YY^3, Yg = XX^3 - YY^3 (sign-odd),
-    z^2 and Yg z, subject to Yg^2 = Xg^2 - 4 W^3.
+    z^2 and Yg z, subject to Yg^2 = Xg^2 - 4 W^3.  The coefficients lie in
+    Q(zeta_3): i sqrt(3) = 2 zeta_3 + 1.
     """
     fam = family("G2")
     V = fam.vars
-    x, y, z = (MPoly.variable(V, v) for v in ("x", "y", "z"))
-    t2 = MPoly.variable(V, "t2")
-    i3 = (imag_unit() * sqrt_rational(3)).lift(24)
+    x, y, t2 = (MPoly.variable(V, v) for v in ("x", "y", "t2"))
+    i3 = omega_scalar() * 2 + 1
     a = QQ(-3) - i3
     b = QQ(-3) + i3
     XX = x * a + y * b + t2
     YY = x * b + y * a + t2
     return {"fam": fam, "XX": XX, "YY": YY, "W": XX * YY,
-            "Xg": XX ** 3 + YY ** 3, "Yg": XX ** 3 - YY ** 3, "z": z}
+            "Xg": XX ** 3 + YY ** 3, "Yg": XX ** 3 - YY ** 3}
 
 
 def verify_g2_intermediate() -> dict:
@@ -160,9 +154,7 @@ def verify_g2_intermediate() -> dict:
     data = g2_intermediate_generators()
     fam = data["fam"]
     V = fam.vars
-    z = MPoly.variable(V, "z")
-    t2 = MPoly.variable(V, "t2")
-    t6 = MPoly.variable(V, "t6")
+    z, t2, t6 = (MPoly.variable(V, v) for v in ("z", "t2", "t6"))
     checks = []
     # relation 1: -z^2 - Xg/216 - t2^3/432 + W t2/72 + t6/4 = 0 mod fibre
     rel1 = -z * z - data["Xg"] * QQ(1, 216) - t2 ** 3 * QQ(1, 432) \
@@ -174,147 +166,38 @@ def verify_g2_intermediate() -> dict:
     rel2 = (data["Xg"] ** 2 - data["Yg"] ** 2) * QQ(1, 4) == data["W"] ** 3
     checks.append({"check": "Xg^2 - Yg^2 == 4 W^3", "ok": rel2})
     # eigenvector property and invariance of the generators
-    w = omega_scalar().lift(24)
-    for gen, expect in (("rho", {"XX": w, "YY": w * w}),
-                        ("sigma", {"XX": None, "YY": None})):
+    w = omega_scalar()
+    XX, YY = data["XX"], data["YY"]
+    # rho: (XX, YY) -> (w XX, w^2 YY); sigma: (XX, YY) -> (w YY, w^2 XX)
+    for gen, title, images, sign in (
+            ("rho", "rho eigenvalues (omega, omega^2)", (XX, YY), QQ(1)),
+            ("sigma", "sigma swaps eigenlines", (YY, XX), QQ(-1))):
         subs = _full_subs(fam, gen)
-        movedXX = data["XX"].substitute(subs)
-        movedYY = data["YY"].substitute(subs)
-        if gen == "rho":
-            okX = equal_mod_vars(movedXX, data["XX"] * w)
-            okY = equal_mod_vars(movedYY, data["YY"] * (w * w))
-            checks.append({"check": "rho eigenvalues (omega, omega^2)",
-                           "ok": okX and okY})
-        else:
-            okX = equal_mod_vars(movedXX, data["YY"] * w)
-            okY = equal_mod_vars(movedYY, data["XX"] * (w * w))
-            checks.append({"check": "sigma swaps eigenlines",
-                           "ok": okX and okY})
+        ok = all(equal_mod_vars(p.substitute(subs), q * c)
+                 for p, q, c in zip((XX, YY), images, (w, w * w)))
+        checks.append({"check": title, "ok": ok})
         for name in ("W", "Xg"):
             moved = data[name].substitute(subs)
             checks.append({"check": f"{gen} fixes {name}",
                            "ok": equal_mod_vars(moved, data[name])})
-        sign = QQ(1) if gen == "rho" else QQ(-1)
         movedY = data["Yg"].substitute(subs)
         checks.append({"check": f"{gen} on odd generator",
                        "ok": equal_mod_vars(movedY, data["Yg"] * sign)})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
-G2_FIT_VARS = VarTable(("u", "v", "T", "t2", "t6"))
-
-
-def _g2_eliminated_form() -> MPoly:
-    """T^2 = v (Xg(u,v)^2 - 4u^3) with Xg eliminated by the cubic relation,
-    in u = W, v = z^2, T = Yg z."""
-    u, v, T, t2, t6 = (MPoly.variable(G2_FIT_VARS, n)
-                       for n in G2_FIT_VARS.names)
-    Xg = -v * 216 - t2 ** 3 * QQ(1, 2) + t2 * u * 3 + t6 * 54
-    return T ** 2 - v * (Xg ** 2 - u ** 3 * 4)
-
-
-STAR2_SUPPORT = {
-    (3, 1, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 2, 0, 0),
-    (0, 1, 0, 6, 0), (0, 1, 0, 3, 1), (0, 1, 0, 0, 2),
-    (1, 1, 0, 4, 0), (1, 1, 0, 1, 1), (1, 2, 0, 1, 0),
-    (0, 2, 0, 3, 0), (0, 2, 0, 0, 1),
-}
-
-
-def g2_fit_map() -> dict:
-    """Recover the unpublished change of variables onto the normal form.
-
-    Stage 1 rewrites the eliminated presentation T^2 = v (Xg^2 - 4u^3) in
-    candidate normal-form coordinates X' = 16u + b t2^2, Y' = 64v + d t2 u
-    + e t2^3 + f t6, Z' = 256 T and solves for the shifts that kill every
-    monomial outside the printed support (these conditions do not see the
-    weighted rescaling).  Stage 2 detects the remaining weighted scale
-    mu from one coefficient ratio and verifies the rescaled map exactly:
-    star2(map) == lambda * (T^2 - v (Xg^2 - 4u^3)).
-    """
-    F = _g2_eliminated_form()
-    unknown_names = ("bb", "dd", "ee", "ff")
-    names = ("X", "Y", "Z", "t2", "t6") + unknown_names
-    BIG = VarTable(names)
-    X, Y, Z, t2, t6, bb, dd, ee, ff = (MPoly.variable(BIG, n)
-                                       for n in names)
-    u_of = (X - bb * t2 ** 2) * QQ(1, 16)
-    v_of = (Y - dd * t2 * u_of - ee * t2 ** 3 - ff * t6) * QQ(1, 64)
-    T_of = Z * QQ(1, 256)
-    H = F.substitute({"u": u_of, "v": v_of, "T": T_of,
-                      "t2": t2, "t6": t6}) * QQ(65536)
-    UNK = VarTable(unknown_names)
-    groups = {}
-    split = [BIG.index[n] for n in ("X", "Y", "Z", "t2", "t6")]
-    unk_pos = [BIG.index[n] for n in unknown_names]
-    for e, c in H.terms.items():
-        key = tuple(e[i] for i in split)
-        ue = tuple(e[i] for i in unk_pos)
-        poly = groups.setdefault(key, MPoly(UNK))
-        poly.terms[ue] = poly.terms.get(ue, QQ(0)) + c
-    eqs = []
-    for key, poly in groups.items():
-        poly.terms = {e: c for e, c in poly.terms.items() if c}
-        if poly and key not in STAR2_SUPPORT:
-            eqs.append(poly)
-    gb = Ideal(eqs).groebner_basis()
-    values = {}
-    for g in gb:
-        involved = [n for i, n in enumerate(UNK.names)
-                    if any(e[i] for e in g.terms)]
-        if len(involved) != 1 or g.degree() != 1:
-            raise PullbackMismatch("shift system is not linear-solvable")
-        name = involved[0]
-        lead = g.terms[tuple(1 if n == name else 0 for n in UNK.names)]
-        values[name] = -g.constant_term() / lead
-    if set(values) != set(unknown_names):
-        raise PullbackMismatch("shift system does not determine the map")
-    # stage 2: the weighted scale from the X Y^2 t2 coefficient ratio,
-    # a monomial with t-weight 2: printed / derived = mu^-2
-    NV = VarTable(("X", "Y", "Z", "t2", "t6"))
-    H0 = H.substitute(values).extend(NV)
-    star2 = g2_star2_equation(NV)
-    key_xy2 = (1, 2, 0, 1, 0)
-    s = QQ(star2.terms[key_xy2] / H0.terms[key_xy2])  # s = mu^-2
-    FV = G2_FIT_VARS
-    u, v, T, ft2, ft6 = (MPoly.variable(FV, n) for n in FV.names)
-    g_scalar = sqrt_rational(QQ(256) ** 2 * s ** 9)   # 256 mu^-9
-    if g_scalar is None:
-        raise PullbackMismatch("weighted scale is not rational")
-    mapped = {
-        "X": (u * 16 + ft2 ** 2 * values["bb"]) * s ** 2,
-        "Y": (v * 64 + ft2 * u * values["dd"]
-              + ft2 ** 3 * values["ee"] + ft6 * values["ff"]) * s ** 3,
-        "Z": T * QQ(g_scalar),
-        "t2": ft2, "t6": ft6,
-    }
-    lam = QQ(g_scalar) ** 2
-    if star2.substitute(mapped) != F * lam:
-        raise PullbackMismatch("fitted map fails exact verification")
-    return {"b": values["bb"], "d": values["dd"], "e": values["ee"],
-            "f": values["ff"], "scale": s, "lambda": lam, "map": mapped}
-
-
 def _quotient_G2() -> QuotientFamily:
-    eqn = g2_star2_equation()
+    """The map onto the printed normal form is not published.  It was found
+    by an exact fit of weighted shifts and one weighted scale to
+    T^2 = z^2 (Xg^2 - 4 W^3) with T = Yg z, which gave these entries."""
     data = g2_intermediate_generators()
-    fam = data["fam"]
-    V = fam.vars
-    z = MPoly.variable(V, "z")
-    t2 = MPoly.variable(V, "t2")
-    t6 = MPoly.variable(V, "t6")
-    fit = g2_fit_map()
-    s = fit["scale"]
-    g_scalar = sqrt_rational(fit["lambda"])
-    u = data["W"]
-    imap = {
-        "X": (u * 16 + t2 ** 2 * fit["b"]) * s ** 2,
-        "Y": (z * z * 64 + t2 * u * fit["d"] + t2 ** 3 * fit["e"]
-              + t6 * fit["f"]) * s ** 3,
-        "Z": data["Yg"] * z * QQ(g_scalar),
-    }
-    return QuotientFamily("G2", ("X", "Y", "Z"), ("t2", "t6"), eqn, imap,
-                          "fitted", DynkinType("E", 7))
+    V = data["fam"].vars
+    z, t2 = (MPoly.variable(V, v) for v in ("z", "t2"))
+    imap = {"X": data["W"] - t2 ** 2 * QQ(3, 4), "Y": z * z,
+            "Z": data["Yg"] * z * QQ(1, 2)}
+    return QuotientFamily("G2", ("X", "Y", "Z"), ("t2", "t6"),
+                          g2_star2_equation(), imap, "fitted",
+                          DynkinType("E", 7))
 
 
 def _quotient_F4() -> QuotientFamily:
@@ -370,54 +253,50 @@ def verify_quotient_pullback(label: str) -> dict:
     return report
 
 
+def _at_witness(f, names, point, relations=(), order="grevlex"):
+    """f and its partials in ``names`` at ``point``, each value reduced
+    modulo the relations the point satisfies: (name, vanishes) pairs."""
+    ideal = Ideal(relations, order=order) if relations else None
+    out = []
+    for name, p in [("f", f)] + [(f"df/d{v}", f.diff(v)) for v in names]:
+        value = p.substitute(point)
+        if ideal is not None:
+            value = ideal.normal_form(value)
+        out.append((name, value.is_zero()))
+    return out
+
+
 def verify_singular_locus(label: str) -> dict:
     """Exact certificates that every fibre of the quotient is singular."""
     label = label.upper()
-    checks = []
     if label == "B2":
-        qf = quotient_family("B2")
         V = VarTable(("X", "Z", "W", "t2", "t4", "s"))
-        eqn = qf.equation.extend(V)
         t2, t4, s = (MPoly.variable(V, v) for v in ("t2", "t4", "s"))
         f4 = t4 + t2 ** 2 * QQ(1, 8)
-        witness = {"X": s * 2, "Z": MPoly.constant(V, QQ(0)),
-                   "W": MPoly.constant(V, QQ(0))}
-        ideal = Ideal([s * s - f4])
-        for name, p in [("f", eqn)] + [
-                (f"df/d{v}", eqn.diff(v)) for v in ("X", "Z", "W")]:
-            value = p.substitute(witness)
-            checks.append({"check": f"{name} at (2s, 0, 0) mod s^2 = f4",
-                           "ok": ideal.normal_form(value).is_zero()})
+        witness = {"X": s * 2, "Z": QQ(0), "W": QQ(0)}
+        found = _at_witness(quotient_family("B2").equation.extend(V),
+                            ("X", "Z", "W"), witness, [s * s - f4])
+        checks = [{"check": f"{name} at (2s, 0, 0) mod s^2 = f4", "ok": ok}
+                  for name, ok in found]
     elif label == "C3":
-        qf = quotient_family("C3")
         V = VarTable(("Xs", "t2", "t4", "t6"))
         Xs, t2, t4, t6 = (MPoly.variable(V, v) for v in V.names)
         cubic = Xs ** 3 - t2 * Xs ** 2 \
             + (t4 + t2 ** 2 * QQ(1, 4)) * Xs \
             - (t2 ** 3 + t2 * t4 * 18 + t6 * 108) * QQ(1, 108)
         Ys = (Xs ** 2 * 4 - Xs * t2 * 4 + t2 ** 2 + t4 * 4) * QQ(-1, 32)
-        witness = {"X": Xs, "Y": Ys, "W": MPoly.constant(V, QQ(0))}
-        ideal = Ideal([cubic], order="lex")
-        for name, p in [("f", qf.equation)] + [
-                (f"df/d{v}", qf.equation.diff(v))
-                for v in ("X", "Y", "W")]:
-            value = p.substitute(witness)
-            checks.append({"check": f"{name} at (Xs, Ys, 0) mod cubic",
-                           "ok": ideal.normal_form(value).is_zero()})
+        found = _at_witness(quotient_family("C3").equation, ("X", "Y", "W"),
+                            {"X": Xs, "Y": Ys, "W": QQ(0)}, [cubic], "lex")
+        checks = [{"check": f"{name} at (Xs, Ys, 0) mod cubic", "ok": ok}
+                  for name, ok in found]
     elif label == "G2":
-        qf = quotient_family("G2")
+        eqn = quotient_family("G2").equation
         V = VarTable(("X", "t2", "t6"))
         X, t2, t6 = (MPoly.variable(V, v) for v in V.names)
-        section = {"Y": MPoly.constant(V, QQ(0)),
-                   "Z": MPoly.constant(V, QQ(0)), "X": X}
-        for name, p, expect_zero in [
-                ("f", qf.equation, True),
-                ("df/dX", qf.equation.diff("X"), True),
-                ("df/dZ", qf.equation.diff("Z"), True)]:
-            value = p.substitute(section)
-            checks.append({"check": f"{name} vanishes on (X, 0, 0)",
-                           "ok": value.is_zero()})
-        dY = qf.equation.diff("Y").substitute(section)
+        section = {"Y": QQ(0), "Z": QQ(0), "X": X}
+        checks = [{"check": f"{name} vanishes on (X, 0, 0)", "ok": ok}
+                  for name, ok in _at_witness(eqn, ("X", "Z"), section)]
+        dY = eqn.diff("Y").substitute(section)
         stated = X ** 3 + (t2 ** 4 * QQ(-15, 16) - t2 * t6 * 81) * X \
             + t2 ** 6 * QQ(-11, 32) + t2 ** 3 * t6 * QQ(-189, 4) \
             - t6 ** 2 * 729
@@ -440,34 +319,24 @@ def discriminant_B2() -> dict:
     t2, t4 = (MPoly.variable(V, v) for v in V.names)
     f2 = t2
     f4 = t4 + t2 ** 2 * QQ(1, 8)
-    cond1 = f4
-    cond2 = f2 ** 2 - f4 * 4
     fam = family("B2")
-    FV = fam.vars
-    x, y, z = (MPoly.variable(FV, v) for v in ("x", "y", "z"))
-    checks = []
     # branch 1: fibre over (t2, -t2^2/8) is singular at the origin
-    on1 = {"t4": MPoly.variable(VarTable(("t2",)), "t2") ** 2 * QQ(-1, 8)}
-    fibre1 = fam.equation.substitute(on1)
-    at0 = {"x": QQ(0), "y": QQ(0), "z": QQ(0)}
-    vals = [fibre1.substitute(at0)] + [
-        fibre1.diff(v).substitute(at0) for v in ("x", "y", "z")]
-    checks.append({"check": "origin singular when f4 = 0",
-                   "ok": all(v.is_zero() for v in vals)})
+    T = MPoly.variable(VarTable(("t2",)), "t2")
+    fibre1 = fam.equation.substitute({"t4": T ** 2 * QQ(-1, 8)})
+    origin = _at_witness(fibre1, ("x", "y", "z"),
+                         {"x": QQ(0), "y": QQ(0), "z": QQ(0)})
     # branch 2: fibre over (t2, t2^2/8) is singular at (0, 0, s)
     WV = VarTable(("t2", "s"))
-    s = MPoly.variable(WV, "s")
-    st2 = MPoly.variable(WV, "t2")
-    on2 = {"t4": st2 ** 2 * QQ(1, 8)}
-    fibre2 = fam.equation.substitute(on2)
-    at_s = {"x": MPoly.constant(WV, QQ(0)), "y": MPoly.constant(WV, QQ(0)),
-            "z": s}
-    ideal = Ideal([s * s + st2 * QQ(1, 2)])
-    vals = [fibre2.substitute(at_s)] + [
-        fibre2.diff(v).substitute(at_s) for v in ("x", "y", "z")]
-    checks.append({"check": "(0,0,s) singular when f2^2 = 4 f4",
-                   "ok": all(ideal.normal_form(v).is_zero() for v in vals)})
-    return {"conditions": [cond1, cond2], "checks": checks,
+    st2, s = (MPoly.variable(WV, v) for v in WV.names)
+    fibre2 = fam.equation.substitute({"t4": st2 ** 2 * QQ(1, 8)})
+    at_s = _at_witness(fibre2, ("x", "y", "z"),
+                       {"x": QQ(0), "y": QQ(0), "z": s},
+                       [s * s + st2 * QQ(1, 2)])
+    checks = [{"check": "origin singular when f4 = 0",
+               "ok": all(ok for _, ok in origin)},
+              {"check": "(0,0,s) singular when f2^2 = 4 f4",
+               "ok": all(ok for _, ok in at_s)}]
+    return {"conditions": [f4, f2 ** 2 - f4 * 4], "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
 

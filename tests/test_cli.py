@@ -202,20 +202,35 @@ def test_fold_check_counts_the_orbits(monkeypatch, tmp_path):
 
 def test_positive_root_count_check_uses_the_coxeter_number(monkeypatch,
                                                           tmp_path):
-    # 15 positive roots of A5 = 5 * 6 / 2; a system missing one fails
-    import mckaydeform.cli as cli
-    build = cli.build_root_system
-
-    def short(t):
-        rs = build(t)
-        rs.positive_roots = rs.positive_roots[1:]
-        return rs
-
+    # 15 positive roots of A5 = 5 * 6 / 2; a closure missing one fails
+    import mckaydeform.rootdata as rootdata
+    closure = rootdata._positive_coeffs
     argv = ["rootdata", "--type", "A5"]
     name = "positive_root_count_A5"
     assert _check_status(tmp_path, argv, name) == (0, "pass")
-    monkeypatch.setattr(cli, "build_root_system", short)
+    monkeypatch.setattr(rootdata, "_positive_coeffs",
+                        lambda C: closure(C)[1:])
     assert _check_status(tmp_path, argv, name) == (1, "fail")
+
+
+@pytest.mark.parametrize("tname, count", (("E7", 63), ("E8", 120)))
+def test_rootdata_e7_e8_count_roots_without_an_embedding(tname, count,
+                                                         tmp_path):
+    out = tmp_path / "r.json"
+    code, _ = run(["rootdata", "--type", tname, "--out", str(out)])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks[f"positive_root_count_{tname}"]["status"] == "pass"
+    assert checks[f"positive_root_count_{tname}"]["witness"] == {
+        "count": count}
+
+
+@pytest.mark.parametrize("tname", ("E7", "E8"))
+def test_rootdata_e7_e8_h_needs_an_embedding(tname, capsys):
+    h = ",".join(["1"] + ["0"] * (int(tname[1]) - 1))
+    code, report = run(["rootdata", "--type", tname, "--h", h])
+    assert code == 2 and report is None
+    assert f"root system not built for {tname}" in capsys.readouterr().err
 
 
 def test_vanishing_roots_check_recounts_the_orthogonal_roots(monkeypatch,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mckaydeform import deform
 from mckaydeform.deform import (UnsupportedLabel, analyze_fibre,
                                 analyze_hypersurface, d4_mu_coefficients,
                                 e6_flat_coefficients, e6_mu_coefficients,
@@ -59,6 +60,35 @@ def test_equivariance(label):
 def test_parameter_actions(label):
     rep = verify_parameter_actions(family(label))
     assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("label", ("D4", "C3", "G2"))
+def test_parameter_actions_check_the_family_rho(label, monkeypatch):
+    # the expected images come from the D4 family itself, so a wrong rho
+    # coefficient in family_D4 fails rho: psi4
+    built = deform.family_D4
+
+    def mutated():
+        fam = built()
+        t4, t = (MPoly.variable(fam.vars, n) for n in ("t4", "t"))
+        fam.param_actions["rho"]["t4"] = t4 * QQ(-1, 2) - 2 * t
+        return fam
+
+    monkeypatch.setattr(deform, "family_D4", mutated)
+    rep = verify_parameter_actions(family(label))
+    assert [c["check"] for c in rep["checks"] if not c["ok"]] == [
+        "rho: psi4"]
+
+
+def test_d4_family_equation_term_for_term():
+    # the printed D4 equation, in the order its terms are written
+    fam = family("D4")
+    x, y, z, t2, t4, t6, t = (MPoly.variable(fam.vars, n)
+                              for n in fam.vars.names)
+    printed = z ** 2 - x * y * (x + y) + t2 * x * y * QQ(1, 2) + t * y \
+        + (t + t4 * QQ(1, 2)) * x * QQ(1, 2) \
+        - (t6 + t2 * t4 * QQ(1, 6) + t * t2 + t2 ** 3 * QQ(1, 108)) * QQ(1, 4)
+    assert list(fam.equation.terms.items()) == list(printed.terms.items())
 
 
 def test_fixed_parameter_loci():

@@ -27,9 +27,11 @@ def test_group_orders():
             assert not any(e == f for f in elements[:k]), group.label
 
 
-def test_closure_budget():
+def test_closure_budget(monkeypatch):
+    import mckaydeform.klein as klein
+    monkeypatch.setattr(klein, "CLOSURE_CAP", 20)
     with pytest.raises(ClosureBudgetExceeded):
-        binary_octahedral().enumerate(cap=20)
+        binary_octahedral().enumerate()
 
 
 @pytest.mark.parametrize("tname", ["A3", "A5", "D4", "D5", "E6"])

@@ -97,6 +97,14 @@ def test_quotient_dimensions():
     assert Ideal([x * x]).quotient_dimension() == "infinite"
 
 
+def test_ideal_refuses_a_scalar_generator():
+    # a dropped unit would leave (x^2, y^2) with quotient dimension 4
+    with pytest.raises(TypeError, match="generator 1"):
+        Ideal([x ** 2, y ** 2, QQ(1)])
+    assert Ideal([x ** 2, y ** 2, MPoly.constant(V, 1)]) \
+        .quotient_dimension() == 0
+
+
 def test_normal_form_examples():
     rng = random.Random(3)
     f = x ** 2 + y * z - 2 * z

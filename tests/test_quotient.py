@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mckaydeform.deform import analyze_hypersurface
-from mckaydeform.exact import QQ, rat
+from mckaydeform import quotient
+from mckaydeform.exact import QQ, Cyclo, rat
 from mckaydeform.poly import MPoly
 from mckaydeform.quotient import (UnsupportedLabel, discriminant_B2,
-                                  g2_fit_map, g2_star2_equation,
+                                  g2_intermediate_generators,
+                                  g2_star2_equation,
                                   non_semiuniversality_check,
                                   quotient_family, verify_g2_intermediate,
                                   verify_invariant_generators,
@@ -57,12 +59,56 @@ def test_g2_intermediate_presentation():
 
 
 def test_g2_fit_and_pullback():
-    fit = g2_fit_map()
-    assert fit["b"] == -12 and fit["d"] == 0 and fit["e"] == 0 \
-        and fit["f"] == 0
-    assert fit["scale"] == QQ(1, 4)
+    qf = quotient_family("G2")
+    data = g2_intermediate_generators()
+    V = data["fam"].vars
+    z, t2 = (MPoly.variable(V, n) for n in ("z", "t2"))
+    assert qf.invariant_map["X"] == data["W"] - t2 ** 2 * QQ(3, 4)
+    assert qf.invariant_map["Y"] == z * z
+    assert qf.invariant_map["Z"] == data["Yg"] * z * QQ(1, 2)
+    # the chain runs over Q(zeta_3): no coefficient needs a larger field
+    for image in qf.invariant_map.values():
+        assert all(c.n == 3 for c in image.terms.values()
+                   if isinstance(c, Cyclo))
     rep = verify_quotient_pullback("G2")
-    assert rep["ok"] and rep["tier"] == "exact-fit"
+    assert rep["ok"] and rep["residual_terms"] == 0
+    assert rep["map_status"] == "fitted" and rep["tier"] == "exact-fit"
+
+
+@pytest.mark.parametrize("entry", ("X", "Y", "Z"))
+def test_g2_scaled_map_fails_pullback(entry, monkeypatch):
+    stored = quotient._quotient_G2
+
+    def scaled():
+        qf = stored()
+        qf.invariant_map[entry] = qf.invariant_map[entry] * QQ(2, 3)
+        return qf
+
+    monkeypatch.setattr(quotient, "_quotient_G2", scaled)
+    rep = verify_quotient_pullback("G2")
+    assert not rep["ok"] and rep["residual_terms"] > 0
+
+
+CERTIFICATE_NAMES = {
+    "B2": [f"{n} at (2s, 0, 0) mod s^2 = f4"
+           for n in ("f", "df/dX", "df/dZ", "df/dW")],
+    "C3": [f"{n} at (Xs, Ys, 0) mod cubic"
+           for n in ("f", "df/dX", "df/dY", "df/dW")],
+    "G2": [f"{n} vanishes on (X, 0, 0)" for n in ("f", "df/dX", "df/dZ")]
+    + ["df/dY on the section is the stated cubic"],
+}
+
+
+@pytest.mark.parametrize("label", ("B2", "C3", "G2"))
+def test_singular_locus_certificate_names(label):
+    rep = verify_singular_locus(label)
+    assert [c["check"] for c in rep["checks"]] == CERTIFICATE_NAMES[label]
+
+
+def test_discriminant_b2_check_names():
+    rep = discriminant_B2()
+    assert [c["check"] for c in rep["checks"]] == [
+        "origin singular when f4 = 0", "(0,0,s) singular when f2^2 = 4 f4"]
 
 
 @pytest.mark.parametrize("label", ("B2", "C3", "G2"))

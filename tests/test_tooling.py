@@ -3,7 +3,8 @@
 ``bench/spans.py`` names each traced layer by module and attribute path; a
 renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package.  And no
-function, class or method in ``src/`` may exist only for the tests.
+function, class or method in ``src/`` may exist only for the tests, and
+no parameter default may be one that every call leaves alone.
 """
 
 import ast
@@ -110,3 +111,95 @@ def test_no_unused_imports_in_src():
         unused += [f"{path.stem}.{name}:{line}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+# Parameter defaults that no src/ or bench/ call overrides, each with its
+# reason for staying a parameter.
+ONE_VALUE_ALLOWED = {
+    "exact.rat(q)": "the integer-pair form of the rational constructor "
+                    "beside the 'p/q' string form",
+    "klein.klein_data(variant)": "'swapped' builds the opposite D-type sign "
+                                 "convention, the negative control of the "
+                                 "relation check",
+}
+
+
+def _calls_and_references(trees):
+    """Per callee name: the calls made to it, as (positional count, keyword
+    names, star), and the names also referenced other than as a callee."""
+    calls, referenced = {}, set()
+    for tree in trees:
+        callees = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(
+                    n.func, (ast.Name, ast.Attribute)):
+                callees.add(id(n.func))
+                name = getattr(n.func, "id", None) or n.func.attr
+                star = any(isinstance(a, ast.Starred) for a in n.args) or any(
+                    k.arg is None for k in n.keywords)
+                calls.setdefault(name, []).append(
+                    (len(n.args), {k.arg for k in n.keywords}, star))
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and id(
+                    n) not in callees:
+                referenced.add(getattr(n, "id", None) or n.attr)
+    return calls, referenced
+
+
+def _defaulted(tree):
+    """(qualified name, callee name, parameter, positional index) for every
+    parameter with a default; methods drop self, a class's __init__ is
+    called by the class name."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                if owner is not None and not static:
+                    positional = positional[1:]
+                callee = (owner.name if owner is not None
+                          and child.name == "__init__" else child.name)
+                prefix = f"{owner.name}." if owner is not None else ""
+                first = len(positional) - len(args.defaults)
+                for index in range(first, len(positional)):
+                    out.append((prefix + child.name, callee,
+                                positional[index].arg, index))
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        out.append((prefix + child.name, callee, a.arg,
+                                    None))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that every call leaves alone is a constant in disguise
+    package = SRC / "mckaydeform"
+    paths = sorted(package.glob("*.py"))
+    trees = {p: ast.parse(p.read_text())
+             for p in paths + sorted(BENCH.glob("*.py"))}
+    calls, referenced = _calls_and_references(trees.values())
+    knobs = []
+    for path in paths:
+        for qual, callee, param, index in _defaulted(trees[path]):
+            name = f"{path.stem}.{qual}({param})"
+            # a class name in isinstance() or an annotation passes nothing
+            function = not qual.endswith(".__init__")
+            if (function and callee in referenced
+                    or name in ONE_VALUE_ALLOWED):
+                continue
+            if not any(star or param in keys
+                       or (index is not None and npos > index)
+                       for npos, keys, star in calls.get(callee, ())):
+                knobs.append(name)
+    assert not knobs, knobs
