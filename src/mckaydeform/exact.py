@@ -32,8 +32,8 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-def rat(p, q=1):
-    """Exact rational from ints or a 'p/q' string.
+def rat(p):
+    """Exact rational from an int or a 'p/q' string.
 
     A string with a zero denominator is malformed input: ``ValueError``.
     """
@@ -42,7 +42,7 @@ def rat(p, q=1):
             return QQ(p)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {p!r}") from None
-    return QQ(p, q)
+    return QQ(p)
 
 
 def is_rat(x) -> bool:

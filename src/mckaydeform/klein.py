@@ -173,13 +173,11 @@ class KleinData:
         return fold_root(p, "a", *self.root) if self.root else p
 
 
-def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
+def klein_data(t: DynkinType) -> KleinData:
     """Invariant parametrisation of C^2/Gamma and the Gamma'-action tables.
 
     Supported: A_{2r-1} (r >= 1), A_{2r} (r >= 1, flagged: no valid
-    Gamma'), D_{r+1} (r >= 3; D4 with its full S3 symmetry) and E6.  For
-    D_{r+1} the ``variant`` flag 'swapped' builds the opposite sign
-    convention for comparison.
+    Gamma'), D_{r+1} (r >= 3; D4 with its full S3 symmetry) and E6.
     """
     z1, z2, a = _zpoly()
     X, Y, Z = (MPoly.variable(XYZ_VARS, v) for v in "XYZ")
@@ -219,9 +217,8 @@ def klein_data(t: DynkinType, variant: str = "paper") -> KleinData:
 
     if t.family == "D":
         r = t.rank - 1  # D_{r+1}, Gamma = binary dihedral D_{r-1}
-        sY = 1 if variant == "paper" else -1
-        sgn_y = QQ(-1) ** (r + 1) * sY
-        sgn_z = QQ(-1) ** r * sY
+        sgn_y = QQ(-1) ** (r + 1)
+        sgn_z = QQ(-1) ** r
         w = 2 * (r - 1)
         # a = 2^(1/r): the scales 4^(1/r) and 4^(-1/(2r)) are a^2 and
         # a^(r-1)/2

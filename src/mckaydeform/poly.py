@@ -1,45 +1,41 @@
 """Sparse multivariate polynomials over exact scalars, plus ideal machinery.
 
-``MPoly`` stores a map from exponent tuples to nonzero exact coefficients
-(rational or ``Cyclo``).  Products and substitutions take one of two
-coefficient paths:
+``MPoly`` maps exponent tuples to nonzero exact coefficients (rational or
+``Cyclo``).  Products and substitutions take one of two coefficient paths:
 
 * the rational path, when every coefficient involved is a ``QQ`` rational
   (and, for a product, the operands are not tiny): exponent tuples are
   packed into one int, one byte per variable, coefficients become int
-  numerators over one common denominator, products and sums are int
-  operations on a plain dict, and each result coefficient becomes a
-  ``QQ`` once, at the end;
+  numerators over one common denominator, and each result coefficient
+  becomes a ``QQ`` once, at the end;
 * the generic path, a loop over the exact scalars themselves, for
   ``Cyclo`` or bare ``int`` coefficients and for tiny products.
 
-Adding packed monomials multiplies them only while no exponent reaches
-256, the field width; a call whose result could reach it (its maximum
-total degree is 256 or more) takes the generic path.  Both paths build the
-result's terms in the same order, so float evaluation of a result sums in
-the same order whichever path built it.
+A call whose result could reach an exponent of 256, the field width, takes
+the generic path.  Both paths build the result's terms in the same order,
+so float evaluation of a result sums in the same order either way.
 
 A coefficient in a field Q(a), a^k = c rational, can stay on the rational
-path (the Q[a]/(a^k - c) presentation): a becomes one more variable of the
-table, x_0 + x_1 a + ... is held as the rational terms x_j a^j, and
-``fold_root`` brings a product or substitution back to degree below k in a
-(a^j -> c^(j//k) a^(j%k)).  sqrt(3) (Frame invariance), sqrt(6) (the E6
-flat coordinates in mu), 2^(1/3) and i (the Klein changes of variables),
-2^(1/r) and 108^(1/4) (the scales of the Klein invariants) are held this
-way.
+path: a becomes one more variable and ``fold_root`` maps a^j to
+c^(j//k) a^(j%k).  sqrt(3), sqrt(6), 2^(1/3), i, 2^(1/r) and 108^(1/4) are
+held this way.
 
-``Ideal`` carries a monomial order and caches its reduced Groebner basis,
-computed by Buchberger's algorithm (cached leads, a pair heap and the
-Gebauer-Moller update).  Zero-dimensional quotient dimensions are counted
-from the staircase of leading terms.
+``Ideal`` carries a monomial order and caches its reduced Groebner basis
+(Buchberger's algorithm with a pair heap and the Gebauer-Moller update),
+each element prepared once for division.  Division runs on packed keys
+whose integer order is the monomial order and whose sum is the product of
+the monomials (``_PackedOrder``), with exact coefficients; an exponent of
+128 or more there raises ``ExponentOverflow``.  Quotient dimensions are
+counted from the staircase of leading terms.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import namedtuple
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .exact import QQ, Cyclo, embed_complex, is_rat, scalar_to_json
 
@@ -91,8 +87,6 @@ ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
 def order_key(order):
-    if callable(order):
-        return order
     try:
         return ORDERS[order]
     except KeyError:
@@ -150,13 +144,7 @@ class MPoly:
             return self + MPoly.constant(self.vars, _coeff(other))
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            c = c if acc is None else acc + c
-            if c:
-                out[e] = c
-            elif acc is not None:
-                del out[e]
+        _add_terms(out, other.terms.items())
         p = MPoly(self.vars)
         p.terms = out
         return p
@@ -195,15 +183,8 @@ class MPoly:
             a, b = b, a
         out = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                c = c if acc is None else acc + c
-                if c:
-                    out[e] = c
-                elif acc is not None:
-                    del out[e]
+            _add_terms(out, [(tuple(map(add, e1, e2)), c1 * c2)
+                             for e2, c2 in b.items()])
         p = MPoly(self.vars)
         p.terms = out
         return p
@@ -230,18 +211,10 @@ class MPoly:
             return self.vars == other.vars and self.terms == other.terms
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("MPoly is not hashable")
-
     def is_zero(self) -> bool:
         return not self.terms
 
     # -- structure ---------------------------------------------------------
-    def leading(self, key):
-        """(exponent, coefficient) of the leading term for an order key."""
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
     def sorted_terms(self):
         """Terms in decreasing grevlex order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
@@ -260,12 +233,10 @@ class MPoly:
         p = MPoly(self.vars)
         for e, c in self.terms.items():
             if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                p.terms[tuple(e2)] = c * e[i]
+                p.terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return p
 
-    # -- substitution ----------------------------------------------------------
+    # -- substitution ------------------------------------------------------
     def substitute(self, bindings: dict) -> "MPoly":
         """Exact composition; unbound variables pass through.
 
@@ -300,36 +271,26 @@ class MPoly:
                       default=0)
             if top < _FIELD_LIMIT:
                 return _substitute_rational(self, out_vars, binding_polys)
-        power_cache = {v: {0: MPoly.constant(out_vars, QQ(1))}
-                       for v in binding_polys}
+        powers = {}             # (name, k) -> binding^k, from binding^(k-1)
 
         def bound_power(v, k):
-            cache = power_cache[v]
-            if k in cache:
-                return cache[k]
-            base = binding_polys[v]
-            if not isinstance(base, MPoly):
-                value = base ** k if k else QQ(1)
-                cache[k] = value
-                return value
-            best = max(j for j in cache if j <= k)
-            value = cache[best]
-            for j in range(best, k):
-                value = value * base
-                cache[j + 1] = value
-            return value
+            if (v, k) not in powers:
+                base = binding_polys[v]
+                if not isinstance(base, MPoly):
+                    powers[v, k] = base ** k
+                else:
+                    powers[v, k] = (bound_power(v, k - 1) if k > 1 else
+                                    MPoly.constant(out_vars, QQ(1))) * base
+            return powers[v, k]
 
         total = MPoly(out_vars)
         for e, c in self.terms.items():
             passthrough = [0] * len(out_vars)
             factors = []
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                name = self.vars.names[i]
-                if name in binding_polys:
+            for name, k in zip(self.vars.names, e):
+                if k and name in binding_polys:
                     factors.append((name, k))
-                else:
+                elif k:
                     passthrough[out_vars.index[name]] = k
             term = MPoly(out_vars)
             term.terms[tuple(passthrough)] = c
@@ -355,13 +316,10 @@ class MPoly:
             if v not in point:
                 raise VariableMismatch(f"unbound variable {v}")
         values = [complex(point[v]) for v in self.vars.names]
-        maxdeg = [0] * len(self.vars)
-        for e in self.terms:
-            maxdeg = [max(m, k) for m, k in zip(maxdeg, e)]
         powers = [[1.0 + 0j] for _ in values]
-        for i, v in enumerate(values):
-            for _ in range(maxdeg[i]):
-                powers[i].append(powers[i][-1] * v)
+        for i, d in enumerate(map(max, zip(*self.terms))):
+            for _ in range(d):
+                powers[i].append(powers[i][-1] * values[i])
         total = 0j
         for e, c in self.terms.items():
             m = embed_complex(c)
@@ -393,6 +351,22 @@ def _coeff(x):
     if is_rat(x) or isinstance(x, Cyclo):
         return QQ(x) if isinstance(x, int) else x
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _add_terms(out, pairs):
+    """Add (key, nonzero coefficient) pairs into the dict ``out``; a sum
+    that reaches zero drops its key."""
+    get = out.get
+    for k, c in pairs:
+        acc = get(k)
+        if acc is None:
+            out[k] = c
+        else:
+            acc += c
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
 
 
 # -- the rational path: packed monomials, int numerators ----------------------
@@ -465,27 +439,16 @@ def _mul_packed(a, b):
 def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
     """``p.substitute`` when every coefficient and binding is rational.
 
-    Work is shared across terms, and the result still has the generic
-    loop's terms in the generic loop's order:
-
-    * a binding of at most one term, c * m (a scalar, a fixed coordinate
-      or a sign flip), is folded into each term up front: m^k goes into the
-      term's packed monomial and c^k into its numerator and denominator;
-    * the product of the other bindings' powers depends only on a term's
-      exponents on those variables, its pattern, so it is built once per
-      pattern, as one chain of ``_mul_packed`` calls (the unit monomial
-      (0, 1) for the empty pattern); every term with that pattern adds a
-      copy shifted by its monomial and scaled by its numerator.  The uses
-      of each pattern are counted first and its product is dropped after
-      the last one.
-
-    The generic loop multiplies each term, a one-term list, by the same
-    chain.  ``_mul_packed`` by a one-term factor keeps the other factor's
-    order, and shifting every packed key by one offset and scaling every
-    numerator by one nonzero int keep every key collision and every zero
-    sum, so each term's copy matches the generic product term for term.
-    The common denominator of the result is fixed first; the copies are
-    added, in ints, into one accumulator in the order of ``p``'s terms.
+    A binding of at most one term, c * m, is folded into each term up
+    front (m^k into its packed monomial, c^k into its numerator and
+    denominator).  The product of the other bindings' powers depends only
+    on a term's exponents on them, its pattern: it is built once per
+    pattern by one chain of ``_mul_packed`` calls, and dropped after the
+    pattern's last use; each term adds a copy shifted by its monomial and
+    scaled by its numerator, in ints over one common denominator.  Shifting
+    and scaling keep every key collision and zero sum of the generic loop,
+    which multiplies each term by the same chain, so the result has the
+    generic loop's terms in its order.
     """
     n = len(out_vars)
     folds = []              # (position, packed monomial, num, den)
@@ -622,12 +585,67 @@ def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def _ediff(e2, e1):
-    return tuple(b - a for a, b in zip(e1, e2))
-
-
 def _elcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def _coprime(e1, e2):
+    return not any(a and b for a, b in zip(e1, e2))
+
+
+class ExponentOverflow(OverflowError):
+    """A division met an exponent of 128 or more: past the packed field."""
+
+
+class _PackedOrder:
+    """A monomial order on one variable table, as additive packed keys.
+
+    With m the exponents as the bytes of one int, little-endian for grevlex
+    (m = sum e_i 256^i) and big-endian for lex, the key of e is
+    (|e| << 8n) - m for grevlex and m for lex: the integer order of keys is
+    the monomial order, and key(a + b) = key(a) + key(b) while every
+    exponent stays below 256.  ``plain`` gives back m."""
+
+    __slots__ = ("vars", "graded", "byteorder", "shift", "guard")
+
+    def __init__(self, key, vars):
+        if key not in ORDERS.values():
+            raise ValueError(f"no packed form for the order key {key!r}")
+        self.vars = vars
+        self.graded = key is grevlex_key
+        self.byteorder = "little" if self.graded else "big"
+        self.shift = 8 * len(vars)
+        self.guard = int.from_bytes(b"\x80" * len(vars), "little")
+
+    def key(self, e):
+        if max(e, default=0) >= 128:
+            raise ExponentOverflow(e)
+        m = int.from_bytes(bytes(e), self.byteorder)
+        return (sum(e) << self.shift) - m if self.graded else m
+
+    def plain(self, k):
+        return (-(-k >> self.shift) << self.shift) - k if self.graded else k
+
+    def exponents(self, k):
+        return tuple(self.plain(k).to_bytes(len(self.vars), self.byteorder))
+
+    def pack(self, p: MPoly):
+        return {self.key(e): c for e, c in p.terms.items()}
+
+    def unpack(self, terms) -> MPoly:
+        return MPoly(self.vars, [(self.exponents(k), c)
+                                 for k, c in terms.items()])
+
+
+# A monic polynomial prepared for dividing by: its lead's plain form and
+# key, and its tail as (key - lead key, -coefficient) pairs.
+_Reducer = namedtuple("_Reducer", "lead key tail")
+
+
+def _prepare(terms, order: _PackedOrder) -> _Reducer:
+    lk = max(terms)
+    return _Reducer(order.plain(lk), lk,
+                    [(k - lk, -c) for k, c in terms.items() if k != lk])
 
 
 class _Budget:
@@ -645,68 +663,63 @@ class _Budget:
 DEFAULT_BUDGET = 10 ** 6
 
 
-def reduce_poly(p: MPoly, basis, key, budget=None) -> MPoly:
-    """Full remainder of p on division by ``basis`` (complete reduction)."""
+def reduce_poly(p, basis, key, budget=None):
+    """Remainder of p on complete division by the ``_Reducer``s ``basis``;
+    p and the remainder map keys of the ``_PackedOrder`` ``key`` to
+    coefficients, the remainder's in decreasing order.  Each step divides
+    the largest term left by the first reducer whose lead divides it.  Taken
+    terms and reducers have every exponent below 128, so a step's keys have
+    them below 256, and a lead divides a term when subtracting it from the
+    term with every guard bit set clears none."""
     budget = budget or _Budget(DEFAULT_BUDGET)
-    leads = [(g.leading(key), g) for g in basis if g]
-    remainder = MPoly(p.vars)
-    work = dict(p.terms)
+    guard = key.guard
+    work = dict(p)
+    remainder = {}
     while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        if not c:
-            continue
-        for (le, lc), g in leads:
-            if _divides(le, e):
+        k = max(work)
+        c = work.pop(k)
+        m = key.plain(k)
+        if m & guard:
+            raise ExponentOverflow(key.exponents(k))
+        m |= guard
+        for lead, lk, tail in basis:
+            if (m - lead) & guard == guard:
                 budget.spend()
-                shift = _ediff(e, le)
-                factor = c / lc
-                for ge, gc in g.terms.items():
-                    e2 = tuple(x + y for x, y in zip(ge, shift))
-                    if e2 == e:
-                        continue
-                    acc = work.get(e2)
-                    delta = -(factor * gc)
-                    val = delta if acc is None else acc + delta
-                    if val:
-                        work[e2] = val
-                    elif acc is not None:
-                        del work[e2]
+                _add_terms(work, [(k + off, c * nc) for off, nc in tail])
                 break
         else:
-            remainder.terms[e] = c
+            remainder[k] = c
     return remainder
 
 
-def _spoly(f: MPoly, ef, g: MPoly, eg) -> MPoly:
-    """S-polynomial of the monic f and g, whose leading exponents are ef, eg."""
-    l = _elcm(ef, eg)
-    return (MPoly(f.vars, {_ediff(l, ef): f.terms[ef]}) * f
-            - MPoly(g.vars, {_ediff(l, eg): g.terms[eg]}) * g)
+def _spoly(f: _Reducer, g: _Reducer, l):
+    """S-polynomial x^a f - x^b g of the monic f and g, whose leads' lcm
+    x^a lead(f) = x^b lead(g) has the key l, from their tails."""
+    s = {l + off: -c for off, c in f.tail}
+    _add_terms(s, [(l + off, c) for off, c in g.tail])
+    return s
 
 
 def _inv(c):
-    if is_rat(c):
-        return QQ(1) / c
-    return c.inverse()
-
-
-def _coprime(e1, e2):
-    return not any(a and b for a, b in zip(e1, e2))
+    return QQ(1) / c if is_rat(c) else c.inverse()
 
 
 def buchberger(gens, key, budget=None):
     """Reduced Groebner basis: Buchberger's algorithm, pairs taken smallest
     lcm first, with the Gebauer-Moller update (J. Symb. Comput. 6, 1988)."""
     budget = budget or _Budget(DEFAULT_BUDGET)
-    basis, leads = [], []       # monic elements and their leading exponents
+    order = _PackedOrder(key, gens[0].vars)
+    basis, reducers, leads = [], [], []     # monic, prepared, lead exponents
     live, heap = {}, []         # pair (t, g), t > g -> lcm; heap of live keys
     G = []                      # elements whose lead no later lead divides
 
     def update(h):
-        e, c = h.leading(key)
+        lk = max(h)
+        inv = _inv(h[lk])
+        e = order.exponents(lk)
         t = len(basis)
-        basis.append(h * _inv(c))
+        basis.append({k: c * inv for k, c in h.items()})
+        reducers.append(_prepare(basis[t], order))
         leads.append(e)
         new = {g: _elcm(leads[g], e) for g in G}
         # M and F: keep a new pair unless another new pair's lcm divides its
@@ -724,33 +737,32 @@ def buchberger(gens, key, budget=None):
         for g in kept:
             if not _coprime(leads[g], e):
                 live[t, g] = new[g]
-                heapq.heappush(heap, (key(new[g]), t, g))
+                heapq.heappush(heap, (order.key(new[g]), t, g))
         G[:] = [g for g in G if not _divides(e, leads[g])] + [t]
 
     for g in gens:
         if g:
-            update(g)
+            update(order.pack(g))
     while heap:
-        _, i, j = heapq.heappop(heap)
+        l, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        s = _spoly(basis[i], leads[i], basis[j], leads[j])
-        r = reduce_poly(s, basis, key, budget)
+        r = reduce_poly(_spoly(reducers[i], reducers[j], l), reducers, order,
+                        budget)
         if r:
             update(r)
     # minimize: drop elements whose leading term another one divides
     minimal = []
-    for g in sorted(G, key=lambda g: key(leads[g])):
+    for g in sorted(G, key=lambda g: reducers[g].key):
         if not any(_divides(leads[h], leads[g]) for h in minimal):
             minimal.append(g)
-    minimal = [basis[g] for g in minimal]
     # tail-reduce each against the others (leading terms are now stable)
     final = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(g, others, key, budget)
-        final.append(r * _inv(r.leading(key)[1]))
-    final.sort(key=lambda g: key(g.leading(key)[0]))
+    for g in minimal:
+        r = reduce_poly(basis[g], [reducers[h] for h in minimal if h != g],
+                        order, budget)
+        inv = _inv(r[reducers[g].key])
+        final.append(order.unpack({k: c * inv for k, c in r.items()}))
     return final
 
 
@@ -759,40 +771,42 @@ class Ideal:
 
     def __init__(self, generators, order="grevlex", budget=DEFAULT_BUDGET):
         gens = list(generators)
+        if not gens:
+            raise ValueError("need at least one generator")
         for g in gens:
             if not isinstance(g, MPoly):
                 raise TypeError(f"generator {g} is not a polynomial")
-        if not gens:
-            raise ValueError("need at least one generator")
-        vars = gens[0].vars
-        for g in gens:
-            if g.vars != vars:
+            if g.vars != gens[0].vars:
                 raise VariableMismatch("generators on different tables")
         self.generators = gens
-        self.vars = vars
+        self.vars = gens[0].vars
         self.order = order
         self.budget = budget
-        self._gb = None
+        self._gb = self._packed = self._reducers = None
 
     def groebner_basis(self):
         if self._gb is None:
             key = order_key(self.order)
             gb = buchberger(self.generators, key, _Budget(self.budget))
+            packed = _PackedOrder(key, self.vars)
+            reducers = [_prepare(packed.pack(g), packed) for g in gb]
             # ideal-membership self-check: every generator reduces to zero
             for g in self.generators:
-                if g and reduce_poly(g, gb, key, _Budget(self.budget)):
+                if g and reduce_poly(packed.pack(g), reducers, packed,
+                                     _Budget(self.budget)):
                     raise AssertionError("generator fails self-reduction")
-            self._gb = gb
+            self._gb, self._packed, self._reducers = gb, packed, reducers
         return self._gb
 
     def normal_form(self, p: MPoly) -> MPoly:
-        key = order_key(self.order)
-        return reduce_poly(_retable(p, self.vars), self.groebner_basis(),
-                           key, _Budget(self.budget))
+        self.groebner_basis()
+        r = reduce_poly(self._packed.pack(_retable(p, self.vars)),
+                        self._reducers, self._packed, _Budget(self.budget))
+        return self._packed.unpack(r)
 
     def leading_exponents(self):
-        key = order_key(self.order)
-        return [g.leading(key)[0] for g in self.groebner_basis()]
+        self.groebner_basis()
+        return [self._packed.exponents(r.key) for r in self._reducers]
 
     def quotient_dimension(self):
         """Number of standard monomials, or the string 'infinite'."""
@@ -809,13 +823,8 @@ def _staircase(leads, n):
     They are finite exactly when every variable has a pure power among the
     leads; that power bounds the variable's exponent.
     """
-    bounds = [None] * n
-    for e in leads:
-        support = [i for i in range(n) if e[i]]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
+    bounds = [min((e[i] for e in leads if 0 < e[i] == sum(e)), default=None)
+              for i in range(n)]
     if any(b is None for b in bounds):
         return None
     return [mono for mono in itertools.product(*(range(b) for b in bounds))
@@ -831,24 +840,15 @@ def quotient_basis(ideal: Ideal):
     return basis
 
 
+def _exponents_of_degree(n, d):
+    """Exponent tuples on n variables of total degree d, in ascending order."""
+    if n == 1:
+        return [(d,)]
+    return [(k,) + e for k in range(d + 1)
+            for e in _exponents_of_degree(n - 1, d - k)]
+
+
 def monomials_of_degree(vars: VarTable, d: int):
     """All monomials of total degree exactly d, as MPoly list."""
-    n = len(vars)
-    out = []
-    if n == 1:
-        exps = [(d,)]
-    else:
-        exps = []
-        for bars in itertools.combinations(range(d + n - 1), n - 1):
-            e = []
-            prev = -1
-            for b in bars:
-                e.append(b - prev - 1)
-                prev = b
-            e.append(d + n - 2 - prev)
-            exps.append(tuple(e))
-    for e in exps:
-        p = MPoly(vars)
-        p.terms[e] = QQ(1)
-        out.append(p)
-    return out
+    return [MPoly(vars, {e: QQ(1)})
+            for e in _exponents_of_degree(len(vars), d)]

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mckaydeform.exact import QQ, rat
+from mckaydeform.exact import QQ
 from mckaydeform.poly import MPoly, VarTable, equal_mod_vars
 from mckaydeform.rootdata import (build_root_system, fold, omega_average,
                                   parse_type, standard_omega,
@@ -204,7 +204,7 @@ def test_criterion_10_example_fibres():
     ok = rep0.global_tjurina == 1 \
         and [p.ade for p in rep0.singular_points] == ["A1"] \
         and rep0.singular_points[0].coords_exact == (0, 0, 0)
-    rep1 = analyze_hypersurface(base - rat(4, 27))
+    rep1 = analyze_hypersurface(base - QQ(4, 27))
     ok = ok and rep1.global_tjurina == 3
     ok = ok and [p.ade for p in rep1.singular_points] == ["A1"] * 3
     ok = ok and all(p.tjurina == 1 for p in rep1.singular_points)

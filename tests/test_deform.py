@@ -198,7 +198,7 @@ def test_example_fibre_one_a1():
 def test_example_fibre_three_a1():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
-    f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y - rat(4, 27)
+    f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y - QQ(4, 27)
     rep = analyze_hypersurface(f)
     assert rep.global_tjurina == 3
     assert [p.ade for p in rep.singular_points] == ["A1"] * 3
@@ -232,7 +232,7 @@ def test_c3_family_fibre_at_zero():
 
 
 def test_b2_fibre_with_rational_parameters():
-    rep = analyze_fibre(family("B2"), {"t2": rat(1), "t4": rat(-1, 8)})
+    rep = analyze_fibre(family("B2"), {"t2": rat(1), "t4": QQ(-1, 8)})
     # f4 = t4 + t2^2/8 = 0 branch: singular at the origin
     assert not rep.is_smooth
     origin = [p for p in rep.singular_points
@@ -243,12 +243,12 @@ def test_b2_fibre_with_rational_parameters():
 def test_float_parameters_are_refused():
     # parameters must be exact: a float is never rounded to a rational
     with pytest.raises(TypeError):
-        analyze_fibre(family("B2"), {"t2": 1.0, "t4": rat(-1, 8)})
+        analyze_fibre(family("B2"), {"t2": 1.0, "t4": QQ(-1, 8)})
 
 
 def test_a5_family_fibre_generic_smooth():
     rep = analyze_fibre(family("B3"),
-                        {"t2": rat(1), "t4": rat(1, 3), "t6": rat(1, 5)})
+                        {"t2": rat(1), "t4": QQ(1, 3), "t6": QQ(1, 5)})
     assert isinstance(rep.global_tjurina, (int, str))
 
 

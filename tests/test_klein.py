@@ -1,6 +1,7 @@
 """Finite SU(2) subgroups and the invariant presentations."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from mckaydeform.klein import (ClosureBudgetExceeded, binary_dihedral,
                                binary_octahedral, binary_tetrahedral,
                                cyclic_group, klein_data, mat_mul,
                                verify_invariance, verify_omega_action)
+from mckaydeform.poly import MPoly
 from mckaydeform.rootdata import DynkinType
 
 
@@ -57,8 +59,8 @@ def test_a_scale_off_by_one_power_fails_the_relation(monkeypatch, tmp_path):
     from mckaydeform.cli import run
     build = klein.klein_data
 
-    def off_by_one(t, variant="paper"):
-        kd = build(t, variant)
+    def off_by_one(t):
+        kd = build(t)
         kd.X = kd.X * klein.MPoly.variable(klein.Z_VARS, "a")
         return kd
 
@@ -136,10 +138,22 @@ def test_coset_orders_match_action_orders():
             assert coset == _order(M, _mul3, lambda P: P == ident3)
 
 
+def _flip_z2_terms(p):
+    """p with the sign of every term of higher degree in z2 than in z1
+    flipped: z1^w + s z2^w becomes z1^w - s z2^w."""
+    i1, i2 = p.vars.index["z1"], p.vars.index["z2"]
+    return MPoly(p.vars, {e: -c if e[i2] > e[i1] else c
+                          for e, c in p.terms.items()})
+
+
 def test_d_swapped_sign_variant_is_flagged():
-    # the opposite sign convention breaks the relation: reported, not fatal
-    kd = klein_data(DynkinType("D", 5), variant="swapped")
-    report = verify_invariance(kd)
+    # the opposite sign convention in Y and Z breaks the relation: reported,
+    # not fatal
+    kd = klein_data(DynkinType("D", 5))
+    swapped = replace(kd, Y=_flip_z2_terms(kd.Y), Z=_flip_z2_terms(kd.Z))
+    assert swapped.Y != kd.Y and swapped.Z != kd.Z
+    assert verify_invariance(kd)["ok"]
+    report = verify_invariance(swapped)
     relation = [c for c in report["checks"]
                 if c["check"] == "relation_vanishes"]
     assert relation and not relation[0]["ok"]

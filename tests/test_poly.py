@@ -1,14 +1,16 @@
 """Polynomial arithmetic, substitution, Groebner machinery."""
 
+import itertools
 import random
+from operator import add
 
 import pytest
 
 from mckaydeform import poly
-from mckaydeform.exact import QQ, rat, sqrt3
-from mckaydeform.poly import (BudgetExceeded, Ideal, MPoly, VariableMismatch,
-                              VarTable, equal_mod_vars, grevlex_key,
-                              monomials_of_degree,
+from mckaydeform.exact import QQ, sqrt3
+from mckaydeform.poly import (BudgetExceeded, ExponentOverflow, Ideal, MPoly,
+                              VariableMismatch, VarTable, equal_mod_vars,
+                              grevlex_key, monomials_of_degree, order_key,
                               quotient_basis)
 
 V = VarTable(("x", "y", "z"))
@@ -194,7 +196,7 @@ def test_groebner_matches_sympy_oracle():
 def test_evaluate_numeric():
     assert abs((x + y).evaluate_numeric({"x": 1, "y": 2, "z": 0}) - 3) \
         < 1e-15
-    f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y - rat(4, 27)
+    f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y - QQ(4, 27)
     assert abs(f.evaluate_numeric({"x": 2 / 3, "y": 0, "z": 0})) < 1e-12
     assert MPoly(V).evaluate_numeric({"x": 9, "y": 9, "z": 9}) == 0
 
@@ -224,7 +226,7 @@ def test_budget_exceeded():
 
 
 def test_json_round_trip():
-    p = x * x * rat(3, 7) - y * z + MPoly.constant(V, rat(-1, 2))
+    p = x * x * QQ(3, 7) - y * z + MPoly.constant(V, QQ(-1, 2))
     # grevlex-descending term order, exact coefficients as strings
     assert p.to_json() == {"vars": ["x", "y", "z"], "terms": [
         {"c": "3/7", "e": [2, 0, 0]},
@@ -516,3 +518,57 @@ def test_coprime_leads_need_no_s_pair(monkeypatch):
     assert calls[0] == len(gb)
     assert _reduced_basis(gens, "grevlex") == \
         _sympy_reduced_basis(gens, "grevlex")
+
+
+# -- packed keys: the order, additivity, the field limit ---------------------
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_packed_keys_sort_like_the_order_and_add(order, n):
+    key = order_key(order)
+    packed = poly._PackedOrder(key, VarTable(tuple("abcd"[:n])))
+    edge = list(itertools.product((0, 1, 126, 127), repeat=n))
+    assert sorted(edge, key=packed.key) == sorted(edge, key=key)
+    box = list(itertools.product((0, 1, 2, 63), repeat=n))
+    assert sorted(box, key=packed.key) == sorted(box, key=key)
+    assert all(packed.exponents(packed.key(e)) == e for e in box + edge)
+    for a in box:
+        ka = packed.key(a)
+        for b in box:
+            assert packed.key(tuple(map(add, a, b))) == ka + packed.key(b)
+
+
+def test_exponent_past_the_packed_field_raises():
+    with pytest.raises(ExponentOverflow):
+        Ideal([x ** 300 - y]).groebner_basis()
+    # grevlex: the step by x^64 + y^64 turns x^64 y^100 into -y^164
+    ideal = Ideal([x ** 64 + y ** 64])
+    with pytest.raises(ExponentOverflow):
+        ideal.normal_form(x ** 64 * y ** 100)
+    assert ideal.normal_form(x ** 64 * y ** 63) == -(y ** 127)
+    # lex: x - y^100 reduces x^2 to y^200
+    with pytest.raises(ExponentOverflow):
+        Ideal([x - y ** 100], order="lex").normal_form(x ** 2)
+    with pytest.raises(ExponentOverflow):
+        Ideal([x - y ** 130], order="lex").normal_form(x ** 2)
+    assert Ideal([x - y ** 63], order="lex").normal_form(x ** 2) == y ** 126
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_bases_and_normal_forms_keep_terms_in_decreasing_order(order):
+    # float evaluation and --out see the terms in this sequence
+    key = order_key(order)
+
+    def decreasing(p):
+        return list(p.terms) == sorted(p.terms, key=key, reverse=True)
+
+    rng = random.Random(59)
+    for _ in range(4):
+        gens = [g for g in (_random_poly(rng) for _ in range(3)) if g]
+        if not gens:
+            continue
+        ideal = Ideal(gens, order=order)
+        assert all(decreasing(g) for g in ideal.groebner_basis())
+        for _ in range(6):
+            p = _random_poly(rng, nterms=8, deg=3)
+            assert decreasing(ideal.normal_form(p))

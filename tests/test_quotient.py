@@ -5,7 +5,7 @@ import pytest
 
 from mckaydeform.deform import analyze_hypersurface
 from mckaydeform import quotient
-from mckaydeform.exact import QQ, Cyclo, rat
+from mckaydeform.exact import QQ, Cyclo
 from mckaydeform.poly import MPoly
 from mckaydeform.quotient import (UnsupportedLabel, discriminant_B2,
                                   g2_intermediate_generators,
@@ -153,7 +153,7 @@ def test_quotient_special_fibre_types():
 def test_b2_quotient_grid_always_singular():
     # every fibre on a 5x5 rational grid is singular, at (+-2 sqrt(f4),0,0)
     qf = quotient_family("B2")
-    grid = [rat(k, 3) for k in (-2, -1, 0, 1, 2)]
+    grid = [QQ(k, 3) for k in (-2, -1, 0, 1, 2)]
     for t2 in grid:
         for t4 in grid:
             fibre = qf.equation.substitute({"t2": t2, "t4": t4})

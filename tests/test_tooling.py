@@ -115,13 +115,7 @@ def test_no_unused_imports_in_src():
 
 # Parameter defaults that no src/ or bench/ call overrides, each with its
 # reason for staying a parameter.
-ONE_VALUE_ALLOWED = {
-    "exact.rat(q)": "the integer-pair form of the rational constructor "
-                    "beside the 'p/q' string form",
-    "klein.klein_data(variant)": "'swapped' builds the opposite D-type sign "
-                                 "convention, the negative control of the "
-                                 "relation check",
-}
+ONE_VALUE_ALLOWED = {}
 
 
 def _calls_and_references(trees):
