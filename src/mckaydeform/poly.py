@@ -24,8 +24,12 @@ held this way.
 (Buchberger's algorithm with a pair heap and the Gebauer-Moller update),
 each element prepared once for division.  Division runs on packed keys
 whose integer order is the monomial order and whose sum is the product of
-the monomials (``_PackedOrder``), with exact coefficients; an exponent of
-128 or more there raises ``ExponentOverflow``.  Quotient dimensions are
+the monomials (``_PackedOrder``); an exponent of 128 or more there raises
+``ExponentOverflow``.  It is fraction-free: an element with rational
+coefficients is held as an integer polynomial with content 1 from the
+generators to the final basis, which alone is made monic, and a normal
+form of rational terms runs on int numerators over one scale.  An element
+with a ``Cyclo`` coefficient is held monic.  Quotient dimensions are
 counted from the staircase of leading terms.
 """
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from .exact import QQ, Cyclo, embed_complex, is_rat, scalar_to_json
@@ -394,10 +398,17 @@ def _denominator(terms) -> int:
     return lcm(*{c.denominator for c in terms.values()})
 
 
+def _numerators(terms, den):
+    """Rational terms as int numerators over ``den``, a common multiple of
+    their denominators (``int`` also turns gmpy2's ``mpz`` into one)."""
+    return {k: int(c.numerator) * (den // int(c.denominator))
+            for k, c in terms.items()}
+
+
 def _pack(terms, den):
     """(packed monomial, numerator over ``den``) pairs of rational terms."""
-    return [(int.from_bytes(bytes(e), "little"),
-             c.numerator * (den // c.denominator)) for e, c in terms.items()]
+    return [(int.from_bytes(bytes(e), "little"), c)
+            for e, c in _numerators(terms, den).items()]
 
 
 def _unpack(vars, pairs, den) -> MPoly:
@@ -630,22 +641,42 @@ class _PackedOrder:
         return tuple(self.plain(k).to_bytes(len(self.vars), self.byteorder))
 
     def pack(self, p: MPoly):
-        return {self.key(e): c for e, c in p.terms.items()}
+        """Keys to coefficients, a bare int as a ``QQ``: ``reduce_poly``
+        reads an all-int dict as one it may scale."""
+        return {self.key(e): QQ(c) if type(c) is int else c
+                for e, c in p.terms.items()}
 
     def unpack(self, terms) -> MPoly:
         return MPoly(self.vars, [(self.exponents(k), c)
                                  for k, c in terms.items()])
 
 
-# A monic polynomial prepared for dividing by: its lead's plain form and
-# key, and its tail as (key - lead key, -coefficient) pairs.
-_Reducer = namedtuple("_Reducer", "lead key tail")
+# A basis element prepared for dividing by: its lead's plain form and key,
+# its int lead coefficient (1 when monic), and its tail as
+# (key - lead key, -coefficient) pairs.
+_Reducer = namedtuple("_Reducer", "lead key lc tail")
 
 
 def _prepare(terms, order: _PackedOrder) -> _Reducer:
     lk = max(terms)
-    return _Reducer(order.plain(lk), lk,
+    lc = terms[lk]
+    return _Reducer(order.plain(lk), lk, lc if type(lc) is int else 1,
                     [(k - lk, -c) for k, c in terms.items() if k != lk])
+
+
+def _normalize(h):
+    """h as a basis element: over the integers with content 1 and a
+    positive lead when its coefficients are rational, else monic."""
+    lk = max(h)
+    if all(map(is_rat, h.values())):
+        h = _numerators(h, _denominator(h))
+        g = gcd(*h.values())
+        g = g if h[lk] > 0 else -g
+        return {k: c // g for k, c in h.items()}
+    if h[lk] == 1:
+        return h
+    inv = _inv(h[lk])
+    return {k: c * inv for k, c in h.items()}
 
 
 class _Budget:
@@ -670,10 +701,19 @@ def reduce_poly(p, basis, key, budget=None):
     the largest term left by the first reducer whose lead divides it.  Taken
     terms and reducers have every exponent below 128, so a step's keys have
     them below 256, and a lead divides a term when subtracting it from the
-    term with every guard bit set clears none."""
+    term with every guard bit set clears none.
+
+    An int term c met by a lead coefficient lc > 1 stays integral: with
+    g = gcd(c, lc), what is left and the remainder are multiplied by
+    lc // g, and c // g times the reducer is subtracted.  So an all-int p
+    has a positive multiple of its remainder returned; any other p its
+    exact remainder (rational terms as int numerators over one scale)."""
     budget = budget or _Budget(DEFAULT_BUDGET)
     guard = key.guard
-    work = dict(p)
+    exact = not all(type(c) is int for c in p.values())
+    rational = exact and _rational(p)
+    scale = _denominator(p) if rational else 1
+    work = _numerators(p, scale) if rational else dict(p)
     remainder = {}
     while work:
         k = max(work)
@@ -682,21 +722,36 @@ def reduce_poly(p, basis, key, budget=None):
         if m & guard:
             raise ExponentOverflow(key.exponents(k))
         m |= guard
-        for lead, lk, tail in basis:
+        for lead, lk, lc, tail in basis:
             if (m - lead) & guard == guard:
                 budget.spend()
+                if lc != 1 and type(c) is int:
+                    g = gcd(c, lc)
+                    s, c = lc // g, c // g
+                    if s != 1:
+                        work = {t: v * s for t, v in work.items()}
+                        remainder = {t: v * s for t, v in remainder.items()}
+                        scale *= s
+                elif lc != 1:
+                    c /= lc
                 _add_terms(work, [(k + off, c * nc) for off, nc in tail])
                 break
         else:
             remainder[k] = c
-    return remainder
+    if not exact:
+        return remainder
+    return {k: QQ(c, scale) if type(c) is int else c if scale == 1
+            else c / scale for k, c in remainder.items()}
 
 
 def _spoly(f: _Reducer, g: _Reducer, l):
-    """S-polynomial x^a f - x^b g of the monic f and g, whose leads' lcm
-    x^a lead(f) = x^b lead(g) has the key l, from their tails."""
-    s = {l + off: -c for off, c in f.tail}
-    _add_terms(s, [(l + off, c) for off, c in g.tail])
+    """S-polynomial, up to a positive factor, of f and g, whose leads' lcm
+    x^a lead(f) = x^b lead(g) has the key l, from their tails: with d =
+    gcd(lc(f), lc(g)), lc(g)/d x^a f - lc(f)/d x^b g."""
+    d = gcd(f.lc, g.lc)
+    a, b = g.lc // d, f.lc // d
+    s = {l + off: -c if a == 1 else -a * c for off, c in f.tail}
+    _add_terms(s, [(l + off, c if b == 1 else b * c) for off, c in g.tail])
     return s
 
 
@@ -706,20 +761,20 @@ def _inv(c):
 
 def buchberger(gens, key, budget=None):
     """Reduced Groebner basis: Buchberger's algorithm, pairs taken smallest
-    lcm first, with the Gebauer-Moller update (J. Symb. Comput. 6, 1988)."""
+    lcm first, with the Gebauer-Moller update (J. Symb. Comput. 6, 1988).
+    An element with rational coefficients is held over the integers with
+    content 1 (``_normalize``) until the final basis is made monic."""
     budget = budget or _Budget(DEFAULT_BUDGET)
     order = _PackedOrder(key, gens[0].vars)
-    basis, reducers, leads = [], [], []     # monic, prepared, lead exponents
+    basis, reducers, leads = [], [], []     # normalized, prepared, leads
     live, heap = {}, []         # pair (t, g), t > g -> lcm; heap of live keys
     G = []                      # elements whose lead no later lead divides
 
     def update(h):
-        lk = max(h)
-        inv = _inv(h[lk])
-        e = order.exponents(lk)
         t = len(basis)
-        basis.append({k: c * inv for k, c in h.items()})
+        basis.append(_normalize(h))
         reducers.append(_prepare(basis[t], order))
+        e = order.exponents(reducers[t].key)
         leads.append(e)
         new = {g: _elcm(leads[g], e) for g in G}
         # M and F: keep a new pair unless another new pair's lcm divides its
@@ -789,7 +844,8 @@ class Ideal:
             key = order_key(self.order)
             gb = buchberger(self.generators, key, _Budget(self.budget))
             packed = _PackedOrder(key, self.vars)
-            reducers = [_prepare(packed.pack(g), packed) for g in gb]
+            reducers = [_prepare(_normalize(packed.pack(g)), packed)
+                        for g in gb]
             # ideal-membership self-check: every generator reduces to zero
             for g in self.generators:
                 if g and reduce_poly(packed.pack(g), reducers, packed,

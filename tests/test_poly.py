@@ -572,3 +572,159 @@ def test_bases_and_normal_forms_keep_terms_in_decreasing_order(order):
         for _ in range(6):
             p = _random_poly(rng, nterms=8, deg=3)
             assert decreasing(ideal.normal_form(p))
+
+
+# -- fraction-free division: integer basis elements, exact normal forms ------
+
+# rational generators whose primitive integer leads are not 1
+FRACTIONAL_IDEALS = [
+    [x ** 2 * 7 + y * z * QQ(1, 3) - QQ(11, 4), y ** 2 * QQ(11, 4) - x * 7,
+     z ** 2 * 3 + x * y * QQ(1, 3) + 5],
+    [x * y * QQ(7, 2) - z * QQ(1, 3), y ** 3 * 11 - x ** 2 * QQ(4, 9) + 1,
+     x * z * QQ(5, 6) + y - QQ(7, 3)],
+]
+
+
+def _from_sympy(expr, syms, vars):
+    import sympy as sp
+    terms = sp.Poly(expr, *syms, domain=sp.QQ).terms()
+    return MPoly(vars, {e: QQ(str(c)) for e, c in terms})
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("k", range(len(FRACTIONAL_IDEALS)))
+def test_normal_form_is_exact_with_integer_leads(order, k):
+    import sympy as sp
+    syms = sp.symbols("x y z")
+    gens = FRACTIONAL_IDEALS[k]
+    ideal = Ideal(gens, order=order)
+    ideal.groebner_basis()
+    assert any(r.lc > 1 for r in ideal._reducers)
+    G = sp.groebner([_as_sympy(g, syms) for g in gens], *syms, order=order,
+                    domain=sp.QQ)
+    rng = random.Random(67 + k)
+    for _ in range(6):
+        p = _random_poly(rng, nterms=6, deg=3) * QQ(rng.randint(1, 9), 7) \
+            + MPoly.constant(V, QQ(1, 5))
+        _, want = sp.reduced(_as_sympy(p, syms), G.exprs, *syms, order=order,
+                             domain=sp.QQ)
+        got = ideal.normal_form(p)
+        assert got.terms == _from_sympy(want, syms, V).terms
+        assert all(type(c) is type(QQ(1)) for c in got.terms.values())
+
+
+def test_rational_ideal_holds_int_reducers():
+    for gens in FRACTIONAL_IDEALS:
+        ideal = Ideal(gens)
+        ideal.groebner_basis()
+        for r in ideal._reducers:
+            assert type(r.lc) is int and r.lc > 0
+            assert all(type(c) is int for _, c in r.tail)
+        # bare int coefficients are rationals too, not a scaled remainder
+        bare = {(3, 1, 0): 5, (0, 2, 2): -3, (1, 0, 0): 2}
+        assert ideal.normal_form(MPoly(V, bare)) == ideal.normal_form(
+            MPoly(V, {e: QQ(c) for e, c in bare.items()}))
+
+
+class _Mpz(int):
+    """An integer type that is not ``int`` and keeps its type under * and
+    //, as gmpy2's ``mpz``, the numerator type of its ``mpq``, does."""
+
+    def __mul__(self, o):
+        return _Mpz(int(self) * int(o)) if isinstance(o, int) \
+            else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        return _Mpz(int(self) // int(o)) if isinstance(o, int) \
+            else NotImplemented
+
+    def __rfloordiv__(self, o):
+        return _Mpz(int(o) // int(self)) if isinstance(o, int) \
+            else NotImplemented
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_rationals_with_non_int_numerators_give_the_same_ideals(
+        order, monkeypatch):
+    from fractions import Fraction
+    rng = random.Random(79)
+    polys = [_random_poly(rng, nterms=6, deg=3) * QQ(5, 3) for _ in range(4)]
+    want = []
+    for gens in FRACTIONAL_IDEALS:
+        ideal = Ideal(gens, order=order)
+        want.append((ideal.groebner_basis(),
+                     [ideal.normal_form(p) for p in polys]))
+    if QQ is Fraction:      # with gmpy2, QQ's numerators are mpz already
+        for name in ("numerator", "denominator"):
+            monkeypatch.setattr(Fraction, name, property(
+                lambda a, f="_" + name: _Mpz(getattr(a, f))))
+    assert type(QQ(3, 2).numerator) is not int
+    for gens, (gb, nfs) in zip(FRACTIONAL_IDEALS, want):
+        ideal = Ideal(gens, order=order)
+        assert ideal.groebner_basis() == gb
+        assert [ideal.normal_form(p) for p in polys] == nfs
+        assert all(type(r.lc) is int for r in ideal._reducers)
+
+
+def test_rational_ideal_reduces_cyclo_coefficients_linearly():
+    # the route of quotient._at_witness: over Q(zeta_24) the normal form of
+    # sum_j P_j zeta^j by a rational ideal is sum_j NF(P_j) zeta^j
+    from mckaydeform.exact import Cyclo
+    ideal = Ideal(FRACTIONAL_IDEALS[0])
+    rng = random.Random(71)
+    for _ in range(4):
+        parts = [_random_poly(rng, nterms=5, deg=3) * QQ(rng.randint(1, 5), 3)
+                 for _ in range(8)]
+        p = MPoly(V)
+        for j, part in enumerate(parts):
+            p = p + part * Cyclo.zeta(24, j)
+        got = ideal.normal_form(p)
+        nfs = [ideal.normal_form(part).terms for part in parts]
+        want = {e: Cyclo(24, [nf.get(e, 0) for nf in nfs])
+                for e in set().union(*nfs)}
+        assert set(got.terms) == {e for e, c in want.items() if c}
+        assert all(got.terms[e] == want[e] for e in got.terms)
+
+
+def test_cyclo_ideal_matches_sympy_with_a_root_variable():
+    # Q(sqrt3)[x, y, z] is Q[x, y, z, s]/(s^2 - 3); lex with s last keeps
+    # the x, y, z order, so the normal forms agree with s for sqrt3
+    import sympy as sp
+    from mckaydeform.exact import split_quadratic
+    r3 = sqrt3()
+    gens = [x ** 2 - y * r3, y ** 2 + x * z * (r3 * 2) - 1,
+            z ** 2 - x + r3 * QQ(1, 2)]
+    ideal = Ideal(gens, order="lex")
+    X, Y, Z, s = sp.symbols("x y z s")
+
+    def lifted(p):
+        out = 0
+        for (i, j, k), c in p.terms.items():
+            a, b = split_quadratic(c, r3)
+            out += (sp.Rational(str(a)) + sp.Rational(str(b)) * s) \
+                * X ** i * Y ** j * Z ** k
+        return sp.expand(out)
+
+    G = sp.groebner([lifted(g) for g in gens] + [s ** 2 - 3], X, Y, Z, s,
+                    order="lex", domain=sp.QQ)
+    rng = random.Random(73)
+    for _ in range(4):
+        p = _random_poly(rng, nterms=5, deg=3) \
+            + _random_poly(rng, nterms=3, deg=2) * r3
+        _, want = sp.reduced(lifted(p), G.exprs, X, Y, Z, s, order="lex",
+                             domain=sp.QQ)
+        assert sp.expand(lifted(ideal.normal_form(p)) - want) == 0
+
+
+@pytest.mark.parametrize("label, power, weight, c", [
+    ("B2", 4, "t4", 64),
+    ("G2", 6, "t6", 11664),
+])
+def test_lex_elimination_gives_the_discriminant(label, power, weight, c):
+    from mckaydeform.deform import family
+    f = family(label).equation
+    gb = Ideal([f] + [f.diff(v) for v in "xyz"], order="lex").groebner_basis()
+    t2, tw = (MPoly.variable(f.vars, v) for v in ("t2", weight))
+    assert t2 ** power - tw ** 2 * c in gb
