@@ -482,11 +482,15 @@ def _suite_rows(name, seed) -> list:
 
 # -- argument parsing -----------------------------------------------------------
 
-def _positive_int(text) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(least):
+    """An argparse type: an int no smaller than ``least``."""
+    def count(text) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {n}")
+        return n
+    return count
 
 
 def build_parser():
@@ -528,13 +532,13 @@ def build_parser():
     qv.add_argument("--generator", default="all",
                     choices=("all", "sigma", "rho"))
     qv.add_argument("--seed", type=int, default=0)
-    qv.add_argument("--trials", type=_positive_int, default=25)
+    qv.add_argument("--trials", type=_int_at_least(1), default=25)
     qv.set_defaults(fn=cmd_quiver_verify)
     qp = qs.add_parser("sample")
     qp.add_argument("--type", required=True)
     qp.add_argument("--mu", required=True)
     qp.add_argument("--seed", type=int, default=0)
-    qp.add_argument("--trials", type=_positive_int, default=100)
+    qp.add_argument("--trials", type=_int_at_least(1), default=100)
     qp.set_defaults(fn=cmd_quiver_sample)
 
     fa = sub.add_parser("family", help="deformation families")
@@ -546,8 +550,8 @@ def build_parser():
     fb.add_argument("action", choices=("analyze",))
     fb.add_argument("--label", required=True)
     fb.add_argument("--params", default="")
-    fb.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="reduction budget (steps)")
+    fb.add_argument("--budget", type=_int_at_least(0),
+                    default=DEFAULT_BUDGET, help="reduction budget (steps)")
     fb.set_defaults(fn=cmd_fiber)
 
     qt = sub.add_parser("quotient", help="quotient family verification")

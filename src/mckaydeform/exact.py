@@ -408,7 +408,8 @@ def sqrt3() -> Cyclo:
 
 
 def sqrt6() -> Cyclo:
-    return (sqrt2() * sqrt3()).lift(24)
+    # 2 cos(pi/12) + 2 cos(5 pi/12)
+    return zeta(24) + zeta(24, 23) + zeta(24, 5) + zeta(24, 19)
 
 
 def omega() -> Cyclo:
@@ -464,8 +465,9 @@ def sqrt_rational(x):
         d += 1
     if m0 not in (1, 2, 3, 6):
         return None
-    root = {1: QQ(1), 2: sqrt2(), 3: sqrt3(), 6: sqrt6()}[m0]
-    value = root * QQ(s, q)
+    value = QQ(s, q)
+    if m0 > 1:      # only the root returned is built
+        value = {2: sqrt2, 3: sqrt3, 6: sqrt6}[m0]() * value
     if sign < 0:
         value = value * imag_unit()
     return value.reduce_rat() if isinstance(value, Cyclo) else value

@@ -20,17 +20,17 @@ path: a becomes one more variable and ``fold_root`` maps a^j to
 c^(j//k) a^(j%k).  sqrt(3), sqrt(6), 2^(1/3), i, 2^(1/r) and 108^(1/4) are
 held this way.
 
-``Ideal`` carries a monomial order and caches its reduced Groebner basis
-(Buchberger's algorithm with a pair heap and the Gebauer-Moller update),
-each element prepared once for division.  Division runs on packed keys
-whose integer order is the monomial order and whose sum is the product of
-the monomials (``_PackedOrder``); an exponent of 128 or more there raises
-``ExponentOverflow``.  It is fraction-free: an element with rational
-coefficients is held as an integer polynomial with content 1 from the
-generators to the final basis, which alone is made monic, and a normal
-form of rational terms runs on int numerators over one scale.  An element
-with a ``Cyclo`` coefficient is held monic.  Quotient dimensions are
-counted from the staircase of leading terms.
+An ``Ideal`` is its reduced Groebner basis (Buchberger's algorithm with a
+pair heap and the Gebauer-Moller update), held as ``buchberger`` returns
+it: each element prepared once for division, on packed keys whose integer
+order is the monomial order and whose sum is the product of the monomials
+(``_PackedOrder``; an exponent of 128 or more raises ``ExponentOverflow``).
+It is fraction-free: an element with rational coefficients is an integer
+polynomial with content 1 from the generators to the final basis, and a
+normal form of rational terms runs on int numerators over one scale; an
+element with a ``Cyclo`` coefficient is held monic.  The monic basis is
+built only when asked for.  Quotient dimensions are counted from the
+staircase of leading terms.
 """
 
 from __future__ import annotations
@@ -567,21 +567,9 @@ def fold_root(p: MPoly, name: str, k: int, c) -> MPoly:
     if name not in p.vars.index:
         raise VariableMismatch(name)
     i = p.vars.index[name]
-    out = {}
-    for e, x in p.terms.items():
-        j = e[i]
-        if j >= k:
-            e = e[:i] + (j % k,) + e[i + 1:]
-            x = x * c ** (j // k)
-        acc = out.get(e)
-        x = x if acc is None else acc + x
-        if x:
-            out[e] = x
-        elif acc is not None:
-            del out[e]
-    folded = MPoly(p.vars)
-    folded.terms = out
-    return folded
+    return MPoly(p.vars, [
+        (e[:i] + (e[i] % k,) + e[i + 1:], x * c ** (e[i] // k))
+        if e[i] >= k else (e, x) for e, x in p.terms.items()])
 
 
 def equal_mod_vars(a: MPoly, b: MPoly) -> bool:
@@ -652,16 +640,25 @@ class _PackedOrder:
 
 
 # A basis element prepared for dividing by: its lead's plain form and key,
-# its int lead coefficient (1 when monic), and its tail as
-# (key - lead key, -coefficient) pairs.
+# its lead coefficient (an int, or the 1 of a monic element), and its tail
+# as (key - lead key, -coefficient) pairs.
 _Reducer = namedtuple("_Reducer", "lead key lc tail")
 
 
 def _prepare(terms, order: _PackedOrder) -> _Reducer:
     lk = max(terms)
-    lc = terms[lk]
-    return _Reducer(order.plain(lk), lk, lc if type(lc) is int else 1,
+    return _Reducer(order.plain(lk), lk, terms[lk],
                     [(k - lk, -c) for k, c in terms.items() if k != lk])
+
+
+def _monic(r: _Reducer, order: _PackedOrder) -> MPoly:
+    """The element ``r`` prepares, made monic: an int element's terms over
+    its lead coefficient, a monic one's as they are."""
+    terms = {r.key: r.lc}
+    terms.update((r.key + off, -c) for off, c in r.tail)
+    if type(r.lc) is int:
+        terms = {k: QQ(c, r.lc) for k, c in terms.items()}
+    return order.unpack(terms)
 
 
 def _normalize(h):
@@ -747,9 +744,10 @@ def reduce_poly(p, basis, key, budget=None):
 def _spoly(f: _Reducer, g: _Reducer, l):
     """S-polynomial, up to a positive factor, of f and g, whose leads' lcm
     x^a lead(f) = x^b lead(g) has the key l, from their tails: with d =
-    gcd(lc(f), lc(g)), lc(g)/d x^a f - lc(f)/d x^b g."""
-    d = gcd(f.lc, g.lc)
-    a, b = g.lc // d, f.lc // d
+    gcd(lc(f), lc(g)), lc(g)/d x^a f - lc(f)/d x^b g (a monic lc is 1)."""
+    fl, gl = (r.lc if type(r.lc) is int else 1 for r in (f, g))
+    d = gcd(fl, gl)
+    a, b = gl // d, fl // d
     s = {l + off: -c if a == 1 else -a * c for off, c in f.tail}
     _add_terms(s, [(l + off, c if b == 1 else b * c) for off, c in g.tail])
     return s
@@ -759,13 +757,12 @@ def _inv(c):
     return QQ(1) / c if is_rat(c) else c.inverse()
 
 
-def buchberger(gens, key, budget=None):
-    """Reduced Groebner basis: Buchberger's algorithm, pairs taken smallest
-    lcm first, with the Gebauer-Moller update (J. Symb. Comput. 6, 1988).
-    An element with rational coefficients is held over the integers with
-    content 1 (``_normalize``) until the final basis is made monic."""
+def buchberger(gens, order: _PackedOrder, budget=None):
+    """Reduced Groebner basis of ``gens`` in ``order``, as ``_Reducer``s:
+    Buchberger's algorithm, pairs taken smallest lcm first, with the
+    Gebauer-Moller update (J. Symb. Comput. 6, 1988).  Each element is held
+    as ``_normalize`` leaves it, from the generators to the final basis."""
     budget = budget or _Budget(DEFAULT_BUDGET)
-    order = _PackedOrder(key, gens[0].vars)
     basis, reducers, leads = [], [], []     # normalized, prepared, leads
     live, heap = {}, []         # pair (t, g), t > g -> lcm; heap of live keys
     G = []                      # elements whose lead no later lead divides
@@ -811,18 +808,22 @@ def buchberger(gens, key, budget=None):
     for g in sorted(G, key=lambda g: reducers[g].key):
         if not any(_divides(leads[h], leads[g]) for h in minimal):
             minimal.append(g)
-    # tail-reduce each against the others (leading terms are now stable)
+    # tail-reduce each against the others (leading terms are now stable);
+    # one with a non-rational coefficient is multiplied by its lead's inverse
     final = []
     for g in minimal:
         r = reduce_poly(basis[g], [reducers[h] for h in minimal if h != g],
                         order, budget)
-        inv = _inv(r[reducers[g].key])
-        final.append(order.unpack({k: c * inv for k, c in r.items()}))
+        if not all(map(is_rat, r.values())):
+            inv = _inv(r[reducers[g].key])
+            r = {k: c * inv for k, c in r.items()}
+        final.append(_prepare(_normalize(r), order))
     return final
 
 
 class Ideal:
-    """Polynomial ideal with a monomial order and a cached reduced basis."""
+    """Polynomial ideal with a monomial order and its reduced basis, held
+    prepared for division; the monic basis is built when asked for."""
 
     def __init__(self, generators, order="grevlex", budget=DEFAULT_BUDGET):
         gens = list(generators)
@@ -837,32 +838,36 @@ class Ideal:
         self.vars = gens[0].vars
         self.order = order
         self.budget = budget
-        self._gb = self._packed = self._reducers = None
+        self._packed = _PackedOrder(order_key(order), self.vars)
+        self._gb = self._reducers = None
 
-    def groebner_basis(self):
-        if self._gb is None:
-            key = order_key(self.order)
-            gb = buchberger(self.generators, key, _Budget(self.budget))
-            packed = _PackedOrder(key, self.vars)
-            reducers = [_prepare(_normalize(packed.pack(g)), packed)
-                        for g in gb]
-            # ideal-membership self-check: every generator reduces to zero
+    def _basis(self):
+        """The reduced basis as ``_Reducer``s, computed once and checked:
+        every generator reduces to zero."""
+        if self._reducers is None:
+            packed = self._packed
+            reducers = buchberger(self.generators, packed,
+                                  _Budget(self.budget))
             for g in self.generators:
                 if g and reduce_poly(packed.pack(g), reducers, packed,
                                      _Budget(self.budget)):
                     raise AssertionError("generator fails self-reduction")
-            self._gb, self._packed, self._reducers = gb, packed, reducers
+            self._reducers = reducers
+        return self._reducers
+
+    def groebner_basis(self):
+        """The reduced basis, each element monic."""
+        if self._gb is None:
+            self._gb = [_monic(r, self._packed) for r in self._basis()]
         return self._gb
 
     def normal_form(self, p: MPoly) -> MPoly:
-        self.groebner_basis()
         r = reduce_poly(self._packed.pack(_retable(p, self.vars)),
-                        self._reducers, self._packed, _Budget(self.budget))
+                        self._basis(), self._packed, _Budget(self.budget))
         return self._packed.unpack(r)
 
     def leading_exponents(self):
-        self.groebner_basis()
-        return [self._packed.exponents(r.key) for r in self._reducers]
+        return [self._packed.exponents(r.key) for r in self._basis()]
 
     def quotient_dimension(self):
         """Number of standard monomials, or the string 'infinite'."""
@@ -896,15 +901,9 @@ def quotient_basis(ideal: Ideal):
     return basis
 
 
-def _exponents_of_degree(n, d):
-    """Exponent tuples on n variables of total degree d, in ascending order."""
-    if n == 1:
-        return [(d,)]
-    return [(k,) + e for k in range(d + 1)
-            for e in _exponents_of_degree(n - 1, d - k)]
-
-
 def monomials_of_degree(vars: VarTable, d: int):
-    """All monomials of total degree exactly d, as MPoly list."""
+    """All monomials of total degree exactly d, as MPoly list, their
+    exponent tuples in ascending order."""
     return [MPoly(vars, {e: QQ(1)})
-            for e in _exponents_of_degree(len(vars), d)]
+            for e in itertools.product(range(d + 1), repeat=len(vars))
+            if sum(e) == d]

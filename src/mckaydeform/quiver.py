@@ -153,33 +153,39 @@ def _mat_trace(A):
     return acc
 
 
-def symplectic_form(quiver: McKayQuiver, phi: SymbolicRep,
-                    psi: SymbolicRep) -> MPoly:
-    """<phi, psi> = sum_a eps(a) Tr(phi_a psi_abar), an exact polynomial."""
-    merged = VarTable(tuple(sorted(set(phi.vars.names) | set(psi.vars.names))))
+def _table(matrices: dict) -> VarTable:
+    """The variable table of an arrow -> matrix dict, read off an entry."""
+    return next(iter(matrices.values()))[0][0].vars
+
+
+def symplectic_form(quiver: McKayQuiver, phi: dict, psi: dict) -> MPoly:
+    """<phi, psi> = sum_a eps(a) Tr(phi_a psi_abar), an exact polynomial;
+    phi and psi map arrows to matrices of polynomials."""
+    merged = VarTable(tuple(sorted(set(_table(phi).names)
+                                   | set(_table(psi).names))))
     total = MPoly(merged)
     for a in quiver.arrows:
         P = tuple(tuple(x.extend(merged) for x in row)
-                  for row in phi.matrices[a.name])
+                  for row in phi[a.name])
         Q = tuple(tuple(x.extend(merged) for x in row)
-                  for row in psi.matrices[quiver.reverse[a.name]])
+                  for row in psi[quiver.reverse[a.name]])
         term = _mat_trace(_mat_mul_poly(P, Q))
         total = total + term * QQ(quiver.orientation[a.name])
     return total
 
 
-def moment_map(quiver: McKayQuiver, phi: SymbolicRep) -> dict:
-    """Vertex v -> sum over arrows a with target v of eps(a) phi_a phi_abar."""
+def moment_map(quiver: McKayQuiver, phi: dict) -> dict:
+    """Vertex v -> sum over arrows a with target v of eps(a) phi_a phi_abar,
+    for phi mapping arrows to matrices of polynomials."""
+    vars = _table(phi)
     out = {}
     for v in range(quiver.vertex_count()):
         d = quiver.dims[v]
-        acc = tuple(tuple(MPoly(phi.vars) for _ in range(d))
-                    for _ in range(d))
+        acc = tuple(tuple(MPoly(vars) for _ in range(d)) for _ in range(d))
         for a in quiver.arrows:
             if a.tgt != v:
                 continue
-            prod = _mat_mul_poly(phi.matrices[a.name],
-                                 phi.matrices[quiver.reverse[a.name]])
+            prod = _mat_mul_poly(phi[a.name], phi[quiver.reverse[a.name]])
             sgn = QQ(quiver.orientation[a.name])
             acc = tuple(
                 tuple(acc[i][j] + prod[i][j] * sgn for j in range(d))
@@ -208,15 +214,14 @@ class OmegaActionOnM:
             return "reverses"
         return "mixed"
 
-    def apply_symbolic(self, rep: SymbolicRep) -> dict:
-        """Matrices of sigma.rep, on rep's symbol table."""
+    def apply_symbolic(self, matrices: dict) -> dict:
+        """sigma applied to an arrow -> matrix dict of polynomials."""
         out = {}
         for slot, (src, scalar) in self.arrow_map.items():
-            mat = rep.matrices[src]
-            out[slot] = tuple(tuple(x * scalar for x in row) for row in mat)
+            out[slot] = tuple(tuple(x * scalar for x in row)
+                              for row in matrices[src])
         for a in self.quiver.arrows:
-            if a.name not in out:
-                out[a.name] = rep.matrices[a.name]
+            out.setdefault(a.name, matrices[a.name])
         return out
 
     def apply_numeric(self, rep: dict) -> dict:
@@ -248,18 +253,10 @@ ACTION_ORDER_CAP = 6
 
 
 def symbolic_action_order(act: OmegaActionOnM) -> int:
-    rep = SymbolicRep(act.quiver)
-    current = {a.name: rep.matrices[a.name] for a in act.quiver.arrows}
+    start = current = SymbolicRep(act.quiver).matrices
     for k in range(1, ACTION_ORDER_CAP + 1):
-        moved = {}
-        for slot, (src, scalar) in act.arrow_map.items():
-            moved[slot] = tuple(tuple(x * scalar for x in row)
-                                for row in current[src])
-        for a in act.quiver.arrows:
-            moved.setdefault(a.name, current[a.name])
-        current = moved
-        if all(current[a.name] == rep.matrices[a.name]
-               for a in act.quiver.arrows):
+        current = act.apply_symbolic(current)
+        if all(current[a.name] == start[a.name] for a in act.quiver.arrows):
             return k
     raise ValueError(f"action order exceeds {ACTION_ORDER_CAP}")
 
@@ -329,17 +326,9 @@ def verify_symplectic_action(act: OmegaActionOnM) -> bool:
     q = act.quiver
     phi = SymbolicRep(q, "f_")
     psi = SymbolicRep(q, "g_")
-    base = symplectic_form(q, phi, psi)
-    moved_phi = act.apply_symbolic(phi)
-    moved_psi = act.apply_symbolic(psi)
-
-    class _View:
-        def __init__(self, vars, matrices):
-            self.vars = vars
-            self.matrices = matrices
-
-    form = symplectic_form(q, _View(phi.vars, moved_phi),
-                           _View(psi.vars, moved_psi))
+    base = symplectic_form(q, phi.matrices, psi.matrices)
+    form = symplectic_form(q, act.apply_symbolic(phi.matrices),
+                           act.apply_symbolic(psi.matrices))
     return form == base
 
 

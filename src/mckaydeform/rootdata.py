@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exact import QQ, Cyclo, sqrt2, sqrt3
+from .exact import QQ, Cyclo, rref, sqrt2, sqrt3
 
 
 class UnsupportedType(ValueError):
@@ -419,28 +419,18 @@ def vanishing_roots(rs: RootSystem, h):
 def omega_action_on_cartan(rs: RootSystem, sigma: DiagramAutomorphism, h):
     """sigma . h through the coroot basis (alpha_i^vee = alpha_i here).
 
-    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j;
-    an h outside their span fails the exact back-check and is refused."""
-    coeffs = _cartan_solve(rs.cartan, [_dot(h, a) for a in rs.simple_roots])
+    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j
+    (C is nonsingular: each row of its reduced form is one x_i); an h
+    outside their span fails the exact back-check and is refused."""
+    r = len(rs.simple_roots)
+    rows, _ = rref([[QQ(c) for c in row] + [_dot(h, a)]
+                    for row, a in zip(rs.cartan, rs.simple_roots)], r)
+    coeffs = [row[r] for row in rows]
     if _combine(coeffs, rs.simple_roots) != tuple(h):
         raise ValueError(
             f"h is outside the span of the simple roots of {rs.dtype}")
-    r = len(rs.simple_roots)
     return _combine(coeffs, [rs.simple_roots[sigma(i + 1) - 1]
                              for i in range(r)])
-
-
-def _cartan_solve(C, p):
-    """x with C x = p, by elimination without pivot search (C is symmetric
-    and positive definite)."""
-    r = len(C)
-    rows = [[QQ(c) for c in row] + [q] for row, q in zip(C, p)]
-    for k in range(r):
-        for i in range(r):
-            if i != k and rows[i][k]:
-                f = rows[i][k] / rows[k][k]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return [row[r] / row[k] for k, row in enumerate(rows)]
 
 
 def omega_average(rs: RootSystem, omega, h):

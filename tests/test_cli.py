@@ -80,6 +80,15 @@ def test_fiber_budget_zero_is_honoured():
     assert code == 3 and report is None
 
 
+def test_fiber_negative_budget_is_usage_error(capsys):
+    # no reduction runs on a malformed budget, so none is exhausted
+    code, report = run(["fiber", "analyze", "--label", "C3",
+                        "--budget", "-5"])
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "--budget" in err and "exhausted" not in err
+
+
 def test_klein_command():
     code, report = run(["klein", "verify", "--type", "D4"])
     assert code == 0 and report.ok

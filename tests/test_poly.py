@@ -503,7 +503,7 @@ def test_local_tjurina_ideal_matches_sympy(monkeypatch, f, n, most):
     assert _reduced_basis(gens, "grevlex") == \
         _sympy_reduced_basis(gens, "grevlex")
     calls = _count_reductions(monkeypatch)
-    gb = poly.buchberger(gens, grevlex_key)
+    gb = poly.buchberger(gens, poly._PackedOrder(grevlex_key, V))
     # every call past the final tail reduction of each element is an S-pair
     assert calls[0] - len(gb) <= most
 
@@ -512,9 +512,11 @@ def test_coprime_leads_need_no_s_pair(monkeypatch):
     # leads x^3, y^2, z^2 are pairwise coprime: the product criterion
     # discards every pair, and the generators already form the basis
     gens = [x ** 3 + y + z, y ** 2 + z, z ** 2 + x]
+    order = poly._PackedOrder(grevlex_key, V)
     calls = _count_reductions(monkeypatch)
-    gb = poly.buchberger(gens, grevlex_key)
-    assert sorted(map(repr, gb)) == sorted(map(repr, gens))
+    gb = poly.buchberger(gens, order)
+    assert sorted(repr(poly._monic(r, order)) for r in gb) == \
+        sorted(map(repr, gens))
     assert calls[0] == len(gb)
     assert _reduced_basis(gens, "grevlex") == \
         _sympy_reduced_basis(gens, "grevlex")
@@ -624,6 +626,26 @@ def test_rational_ideal_holds_int_reducers():
         bare = {(3, 1, 0): 5, (0, 2, 2): -3, (1, 0, 0): 2}
         assert ideal.normal_form(MPoly(V, bare)) == ideal.normal_form(
             MPoly(V, {e: QQ(c) for e, c in bare.items()}))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["rational", "cyclo"])
+def test_monic_basis_is_built_only_when_asked(field, order):
+    r3 = sqrt3()
+    gens = FRACTIONAL_IDEALS[0] if field == "rational" else [
+        x ** 2 - y * r3, y ** 2 + x * z * (r3 * 2) - 1,
+        z ** 2 - x + r3 * QQ(1, 2)]
+    ideal = Ideal(gens, order=order)
+    assert ideal.quotient_dimension() == 8
+    ideal.normal_form(x ** 3 * y - z * QQ(2, 3))
+    assert ideal._gb is None
+
+    def typed(basis):
+        return [[(e, type(c), c) for e, c in g.terms.items()] for g in basis]
+
+    late = ideal.groebner_basis()
+    assert typed(late) == typed(Ideal(gens, order=order).groebner_basis())
+    assert all(next(iter(g.terms.values())) == 1 for g in late)
 
 
 class _Mpz(int):

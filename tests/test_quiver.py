@@ -40,10 +40,10 @@ def test_symplectic_antisymmetry_bilinearity():
         q = build_mckay_quiver(t)
         phi = SymbolicRep(q, "f_")
         psi = SymbolicRep(q, "g_")
-        form = symplectic_form(q, phi, psi)
-        swap = symplectic_form(q, psi, phi)
+        form = symplectic_form(q, phi.matrices, psi.matrices)
+        swap = symplectic_form(q, psi.matrices, phi.matrices)
         assert (form + swap).is_zero()
-        assert symplectic_form(q, phi, phi).is_zero()
+        assert symplectic_form(q, phi.matrices, phi.matrices).is_zero()
         assert form  # non-degenerate pairing is not the zero polynomial
 
 
@@ -52,11 +52,6 @@ def test_symplectic_bilinearity():
     phi = SymbolicRep(q, "f_")
     phi2 = SymbolicRep(q, "h_")
     psi = SymbolicRep(q, "g_")
-
-    class _Sum:
-        vars = None
-        matrices = None
-
     merged = {}
     for a in q.arrows:
         m1 = phi.matrices[a.name]
@@ -64,11 +59,9 @@ def test_symplectic_bilinearity():
         merged[a.name] = tuple(
             tuple(x.extend(_union(phi, phi2)) + y.extend(_union(phi, phi2))
                   for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
-    _Sum.vars = _union(phi, phi2)
-    _Sum.matrices = merged
-    total = symplectic_form(q, _Sum, psi)
-    p1 = symplectic_form(q, phi, psi)
-    p2 = symplectic_form(q, phi2, psi)
+    total = symplectic_form(q, merged, psi.matrices)
+    p1 = symplectic_form(q, phi.matrices, psi.matrices)
+    p2 = symplectic_form(q, phi2.matrices, psi.matrices)
     parts = p1.extend(total.vars) + p2.extend(total.vars)
     assert total == parts
 
@@ -82,7 +75,7 @@ def test_symplectic_single_arrow_term():
     q = build_mckay_quiver(A3)
     phi = SymbolicRep(q, "f_")
     psi = SymbolicRep(q, "g_")
-    form = symplectic_form(q, phi, psi)
+    form = symplectic_form(q, phi.matrices, psi.matrices)
     # the a0 phi / b0 psi coefficient survives with sign eps(a0) = +1
     names = form.vars.names
     target = tuple(1 if n in ("f_a0", "g_b0") else 0 for n in names)
@@ -92,7 +85,7 @@ def test_symplectic_single_arrow_term():
 def test_moment_map_center_vertex_d4():
     q = build_mckay_quiver(D4)
     phi = SymbolicRep(q)
-    mm = moment_map(q, phi)
+    mm = moment_map(q, phi.matrices)
     expect = None
     for i in (0, 1, 3, 4):
         prod = None
@@ -113,7 +106,7 @@ def test_moment_trace_vanishes():
         q = build_mckay_quiver(t)
         phi = SymbolicRep(q)
         total = MPoly(phi.vars)
-        for mat in moment_map(q, phi).values():
+        for mat in moment_map(q, phi.matrices).values():
             for i in range(len(mat)):
                 total = total + mat[i][i]
         assert total.is_zero()
@@ -123,7 +116,7 @@ def test_moment_trace_vanishes():
 def test_numeric_moment_map_matches_the_exact_one(t):
     q = build_mckay_quiver(t)
     phi = SymbolicRep(q)
-    exact = moment_map(q, phi)
+    exact = moment_map(q, phi.matrices)
     for seed in (0, 1):
         rep = random_numeric_rep(q, seed)
         point = {}
@@ -150,12 +143,7 @@ def test_zero_rep_moment_is_zero():
     zero = {a.name: tuple(tuple(MPoly(phi.vars) for _ in row)
                           for row in phi.matrices[a.name])
             for a in q.arrows}
-
-    class _View:
-        vars = phi.vars
-        matrices = zero
-
-    mm = moment_map(q, _View)
+    mm = moment_map(q, zero)
     assert all(entry.is_zero() for mat in mm.values()
                for row in mat for entry in row)
 
@@ -199,20 +187,9 @@ def test_s3_relation_on_symbols():
     q = build_mckay_quiver(D4)
     s = reference_action(D4, "sigma")
     r = reference_action(D4, "rho")
-    rep = SymbolicRep(q)
-
-    def apply(act, mats):
-        out = {}
-        for slot, (src, sc) in act.arrow_map.items():
-            out[slot] = tuple(tuple(x * sc for x in row)
-                              for row in mats[src])
-        for a in q.arrows:
-            out.setdefault(a.name, mats[a.name])
-        return out
-
-    m0 = {a.name: rep.matrices[a.name] for a in q.arrows}
-    srs = apply(s, apply(r, apply(s, m0)))
-    rr = apply(r, apply(r, m0))
+    m0 = SymbolicRep(q).matrices
+    srs = s.apply_symbolic(r.apply_symbolic(s.apply_symbolic(m0)))
+    rr = r.apply_symbolic(r.apply_symbolic(m0))
     assert all(srs[a.name] == rr[a.name] for a in q.arrows)
 
 
