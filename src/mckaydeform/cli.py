@@ -8,7 +8,8 @@ in the human-readable text rendering).
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
 exhausted, 4 internal mismatch (variable tables, dimensions or matrix shapes
 that the program itself failed to match), 5 inexact answer refused (a
-``fiber analyze`` point that is not exact or not classified).
+``fiber analyze`` point that is not exact or not classified, or a fibre
+whose singular points cannot be told apart, ``UnclassifiedSingularity``).
 """
 
 from __future__ import annotations
@@ -576,11 +577,14 @@ def _exit_code(exc):
     The first row whose kinds match wins: the internal mismatches are
     subclasses of ValueError and KeyError, so they precede the user errors.
     """
-    from .quiver import ShapeMismatch  # needs numpy; only on this path
+    # both need numpy; only on this path
+    from .deform import UnclassifiedSingularity
+    from .quiver import ShapeMismatch
     for kinds, code in (((VariableMismatch, DimensionMismatch,
                           ShapeMismatch), 4),
                         (BudgetExceeded, 3),
-                        ((ValueError, KeyError), 2)):
+                        ((ValueError, KeyError), 2),
+                        (UnclassifiedSingularity, 5)):
         if isinstance(exc, kinds):
             return code
     return None

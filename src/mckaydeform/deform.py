@@ -17,10 +17,11 @@ as one extra variable of a rational polynomial, folded by its relation
 (``poly.fold_root``).
 
 ``analyze_fibre`` locates singular points of a fibre through the Jacobian
-ideal, computes local Tjurina numbers by translating each point to the
-origin and saturating with powers of the maximal ideal, and classifies ADE
-type by Hessian corank plus the root multiplicities of the restricted
-cubic.
+ideal and translates each exact point to the origin.  There a point of
+Hessian corank 0 is A1 (Morse lemma); at any other the local Tjurina
+number is the length of one ideal, (f, df) plus every monomial whose
+degree is the global Tjurina number, and the ADE type follows from the
+corank and the root multiplicities of the restricted cubic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .exact import (QQ, embed_complex, imag_unit, rref, scalar_to_json,
                     sqrt6, sqrt_rational)
 from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
-                   psi_E6_of_mu, xi_table)
+                   psi_E6_of_mu)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
                    fold_root, monomials_of_degree, quotient_basis)
 from .rootdata import DynkinType, coweight_reflection_subs
@@ -460,7 +461,6 @@ def d4_mu_coefficients() -> dict:
 
 def d4_xi_of_mu() -> dict:
     """xi_k(mu) from mu <-> -sum mu_i Lambda_i^vee (D4 coweights)."""
-    XV = xi_table(3)
     m = {f"mu{i}": MPoly.variable(D4_MU, f"mu{i}") for i in (1, 2, 3, 4)}
     half = QQ(1, 2)
     return {
@@ -632,9 +632,6 @@ def _multiplication_matrix(ideal: Ideal, basis, name: str):
 
 # eigenvalues closer than this are one root
 CLUSTER_RADIUS = 1e-6
-# the largest power of the maximal ideal tried before the local Tjurina
-# number counts as not stabilised
-LOCAL_ORDER_CAP = 24
 
 
 def _cluster(values):
@@ -732,33 +729,30 @@ def _binary_cubic_class(c3, c2, c1, c0) -> str:
     return "double"
 
 
-def _local_tjurina(f: MPoly, names) -> int:
-    """Stabilised dimension of (f, df) + m^N at the origin."""
-    V = f.vars
-    gens = [f] + [f.diff(nm) for nm in names]
-    prev = None
-    for N in range(1, LOCAL_ORDER_CAP):
-        mN = monomials_of_degree(VarTable(names), N)
-        mN = [m.extend(V) for m in mN]
-        ideal = Ideal([g for g in gens if g] + mN)
-        dim = ideal.quotient_dimension()
-        if dim == prev:
-            return dim
-        prev = dim
-    raise UnclassifiedSingularity("local dimension did not stabilise")
+def _local_type(f_loc: MPoly, names, bound: int):
+    """(Tjurina number, ADE type) of the singular point of f_loc at the
+    origin.
 
-
-def _classify_point(f_local: MPoly, names, tjurina: int) -> str:
-    """Hessian corank + restricted-cubic classifier (normal-form facts)."""
-    f2 = f_local.homogeneous_part(2)
-    rank, kernel = _hessian_rank_and_kernel(f2, names)
+    Hessian corank 0 is a Morse point, A1 with Tjurina number 1, and needs
+    no ideal.  At any other point the local algebra of (f_loc, df) has
+    length at most ``bound``, the global Tjurina number of the fibre, so the
+    maximal ideal to the power ``bound`` lies in (f_loc, df) at the origin:
+    adding every monomial of that degree leaves the local length and kills
+    every other point.  Corank 1 is A_tau; corank 2 is typed by the roots
+    of the cubic restricted to the Hessian kernel.
+    """
+    rank, kernel = _hessian_rank_and_kernel(f_loc.homogeneous_part(2), names)
     corank = len(names) - rank
     if corank == 0:
-        return "A1" if tjurina == 1 else "unclassified"
+        return 1, "A1"
+    gens = [f_loc] + [f_loc.diff(nm) for nm in names]
+    gens += [m.extend(f_loc.vars)
+             for m in monomials_of_degree(VarTable(names), bound)]
+    tjurina = Ideal([g for g in gens if g]).quotient_dimension()
     if corank == 1:
-        return f"A{tjurina}"
+        return tjurina, f"A{tjurina}"
     if corank == 2:
-        f3 = f_local.homogeneous_part(3)
+        f3 = f_loc.homogeneous_part(3)
         UV = VarTable(("u", "v"))
         u, v = _variables(UV, ("u", "v"))
         subs = {}
@@ -772,13 +766,12 @@ def _classify_point(f_local: MPoly, names, tjurina: int) -> str:
         kind = _binary_cubic_class(coeffs[3], coeffs[2], coeffs[1],
                                    coeffs[0])
         if kind == "distinct":
-            return "D4"
+            return tjurina, "D4"
         if kind == "double":
-            return f"D{tjurina}"
+            return tjurina, f"D{tjurina}"
         if kind == "triple" and tjurina in (6, 7, 8):
-            return f"E{tjurina}"
-        return "unclassified"
-    return "unclassified"
+            return tjurina, f"E{tjurina}"
+    return tjurina, "unclassified"
 
 
 def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
@@ -788,8 +781,12 @@ def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
     Points come from the Jacobian ideal: the quotient algebra of (f, df)
     is split numerically by the multiplication operators (coordinates =
     clustered eigenvalue combinations checked by residuals), then each
-    point is reconstructed exactly if it lies in Q(zeta_24) possibly with
-    one square root, verified by exact normal-form evaluation.
+    point p is reconstructed exactly if it lies in Q(zeta_24), possibly
+    with one square root.  One substitution gives f(x + p): p is an exact
+    singular point when it has no term of degree below 2, and
+    ``_local_type`` reads its Tjurina number and type from it.  A point
+    that is not exact keeps its eigenvalue multiplicity, unclassified.  The
+    local numbers must add up to the global Tjurina number.
     """
     names = list(ambient_names)
     gens = [f] + [f.diff(nm) for nm in names]
@@ -829,31 +826,22 @@ def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
     out = []
     total = 0
     for vals, mult in points:
-        exact_coords = []
-        for v in vals:
-            e = _reconstruct_scalar(v)
-            exact_coords.append(e)
-        have_exact = all(e is not None for e in exact_coords)
-        if have_exact:
-            point = dict(zip(names, exact_coords))
-            if any(g.substitute(point) for g in gens if g):
-                have_exact = False
-        if have_exact:
-            shift = {nm: MPoly.variable(f.vars, nm)
-                     + MPoly.constant(f.vars, c)
-                     for nm, c in zip(names, exact_coords)}
-            f_loc = f.substitute(shift)
-            tj = _local_tjurina(f_loc, names)
-            label = _classify_point(f_loc, names, tj)
-            out.append(SingularPoint(tuple(exact_coords),
-                                     tuple(complex(v) for v in vals),
-                                     tj, label, True))
-            total += tj
+        numeric = tuple(complex(v) for v in vals)
+        coords = [_reconstruct_scalar(v) for v in vals]
+        f_loc = None
+        if all(c is not None for c in coords):
+            f_loc = f.substitute({nm: MPoly.variable(f.vars, nm)
+                                  + MPoly.constant(f.vars, c)
+                                  for nm, c in zip(names, coords)})
+        # f(x + p) has constant term f(p) and linear terms the partials at
+        # p, so p is singular exactly when no term has degree below 2
+        if f_loc is not None and all(sum(e) >= 2 for e in f_loc.terms):
+            tj, label = _local_type(f_loc, names, dim)
+            point = SingularPoint(tuple(coords), numeric, tj, label, True)
         else:
-            out.append(SingularPoint(None,
-                                     tuple(complex(v) for v in vals),
-                                     mult, "unclassified", False))
-            total += mult
+            point = SingularPoint(None, numeric, mult, "unclassified", False)
+        out.append(point)
+        total += point.tjurina
     if total != dim:
         # local data must add up to the global quotient dimension
         raise UnclassifiedSingularity(

@@ -77,24 +77,14 @@ def _positive_arrows(t: DynkinType):
         if r == 1:
             return [("a0", 0, 1), ("a1", 1, 0)]
         return [(f"a{i}", i, (i + 1) % n) for i in range(n)]
-    if fam == "D":
-        out = [("pa0", 0, 2), ("pa1", 1, 2)]
-        out += [(f"pa{i}", i, i + 1) for i in range(2, r - 2)]
-        out += [(f"pa{r - 1}", r - 1, r - 2), (f"pa{r}", r, r - 2)]
-        return out
-    if fam == "E" and r == 6:
-        return [("pa0", 0, 3), ("pa3", 3, 6), ("pa1", 1, 4), ("pa4", 4, 6),
-                ("pa2", 2, 5), ("pa5", 5, 6)]
-    if fam == "E":
-        edges = extended_edges(t)
-        d = mckay_dimension_vector(t)
-        # orient every edge toward the larger dimension (toward the centre)
-        out = []
-        for i, j in edges:
-            src, tgt = (i, j) if d[i] <= d[j] else (j, i)
-            out.append((f"pa{src}", src, tgt))
-        return out
-    raise UnsupportedType(f"no McKay quiver for {t}")
+    d = mckay_dimension_vector(t)
+    # D and E: orient every edge toward the larger dimension (toward the
+    # centre)
+    out = []
+    for i, j in extended_edges(t):
+        src, tgt = (i, j) if d[i] <= d[j] else (j, i)
+        out.append((f"pa{src}", src, tgt))
+    return out
 
 
 def build_mckay_quiver(t: DynkinType) -> McKayQuiver:

@@ -325,6 +325,24 @@ def test_fiber_analyze_inexact_fibre_is_refused(tmp_path):
     assert all(not p["exact"] and p["ade"] == "unclassified" for p in points)
 
 
+def test_fiber_analyze_unseparated_points_are_refused(monkeypatch,
+                                                      tmp_path, capsys):
+    # points the analyzer cannot tell apart are an inexact answer: exit 5
+    # with the message, like the other refusals, and no report
+    from mckaydeform import deform
+
+    def unpaired(fam, values, budget):
+        raise deform.UnclassifiedSingularity(
+            "eigenvalue clusters do not pair into points")
+
+    monkeypatch.setattr(deform, "analyze_fibre", unpaired)
+    out = tmp_path / "fiber.json"
+    code, report = run(["fiber", "analyze", "--label", "F4",
+                        "--out", str(out)])
+    assert code == 5 and report is None and not out.exists()
+    assert "do not pair into points" in capsys.readouterr().err
+
+
 def test_fiber_analyze_exact_singular_fibre_passes():
     code, report = run(["fiber", "analyze", "--label", "C3"])
     assert code == 0

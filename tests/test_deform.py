@@ -210,6 +210,77 @@ def test_example_fibre_three_a1():
     assert abs(ys[0] + 3 ** -0.5) < 1e-8 and abs(ys[2] - 3 ** -0.5) < 1e-8
 
 
+@pytest.fixture
+def ideals_built(monkeypatch):
+    """Every ``Ideal`` the analyzer builds, in order."""
+    built = []
+
+    class Recorded(deform.Ideal):
+        def __init__(self, generators, *args, **kwargs):
+            super().__init__(generators, *args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(deform, "Ideal", Recorded)
+    return built
+
+
+def test_morse_points_build_no_local_ideal(ideals_built):
+    # Hessian corank 0 is A1 with Tjurina number 1: only the global
+    # Jacobian ideal is built
+    V = VarTable(("x", "y", "z"))
+    x, y, z = (MPoly.variable(V, n) for n in "xyz")
+    rep = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y + x * x
+                               + y * y - QQ(4, 27))
+    assert [(p.ade, p.tjurina, p.exact) for p in rep.singular_points] == \
+        [("A1", 1, True)] * 3
+    assert len(ideals_built) == 1
+    # two A1 points (0, 0, +-i) over Q(zeta_4)
+    rep = analyze_fibre(family("B2"), {"t2": rat(2), "t4": QQ(1, 2)})
+    assert [(p.ade, p.tjurina, p.exact) for p in rep.singular_points] == \
+        [("A1", 1, True)] * 2
+    (x1, y1, z1), (x2, y2, z2) = (p.coords_exact
+                                  for p in rep.singular_points)
+    assert (x1, y1, x2, y2) == (0, 0, 0, 0)
+    assert z1 * z1 == -1 and z2 == -z1
+    assert len(ideals_built) == 2
+
+
+# the special fibre of each family is the simple singularity it unfolds,
+# one point at the origin; a restricted family's is its base family's
+SPECIAL_FIBRES = [("A3", "A3", 3), ("A5", "A5", 5), ("B2", "A3", 3),
+                  ("B3", "A5", 5), ("D4", "D4", 4), ("C3", "D4", 4),
+                  ("G2", "D4", 4), ("F4", "E6", 6)]
+
+
+@pytest.mark.parametrize("label, ade, tjurina", SPECIAL_FIBRES)
+def test_special_fibre_is_its_simple_singularity(label, ade, tjurina):
+    rep = analyze_fibre(family(label), {})
+    assert rep.global_tjurina == tjurina
+    [point] = rep.singular_points
+    assert (point.ade, point.tjurina, point.exact) == (ade, tjurina, True)
+    assert point.coords_exact == (0, 0, 0)
+
+
+@pytest.mark.parametrize("height, origin, other", [
+    # z^3 (z - 1)^2: A2 at the origin, A1 at z = 1
+    (lambda z: z ** 3 * (z - 1) ** 2, ("A2", 2), (1, ("A1", 1))),
+    # z^4 (z + 2)^2 (z - 1): A3 at the origin, A1 at z = -2, smooth at 1
+    (lambda z: z ** 4 * (z + 2) ** 2 * (z - 1), ("A3", 3), (-2, ("A1", 1))),
+], ids=["A2+A1", "A3+A1"])
+def test_degenerate_point_beside_another(ideals_built, height, origin,
+                                         other):
+    # the global Tjurina number bounds the local one from above; the one
+    # local ideal of the degenerate point kills the other point
+    V = VarTable(("x", "y", "z"))
+    x, y, z = (MPoly.variable(V, n) for n in "xyz")
+    rep = analyze_hypersurface(x * x + y * y + height(z))
+    assert rep.global_tjurina == origin[1] + other[1][1]
+    found = {p.coords_exact: (p.ade, p.tjurina)
+             for p in rep.singular_points}
+    assert found == {(0, 0, 0): origin, (0, 0, other[0]): other[1]}
+    assert len(ideals_built) == 2
+
+
 def test_special_fibre_d4():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")

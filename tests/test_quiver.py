@@ -35,6 +35,19 @@ def test_quiver_shapes():
     assert sum(d * d for d in q7.dims) == 48  # sum of squares of delta
 
 
+def test_positive_arrows_point_toward_the_larger_dimension():
+    # one rule orients every D and E edge; these are the arrows, names and
+    # order the D4 and E6 actions and samplers were written against
+    d4 = [(a.name, a.src, a.tgt) for a in build_mckay_quiver(D4)
+          .positive_arrows()]
+    assert d4 == [("pa0", 0, 2), ("pa1", 1, 2), ("pa3", 3, 2),
+                  ("pa4", 4, 2)]
+    e6 = [(a.name, a.src, a.tgt) for a in build_mckay_quiver(E6)
+          .positive_arrows()]
+    assert e6 == [("pa0", 0, 3), ("pa3", 3, 6), ("pa1", 1, 4),
+                  ("pa4", 4, 6), ("pa2", 2, 5), ("pa5", 5, 6)]
+
+
 def test_symplectic_antisymmetry_bilinearity():
     for t in (A3, D4):
         q = build_mckay_quiver(t)

@@ -197,3 +197,32 @@ def test_every_parameter_default_is_overridden_somewhere():
                        for npos, keys, star in calls.get(callee, ())):
                 knobs.append(name)
     assert not knobs, knobs
+
+
+def _unread_locals(tree):
+    """(function, name, line) for every name a function binds with a plain
+    single-target ``=`` and never reads; names it declares global or
+    nonlocal belong to another scope."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        read = {n.id for n in nodes
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(name for n in nodes
+                    if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names)
+        out += [(fn.name, n.targets[0].id, n.lineno) for n in nodes
+                if isinstance(n, ast.Assign) and len(n.targets) == 1
+                and isinstance(n.targets[0], ast.Name)
+                and n.targets[0].id not in read]
+    return out
+
+
+def test_no_local_assigned_and_never_read():
+    unread = []
+    for path in sorted((SRC / "mckaydeform").glob("*.py")):
+        unread += [f"{path.stem}.{fn}: {name}:{line}" for fn, name, line
+                   in _unread_locals(ast.parse(path.read_text()))]
+    assert not unread, unread
