@@ -7,9 +7,8 @@ in the human-readable text rendering).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
 exhausted, 4 internal mismatch (variable tables, dimensions or matrix shapes
-that the program itself failed to match), 5 inexact answer refused (a
-``fiber analyze`` point that is not exact or not classified, or a fibre
-whose singular points cannot be told apart, ``UnclassifiedSingularity``).
+that the program itself failed to match), 5 answer refused (a ``fiber
+analyze`` point of a type outside ADE, typed "unclassified").
 """
 
 from __future__ import annotations
@@ -321,15 +320,14 @@ def cmd_fiber(args) -> RunReport:
                 raise ValueError(f"parameter {k} is given twice")
             values[k] = rat(v)
     rep = analyze_fibre(fam, values, budget=args.budget)
-    inexact = any(not pt.exact or pt.ade == "unclassified"
-                  for pt in rep.singular_points)
+    unclassified = any(pt.ade == "unclassified" for pt in rep.singular_points)
     checks = [Check.of(
-        f"fiber_{fam.label}_analyzed", not inexact, rep.to_json())]
+        f"fiber_{fam.label}_analyzed", not unclassified, rep.to_json())]
     report = RunReport(
         f"fiber analyze --label {fam.label} --params {args.params or ''}",
         checks)
-    if inexact:
-        report.error_code = 5       # inexact answer refused
+    if unclassified:
+        report.error_code = 5       # a type outside ADE refused
     return report
 
 
@@ -577,14 +575,11 @@ def _exit_code(exc):
     The first row whose kinds match wins: the internal mismatches are
     subclasses of ValueError and KeyError, so they precede the user errors.
     """
-    # both need numpy; only on this path
-    from .deform import UnclassifiedSingularity
-    from .quiver import ShapeMismatch
+    from .quiver import ShapeMismatch      # needs numpy; only on this path
     for kinds, code in (((VariableMismatch, DimensionMismatch,
                           ShapeMismatch), 4),
                         (BudgetExceeded, 3),
-                        ((ValueError, KeyError), 2),
-                        (UnclassifiedSingularity, 5)):
+                        ((ValueError, KeyError), 2)):
         if isinstance(exc, kinds):
             return code
     return None

@@ -16,27 +16,31 @@ and the changes of variables onto the Klein relations hold 2^(1/3) or i,
 as one extra variable of a rational polynomial, folded by its relation
 (``poly.fold_root``).
 
-``analyze_fibre`` locates singular points of a fibre through the Jacobian
-ideal and translates each exact point to the origin.  There a point of
-Hessian corank 0 is A1 (Morse lemma); at any other the local Tjurina
-number is the length of one ideal, (f, df) plus every monomial whose
-degree is the global Tjurina number, and the ADE type follows from the
-corank and the root multiplicities of the restricted cubic.
+``analyze_fibre`` finds every singular point of a fibre exactly, from the
+exact multiplication matrices of the quotient by the Jacobian ideal
+(f, df): the characteristic polynomial of a separating linear form gives
+the points and their Tjurina numbers, its traces give their coordinates
+as polynomials in one root of a univariate factor, and the length of each
+local algebra modulo the cube of the maximal ideal gives the ADE type.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import numpy as np
 
-from .exact import (QQ, embed_complex, imag_unit, rref, scalar_to_json,
-                    sqrt6, sqrt_rational)
+from .exact import (QQ, Cyclo, charpoly, embed_complex, inverse_mod, mat_mul,
+                    poly_divmod, poly_gcd, poly_mul, rref, scalar_to_json,
+                    sqrt6, squarefree_split)
 from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
                    psi_E6_of_mu)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
-                   fold_root, monomials_of_degree, quotient_basis)
+                   fold_root, quotient_basis)
 from .rootdata import DynkinType, coweight_reflection_subs
 
 
@@ -46,10 +50,6 @@ class UnsupportedLabel(ValueError):
 
 class UnknownParameter(ValueError):
     """A parameter value names no parameter of the family."""
-
-
-class UnclassifiedSingularity(Exception):
-    pass
 
 
 @dataclass
@@ -586,20 +586,28 @@ def verify_e6_coefficients() -> dict:
 
 @dataclass
 class SingularPoint:
-    coords_exact: tuple | None
+    """A singular point: its coordinates as scalars of the coefficient
+    field, or, when ``minpoly`` (monic, low degree first) has degree d > 1,
+    as polynomials in a root a of it, each held on the power basis 1, a,
+    ..., a^(d-1).  The d points of such a class differ only numerically."""
+    coords_exact: tuple
     coords_numeric: tuple
     tjurina: int
     ade: str
-    exact: bool
+    minpoly: tuple | None
+    exact = True        # every point is; the report keeps the key
 
     def to_json(self):
-        return {
-            "coords": [scalar_to_json(c) for c in self.coords_exact]
-            if self.coords_exact else None,
-            "coords_numeric": [[z.real, z.imag] for z in
-                               self.coords_numeric],
-            "tjurina": self.tjurina, "ade": self.ade, "exact": self.exact,
-        }
+        out = {"coords_numeric": [[z.real, z.imag]
+                                  for z in self.coords_numeric],
+               "tjurina": self.tjurina, "ade": self.ade, "exact": self.exact}
+        if self.minpoly is None:
+            out["coords"] = [scalar_to_json(c) for c in self.coords_exact]
+        else:
+            out["coords"] = [[scalar_to_json(c) for c in v]
+                             for v in self.coords_exact]
+            out["minpoly"] = [scalar_to_json(c) for c in self.minpoly]
+        return out
 
 
 @dataclass
@@ -614,240 +622,162 @@ class SingularityReport:
                 "smooth": self.is_smooth}
 
 
-def _multiplication_matrix(ideal: Ideal, basis, name: str):
-    V = ideal.vars
+def _multiplication_matrix(ideal: Ideal, basis, h: MPoly):
+    """Multiplication by h on the quotient by ``ideal``: column j holds the
+    normal form of h times the standard monomial basis[j]."""
     lookup = {e: i for i, e in enumerate(basis)}
-    n = len(basis)
-    M = np.zeros((n, n), dtype=complex)
+    M = [[QQ(0)] * len(basis) for _ in basis]
     for j, e in enumerate(basis):
-        mono = MPoly(V)
-        e2 = list(e)
-        e2[V.index[name]] += 1
-        mono.terms[tuple(e2)] = QQ(1)
-        nf = ideal.normal_form(mono)
-        for e3, c in nf.terms.items():
-            M[lookup[e3], j] = embed_complex(c)
+        nf = ideal.normal_form(h * MPoly(ideal.vars, {e: QQ(1)}))
+        for e2, c in nf.terms.items():
+            M[lookup[e2]][j] = c
     return M
 
 
-# eigenvalues closer than this are one root
-CLUSTER_RADIUS = 1e-6
+def _univariate(coeffs) -> MPoly:
+    return MPoly(VarTable(("a",)), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _cluster(values):
+def _coefficients(p: MPoly):
+    """The coefficient list of a polynomial in one variable."""
+    top = max((e[0] for e in p.terms), default=0)
+    return [p.terms.get((k,), QQ(0)) for k in range(top + 1)]
+
+
+def _ade(tau: int, d3: int) -> str:
+    """The type from the Tjurina number and the length d3 of the local
+    algebra modulo the cube of the maximal ideal: the normal forms give d3
+    = min(k, 3) for A_k, 4 for D_k, 5 for E_k, 6 for X9, 7+ at corank 3."""
+    if d3 <= 3:
+        return f"A{tau}"
+    if d3 == 4:
+        return f"D{tau}"
+    if d3 == 5 and tau in (6, 7, 8):
+        return f"E{tau}"
+    return "unclassified"
+
+
+def _split_rational_roots(m):
+    """The monic square-free m as its linear factors T - q with q rational,
+    and the cofactor when it is not constant.  By the rational root theorem
+    a rational root has a denominator dividing the lcm of m's denominators;
+    each root of m in floats proposes the nearest such q, kept only where m
+    vanishes exactly."""
+    den = lcm(*(q.denominator for c in m
+                for q in (c.coeffs if isinstance(c, Cyclo) else (c,))))
     out = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        for c in out:
-            if abs(v - c[0]) < CLUSTER_RADIUS:
-                c[1].append(v)
-                break
-        else:
-            out.append([v, [v]])
-    return [(sum(vs) / len(vs), len(vs)) for _, vs in
-            ((c[0], c[1]) for c in out)]
+    for alpha in np.roots([embed_complex(c) for c in reversed(m)]):
+        fr = Fraction(alpha.real).limit_denominator(den)
+        linear = [QQ(-fr.numerator, fr.denominator), QQ(1)]
+        cofactor, rem = poly_divmod(m, linear)
+        if not any(rem):
+            out.append(linear)
+            m = cofactor
+    return out + ([m] if len(m) > 1 else [])
 
 
-def _reconstruct_scalar(z: complex):
-    """Recognise a complex number as an exact scalar, or return None.
-
-    Tried in order: small rational, purely imaginary rational, square root
-    of a rational that lies in Q(zeta_24), and i times such a root.
-    """
-    from fractions import Fraction
-
-    def near_rat(x):
-        # small denominators only, else irrationals sneak in as convergents
-        fr = Fraction(x).limit_denominator(10 ** 4)
-        return QQ(fr.numerator, fr.denominator) \
-            if abs(x - float(fr)) < 1e-9 else None
-
-    if abs(z.imag) < 1e-9:
-        r = near_rat(z.real)
-        if r is not None:
-            return r
-    if abs(z.real) < 1e-9:
-        r = near_rat(z.imag)
-        if r is not None and r == 0:
-            return QQ(0)
-        if r is not None:
-            cand = imag_unit() * r
-            if abs(embed_complex(cand) - z) < 1e-8:
-                return cand
-    sq = near_rat((z * z).real) if abs((z * z).imag) < 1e-9 else None
-    if sq is not None:
-        root = sqrt_rational(sq)
-        if root is not None:
-            for cand in (root, -root):
-                if abs(embed_complex(cand) - z) < 1e-8:
-                    return cand
-    return None
-
-
-def _hessian_rank_and_kernel(f2: MPoly, names):
-    """Rank and kernel basis of the quadratic-part Gram matrix, exact."""
-    V = f2.vars
-    n = len(names)
-    G = [[QQ(0)] * n for _ in range(n)]
-    for e, c in f2.terms.items():
-        support = [(i, e[V.index[nm]]) for i, nm in enumerate(names)
-                   if e[V.index[nm]]]
-        if sum(k for _, k in support) != 2:
-            continue
-        if len(support) == 1:
-            i = support[0][0]
-            G[i][i] = G[i][i] + c
-        else:
-            (i, _), (j, _) = support
-            half = c * QQ(1, 2)
-            G[i][j] = G[i][j] + half
-            G[j][i] = G[j][i] + half
-    rows, pivots = rref(G, n)
-    kernel = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [QQ(0)] * n
-        v[fc] = QQ(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -rows[k][fc]
-        kernel.append(tuple(v))
-    return len(pivots), kernel
-
-
-def _binary_cubic_class(c3, c2, c1, c0) -> str:
-    """'distinct', 'double', 'triple', or 'zero' roots of a binary cubic."""
-    if not any((c3, c2, c1, c0)):
-        return "zero"
-    disc = 18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2 \
-        - 4 * c3 * c1 ** 3 - 27 * c3 ** 2 * c0 ** 2
-    if disc:
-        return "distinct"
-    # triple root iff the Hessian covariant vanishes identically
-    h0 = c2 ** 2 - 3 * c3 * c1
-    h1 = c2 * c1 - 9 * c3 * c0
-    h2 = c1 ** 2 - 3 * c2 * c0
-    if not any((h0, h1, h2)):
-        return "triple"
-    return "double"
-
-
-def _local_type(f_loc: MPoly, names, bound: int):
-    """(Tjurina number, ADE type) of the singular point of f_loc at the
-    origin.
-
-    Hessian corank 0 is a Morse point, A1 with Tjurina number 1, and needs
-    no ideal.  At any other point the local algebra of (f_loc, df) has
-    length at most ``bound``, the global Tjurina number of the fibre, so the
-    maximal ideal to the power ``bound`` lies in (f_loc, df) at the origin:
-    adding every monomial of that degree leaves the local length and kills
-    every other point.  Corank 1 is A_tau; corank 2 is typed by the roots
-    of the cubic restricted to the Hessian kernel.
-    """
-    rank, kernel = _hessian_rank_and_kernel(f_loc.homogeneous_part(2), names)
-    corank = len(names) - rank
-    if corank == 0:
-        return 1, "A1"
-    gens = [f_loc] + [f_loc.diff(nm) for nm in names]
-    gens += [m.extend(f_loc.vars)
-             for m in monomials_of_degree(VarTable(names), bound)]
-    tjurina = Ideal([g for g in gens if g]).quotient_dimension()
-    if corank == 1:
-        return tjurina, f"A{tjurina}"
-    if corank == 2:
-        f3 = f_loc.homogeneous_part(3)
-        UV = VarTable(("u", "v"))
-        u, v = _variables(UV, ("u", "v"))
-        subs = {}
-        k1, k2 = kernel[0], kernel[1]
-        for i, nm in enumerate(names):
-            subs[nm] = u * k1[i] + v * k2[i]
-        cubic = f3.substitute(subs)
-        coeffs = [QQ(0)] * 4
-        for e, c in cubic.terms.items():
-            coeffs[e[cubic.vars.index["u"]]] = c
-        kind = _binary_cubic_class(coeffs[3], coeffs[2], coeffs[1],
-                                   coeffs[0])
-        if kind == "distinct":
-            return tjurina, "D4"
-        if kind == "double":
-            return tjurina, f"D{tjurina}"
-        if kind == "triple" and tjurina in (6, 7, 8):
-            return tjurina, f"E{tjurina}"
-    return tjurina, "unclassified"
+def _class_points(gens, names, m, coords, tau, ade):
+    """The points of one class: the roots of m, with coordinate v the
+    polynomial ``coords[v]`` in the root.  f and df must vanish there
+    modulo m; a class that fails is a fault of the program."""
+    polys = [_univariate(r) for r in coords]
+    at_class = dict(zip(names, polys))
+    for g in gens:
+        if any(poly_divmod(_coefficients(g.substitute(at_class)), m)[1]):
+            raise AssertionError(f"{g} does not vanish on the class of {m}")
+    d = len(m) - 1
+    if d == 1:
+        exact, minpoly = tuple(r[0] for r in coords), None
+    else:
+        exact = tuple(tuple(r + [QQ(0)] * (d - len(r))) for r in coords)
+        minpoly = tuple(m)
+    return [SingularPoint(exact, tuple(p.evaluate_numeric({"a": alpha})
+                                       for p in polys), tau, ade, minpoly)
+            for alpha in np.roots([embed_complex(c) for c in reversed(m)])]
 
 
 def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
                          budget: int = DEFAULT_BUDGET) -> SingularityReport:
-    """Singular points of the hypersurface f = 0 with local data.
+    """Singular points of the hypersurface f = 0, each exact, with its
+    Tjurina number and type.
 
-    Points come from the Jacobian ideal: the quotient algebra of (f, df)
-    is split numerically by the multiplication operators (coordinates =
-    clustered eigenvalue combinations checked by residuals), then each
-    point p is reconstructed exactly if it lies in Q(zeta_24), possibly
-    with one square root.  One substitution gives f(x + p): p is an exact
-    singular point when it has no term of degree below 2, and
-    ``_local_type`` reads its Tjurina number and type from it.  A point
-    that is not exact keeps its eigenvalue multiplicity, unclassified.  The
-    local numbers must add up to the global Tjurina number.
+    All is read from the exact multiplication matrices M_v of K[x]/I,
+    I = (f, df), which is finite over the coefficient field K exactly when
+    the points are isolated.  The characteristic polynomial of
+    theta = x + c y + c^2 z is the product of (T - theta(p))^tau_p, so
+    Yun's square-free split gives {tau: g_tau}, g_tau vanishing at the
+    theta-values of the points of Tjurina number tau.  theta separates the
+    points when that polynomial is square-free, or else when the product
+    of the g_tau has degree dim K[x]/R, R = I + (P_x(x), P_y(y), P_z(z))
+    the radical, P_v the square-free part of the characteristic polynomial
+    of M_v (Cox, Little & O'Shea, ch. 2 Prop. 2.7).  c = 1, 2, ... is
+    tried in turn; each pair of points rules out at most two values.  The
+    same split over K[x]/(I + P^3) gives each point's d3 for ``_ade``.
+    Coordinates come from the rational univariate representation
+    (Rouillier, AAECC 9, 1999): v = g_v / g_1 modulo each class factor m,
+    with g_v = sum_i Tr(M_v M_theta^i) H_i, the H_i the Horner shifts of
+    the product of the g_tau.  Numeric coordinates, from the roots of m in
+    floats, serve display and the order of the points only.
     """
     names = list(ambient_names)
-    gens = [f] + [f.diff(nm) for nm in names]
-    ideal = Ideal([g for g in gens if g], budget=budget)
+    gens = [g for g in [f] + [f.diff(nm) for nm in names] if g]
+    ideal = Ideal(gens, budget=budget)
     dim = ideal.quotient_dimension()
     if dim == 0:
         return SingularityReport([], 0, True)
     if dim == "infinite":
         return SingularityReport([], "infinite", False)
+    coords = [MPoly.variable(f.vars, nm) for nm in names]
     basis = quotient_basis(ideal)
-    mats = {nm: _multiplication_matrix(ideal, basis, nm) for nm in names}
-    combo = (0.7548776662 * mats[names[0]]
-             + 0.5695432530 * mats[names[1]]
-             + 0.3256890013 * mats[names[2]])
-    w = np.linalg.eigvals(combo)
-    clusters = _cluster(list(w))
-    coord_values = {nm: _cluster(list(np.linalg.eigvals(mats[nm])))
-                    for nm in names}
-    points = []
-    for wc, mult in clusters:
-        best = None
-        for triple in itertools.product(*(coord_values[nm]
-                                          for nm in names)):
-            vals = [t[0] for t in triple]
-            key = 0.7548776662 * vals[0] + 0.5695432530 * vals[1] \
-                + 0.3256890013 * vals[2]
-            if abs(key - wc) < 1e-6:
-                res = max(abs(g.evaluate_numeric(dict(zip(names, vals))))
-                          for g in gens if g)
-                if res < 1e-8 and (best is None or res < best[1]):
-                    best = (vals, res)
-        if best is None:
-            raise UnclassifiedSingularity(
-                "eigenvalue clusters do not pair into points")
-        points.append((best[0], mult))
-
+    mats = [_multiplication_matrix(ideal, basis, v) for v in coords]
+    eliminants = None
+    for c in itertools.count(1):
+        weights = [QQ(c ** k) for k in range(len(names))]
+        m_theta = [[sum((w * M[i][j] for w, M in zip(weights, mats)), QQ(0))
+                    for j in range(dim)] for i in range(dim)]
+        tau_classes = squarefree_split(charpoly(m_theta))
+        if set(tau_classes) == {1}:
+            break
+        if eliminants is None:
+            eliminants = [_univariate(reduce(poly_mul, squarefree_split(
+                charpoly(M)).values())).substitute({"a": v})
+                for M, v in zip(mats, coords)]
+            npoints = Ideal(gens + eliminants,
+                            budget=budget).quotient_dimension()
+        if sum(len(g) - 1 for g in tau_classes.values()) == npoints:
+            break
+    classes = [(tau, g, 1) for tau, g in tau_classes.items()]
+    if max(tau_classes) > 1:
+        cubes = [a * b * e for a, b, e in
+                 itertools.combinations_with_replacement(eliminants, 3)]
+        jet = Ideal(gens + cubes, budget=budget)
+        theta = sum((w * v for w, v in zip(weights, coords)), MPoly(f.vars))
+        d3_classes = squarefree_split(charpoly(
+            _multiplication_matrix(jet, quotient_basis(jet), theta)))
+        classes = [(tau, m, d3) for tau, g in tau_classes.items()
+                   for d3, h in d3_classes.items()
+                   for m in [poly_gcd(g, h)] if len(m) > 1]
+    # the rational univariate representation, 1 and then each coordinate
+    root_poly = reduce(poly_mul, tau_classes.values())
+    rur = [[QQ(0)] * (len(root_poly) - 1) for _ in range(len(mats) + 1)]
+    one = [[QQ(int(i == j)) for j in range(dim)] for i in range(dim)]
+    power = one
+    for i in range(len(root_poly) - 1):
+        for g, M in zip(rur, [one] + mats):
+            # Tr(M M_theta^i)
+            t = sum((a * power[k][j] for j, row in enumerate(M)
+                     for k, a in enumerate(row) if a), QQ(0))
+            for j, a in enumerate(root_poly[i + 1:]):
+                g[j] += t * a
+        power = mat_mul(m_theta, power)
     out = []
-    total = 0
-    for vals, mult in points:
-        numeric = tuple(complex(v) for v in vals)
-        coords = [_reconstruct_scalar(v) for v in vals]
-        f_loc = None
-        if all(c is not None for c in coords):
-            f_loc = f.substitute({nm: MPoly.variable(f.vars, nm)
-                                  + MPoly.constant(f.vars, c)
-                                  for nm, c in zip(names, coords)})
-        # f(x + p) has constant term f(p) and linear terms the partials at
-        # p, so p is singular exactly when no term has degree below 2
-        if f_loc is not None and all(sum(e) >= 2 for e in f_loc.terms):
-            tj, label = _local_type(f_loc, names, dim)
-            point = SingularPoint(tuple(coords), numeric, tj, label, True)
-        else:
-            point = SingularPoint(None, numeric, mult, "unclassified", False)
-        out.append(point)
-        total += point.tjurina
-    if total != dim:
-        # local data must add up to the global quotient dimension
-        raise UnclassifiedSingularity(
-            f"local dimensions {total} != global {dim}")
-    out.sort(key=lambda p: (p.coords_numeric[0].real,
-                            p.coords_numeric[0].imag))
+    for tau, m, d3 in classes:
+        for factor in _split_rational_roots(m):
+            inv = inverse_mod(poly_divmod(rur[0], factor)[1], factor)
+            at = [poly_divmod(poly_mul(g, inv), factor)[1] for g in rur[1:]]
+            out += _class_points(gens, names, factor, at, tau, _ade(tau, d3))
+    out.sort(key=lambda p: [(round(z.real, 9), round(z.imag, 9))
+                            for z in p.coords_numeric])
     return SingularityReport(out, dim, False)
 
 

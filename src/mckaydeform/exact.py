@@ -13,6 +13,11 @@ and across conductors via the lcm embedding.  A float shadow
 zeta_n = exp(2*pi*i/n).  A single root a with a^k = c rational, such as
 sqrt(6) or 2^(1/3), is no scalar kind of its own: polynomials hold it as
 one more variable, folded by ``poly.fold_root``.
+
+Univariate polynomials (coefficient lists, low degree first) and matrices
+(lists of rows) over either kind carry what the fibre analysis needs:
+division, inverse modulo a polynomial, gcd, Yun's square-free split, the
+characteristic polynomial and ``rref``.
 """
 
 from __future__ import annotations
@@ -245,7 +250,7 @@ class Cyclo:
         # Phi_n rebuilt from x^phi = rows[0]
         _, rows = _cyclo_data(self.n)
         modulus = [-c for c in rows[0]] + [QQ(1)]
-        return Cyclo(self.n, _inverse_mod(self.coeffs, modulus))
+        return Cyclo(self.n, inverse_mod(self.coeffs, modulus))
 
     def __truediv__(self, other):
         if is_rat(other):
@@ -319,7 +324,7 @@ def _poly_sub(a, b):
     return _trim([x - y for x, y in zip(a, b)])
 
 
-def _poly_mul(a, b):
+def poly_mul(a, b):
     out = [QQ(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -328,7 +333,7 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
-def _poly_divmod(a, b):
+def poly_divmod(a, b):
     r, b = _trim(a), _trim(b)
     db = _deg(b)
     inv_lead = QQ(1) / b[db]
@@ -343,21 +348,84 @@ def _poly_divmod(a, b):
     return _trim(q), _trim(r)
 
 
-def _inverse_mod(coeffs, modulus):
+def inverse_mod(coeffs, modulus):
     """The deg(modulus) coordinates of 1/a(x) modulo ``modulus``, by the
     extended Euclid; DivisionByZero when a(x) shares a factor with it."""
     r0, r1 = _trim(modulus), _trim(coeffs)
     s0, s1 = [QQ(0)], [QQ(1)]
     while _deg(r1) > 0:
-        q, r = _poly_divmod(r0, r1)
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
     if _deg(r1) < 0:
         raise DivisionByZero("element not invertible")
     inv_lead = QQ(1) / r1[0]
     k = len(modulus) - 1
     inv = [c * inv_lead for c in s1[:k]]
     return inv + [QQ(0)] * (k - len(inv))
+
+
+def _derivative(p):
+    return _trim([c * k for k, c in enumerate(p)][1:] or [QQ(0)])
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor of two polynomials, not both zero."""
+    a, b = _trim(a), _trim(b)
+    while _deg(b) >= 0:
+        a, b = b, poly_divmod(a, b)[1]
+    inv_lead = QQ(1) / a[-1]
+    return [c * inv_lead for c in a]
+
+
+def squarefree_split(p):
+    """Yun's square-free factorisation of a nonconstant polynomial over a
+    field of characteristic 0: {k: g_k}, the g_k monic, square-free,
+    pairwise coprime and of positive degree, with p a constant times the
+    product of the g_k^k."""
+    dp = _derivative(p)
+    b = poly_gcd(p, dp)
+    c = poly_divmod(p, b)[0]
+    d = _poly_sub(poly_divmod(dp, b)[0], _derivative(c))
+    out, k = {}, 1
+    while _deg(c) > 0:
+        a = poly_gcd(c, d)
+        if _deg(a) > 0:
+            out[k] = a
+        c = poly_divmod(c, a)[0]
+        d = _poly_sub(poly_divmod(d, a)[0], _derivative(c))
+        k += 1
+    return out
+
+
+# -- matrices over any exact scalar (lists of rows) --------------------------
+
+def mat_mul(A, B):
+    out = []
+    for row in A:
+        acc = [QQ(0)] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def charpoly(M):
+    """det(T - M), low degree first, by Faddeev-LeVerrier: with N_0 = 0
+    and N_k = M N_(k-1) + c_(n-k+1) times the identity, the coefficient
+    c_(n-k) of T^(n-k) is -tr(M N_k) / k."""
+    n = len(M)
+    coeffs = [QQ(0)] * n + [QQ(1)]
+    MN = [[QQ(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            MN[i][i] += coeffs[n - k + 1]       # MN is now N_k
+        MN = mat_mul(M, MN)
+        coeffs[n - k] = -sum((MN[i][i] for i in range(n)), QQ(0)) * QQ(1, k)
+    return coeffs
 
 
 def rref(rows, ncols):
@@ -439,38 +507,6 @@ def split_quadratic(x, root: Cyclo) -> tuple:
     if list(x.coeffs) != want:
         raise ValueError(f"{x} does not lie in Q({root})")
     return a, b
-
-
-def sqrt_rational(x):
-    """sqrt(x) inside a cyclotomic field when the squarefree part allows it.
-
-    Returns a Cyclo (or rational) with value sqrt(x) for x = p/q whose
-    squarefree part divides 6 (handles the signs via i); None otherwise.
-    """
-    x = QQ(x)
-    if x == 0:
-        return QQ(0)
-    sign = 1
-    if x < 0:
-        sign = -1
-        x = -x
-    p, q = x.numerator, x.denominator
-    m = p * q  # sqrt(p/q) = sqrt(p*q)/q
-    s, m0 = 1, m
-    d = 2
-    while d * d <= m0:
-        while m0 % (d * d) == 0:
-            m0 //= d * d
-            s *= d
-        d += 1
-    if m0 not in (1, 2, 3, 6):
-        return None
-    value = QQ(s, q)
-    if m0 > 1:      # only the root returned is built
-        value = {2: sqrt2, 3: sqrt3, 6: sqrt6}[m0]() * value
-    if sign < 0:
-        value = value * imag_unit()
-    return value.reduce_rat() if isinstance(value, Cyclo) else value
 
 
 # -- numeric shadow --------------------------------------------------------

@@ -224,11 +224,6 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=True)
 
-    def homogeneous_part(self, d: int) -> "MPoly":
-        p = MPoly(self.vars)
-        p.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return p
-
     # -- calculus ------------------------------------------------------------
     def diff(self, name: str) -> "MPoly":
         if name not in self.vars.index:
@@ -899,11 +894,3 @@ def quotient_basis(ideal: Ideal):
         raise ValueError("ideal is not zero-dimensional")
     basis.sort(key=grevlex_key)
     return basis
-
-
-def monomials_of_degree(vars: VarTable, d: int):
-    """All monomials of total degree exactly d, as MPoly list, their
-    exponent tuples in ascending order."""
-    return [MPoly(vars, {e: QQ(1)})
-            for e in itertools.product(range(d + 1), repeat=len(vars))
-            if sum(e) == d]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mckaydeform.cli import run
-from mckaydeform.poly import MPoly, VariableMismatch
+from mckaydeform.poly import MPoly, VariableMismatch, VarTable
 from mckaydeform.quiver import ShapeMismatch
 from mckaydeform.rootdata import DimensionMismatch
 
@@ -311,36 +311,41 @@ def test_fiber_analyze_command():
     assert report.checks[0].witness["smooth"] is True
 
 
-def test_fiber_analyze_inexact_fibre_is_refused(tmp_path):
+def test_fiber_analyze_fibre_outside_q_zeta_24_is_exact(tmp_path):
     # at (t2, t4) = (5, 25/8) the two A1 points lie at z = +-sqrt(-5/2),
-    # outside Q(zeta_24): an inexact answer is refused, witness kept
+    # outside Q(zeta_24): the roots a of a^2 + 5/2, at z = a
     out = tmp_path / "fiber.json"
     code, _ = run(["fiber", "analyze", "--label", "B2",
                    "--params", "t2=5,t4=25/8", "--out", str(out)])
+    assert code == 0
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["status"] == "pass"
+    points = check["witness"]["points"]
+    assert [(p["ade"], p["exact"], p["minpoly"], p["coords"])
+            for p in points] == [
+        ("A1", True, ["5/2", "0", "1"], [["0", "0"], ["0", "0"], ["0", "1"]])
+    ] * 2
+    assert [[round(v, 4) for v in p["coords_numeric"][2]]
+            for p in points] == [[0, -1.5811], [0, 1.5811]]
+
+
+def test_fiber_analyze_point_outside_ade_is_refused(monkeypatch, tmp_path):
+    # a point of a type outside ADE fails the check and exits 5, with the
+    # report written
+    from mckaydeform import deform
+    V = VarTable(("x", "y", "z"))
+    x, y, z = (MPoly.variable(V, n) for n in "xyz")
+
+    def corank_three(fam, values, budget):
+        return deform.analyze_hypersurface(x ** 3 + y ** 3 + z ** 3)
+
+    monkeypatch.setattr(deform, "analyze_fibre", corank_three)
+    out = tmp_path / "fiber.json"
+    code, _ = run(["fiber", "analyze", "--label", "F4", "--out", str(out)])
     assert code == 5
     check = json.loads(out.read_text())["checks"][0]
     assert check["status"] == "fail"
-    points = check["witness"]["points"]
-    assert len(points) == 2
-    assert all(not p["exact"] and p["ade"] == "unclassified" for p in points)
-
-
-def test_fiber_analyze_unseparated_points_are_refused(monkeypatch,
-                                                      tmp_path, capsys):
-    # points the analyzer cannot tell apart are an inexact answer: exit 5
-    # with the message, like the other refusals, and no report
-    from mckaydeform import deform
-
-    def unpaired(fam, values, budget):
-        raise deform.UnclassifiedSingularity(
-            "eigenvalue clusters do not pair into points")
-
-    monkeypatch.setattr(deform, "analyze_fibre", unpaired)
-    out = tmp_path / "fiber.json"
-    code, report = run(["fiber", "analyze", "--label", "F4",
-                        "--out", str(out)])
-    assert code == 5 and report is None and not out.exists()
-    assert "do not pair into points" in capsys.readouterr().err
+    assert [p["ade"] for p in check["witness"]["points"]] == ["unclassified"]
 
 
 def test_fiber_analyze_exact_singular_fibre_passes():

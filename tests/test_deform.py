@@ -11,7 +11,7 @@ from mckaydeform.deform import (UnsupportedLabel, analyze_fibre,
                                 verify_d4_coefficients,
                                 verify_e6_coefficients, verify_equivariance,
                                 verify_parameter_actions)
-from mckaydeform.exact import QQ, rat
+from mckaydeform.exact import QQ, rat, sqrt6
 from mckaydeform.poly import MPoly, VarTable
 
 ALL_LABELS = ("A3", "A5", "B2", "B3", "D4", "C3", "G2", "E6", "F4")
@@ -208,6 +208,11 @@ def test_example_fibre_three_a1():
     ys = sorted(round(p.coords_numeric[1].real, 8)
                 for p in rep.singular_points)
     assert abs(ys[0] + 3 ** -0.5) < 1e-8 and abs(ys[2] - 3 ** -0.5) < 1e-8
+    # the rational point is split off its class and prints as rationals;
+    # the other two are the roots of one quadratic
+    data = [p.to_json() for p in rep.singular_points]
+    assert data[2]["coords"] == ["2/3", "0", "0"] and "minpoly" not in data[2]
+    assert data[0]["minpoly"] == data[1]["minpoly"] is not None
 
 
 @pytest.fixture
@@ -234,14 +239,15 @@ def test_morse_points_build_no_local_ideal(ideals_built):
     assert [(p.ade, p.tjurina, p.exact) for p in rep.singular_points] == \
         [("A1", 1, True)] * 3
     assert len(ideals_built) == 1
-    # two A1 points (0, 0, +-i) over Q(zeta_4)
+    # two A1 points (0, 0, +-i): the roots a of a^2 + 1, at z = a
     rep = analyze_fibre(family("B2"), {"t2": rat(2), "t4": QQ(1, 2)})
     assert [(p.ade, p.tjurina, p.exact) for p in rep.singular_points] == \
         [("A1", 1, True)] * 2
-    (x1, y1, z1), (x2, y2, z2) = (p.coords_exact
-                                  for p in rep.singular_points)
-    assert (x1, y1, x2, y2) == (0, 0, 0, 0)
-    assert z1 * z1 == -1 and z2 == -z1
+    for p in rep.singular_points:
+        assert p.minpoly == (1, 0, 1)
+        assert p.coords_exact == ((0, 0), (0, 0), (0, 1))
+    assert [round(p.coords_numeric[2].imag, 12)
+            for p in rep.singular_points] == [-1, 1]
     assert len(ideals_built) == 2
 
 
@@ -269,8 +275,8 @@ def test_special_fibre_is_its_simple_singularity(label, ade, tjurina):
 ], ids=["A2+A1", "A3+A1"])
 def test_degenerate_point_beside_another(ideals_built, height, origin,
                                          other):
-    # the global Tjurina number bounds the local one from above; the one
-    # local ideal of the degenerate point kills the other point
+    # beside (f, df): the radical, which certifies that x + y + z tells the
+    # points apart, and (f, df) plus its cube, which types them
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
     rep = analyze_hypersurface(x * x + y * y + height(z))
@@ -278,7 +284,97 @@ def test_degenerate_point_beside_another(ideals_built, height, origin,
     found = {p.coords_exact: (p.ade, p.tjurina)
              for p in rep.singular_points}
     assert found == {(0, 0, 0): origin, (0, 0, other[0]): other[1]}
+    assert len(ideals_built) == 3
+
+
+def _xyz():
+    V = VarTable(("x", "y", "z"))
+    return [MPoly.variable(V, n) for n in "xyz"]
+
+
+# normal forms with their type and Tjurina number: A_k, D_k, E_k, and three
+# beyond ADE (corank 3, X9 and J10)
+TYPING_TABLE = {
+    **{f"A{k}": (lambda x, y, z, k=k: x ** 2 + y ** 2 + z ** (k + 1),
+                 f"A{k}", k) for k in range(1, 7)},
+    **{f"D{k}": (lambda x, y, z, k=k: x ** 2 + y ** 2 * z + z ** (k - 1),
+                 f"D{k}", k) for k in range(4, 8)},
+    "E6": (lambda x, y, z: x ** 2 + y ** 3 + z ** 4, "E6", 6),
+    "E7": (lambda x, y, z: x ** 2 + y ** 3 + y * z ** 3, "E7", 7),
+    "E8": (lambda x, y, z: x ** 2 + y ** 3 + z ** 5, "E8", 8),
+    "x3+y3+z3": (lambda x, y, z: x ** 3 + y ** 3 + z ** 3,
+                 "unclassified", 8),
+    "z2+x4+y4": (lambda x, y, z: z ** 2 + x ** 4 + y ** 4,
+                 "unclassified", 9),
+    "z2+x3+y6": (lambda x, y, z: z ** 2 + x ** 3 + y ** 6,
+                 "unclassified", 10),
+}
+
+
+@pytest.mark.parametrize("name", TYPING_TABLE)
+def test_normal_form_types(name):
+    form, ade, tau = TYPING_TABLE[name]
+    rep = analyze_hypersurface(form(*_xyz()))
+    assert rep.global_tjurina == tau
+    assert [(p.coords_exact, p.ade, p.tjurina)
+            for p in rep.singular_points] == [((0, 0, 0), ade, tau)]
+
+
+@pytest.mark.parametrize("name", ("A1", "A3", "A4", "A5", "D4", "D5", "D6",
+                                  "E6", "E7", "E8"))
+def test_sheared_normal_form_types(name):
+    # x -> x + y, y -> y - z, z -> z + 1 moves the point to (1, -1, -1)
+    # and leaves no variable in which it is a Jordan block of its own
+    form, ade, tau = TYPING_TABLE[name]
+    x, y, z = _xyz()
+    rep = analyze_hypersurface(form(x + y, y - z, z + 1))
+    assert [(p.coords_exact, p.ade, p.tjurina)
+            for p in rep.singular_points] == [((1, -1, -1), ade, tau)]
+
+
+def test_points_x_plus_y_plus_z_cannot_tell_apart(ideals_built):
+    # theta = x + y + z takes the value 0 at (1, -1, 0) and (-1, 1, 0):
+    # the radical shows four points, and x + 2y + 4z tells them apart
+    x, y, z = _xyz()
+    rep = analyze_hypersurface(z ** 2 + (x ** 2 - 1) ** 2 + (y ** 2 - 1) ** 2)
+    assert [(p.coords_exact, p.ade, p.minpoly)
+            for p in rep.singular_points] == [
+        ((-1, -1, 0), "A1", None), ((-1, 1, 0), "A1", None),
+        ((1, -1, 0), "A1", None), ((1, 1, 0), "A1", None)]
     assert len(ideals_built) == 2
+
+
+def test_conjugate_degenerate_points_form_one_class():
+    # two A2 points at z = +-sqrt 2, the roots of a^2 - 2
+    x, y, z = _xyz()
+    rep = analyze_hypersurface(x ** 2 + y ** 2 + (z ** 2 - 2) ** 3)
+    assert rep.global_tjurina == 4
+    for p in rep.singular_points:
+        assert (p.ade, p.tjurina, p.minpoly) == ("A2", 2, (-2, 0, 1))
+        assert p.coords_exact == ((0, 0), (0, 0), (0, 1))
+    assert [round(p.coords_numeric[2].real, 12)
+            for p in rep.singular_points] == [round(-2 ** 0.5, 12),
+                                              round(2 ** 0.5, 12)]
+
+
+def test_points_over_a_cyclotomic_field():
+    # coefficients in Q(zeta_24): an A2 point at the origin and an A1 point
+    # at z = sqrt 6, a root of a linear factor over the field
+    x, y, z = _xyz()
+    rep = analyze_hypersurface(x ** 2 + y ** 2 + z ** 3 * (z - sqrt6()) ** 2)
+    assert [(p.coords_exact, p.ade, p.minpoly)
+            for p in rep.singular_points] == [
+        ((0, 0, 0), "A2", None), ((0, 0, sqrt6()), "A1", None)]
+
+
+@pytest.mark.parametrize("label", ("F4", "E6"))
+def test_a3_point_of_a_triple_root(label):
+    # x's multiplication matrix has a triple eigenvalue 0, which a float
+    # eigenvalue solver splits by about 5e-6
+    rep = analyze_fibre(family(label), {"t2": rat(-6), "t8": QQ(27, 2)})
+    assert rep.global_tjurina == 3
+    assert [(p.coords_exact, p.ade, p.tjurina)
+            for p in rep.singular_points] == [((0, QQ(-3, 8), 0), "A3", 3)]
 
 
 def test_special_fibre_d4():

@@ -1,13 +1,14 @@
-"""Scalar arithmetic: canonical forms, embeddings, square roots."""
+"""Scalar arithmetic: canonical forms, embeddings, square roots; and the
+univariate and matrix helpers over those scalars."""
 
 import random
 
 import pytest
 
-from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, embed_complex,
-                               imag_unit, rat, rref, scalar_to_json,
-                               split_quadratic, sqrt2, sqrt3, sqrt6,
-                               sqrt_rational, zeta)
+from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, charpoly,
+                               embed_complex, imag_unit, poly_mul, rat, rref,
+                               scalar_to_json, split_quadratic, sqrt2, sqrt3,
+                               sqrt6, squarefree_split, zeta)
 
 
 def test_embed_zeta4_is_i():
@@ -73,14 +74,6 @@ def test_split_quadratic_refuses_a_rational_root():
 def test_named_square_roots():
     for root, target in ((sqrt2(), 2), (sqrt3(), 3), (sqrt6(), 6)):
         assert (root * root).reduce_rat() == target
-
-
-def test_sqrt_rational_recognition():
-    v = sqrt_rational(QQ(1, 3))
-    assert abs(embed_complex(v) - 3 ** -0.5) < 1e-14
-    assert sqrt_rational(5) is None
-    neg = sqrt_rational(-2)
-    assert abs(embed_complex(neg) - 1.4142135623730951j) < 1e-12
 
 
 def test_canonical_form_randomised():
@@ -228,3 +221,51 @@ def test_rref_over_a_cyclotomic_field_matches_sympy():
     for row, want_row in zip(rows, want.tolist()):
         for x, y in zip(row, want_row):
             assert sympy.simplify(to_sympy(x) - y) == 0
+
+
+def test_charpoly_matches_sympy_on_random_rational_matrices():
+    import sympy
+    rng = random.Random(41)
+    T = sympy.Symbol("T")
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        M = _random_rational_matrix(rng, n, n, rng.randint(0, n))
+        want = sympy.Matrix([[_sympy_rational(x) for x in row]
+                             for row in M]).charpoly(T).all_coeffs()
+        assert [_sympy_rational(c) for c in reversed(charpoly(M))] == want
+
+
+def test_charpoly_over_a_cyclotomic_field():
+    # a Jordan block at sqrt(6) and the eigenvalue i: (T - sqrt 6)^2 (T - i)
+    r6, i = sqrt6(), imag_unit()
+    zero = QQ(0)
+    M = [[r6, QQ(1), zero], [zero, r6, zero], [zero, zero, i]]
+    want = poly_mul(poly_mul([-r6, QQ(1)], [-r6, QQ(1)]), [-i, QQ(1)])
+    assert charpoly(M) == want
+
+
+def test_squarefree_split_matches_sympy():
+    import sympy
+    rng = random.Random(13)
+    T = sympy.Symbol("T")
+    for trial in range(40):
+        p = [QQ(rng.randint(1, 5), rng.randint(1, 3))]
+        for k in range(1, 4):
+            for _ in range(rng.randint(0, 2)):
+                root = QQ(rng.randint(-20, 20), rng.randint(1, 4))
+                for _ in range(k):
+                    p = poly_mul(p, [-root, QQ(1)])
+        if len(p) == 1:
+            continue
+        got = squarefree_split(p)
+        _, factors = sympy.sqf_list(sympy.Poly(
+            [_sympy_rational(c) for c in reversed(p)], T))
+        assert {k: [_sympy_rational(c) for c in reversed(g)]
+                for k, g in got.items()} == \
+            {k: f.monic().all_coeffs() for f, k in factors}
+
+
+def test_squarefree_split_over_a_cyclotomic_field():
+    r6, i = sqrt6(), imag_unit()
+    p = poly_mul(poly_mul([-r6, QQ(1)], [-r6, QQ(1)]), [-i, QQ(1)])
+    assert squarefree_split(p) == {1: [-i, QQ(1)], 2: [-r6, QQ(1)]}

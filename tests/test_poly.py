@@ -10,8 +10,7 @@ from mckaydeform import poly
 from mckaydeform.exact import QQ, sqrt3
 from mckaydeform.poly import (BudgetExceeded, ExponentOverflow, Ideal, MPoly,
                               VariableMismatch, VarTable, equal_mod_vars,
-                              grevlex_key, monomials_of_degree, order_key,
-                              quotient_basis)
+                              grevlex_key, order_key, quotient_basis)
 
 V = VarTable(("x", "y", "z"))
 x, y, z = (MPoly.variable(V, n) for n in "xyz")
@@ -25,6 +24,14 @@ def _random_poly(rng, vars=V, nterms=4, deg=2, bound=3):
         if c:
             p = p + MPoly(vars, {e: QQ(c)})
     return p
+
+
+def monomials_of_degree(vars, d):
+    """All monomials of total degree exactly d, their exponent tuples in
+    ascending order."""
+    return [MPoly(vars, {e: QQ(1)})
+            for e in itertools.product(range(d + 1), repeat=len(vars))
+            if sum(e) == d]
 
 
 def test_substitute_even_power():

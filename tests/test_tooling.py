@@ -3,8 +3,9 @@
 ``bench/spans.py`` names each traced layer by module and attribute path; a
 renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package.  And no
-function, class or method in ``src/`` may exist only for the tests, and
-no parameter default may be one that every call leaves alone.
+function, class or method in ``src/`` may exist only for the tests, no
+parameter default may be one that every call leaves alone, and the exact
+modules hold no float constant.
 """
 
 import ast
@@ -111,6 +112,18 @@ def test_no_unused_imports_in_src():
         unused += [f"{path.stem}.{name}:{line}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_exact_modules_have_no_float_literal():
+    # these modules build and decide exact answers: a float or complex
+    # constant there is a tolerance or a weight that decides by rounding
+    found = []
+    for stem in ("deform", "quotient", "flat", "klein", "rootdata"):
+        tree = ast.parse((SRC / "mckaydeform" / f"{stem}.py").read_text())
+        found += [f"{stem}:{n.lineno} {n.value!r}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant)
+                  and isinstance(n.value, (float, complex))]
+    assert not found, found
 
 
 # Parameter defaults that no src/ or bench/ call overrides, each with its
