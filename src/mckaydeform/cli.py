@@ -6,9 +6,10 @@ keys; the per-check runtime field is zeroed in JSON output and only shown
 in the human-readable text rendering).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
-exhausted, 4 internal mismatch (variable tables, dimensions or matrix shapes
-that the program itself failed to match), 5 answer refused (a ``fiber
-analyze`` point of a type outside ADE, typed "unclassified").
+exhausted (a reduction budget, or a group closure past its cap), 4 internal
+mismatch (variable tables, dimensions or matrix shapes that the program
+itself failed to match), 5 answer refused (a ``fiber analyze`` point of a
+type outside ADE, typed "unclassified").
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ import sys
 import time
 
 from . import __version__
-from .exact import rat, scalar_to_json
+from .exact import ShapeMismatch, rat, scalar_to_json
 from .poly import DEFAULT_BUDGET, BudgetExceeded, VariableMismatch
-from .rootdata import (DimensionMismatch, DynkinType, UnsupportedType,
-                       fold, parse_type, standard_omega, vanishing_roots,
-                       omega_average, build_root_system)
+from .rootdata import (ClosureBudgetExceeded, DimensionMismatch, DynkinType,
+                       UnsupportedType, fold, parse_type, standard_omega,
+                       vanishing_roots, omega_average, build_root_system)
 
 
 class Check:
     def __init__(self, name, status, witness=None, runtime_ms=0):
         self.name = name
-        self.status = status            # 'pass' | 'fail' | 'skipped'
+        self.status = status            # 'pass' | 'fail'
         self.witness = witness
         self.runtime_ms = runtime_ms
 
@@ -65,7 +66,7 @@ class RunReport:
                  + (f", seed {self.seed})" if self.seed is not None
                     else ")")]
         for c in self.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}
+            mark = {"pass": "ok  ", "fail": "FAIL"}
             line = f"[{mark[c.status]}] {c.name}"
             if c.runtime_ms:
                 line += f"  ({c.runtime_ms} ms)"
@@ -575,10 +576,9 @@ def _exit_code(exc):
     The first row whose kinds match wins: the internal mismatches are
     subclasses of ValueError and KeyError, so they precede the user errors.
     """
-    from .quiver import ShapeMismatch      # needs numpy; only on this path
     for kinds, code in (((VariableMismatch, DimensionMismatch,
                           ShapeMismatch), 4),
-                        (BudgetExceeded, 3),
+                        ((BudgetExceeded, ClosureBudgetExceeded), 3),
                         ((ValueError, KeyError), 2)):
         if isinstance(exc, kinds):
             return code

@@ -17,7 +17,10 @@ one more variable, folded by ``poly.fold_root``.
 Univariate polynomials (coefficient lists, low degree first) and matrices
 (lists of rows) over either kind carry what the fibre analysis needs:
 division, inverse modulo a polynomial, gcd, Yun's square-free split, the
-characteristic polynomial and ``rref``.
+characteristic polynomial and ``rref``.  ``mat_mul`` and ``trace`` are the
+package's one matrix product and trace, over exact scalars or ``MPoly``
+entries alike; a product whose shapes do not match raises
+``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ RAT_TYPES = (int, type(QQ(1)))
 
 
 class DivisionByZero(ZeroDivisionError):
+    pass
+
+
+class ShapeMismatch(ValueError):
     pass
 
 
@@ -67,39 +74,8 @@ def _euler_phi(n: int) -> int:
     return result
 
 
-def _trace_weight(k: int):
-    """mu(k)/phi(k) = Tr(zeta_k)/phi(k): the product of 1/(1 - p) over the
-    primes p of a squarefree k, else 0."""
-    w, p = QQ(1), 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return QQ(0)
-            w /= 1 - p
-        p += 1
-    return w / (1 - k) if k > 1 else w
-
-
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _poly_divide_exact(num, den):
-    """Quotient of integer polynomials (lists, low degree first), exact."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact division in cyclotomic setup")
-        q = c // den[-1]
-        out[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact division in cyclotomic setup")
-    return out
 
 
 _CYCLO_CACHE: dict[int, tuple] = {}
@@ -109,16 +85,14 @@ def _cyclo_data(n: int):
     """(phi, reduction rows) for Q(zeta_n); rows express zeta^k, k >= phi."""
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
-    # Phi_n by exact division of x^n - 1 by the product of lower Phi_d.
-    phi_d: dict[int, list] = {}
-    for d in _divisors(n):
-        num = [0] * (d + 1)
-        num[0], num[d] = -1, 1
-        for e in _divisors(d):
-            if e < d:
-                num = _poly_divide_exact(num, phi_d[e])
-        phi_d[d] = num
-    cyc = phi_d[n]
+    # Phi_n by exact division of x^n - 1 by each lower Phi_d, whose
+    # coefficients are the negated first row of its own (cached) data
+    cyc = [QQ(-1)] + [QQ(0)] * (n - 1) + [QQ(1)]
+    for d in _divisors(n)[:-1]:
+        lower = [-c for c in _cyclo_data(d)[1][0]] + [QQ(1)]
+        cyc, rem = poly_divmod(cyc, lower)
+        if any(rem):
+            raise ArithmeticError("non-exact division in cyclotomic setup")
     phi = len(cyc) - 1
     assert phi == _euler_phi(n)
     # zeta^k on the power basis for phi <= k <= max needed (2*phi - 2 covers
@@ -289,12 +263,6 @@ class Cyclo:
             return a.coeffs == b.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        # the normalised trace Tr(x)/phi(n), which ``lift`` keeps: equal
-        # elements of two conductors hash alike, a rational as itself
-        return hash(sum((c * _trace_weight(self.n // gcd(self.n, j))
-                         for j, c in enumerate(self.coeffs) if c), QQ(0)))
-
     def __repr__(self):
         terms = []
         for j, c in enumerate(self.coeffs):
@@ -401,16 +369,34 @@ def squarefree_split(p):
 # -- matrices over any exact scalar (lists of rows) --------------------------
 
 def mat_mul(A, B):
-    out = []
+    """A B for lists of rows over exact scalars or ``MPoly``s.
+
+    Each entry starts from its first nonzero product (an all-zero entry is
+    ``QQ(0)``), so a polynomial entry never passes through a constant."""
+    cols = len(B[0]) if B else 0
+    if any(len(row) != len(B) for row in A) or \
+            any(len(row) != cols for row in B):
+        raise ShapeMismatch("matrix product of mismatched shapes")
+    zero, out = QQ(0), []
     for row in A:
-        acc = [QQ(0)] * len(B[0])
+        acc = [None] * cols
         for a, brow in zip(row, B):
             if a:
                 for j, b in enumerate(brow):
                     if b:
-                        acc[j] += a * b
-        out.append(acc)
+                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
+        out.append([zero if x is None else x for x in acc])
     return out
+
+
+def trace(M):
+    """Sum of the diagonal of a nonempty square matrix."""
+    if any(len(row) != len(M) for row in M):
+        raise ShapeMismatch("trace of a non-square matrix")
+    total = M[0][0]
+    for i in range(1, len(M)):
+        total = total + M[i][i]
+    return total
 
 
 def charpoly(M):
@@ -424,7 +410,7 @@ def charpoly(M):
         for i in range(n):
             MN[i][i] += coeffs[n - k + 1]       # MN is now N_k
         MN = mat_mul(M, MN)
-        coeffs[n - k] = -sum((MN[i][i] for i in range(n)), QQ(0)) * QQ(1, k)
+        coeffs[n - k] = -trace(MN) * QQ(1, k)
     return coeffs
 
 
@@ -525,12 +511,7 @@ def embed_complex(x) -> complex:
 
 
 def scalar_to_json(x):
-    """Report form: rationals as 'p/q' strings, Cyclo as conductor+coords,
-    complex floats as [re, im] pairs."""
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, float):
-        return [x, 0.0]
+    """Report form: rationals as 'p/q' strings, Cyclo as conductor+coords."""
     if is_rat(x):
         return str(QQ(x))
     if isinstance(x, Cyclo):

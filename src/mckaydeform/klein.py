@@ -15,36 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .exact import QQ, Cyclo, imag_unit, sqrt2, zeta
+from .exact import QQ, Cyclo, imag_unit, mat_mul, sqrt2, zeta
 from .poly import MPoly, VarTable, fold_root
-from .rootdata import DynkinType, UnsupportedType
-
-
-class ClosureBudgetExceeded(RuntimeError):
-    pass
+from .rootdata import DynkinType, UnsupportedType, orbit
 
 
 # a group closure that reaches more elements is refused
 CLOSURE_CAP = 500
-
-
-# -- 2x2 matrices over exact scalars ----------------------------------------
-
-def mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0],
-         A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0],
-         A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
-def mat_det(A):
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
-def identity_matrix():
-    return ((QQ(1), QQ(0)), (QQ(0), QQ(1)))
 
 
 @dataclass
@@ -57,41 +34,24 @@ class SU2Group:
     def enumerate(self):
         if self.elements is not None:
             return self.elements
-        for g in self.generators:
-            if mat_det(g) != 1:
+        for (a, b), (c, d) in self.generators:
+            if a * d - b * c != 1:
                 raise ValueError(f"{self.label}: generator not in SL2")
         # one conductor for every entry: then the entries' coordinates are
         # an exact key, equal for equal elements only
         n = lcm(*(x.n for g in self.generators for row in g for x in row
                   if isinstance(x, Cyclo)))
 
-        def lifted(A):
-            return tuple(tuple(x.lift(n) if isinstance(x, Cyclo)
-                               else Cyclo.from_rat(x, n) for x in row)
-                         for row in A)
+        def lifted(x):
+            return x.lift(n) if isinstance(x, Cyclo) else Cyclo.from_rat(x, n)
 
-        def key(A):
-            return tuple(x.coeffs for row in A for x in row)
-
-        gens = [lifted(g) for g in self.generators]
-        one = lifted(identity_matrix())
-        seen = {key(one): one}
-        frontier = [one]
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in gens:
-                    h = mat_mul(g, e)
-                    k = key(h)
-                    if k not in seen:
-                        if len(seen) >= CLOSURE_CAP:
-                            raise ClosureBudgetExceeded(
-                                f"{self.label}: more than {CLOSURE_CAP} "
-                                "elements")
-                        seen[k] = h
-                        new.append(h)
-            frontier = new
-        self.elements = list(seen.values())
+        gens = [[[lifted(x) for x in row] for row in g]
+                for g in self.generators]
+        one = [[lifted(QQ(int(i == j))) for j in range(2)] for i in range(2)]
+        self.elements = orbit(
+            [one], lambda e: (mat_mul(g, e) for g in gens),
+            key=lambda A: tuple(lifted(x).coeffs for row in A for x in row),
+            cap=CLOSURE_CAP)
         return self.elements
 
     def order(self) -> int:

@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import QQ
+from .exact import QQ, mat_mul, trace
 from .poly import MPoly, VarTable
 from .rootdata import (DynkinType, UnsupportedType, extended_edges,
                        mckay_dimension_vector)
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class SingularSystem(RuntimeError):
@@ -87,10 +83,6 @@ def _positive_arrows(t: DynkinType):
     return out
 
 
-def build_mckay_quiver(t: DynkinType) -> McKayQuiver:
-    return McKayQuiver(t)
-
-
 # -- symbolic representations -------------------------------------------------
 
 class SymbolicRep:
@@ -120,29 +112,6 @@ class SymbolicRep:
             self.matrices[a.name] = mat
 
 
-def _mat_mul_poly(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if len(A[0]) != inner:
-        raise ShapeMismatch("matrix product shape")
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_trace(A):
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc
-
-
 def _table(matrices: dict) -> VarTable:
     """The variable table of an arrow -> matrix dict, read off an entry."""
     return next(iter(matrices.values()))[0][0].vars
@@ -159,7 +128,7 @@ def symplectic_form(quiver: McKayQuiver, phi: dict, psi: dict) -> MPoly:
                   for row in phi[a.name])
         Q = tuple(tuple(x.extend(merged) for x in row)
                   for row in psi[quiver.reverse[a.name]])
-        term = _mat_trace(_mat_mul_poly(P, Q))
+        term = trace(mat_mul(P, Q))
         total = total + term * QQ(quiver.orientation[a.name])
     return total
 
@@ -175,7 +144,7 @@ def moment_map(quiver: McKayQuiver, phi: dict) -> dict:
         for a in quiver.arrows:
             if a.tgt != v:
                 continue
-            prod = _mat_mul_poly(phi[a.name], phi[quiver.reverse[a.name]])
+            prod = mat_mul(phi[a.name], phi[quiver.reverse[a.name]])
             sgn = QQ(quiver.orientation[a.name])
             acc = tuple(
                 tuple(acc[i][j] + prod[i][j] * sgn for j in range(d))
@@ -331,7 +300,7 @@ def reference_action(t: DynkinType, generator: str = "sigma",
     ``flip`` names an arrow slot whose scalar is negated, producing the
     deliberately broken variant used to exercise the failure paths.
     """
-    q = build_mckay_quiver(t)
+    q = McKayQuiver(t)
     fam, r = t.family, t.rank
     arrow_map = {}
     if fam == "A" and r % 2 == 1 and generator == "sigma":
@@ -433,7 +402,7 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
     the four columns are drawn and the four rows solve the (rank 7) linear
     system given by the outer-vertex scalars and the centre 2x2 block.
     """
-    q = build_mckay_quiver(t)
+    q = McKayQuiver(t)
     rng = np.random.default_rng(seed)
     z = [complex(v) for v in central]
     if len(z) != q.vertex_count():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exact import QQ, Cyclo, rref, sqrt2, sqrt3
+from .exact import QQ, Cyclo, mat_mul, rref, sqrt2, sqrt3
 
 
 class UnsupportedType(ValueError):
@@ -31,6 +31,34 @@ class InvalidAutomorphism(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class ClosureBudgetExceeded(RuntimeError):
+    pass
+
+
+def orbit(seeds, images, key=lambda x: x, cap=None):
+    """Every element reached from ``seeds`` by repeated ``images`` (a
+    function from an element to its neighbours), once per ``key``, in
+    breadth-first order; more than ``cap`` elements raise
+    ``ClosureBudgetExceeded``."""
+    seen, frontier = {}, []
+    for x in seeds:
+        if seen.setdefault(key(x), x) is x:
+            frontier.append(x)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in images(x):
+                k = key(y)
+                if k not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise ClosureBudgetExceeded(
+                            f"a closure of more than {cap} elements")
+                    seen[k] = y
+                    new.append(y)
+        frontier = new
+    return list(seen.values())
 
 
 @dataclass(frozen=True)
@@ -134,19 +162,13 @@ def _positive_coeffs(C):
     coefficients are all >= 0 (Humphreys, Introduction to Lie Algebras
     and Representation Theory, §10)."""
     r = len(C)
+
+    def reflections(b):
+        return (b[:i] + (b[i] - sum(b[j] * C[j][i] for j in range(r)),)
+                + b[i + 1:] for i in range(r))
+
     units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    roots, frontier = set(units), units
-    while frontier:
-        new = []
-        for b in frontier:
-            for i in range(r):
-                pairing = sum(b[j] * C[j][i] for j in range(r))
-                w = b[:i] + (b[i] - pairing,) + b[i + 1:]
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
-        frontier = new
-    return sorted((b for b in roots if min(b) >= 0),
+    return sorted((b for b in orbit(units, reflections) if min(b) >= 0),
                   key=lambda b: (sum(b), b))
 
 
@@ -215,16 +237,11 @@ def coxeter_number(t: DynkinType) -> int:
         # s_i(b) = b - <b, a_i^v> a_i changes coordinate i only
         s = [row[:] for row in ident]
         s[i] = [int(i == j) - C[j][i] for j in range(r)]
-        c = _mat_mul(c, s)
+        c = mat_mul(c, s)
     power, h = c, 1
     while power != ident:
-        power, h = _mat_mul(power, c), h + 1
+        power, h = mat_mul(power, c), h + 1
     return h
-
-
-def _mat_mul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-            for row in A]
 
 
 # -- diagram automorphisms ---------------------------------------------------
@@ -259,20 +276,8 @@ def close_group(gens):
     """Close a list of DiagramAutomorphism under composition."""
     if not gens:
         return []
-    r = len(gens[0].vertex_perm)
-    ident = DiagramAutomorphism(tuple(range(1, r + 1)))
-    elems = {ident.vertex_perm: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = g.compose(e)
-                if h.vertex_perm not in elems:
-                    elems[h.vertex_perm] = h
-                    nxt.append(h)
-        frontier = nxt
-    return list(elems.values())
+    ident = DiagramAutomorphism(tuple(range(1, len(gens[0].vertex_perm) + 1)))
+    return orbit([ident], lambda e: (g.compose(e) for g in gens))
 
 
 def standard_omega(t: DynkinType, name: str):

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from mckaydeform.cli import run
+from mckaydeform.exact import ShapeMismatch
 from mckaydeform.poly import MPoly, VariableMismatch, VarTable
-from mckaydeform.quiver import ShapeMismatch
 from mckaydeform.rootdata import DimensionMismatch
 
 
@@ -92,6 +92,19 @@ def test_fiber_negative_budget_is_usage_error(capsys):
 def test_klein_command():
     code, report = run(["klein", "verify", "--type", "D4"])
     assert code == 0 and report.ok
+
+
+def test_group_closure_past_its_cap_is_budget_exhausted(monkeypatch,
+                                                        capsys):
+    # the binary dihedral group of D4 has 8 elements: a cap of 10 passes
+    # and a cap of 7 refuses it with exit 3, not as a failed check
+    import mckaydeform.klein as klein
+    monkeypatch.setattr(klein, "CLOSURE_CAP", 10)
+    assert run(["klein", "verify", "--type", "D4"])[0] == 0
+    monkeypatch.setattr(klein, "CLOSURE_CAP", 7)
+    code, report = run(["klein", "verify", "--type", "D4"])
+    assert code == 3 and report is None
+    assert "error:" in capsys.readouterr().err
 
 
 def test_quiver_sample_command():
@@ -189,6 +202,47 @@ def test_flat_even_rank_a_is_refused(tmp_path):
         assert code == 0 and payload["command"] == f"flat --type {tname}"
         assert payload["checks"][0]["witness"]["degrees"] == degrees
         assert list(payload["payload"]) == [f"psi{d}" for d in degrees]
+
+
+def _statuses(tmp_path, argv):
+    """Exit code and the status of each check of a run, by name."""
+    out = tmp_path / "report.json"
+    code, _ = run(argv + ["--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return code, {c["name"]: c["status"] for c in checks}
+
+
+@pytest.mark.parametrize("label", ["B2", "C3", "G2", "F4"])
+def test_quotient_verify_command(label, tmp_path):
+    code, statuses = _statuses(
+        tmp_path, ["quotient", "verify", "--label", label])
+    names = [f"{label}_invariant_generators", f"{label}_not_semiuniversal",
+             f"{label}_pullback"]
+    if label != "F4":
+        names.append(f"{label}_singular_locus")
+    assert code == 0 and statuses == {n: "pass" for n in names}
+
+
+def test_quotient_discriminant_command(tmp_path):
+    argv = ["quotient", "discriminant", "--label", "B2"]
+    assert _statuses(tmp_path, argv) == (0, {"B2_discriminant": "pass"})
+    code, report = run(["quotient", "discriminant", "--label", "G2"])
+    assert code == 2 and report is None
+
+
+@pytest.mark.parametrize("tname, check", [("D4", "flat_D4_built"),
+                                          ("E6", "flat_E6_homogeneous")])
+def test_flat_d_and_e6_commands(tname, check, tmp_path):
+    assert _statuses(tmp_path, ["flat", "--type", tname]) == (
+        0, {check: "pass"})
+
+
+def test_quiver_verify_action_d5(tmp_path):
+    code, statuses = _statuses(
+        tmp_path, ["quiver", "verify-action", "--type", "D5"])
+    assert code == 0 and len(statuses) == 6
+    assert set(statuses.values()) == {"pass"}
+    assert "D5_sigma_symplectic" in statuses
 
 
 def _check_status(tmp_path, argv, name):

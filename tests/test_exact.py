@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, charpoly,
-                               embed_complex, imag_unit, poly_mul, rat, rref,
-                               scalar_to_json, split_quadratic, sqrt2, sqrt3,
-                               sqrt6, squarefree_split, zeta)
+from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, ShapeMismatch,
+                               charpoly, embed_complex, imag_unit, mat_mul,
+                               poly_mul, rat, rref, scalar_to_json,
+                               split_quadratic, sqrt2, sqrt3, sqrt6,
+                               squarefree_split, trace, zeta)
+from mckaydeform.poly import MPoly, VarTable
 
 
 def test_embed_zeta4_is_i():
@@ -108,28 +110,6 @@ def test_conductor_round_trip():
     assert abs(embed_complex(lifted) - embed_complex(a)) < 1e-14
 
 
-def test_hash_agrees_with_eq_across_conductors():
-    # equal elements of two conductors are one set member; a rational
-    # hashes as itself
-    rng = random.Random(5)
-    elements = [zeta(4), sqrt2(), sqrt3(), zeta(3), zeta(8, 3) - QQ(1, 2)]
-    for n in (1, 2, 3, 4, 6, 8, 12):
-        for _ in range(3):
-            elements.append(sum((zeta(n, j) * QQ(rng.randint(-9, 9),
-                                                 rng.randint(1, 5))
-                                 for j in range(n)), Cyclo.from_rat(0, n)))
-    for x in elements:
-        for m in (8, 12, 24):
-            if m % x.n == 0:
-                y = x.lift(m)
-                assert y == x and hash(y) == hash(x), (x, m)
-                assert len({x, y}) == 1
-    assert len({zeta(4), zeta(4).lift(8)}) == 1
-    assert len({sqrt3(), sqrt3().lift(24)}) == 1
-    for q in (rat(0), QQ(-3, 7), rat(5)):
-        assert hash(Cyclo.from_rat(q, 12)) == hash(q)
-
-
 def test_field_inverse_randomised():
     rng = random.Random(11)
     for _ in range(100):
@@ -144,6 +124,57 @@ def test_scalar_serialization():
     payload = scalar_to_json(zeta(4))
     assert payload == {"conductor": 4, "coords": ["0", "1"]}
     assert scalar_to_json(Cyclo.from_rat(QQ(-2, 7), 8)) == "-2/7"
+
+
+@pytest.mark.parametrize("x", [0.5, 1.5 + 2j])
+def test_scalar_to_json_refuses_a_float(x):
+    # the report form is exact: a float is no scalar of the package
+    with pytest.raises(TypeError):
+        scalar_to_json(x)
+
+
+def test_cyclo_is_unhashable():
+    # equality crosses conductors; no hash is kept in step with it
+    with pytest.raises(TypeError):
+        hash(zeta(4))
+
+
+def test_mat_mul_matches_the_entrywise_sum():
+    rng = random.Random(17)
+    for _ in range(30):
+        m, k, n = (rng.randint(1, 4) for _ in range(3))
+        A = [[QQ(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)]
+             for _ in range(m)]
+        B = [[QQ(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]
+        assert mat_mul(A, B) == [[sum((A[i][t] * B[t][j] for t in range(k)),
+                                      QQ(0)) for j in range(n)]
+                                 for i in range(m)]
+
+
+def test_mat_mul_over_polynomials():
+    # an entry is a polynomial from its first nonzero product on; an
+    # all-zero entry is the rational 0
+    V = VarTable(("x", "y"))
+    x, y = (MPoly.variable(V, v) for v in "xy")
+    P = mat_mul([[x, QQ(0)], [y, x]], [[y, QQ(0)], [x, QQ(0)]])
+    assert P == [[x * y, QQ(0)], [y * y + x * x, QQ(0)]]
+    assert isinstance(P[0][0], MPoly) and P[0][1] == 0 and \
+        not isinstance(P[0][1], MPoly)
+    assert trace(P) == x * y
+
+
+@pytest.mark.parametrize("A, B", [([[1, 2]], [[1]]),
+                                  ([[1], [1, 2]], [[1], [1]]),
+                                  ([[1, 2]], [[1], [1, 2]])])
+def test_mat_mul_refuses_mismatched_shapes(A, B):
+    # zip would silently drop the unmatched entries: [[1, 2]] [[1]] = [[1]]
+    with pytest.raises(ShapeMismatch):
+        mat_mul(A, B)
+
+
+def test_trace_refuses_a_non_square_matrix():
+    with pytest.raises(ShapeMismatch):
+        trace([[QQ(1), QQ(2)]])
 
 
 def _sympy_rational(x):

@@ -503,9 +503,8 @@ TJURINA_SHAPES = [
 
 @pytest.mark.parametrize("f, n, most", TJURINA_SHAPES)
 def test_local_tjurina_ideal_matches_sympy(monkeypatch, f, n, most):
-    # the ideal deform._local_tjurina builds: f, its partials and every
-    # monomial of degree n, the later generators' leads divisible by the
-    # earlier ones'
+    # a Buchberger oracle on f, its partials and every monomial of degree
+    # n (m^n), the later generators' leads divisible by the earlier ones'
     gens = [f] + [f.diff(v) for v in "xyz"] + monomials_of_degree(V, n)
     assert _reduced_basis(gens, "grevlex") == \
         _sympy_reduced_basis(gens, "grevlex")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mckaydeform.poly import MPoly
-from mckaydeform.quiver import (SymbolicRep, build_mckay_quiver,
+from mckaydeform.quiver import (McKayQuiver, SymbolicRep,
                                 check_action_admissible, fibre_residual,
                                 invariants_at_point, lambda_from_central,
                                 moment_map, numeric_moment_map,
@@ -22,27 +22,27 @@ E6 = DynkinType("E", 6)
 
 
 def test_quiver_shapes():
-    q = build_mckay_quiver(A3)
+    q = McKayQuiver(A3)
     assert q.vertex_count() == 4 and len(q.arrows) == 8
     assert q.dims == (1, 1, 1, 1)
-    qd = build_mckay_quiver(D4)
+    qd = McKayQuiver(D4)
     assert qd.dims == (1, 1, 2, 1, 1)
     assert qd.shape("pa0") == (2, 1) and qd.shape("pb0") == (1, 2)
-    qe = build_mckay_quiver(E6)
+    qe = McKayQuiver(E6)
     assert qe.dims == (1, 1, 1, 2, 2, 2, 3)
     assert qe.shape("pa3") == (3, 2)
-    q7 = build_mckay_quiver(DynkinType("E", 7))
+    q7 = McKayQuiver(DynkinType("E", 7))
     assert sum(d * d for d in q7.dims) == 48  # sum of squares of delta
 
 
 def test_positive_arrows_point_toward_the_larger_dimension():
     # one rule orients every D and E edge; these are the arrows, names and
     # order the D4 and E6 actions and samplers were written against
-    d4 = [(a.name, a.src, a.tgt) for a in build_mckay_quiver(D4)
+    d4 = [(a.name, a.src, a.tgt) for a in McKayQuiver(D4)
           .positive_arrows()]
     assert d4 == [("pa0", 0, 2), ("pa1", 1, 2), ("pa3", 3, 2),
                   ("pa4", 4, 2)]
-    e6 = [(a.name, a.src, a.tgt) for a in build_mckay_quiver(E6)
+    e6 = [(a.name, a.src, a.tgt) for a in McKayQuiver(E6)
           .positive_arrows()]
     assert e6 == [("pa0", 0, 3), ("pa3", 3, 6), ("pa1", 1, 4),
                   ("pa4", 4, 6), ("pa2", 2, 5), ("pa5", 5, 6)]
@@ -50,7 +50,7 @@ def test_positive_arrows_point_toward_the_larger_dimension():
 
 def test_symplectic_antisymmetry_bilinearity():
     for t in (A3, D4):
-        q = build_mckay_quiver(t)
+        q = McKayQuiver(t)
         phi = SymbolicRep(q, "f_")
         psi = SymbolicRep(q, "g_")
         form = symplectic_form(q, phi.matrices, psi.matrices)
@@ -61,7 +61,7 @@ def test_symplectic_antisymmetry_bilinearity():
 
 
 def test_symplectic_bilinearity():
-    q = build_mckay_quiver(A3)
+    q = McKayQuiver(A3)
     phi = SymbolicRep(q, "f_")
     phi2 = SymbolicRep(q, "h_")
     psi = SymbolicRep(q, "g_")
@@ -85,7 +85,7 @@ def _union(a, b):
 
 
 def test_symplectic_single_arrow_term():
-    q = build_mckay_quiver(A3)
+    q = McKayQuiver(A3)
     phi = SymbolicRep(q, "f_")
     psi = SymbolicRep(q, "g_")
     form = symplectic_form(q, phi.matrices, psi.matrices)
@@ -96,7 +96,7 @@ def test_symplectic_single_arrow_term():
 
 
 def test_moment_map_center_vertex_d4():
-    q = build_mckay_quiver(D4)
+    q = McKayQuiver(D4)
     phi = SymbolicRep(q)
     mm = moment_map(q, phi.matrices)
     expect = None
@@ -116,7 +116,7 @@ def test_moment_map_center_vertex_d4():
 def test_moment_trace_vanishes():
     # each arrow pair enters with opposite signs at its two ends
     for t in (A3, D4, E6):
-        q = build_mckay_quiver(t)
+        q = McKayQuiver(t)
         phi = SymbolicRep(q)
         total = MPoly(phi.vars)
         for mat in moment_map(q, phi.matrices).values():
@@ -127,7 +127,7 @@ def test_moment_trace_vanishes():
 
 @pytest.mark.parametrize("t", (A3, D4, E6))
 def test_numeric_moment_map_matches_the_exact_one(t):
-    q = build_mckay_quiver(t)
+    q = McKayQuiver(t)
     phi = SymbolicRep(q)
     exact = moment_map(q, phi.matrices)
     for seed in (0, 1):
@@ -151,7 +151,7 @@ def test_numeric_moment_map_matches_the_exact_one(t):
 
 
 def test_zero_rep_moment_is_zero():
-    q = build_mckay_quiver(A3)
+    q = McKayQuiver(A3)
     phi = SymbolicRep(q)
     zero = {a.name: tuple(tuple(MPoly(phi.vars) for _ in row)
                           for row in phi.matrices[a.name])
@@ -197,7 +197,7 @@ def test_symplectic_action_sign_perturbation_fails():
 
 
 def test_s3_relation_on_symbols():
-    q = build_mckay_quiver(D4)
+    q = McKayQuiver(D4)
     s = reference_action(D4, "sigma")
     r = reference_action(D4, "rho")
     m0 = SymbolicRep(q).matrices
@@ -271,7 +271,7 @@ def test_sampler_rejects_bad_central_value():
 
 
 def test_random_rep_annulus_bounds():
-    q = build_mckay_quiver(D4)
+    q = McKayQuiver(D4)
     rep = random_numeric_rep(q, seed=0)
     mods = np.concatenate([np.abs(m).ravel() for m in rep.values()])
     assert mods.min() >= 0.5 - 1e-12 and mods.max() <= 2.0 + 1e-12

@@ -3,16 +3,32 @@
 import pytest
 
 from mckaydeform.exact import QQ, embed_complex
-from mckaydeform.rootdata import (DiagramAutomorphism, DynkinType,
+from mckaydeform.rootdata import (ClosureBudgetExceeded,
+                                  DiagramAutomorphism, DynkinType,
                                   InvalidAutomorphism, UnsupportedType,
                                   build_root_system, cartan_matrix,
                                   coweight_reflection_subs, extended_edges,
                                   fold, mckay_dimension_vector, omega_average,
-                                  parse_type, standard_omega, vanishing_roots)
+                                  orbit, parse_type, standard_omega,
+                                  vanishing_roots)
 
 A5 = DynkinType("A", 5)
 D4 = DynkinType("D", 4)
 E6 = DynkinType("E", 6)
+
+
+def test_orbit_is_breadth_first_once_per_key():
+    # x -> 2x, x + 3 modulo 10 from 1; keyed by parity, each key keeps
+    # the first element that reached it
+    def step(x):
+        return (2 * x) % 10, (x + 3) % 10
+
+    assert orbit([1], step) == [1, 2, 4, 5, 8, 7, 0, 6, 3, 9]
+    assert orbit([1, 1, 2], step)[:2] == [1, 2]
+    assert orbit([1], step, key=lambda x: x % 2) == [1, 2]
+    assert orbit([1], step, cap=10) == orbit([1], step)
+    with pytest.raises(ClosureBudgetExceeded):
+        orbit([1], step, cap=9)
 
 
 def test_type_validation():
@@ -204,12 +220,11 @@ def test_reflection_permutes_positive_roots():
     # s_i sends positives to positives except its own root
     for t in (A5, D4, E6):
         rs = build_root_system(t)
-        pos = set(rs.positive_roots)
         for i, a in enumerate(rs.simple_roots):
             flipped = 0
             for alpha in rs.positive_roots:
                 image = _reflect(a, alpha)
-                if image in pos:
+                if image in rs.positive_roots:
                     continue
                 neg = tuple(-c for c in image)
                 assert neg == rs.simple_roots[i]
