@@ -39,9 +39,10 @@ from .exact import (QQ, Cyclo, charpoly, embed_complex, inverse_mod, mat_mul,
                     sqrt6, squarefree_split)
 from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
                    psi_E6_of_mu)
-from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VarTable, equal_mod_vars,
-                   fold_root, quotient_basis)
-from .rootdata import DynkinType, coweight_reflection_subs
+from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
+                   equal_mod_vars, fold_root, quotient_basis,
+                   reflection_invariant)
+from .rootdata import DynkinType, cartan_matrix
 
 
 class UnsupportedLabel(ValueError):
@@ -490,14 +491,7 @@ def d4_flat_coefficients() -> dict:
 def verify_d4_coefficients() -> dict:
     """W-invariance of the mu-coefficients and their flat-coordinate match."""
     coeffs = d4_mu_coefficients()
-    checks = []
-    D4 = DynkinType("D", 4)
-    for j in (1, 2, 3, 4):
-        subs = coweight_reflection_subs(D4, j, D4_MU.names)
-        for name, p in coeffs.items():
-            ok = p.substitute(subs) == p
-            checks.append({"check": f"{name} invariant under r_{j}",
-                           "ok": ok})
+    checks = _reflection_checks(DynkinType("D", 4), D4_MU.names, coeffs)
     # flat-coordinate match through xi(mu)
     ximu = d4_xi_of_mu()
     psimu = {name: p.substitute(ximu) for name, p in psi_D_in_xi(3).items()}
@@ -559,27 +553,29 @@ def e6_mu_coefficients() -> dict:
         if name in E6_SQRT6_ROWS:
             p = p * MPoly.variable(p.vars, SQRT6_VAR) * E6_SQRT6_ROWS[name]
         p = fold_root(p, SQRT6_VAR, 2, 6).substitute(psi)
-        r = p.vars.index[SQRT6_VAR]
-        if any(e[r] for e in p.terms):
-            raise ArithmeticError(f"{name} is not rational in mu")
-        out[name] = MPoly(MU_VARS, {e[:r] + e[r + 1:]: c
-                                    for e, c in p.terms.items()})
+        try:
+            out[name] = p.extend(MU_VARS)
+        except VariableMismatch:
+            raise ArithmeticError(f"{name} is not rational in mu") from None
     return out
 
 
 def verify_e6_coefficients() -> dict:
     """Exact W-invariance of the six coefficients in mu coordinates."""
-    coeffs = e6_mu_coefficients()
-    E6 = DynkinType("E", 6)
-    names = MU_VARS.names
-    checks = []
-    for j in range(1, 7):
-        subs = coweight_reflection_subs(E6, j, names)
-        for name, p in coeffs.items():
-            ok = p.substitute(subs) == p
-            checks.append({"check": f"{name} invariant under r_{j}",
-                           "ok": ok})
+    checks = _reflection_checks(DynkinType("E", 6), MU_VARS.names,
+                                e6_mu_coefficients())
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
+
+
+def _reflection_checks(t: DynkinType, names, coeffs) -> list:
+    """Each coefficient under each simple coweight reflection r_j,
+    mu_i -> mu_i - C_ij mu_j, that is v -> v - v_j c with c the j-th
+    column of the Cartan matrix, decided on the mirror mu_j = 0."""
+    C = cartan_matrix(t)
+    return [{"check": f"{name} invariant under r_{j + 1}",
+             "ok": reflection_invariant(p, names[j], {
+                 v: C[i][j] for i, v in enumerate(names)})}
+            for j in range(t.rank) for name, p in coeffs.items()]
 
 
 # -- singularity analysis -----------------------------------------------------------

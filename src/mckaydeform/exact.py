@@ -86,28 +86,29 @@ def _cyclo_data(n: int):
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
     # Phi_n by exact division of x^n - 1 by each lower Phi_d, whose
-    # coefficients are the negated first row of its own (cached) data
-    cyc = [QQ(-1)] + [QQ(0)] * (n - 1) + [QQ(1)]
+    # coefficients are the negated first row of its own (cached) data; the
+    # divisors are monic, so the division runs on ints
+    cyc = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
-        lower = [-c for c in _cyclo_data(d)[1][0]] + [QQ(1)]
+        lower = [-int(c) for c in _cyclo_data(d)[1][0]] + [1]
         cyc, rem = poly_divmod(cyc, lower)
         if any(rem):
             raise ArithmeticError("non-exact division in cyclotomic setup")
+        cyc = list(map(int, cyc))       # the quotient's zeros are QQ(0)
     phi = len(cyc) - 1
     assert phi == _euler_phi(n)
     # zeta^k on the power basis for phi <= k <= max needed (2*phi - 2 covers
-    # products; n covers conductor embeddings).
-    rows = []
-    top = [QQ(-c) for c in cyc[:phi]]
-    rows.append(top)
+    # products; n covers conductor embeddings), in ints until stored
+    top = [-c for c in cyc[:phi]]
+    rows = [top]
     for _ in range(phi, max(2 * phi - 2, n)):
         prev = rows[-1]
-        nxt = [QQ(0)] + prev[: phi - 1]
+        nxt = [0] + prev[: phi - 1]
         lead = prev[phi - 1]
         if lead:
             nxt = [a + lead * b for a, b in zip(nxt, top)]
         rows.append(nxt)
-    _CYCLO_CACHE[n] = (phi, rows)
+    _CYCLO_CACHE[n] = (phi, [[QQ(c) for c in row] for row in rows])
     return _CYCLO_CACHE[n]
 
 
@@ -302,15 +303,20 @@ def poly_mul(a, b):
 
 
 def poly_divmod(a, b):
+    """(quotient, remainder) of long division; only the nonzero
+    coefficients below the divisor's lead are subtracted, and a monic
+    divisor's lead divides nothing."""
     r, b = _trim(a), _trim(b)
     db = _deg(b)
-    inv_lead = QQ(1) / b[db]
+    inv_lead = None if b[db] == 1 else QQ(1) / b[db]
+    tail = [(j, y) for j, y in enumerate(b[:db]) if y]
     q = [QQ(0)] * max(1, len(r) - len(b) + 1)
     dr = _deg(r)
     while dr >= db:
-        c = r[dr] * inv_lead
-        q[dr - db] += c
-        for j, y in enumerate(b):
+        c = r[dr] if inv_lead is None else r[dr] * inv_lead
+        q[dr - db] = c
+        r[dr] = 0
+        for j, y in tail:
             r[dr - db + j] -= c * y
         dr = _deg(r)
     return _trim(q), _trim(r)

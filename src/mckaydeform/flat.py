@@ -288,8 +288,10 @@ SQRT3_VAR = "s"
 def _over_sqrt3(p: MPoly) -> MPoly:
     """``p`` on its table plus s, each coefficient a + b sqrt(3) held as the
     rational terms a and b s (``ValueError`` outside Q(sqrt 3))."""
-    root = sqrt3()
     out = MPoly(VarTable(p.vars.names + (SQRT3_VAR,)))
+    if p.is_rational():
+        return p.extend(out.vars)
+    root = sqrt3()
     for e, c in p.terms.items():
         for k, part in enumerate(split_quadratic(c, root)):
             if part:

@@ -5,15 +5,22 @@
 
 * the rational path, when every coefficient involved is a ``QQ`` rational
   (and, for a product, the operands are not tiny): exponent tuples are
-  packed into one int, one byte per variable, coefficients become int
-  numerators over one common denominator, and each result coefficient
-  becomes a ``QQ`` once, at the end;
+  packed into one int, one byte per variable, and coefficients become int
+  numerators over one common denominator;
 * the generic path, a loop over the exact scalars themselves, for
   ``Cyclo`` or bare ``int`` coefficients and for tiny products.
 
 A call whose result could reach an exponent of 256, the field width, takes
 the generic path.  Both paths build the result's terms in the same order,
 so float evaluation of a result sums in the same order either way.
+
+A result of the rational path keeps its packed form, (den, [(packed
+monomial, int numerator)]) with gcd(den, numerators) = 1, a content times
+an integer polynomial.  ``*``, ``substitute``, ``fold_root``, ``extend``,
+``==`` and ``reflection_invariant`` read it as it is; the ``Fraction``
+coefficients are built only when ``terms`` is first read, and that read
+drops the packed form, so a write through ``terms`` is seen by every later
+operation.
 
 A coefficient in a field Q(a), a^k = c rational, can stay on the rational
 path: a becomes one more variable and ``fold_root`` maps a^j to
@@ -98,12 +105,16 @@ def order_key(order):
 
 
 class MPoly:
-    """Sparse polynomial; ``terms`` maps exponent tuples to coefficients."""
+    """Sparse polynomial; ``terms`` maps exponent tuples to coefficients.
 
-    __slots__ = ("vars", "terms")
+    ``_packed`` is None here; a packed result of the rational path is a
+    ``_Packed`` until its ``terms`` is read."""
+
+    __slots__ = ("vars", "terms", "_packed")
 
     def __init__(self, vars: VarTable, terms=None):
         self.vars = vars
+        self._packed = None
         self.terms = {}
         if terms:
             n = len(vars)
@@ -118,6 +129,10 @@ class MPoly:
                         self.terms[e] = c
                     elif acc is not None:
                         del self.terms[e]
+
+    def is_rational(self) -> bool:
+        """Whether every coefficient is a ``QQ`` rational."""
+        return _rational(self.terms)
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -173,16 +188,22 @@ class MPoly:
             c0 = _coeff(other)
             if not c0:
                 return MPoly(self.vars)
+            if self._packed is not None and type(c0) is _RAT:
+                den, pairs = self._packed
+                num = int(c0.numerator)
+                return _from_packed(self.vars, den * int(c0.denominator),
+                                    [(m, c * num) for m, c in pairs])
             p = MPoly(self.vars)
             p.terms = {e: c * c0 for e, c in self.terms.items()}
             return p
         self._check(other)
+        if ((self._packed or other._packed or len(self.terms) * len(
+                other.terms) >= _PACKED_MIN_PRODUCTS)
+                and self.is_rational() and other.is_rational()
+                and _degree(self) + _degree(other) < _FIELD_LIMIT):
+            (da, a), (db, b) = _packed_of(self), _packed_of(other)
+            return _from_packed(self.vars, da * db, _mul_packed(a, b))
         a, b = self.terms, other.terms
-        if (len(a) * len(b) >= _PACKED_MIN_PRODUCTS and _rational(a)
-                and _rational(b) and _degree(a) + _degree(b) < _FIELD_LIMIT):
-            da, db = _denominator(a), _denominator(b)
-            return _unpack(self.vars, _mul_packed(_pack(a, da), _pack(b, db)),
-                           da * db)
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -211,12 +232,23 @@ class MPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, MPoly):
+        if not isinstance(other, MPoly):
+            return (self - other).is_zero()
+        a, b = self._packed, other._packed
+        if a is None and b is None:
             return self.vars == other.vars and self.terms == other.terms
-        return (self - other).is_zero()
+        if self.vars != other.vars:
+            return False
+        if a is None or b is None:
+            return _equals_packed(*((self, other) if b is None
+                                    else (other, self)))
+        # both canonical: one positive den, numerators of gcd 1 with it;
+        # equal terms in one order are the common case
+        return a[0] == b[0] and len(a[1]) == len(b[1]) and (
+            a[1] == b[1] or dict(a[1]) == dict(b[1]))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     # -- structure ---------------------------------------------------------
     def sorted_terms(self):
@@ -260,13 +292,13 @@ class MPoly:
         binding_polys = {
             v: (_retable(b, out_vars) if isinstance(b, MPoly) else b)
             for v, b in norm.items()}
-        if _rational(self.terms) and all(
-                _rational(b.terms) if isinstance(b, MPoly)
+        if self.is_rational() and all(
+                b.is_rational() if isinstance(b, MPoly)
                 else type(b) is _RAT for b in binding_polys.values()):
-            weight = {v: (_degree(b.terms) if isinstance(b, MPoly) else 0)
+            weight = {v: (_degree(b) if isinstance(b, MPoly) else 0)
                       for v, b in binding_polys.items()}
             weights = [weight.get(v, 1) for v in self.vars.names]
-            top = max((sum(map(mul, weights, e)) for e in self.terms),
+            top = max((sum(map(mul, weights, e)) for e in _exponents(self)),
                       default=0)
             if top < _FIELD_LIMIT:
                 return _substitute_rational(self, out_vars, binding_polys)
@@ -306,7 +338,7 @@ class MPoly:
         return out
 
     def extend(self, vars: VarTable) -> "MPoly":
-        """Re-express on a larger variable table."""
+        """Re-express on another table holding every variable p uses."""
         return _retable(self, vars)
 
     # -- numeric shadow -------------------------------------------------------
@@ -385,8 +417,34 @@ def _rational(terms) -> bool:
     return all(type(c) is _RAT for c in terms.values())
 
 
-def _degree(terms) -> int:
-    return max(map(sum, terms), default=0)
+def _exponents(p: MPoly):
+    """The exponents of p's terms: tuples, or a packed form's bytes."""
+    if p._packed is None:
+        return p.terms
+    n = len(p.vars)
+    return [m.to_bytes(n, "little") for m, _ in p._packed[1]]
+
+
+def _degree(p: MPoly) -> int:
+    return max(map(sum, _exponents(p)), default=0)
+
+
+def _equals_packed(p: MPoly, q: MPoly) -> bool:
+    """``p == q`` for a packed p and a q held as terms, neither rebuilt: a
+    rational coefficient of q is compared crosswise with p's c/den."""
+    den, pairs = p._packed
+    terms = q.terms
+    if len(pairs) != len(terms):
+        return False
+    n = len(p.vars)
+    for m, c in pairs:
+        x = terms.get(tuple(m.to_bytes(n, "little")))
+        if type(x) is _RAT:
+            if x.numerator * den != c * x.denominator:
+                return False
+        elif x is None or x != QQ(c, den):
+            return False
+    return True
 
 
 def _denominator(terms) -> int:
@@ -400,17 +458,62 @@ def _numerators(terms, den):
             for k, c in terms.items()}
 
 
-def _pack(terms, den):
-    """(packed monomial, numerator over ``den``) pairs of rational terms."""
-    return [(int.from_bytes(bytes(e), "little"), c)
-            for e, c in _numerators(terms, den).items()]
+def _packed_of(p: MPoly):
+    """The packed form of a rational p: kept, or its terms as (packed
+    monomial, numerator) pairs over their least common denominator, which
+    leaves gcd(den, numerators) = 1 as well."""
+    if p._packed is not None:
+        return p._packed
+    den = _denominator(p.terms)
+    return den, [(int.from_bytes(bytes(e), "little"), c)
+                 for e, c in _numerators(p.terms, den).items()]
 
 
-def _unpack(vars, pairs, den) -> MPoly:
-    n = len(vars)
-    p = MPoly(vars)
-    p.terms = {tuple(m.to_bytes(n, "little")): QQ(c, den) for m, c in pairs}
+def _from_packed(vars, den, pairs) -> MPoly:
+    """The polynomial sum c/den x^m over the pairs (m, c), held packed,
+    with den and the numerators divided by their gcd."""
+    g = gcd(den, *[c for _, c in pairs]) if den > 1 else 1
+    if g > 1:
+        den //= g
+        pairs = [(m, c // g) for m, c in pairs]
+    return _packed_poly(vars, (den, pairs))
+
+
+def _packed_poly(vars, packed) -> MPoly:
+    p = _Packed.__new__(_Packed)
+    p.vars, p._packed = vars, packed
     return p
+
+
+class _Packed(MPoly):
+    """An ``MPoly`` held packed, ``terms`` unset.  Its first read builds
+    the ``Fraction`` terms in the packed term order, drops the packed form
+    and turns the object into a plain ``MPoly``; only this class pays for
+    the ``__getattr__`` hook."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        den, pairs = self._packed
+        n = len(self.vars)
+        self.terms = {tuple(m.to_bytes(n, "little")): QQ(c, den)
+                      for m, c in pairs}
+        self._packed = None
+        self.__class__ = MPoly
+        return self.terms
+
+    def is_rational(self) -> bool:
+        return True
+
+    def __bool__(self):
+        return bool(self._packed[1])
+
+    def __reduce__(self):
+        # copy and pickle read every slot: ``terms`` would be built
+        # through the hook while the copy is made
+        return _packed_poly, (self.vars, self._packed)
 
 
 def _mul_packed(a, b):
@@ -456,11 +559,10 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
     which multiplies each term by the same chain, so the result has the
     generic loop's terms in its order.
     """
-    n = len(out_vars)
     folds = []              # (position, packed monomial, num, den)
     moved = []              # (position, name) of the multi-term bindings
     polys = {}              # name -> (denominator, {k: power})
-    used = list(map(any, zip(*p.terms))) or [False] * len(p.vars)
+    used = _used(p)
     for i, v in enumerate(p.vars.names):
         if not used[i]:             # v occurs in no term: nothing to bind
             continue
@@ -468,16 +570,21 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
             folds.append((i, 1 << 8 * out_vars.index[v], 1, 1))
             continue
         b = bindings[v]
-        terms = b.terms if isinstance(b, MPoly) else {(0,) * n: b}
+        den, terms = (_packed_of(b) if isinstance(b, MPoly)
+                      else (b.denominator, [(0, b.numerator)]))
         if len(terms) > 1:
-            den = _denominator(terms)
-            polys[v] = (den, {1: _pack(terms, den)})
+            polys[v] = (den, {1: terms})
             moved.append((i, v))
         else:                       # the zero polynomial folds as 0
-            (e, c), = terms.items() or [((0,) * n, QQ(0))]
-            folds.append((i, int.from_bytes(bytes(e), "little"),
-                          c.numerator, c.denominator))
+            (m, c), = terms or [(0, 0)]
+            folds.append((i, m, c, den))
     at = [i for i, _ in moved]
+    n = len(p.vars)
+    if p._packed is None:
+        rows = ((e, c.numerator, c.denominator) for e, c in p.terms.items())
+    else:
+        den_p, pairs = p._packed
+        rows = ((m.to_bytes(n, "little"), c, den_p) for m, c in pairs)
 
     def power(v, k):
         cache = polys[v][1]
@@ -492,8 +599,8 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
     plans = []              # (monomial, numerator, denominator, pattern)
     uses = {}
     den = 1
-    for e, c in p.terms.items():
-        m, num, d = 0, c.numerator, c.denominator
+    for e, num, d in rows:
+        m = 0
         for i, mv, nv, dv in folds:
             k = e[i]
             if k:
@@ -535,36 +642,128 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
                     total[mq] = acc
                 else:
                     del total[mq]
-    return _unpack(out_vars, total.items(), den)
+    return _from_packed(out_vars, den, list(total.items()))
+
+
+def _used(p: MPoly):
+    """Per variable of p, whether some term has it."""
+    if p._packed is None:
+        return list(map(any, zip(*p.terms))) or [False] * len(p.vars)
+    acc = 0
+    for m, _ in p._packed[1]:
+        acc |= m
+    return [bool(b) for b in acc.to_bytes(len(p.vars), "little")]
 
 
 def _retable(p: MPoly, vars: VarTable) -> MPoly:
+    """p on the table ``vars``; a variable of p that ``vars`` lacks must
+    occur in no term (``VariableMismatch`` otherwise)."""
     if p.vars == vars:
         return p
-    pos = []
+    index = vars.index
+    pos = []                # each variable's place in ``vars``, or None
     for v in p.vars.names:
-        if v not in vars.index:
-            raise VariableMismatch(v)
-        pos.append(vars.index[v])
-    out = MPoly(vars)
+        pos.append(index.get(v))
+    if None in pos:
+        for v, at, u in zip(p.vars.names, pos, _used(p)):
+            if at is None and u:
+                raise VariableMismatch(v)
     n = len(vars)
-    for e, c in p.terms.items():
-        e2 = [0] * n
-        for i, k in enumerate(e):
-            e2[pos[i]] = k
-        out.terms[tuple(e2)] = c
-    return out
+    if p._packed is None:
+        out = MPoly(vars)
+        terms = out.terms
+        for e, c in p.terms.items():
+            terms[_move(e, pos, n)] = c
+        return out
+    den, pairs = p._packed
+    offsets = {at - i for i, (at, u) in enumerate(zip(pos, _used(p))) if u}
+    if len(offsets) > 1:        # rebuild each monomial's bytes
+        size = len(p.vars)
+        pairs = [(int.from_bytes(bytes(_move(m.to_bytes(size, "little"),
+                                             pos, n)), "little"), c)
+                 for m, c in pairs]
+    elif offsets and offsets != {0}:    # the used variables move as a block
+        d = 8 * offsets.pop()
+        pairs = [(m << d if d > 0 else m >> -d, c) for m, c in pairs]
+    return _packed_poly(vars, (den, pairs))
+
+
+def _move(e, pos, n):
+    """The exponents e on n places, each nonzero e_i at ``pos[i]``."""
+    e2 = [0] * n
+    for at, k in zip(pos, e):
+        if k:
+            e2[at] = k
+    return tuple(e2)
 
 
 def fold_root(p: MPoly, name: str, k: int, c) -> MPoly:
     """``p`` reduced by a^k = c in its variable a = ``name``: each a^j
-    becomes c^(j//k) a^(j%k), so the result has degree below k in a."""
+    becomes c^(j//k) a^(j%k), so the result has degree below k in a.  A
+    folded term lands where its monomial first appears."""
     if name not in p.vars.index:
         raise VariableMismatch(name)
     i = p.vars.index[name]
-    return MPoly(p.vars, [
-        (e[:i] + (e[i] % k,) + e[i + 1:], x * c ** (e[i] // k))
-        if e[i] >= k else (e, x) for e, x in p.terms.items()])
+    if p._packed is None or not is_rat(c) or not c:
+        return MPoly(p.vars, [
+            (e[:i] + (e[i] % k,) + e[i + 1:], x * c ** (e[i] // k))
+            if e[i] >= k else (e, x) for e, x in p.terms.items()])
+    # packed: over den * cd^top, a^j's numerator gains cn^q cd^(top - q)
+    den, pairs = p._packed
+    c, shift = QQ(c), 8 * i
+    cn, cd = int(c.numerator), int(c.denominator)
+    top = max(((m >> shift & 255) // k for m, _ in pairs), default=0)
+    scale = [cn ** q * cd ** (top - q) for q in range(top + 1)]
+    folded = []
+    for m, x in pairs:
+        q = (m >> shift & 255) // k
+        folded.append((m - (q * k << shift), x * scale[q]))
+    out = {}
+    _add_terms(out, folded)
+    return _from_packed(p.vars, den * cd ** top, list(out.items()))
+
+
+def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
+    """Whether p(v - v_j c) = p(v), with v_j the variable ``name`` and c
+    the integer vector ``direction`` (variable names to entries, c_j = 2).
+
+    The reflection fixes its mirror v_j = 0 pointwise and negates c.  With
+    v = w + t c, w on the mirror, p(w + t c) = sum_k t^k/k! (D_c^k p)(w),
+    so p is invariant exactly when, for every odd k, D_c^k p has no term
+    free of v_j.  A rational p is tested on its packed form, one order of
+    D_c at a time; a term whose v_j power cannot fall to 0 by the last odd
+    order is dropped.  Any other p is substituted and compared.
+    """
+    for v in (name, *direction):
+        if v not in p.vars.index:
+            raise VariableMismatch(v)
+    j = p.vars.index[name]
+    c = [direction.get(v, 0) for v in p.vars.names]
+    if c[j] != 2:
+        raise ValueError(f"direction has {c[j]} at {name}, not 2")
+    degree = _degree(p)
+    if not (p.is_rational() and degree < _FIELD_LIMIT):
+        x = {v: MPoly.variable(p.vars, v) for v in p.vars.names}
+        return p.substitute({v: x[v] - x[name] * k for v, k in zip(
+            p.vars.names, c) if k}) == p
+    last = degree - 1 + degree % 2          # the largest odd order <= degree
+    shift = 8 * j
+    steps = [(1 << 8 * i, 8 * i, k) for i, k in enumerate(c) if k]
+    level = {m: x for m, x in _packed_of(p)[1] if m >> shift & 255 <= last}
+    for order in range(1, last + 1):
+        out = {}
+        get = out.get
+        for m, x in level.items():
+            for unit, at, k in steps:
+                e = m >> at & 255
+                if e:
+                    out[m - unit] = get(m - unit, 0) + x * k * e
+        reach = last - order
+        level = {m: x for m, x in out.items()
+                 if x and m >> shift & 255 <= reach}
+        if order % 2 and any(not m >> shift & 255 for m in level):
+            return False
+    return True
 
 
 def equal_mod_vars(a: MPoly, b: MPoly) -> bool:

@@ -395,21 +395,6 @@ def fold(t: DynkinType, omega) -> DynkinType:
 
 # -- Weyl group action -------------------------------------------------------
 
-def coweight_reflection_subs(t: DynkinType, j: int, names):
-    """r_{alpha_j^vee} on coweight coordinates, mu_i -> mu_i - C_ij mu_j,
-    as an MPoly substitution dict on ``names``."""
-    from .poly import MPoly, VarTable
-    C = cartan_matrix(t)
-    r = t.rank
-    V = VarTable(names)
-    subs = {}
-    for i in range(r):
-        p = MPoly.variable(V, names[i]) - C[i][j - 1] * MPoly.variable(
-            V, names[j - 1])
-        subs[names[i]] = p
-    return subs
-
-
 def vanishing_roots(rs: RootSystem, h):
     """Positive roots alpha with alpha(h) = 0, as simple-root coefficients;
     alpha(h) is the same integer combination of the alpha_i(h)."""

@@ -424,3 +424,27 @@ def test_report_json_shape():
     data = rep.to_json()
     assert data["global_tjurina"] == 4 and data["smooth"] is False
     assert data["points"][0]["ade"] == "D4"
+
+
+@pytest.mark.parametrize("label, build, verify, row", [
+    ("D4", "d4_mu_coefficients", verify_d4_coefficients, "B"),
+    ("E6", "e6_mu_coefficients", verify_e6_coefficients, "Ax2"),
+])
+def test_a_perturbed_row_fails_where_substitution_fails(
+        monkeypatch, coweight_subs, label, build, verify, row):
+    # negative control: one term of one row is off by 1; exactly the
+    # reflections under which substitution moves that row must fail
+    from mckaydeform.rootdata import parse_type
+    t = parse_type(label)
+    coeffs = getattr(deform, build)()
+    p = coeffs[row]
+    e = min(p.terms, key=lambda e: sum(1 for k in e if k))
+    perturbed = p + MPoly(p.vars, {e: QQ(1)})
+    monkeypatch.setattr(deform, build, lambda: {**coeffs, row: perturbed})
+    rep = verify()
+    failed = {c["check"] for c in rep["checks"]
+              if not c["ok"] and "invariant" in c["check"]}
+    moved = {f"{row} invariant under r_{j}" for j in range(1, t.rank + 1)
+             if perturbed.substitute(coweight_subs(t, j, p.vars.names))
+             != perturbed}
+    assert failed == moved and 0 < len(moved) < t.rank and not rep["ok"]

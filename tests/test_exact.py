@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from mckaydeform import exact
 from mckaydeform.exact import (Cyclo, DivisionByZero, QQ, ShapeMismatch,
                                charpoly, embed_complex, imag_unit, mat_mul,
-                               poly_mul, rat, rref, scalar_to_json,
+                               poly_divmod, poly_mul, rat, rref, scalar_to_json,
                                split_quadratic, sqrt2, sqrt3, sqrt6,
                                squarefree_split, trace, zeta)
 from mckaydeform.poly import MPoly, VarTable
@@ -300,3 +301,59 @@ def test_squarefree_split_over_a_cyclotomic_field():
     r6, i = sqrt6(), imag_unit()
     p = poly_mul(poly_mul([-r6, QQ(1)], [-r6, QQ(1)]), [-i, QQ(1)])
     assert squarefree_split(p) == {1: [-i, QQ(1)], 2: [-r6, QQ(1)]}
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_are_the_mobius_products():
+    # Phi_n = prod over d | n of (x^d - 1)^mu(n/d), in integers
+    exact._CYCLO_CACHE.clear()
+    for n in range(1, 31):
+        num, den = [1], [1]
+        for d in range(1, n + 1):
+            if n % d == 0 and _mobius(n // d):
+                factor = [-1] + [0] * (d - 1) + [1]
+                if _mobius(n // d) > 0:
+                    num = _int_mul(num, factor)
+                else:
+                    den = _int_mul(den, factor)
+        q = [0] * (len(num) - len(den) + 1)        # den is monic
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = num[i + len(den) - 1]
+            for j, y in enumerate(den):
+                num[i + j] -= q[i] * y
+        assert not any(num)
+        phi, rows = exact._cyclo_data(n)
+        assert [-c for c in rows[0]] + [1] == q and len(q) == phi + 1
+        assert all(type(c) is type(QQ(1)) for row in rows for c in row)
+
+
+def test_long_division_by_sparse_and_non_monic_divisors():
+    rng = random.Random(7)
+    for b in ([QQ(1), 0, 0, 0, QQ(1)], [QQ(1), 0, QQ(-1), 0, QQ(1)],
+              [QQ(2, 3), 0, 0, QQ(-3, 5)], [QQ(0), QQ(7)]):
+        for _ in range(5):
+            a = [QQ(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(9)]
+            q, r = poly_divmod(a, b)
+            assert len(r) < len(b) or not any(r)
+            back = poly_mul(q, b) + [QQ(0)] * len(a)
+            rr = list(r) + [QQ(0)] * len(back)
+            assert [x + y for x, y in zip(back, rr)][:len(a)] == a

@@ -324,15 +324,16 @@ def test_rational_substitution_matches_generic_loop(monkeypatch):
 MU = VarTable(tuple(f"mu{i}" for i in range(1, 7)))
 
 
-def test_coweight_reflections_match_generic_loop(monkeypatch):
+def test_coweight_reflections_match_generic_loop(monkeypatch,
+                                                coweight_subs):
     # every E6 coweight reflection fixes some mu_i, flips the sign of one
     # and moves its neighbours: one-term and multi-term bindings together
-    from mckaydeform.rootdata import DynkinType, coweight_reflection_subs
+    from mckaydeform.rootdata import DynkinType
     rng = random.Random(43)
     coeffs = [QQ(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 7)]
     p = _dense_poly(rng, MU, 150, 6, coeffs)
     for j in range(1, 7):
-        subs = coweight_reflection_subs(DynkinType("E", 6), j, MU.names)
+        subs = coweight_subs(DynkinType("E", 6), j, MU.names)
         got = p.substitute(subs)
         want = _generic(monkeypatch, lambda: p.substitute(subs))
         assert _same_terms(got, want)
@@ -371,15 +372,16 @@ def test_zero_polynomial_binding(monkeypatch):
     assert (x * y + x ** 2).substitute(bindings).is_zero()
 
 
-def test_each_binding_power_product_is_built_once(monkeypatch):
+def test_each_binding_power_product_is_built_once(monkeypatch,
+                                                  coweight_subs):
     # Ax2 under r_6: the product of the moved variables' powers is one
     # chain of _mul_packed calls per distinct exponent pattern on them (one
     # call fewer than the pattern's nonzero exponents), on top of the calls
     # that build each binding's powers
     from mckaydeform.deform import e6_mu_coefficients
-    from mckaydeform.rootdata import DynkinType, coweight_reflection_subs
+    from mckaydeform.rootdata import DynkinType
     p = e6_mu_coefficients()["Ax2"]
-    subs = coweight_reflection_subs(DynkinType("E", 6), 6, p.vars.names)
+    subs = coweight_subs(DynkinType("E", 6), 6, p.vars.names)
     moved = [i for i, v in enumerate(p.vars.names)
              if len(subs[v].terms) > 1]
     assert len(moved) >= 2
@@ -442,6 +444,201 @@ def test_cyclo_and_int_coefficients_keep_the_generic_types():
     moved = rational.substitute({"x": x * r3})
     assert any(type(c) is not type(QQ(1)) for c in moved.terms.values())
     assert moved == rational.substitute({"x": x}).substitute({"x": x * r3})
+
+
+# -- the packed form of rational results --------------------------------------
+
+def _packed_pair(rng, vars, coeffs):
+    """A rational product, held packed, and an equal polynomial held as a
+    terms dict."""
+    a = _dense_poly(rng, vars, 6, 2, coeffs)
+    b = _dense_poly(rng, vars, 5, 2, coeffs)
+    p = a * b
+    assert p._packed is not None
+    return p, MPoly(vars, dict((a * b).terms))
+
+
+def test_packed_and_materialized_compare_equal():
+    rng = random.Random(83)
+    coeffs = [QQ(k, d) for k in (-3, 1, 2) for d in (1, 2, 9)]
+    for _ in range(10):
+        p, q = _packed_pair(rng, V, coeffs)
+        assert p == q and q == p and p._packed is not None
+        r = (p * QQ(6)) * QQ(1, 6)         # built over another denominator
+        assert r._packed is not None and r == p and r._packed == p._packed
+        s = p * QQ(2, 3) * QQ(3, 2)
+        assert s == q and s == r
+        e = next(iter(q.terms))
+        off = MPoly(V, dict(q.terms))
+        off.terms[e] += 1
+        assert p != off and off != p and p != p * QQ(2)
+    # over two products with different denominators
+    u = (x * QQ(1, 2) + y * QQ(1, 3) + z) ** 4
+    w = (x * 3 + y * 2 + z * 6) ** 4 * QQ(1, 1296)
+    assert u._packed is not None and w._packed is not None
+    assert u == w and u._packed == w._packed
+    assert u == MPoly(V, dict(((x * 3 + y * 2 + z * 6) ** 4).terms)) * QQ(
+        1, 1296)
+
+
+def test_a_write_through_terms_is_seen_by_every_operation():
+    rng = random.Random(89)
+    coeffs = [QQ(k, d) for k in (-2, 1, 5) for d in (1, 3, 4)]
+    U = VarTable(("u",))
+    u = MPoly.variable(U, "u")
+    subs = {"x": u + 1, "y": u * QQ(1, 2), "z": QQ(3)}
+    for _ in range(5):
+        p, q = _packed_pair(rng, V, coeffs)
+        p.terms[(5, 0, 1)] = QQ(7, 3)       # the read drops the packed form
+        q.terms[(5, 0, 1)] = QQ(7, 3)
+        assert p._packed is None and p == q
+        assert p * x == q * x and (p * x).terms == (q * x).terms
+        assert p.substitute(subs) == q.substitute(subs)
+        assert poly.fold_root(p, "x", 2, QQ(3)) == \
+            poly.fold_root(q, "x", 2, QQ(3))
+        # a packed result written through after its read
+        r = p * p
+        r.terms[(0, 0, 0)] = r.terms.get((0, 0, 0), QQ(0)) + 1
+        want = MPoly(V, dict((q * q).terms)) + 1
+        assert r == want and r * x == want * x
+        assert r.substitute(subs) == want.substitute(subs)
+        assert poly.fold_root(r, "y", 3, QQ(1, 2)) == \
+            poly.fold_root(want, "y", 3, QQ(1, 2))
+
+
+@pytest.mark.parametrize("c", [QQ(3, 2), 6, QQ(-1)])
+def test_packed_fold_root_keeps_the_generic_term_order(c):
+    rng = random.Random(97)
+    A = VarTable(("x", "a", "y"))
+    coeffs = [QQ(k, d) for k in (-3, -1, 2) for d in (1, 2, 5)]
+    for _ in range(10):
+        a = _dense_poly(rng, A, 8, 3, coeffs)
+        b = _dense_poly(rng, A, 6, 3, coeffs)
+        p = a * b
+        assert p._packed is not None
+        dict_held = MPoly(A, dict((a * b).terms))
+        assert _same_terms(poly.fold_root(p, "a", 2, c),
+                           poly.fold_root(dict_held, "a", 2, c))
+    # a folded term that cancels drops its key; one that returns lands last
+    ax = MPoly.variable(A, "a")
+    p = (ax ** 2 - c) * _dense_poly(rng, A, 9, 2, coeffs)
+    assert p._packed is not None and poly.fold_root(p, "a", 2, c).is_zero()
+
+
+def test_extend_drops_only_unused_variables():
+    W = VarTable(("w", "x", "y", "z"))
+    p = (x + y * QQ(1, 2)) ** 4 * (x - y * 3) ** 4
+    assert p._packed is not None
+    wide = p.extend(W)
+    held = dict(((x + y * QQ(1, 2)) ** 4 * (x - y * 3) ** 4).terms)
+    assert wide._packed is not None and wide == MPoly(W, {
+        (0,) + e: c for e, c in held.items()})
+    assert wide.extend(V) == p
+    assert wide.extend(VarTable(("x", "y"))).extend(V) == p
+    with pytest.raises(VariableMismatch):
+        wide.extend(VarTable(("w", "x", "z")))
+    # a packed form whose variables change places, and a terms dict
+    assert wide.extend(VarTable(("y", "x"))).extend(V) == p
+    as_dict = MPoly(W, dict(wide.terms))
+    assert as_dict.extend(VarTable(("y", "x"))).extend(V) == p
+    with pytest.raises(VariableMismatch):
+        as_dict.extend(VarTable(("w", "y", "z")))
+
+
+def test_a_packed_zero_reads_as_zero_everywhere():
+    # a substitution that cancels every term gives a packed zero
+    zero = (x * y - y * y).substitute({"x": y})
+    assert zero._packed is not None and zero.is_zero() and not zero
+    assert zero == MPoly(zero.vars) and MPoly(zero.vars) == zero
+    assert zero != x.extend(zero.vars) and x.extend(zero.vars) != zero
+    assert (zero * x.extend(zero.vars)).is_zero()
+    assert (zero * QQ(5, 2)).is_zero()
+    assert poly.fold_root(zero, "y", 2, QQ(3)).is_zero()
+    assert zero.extend(VarTable(("w",))).is_zero()
+    assert zero.substitute({"y": x + 1}).is_zero()
+    assert poly.reflection_invariant(zero, "x", {"x": 2, "y": -1})
+    assert zero.terms == {} and zero._packed is None
+
+
+def test_a_packed_polynomial_copies_and_pickles_packed():
+    import copy
+    import pickle
+    p = (x + y * QQ(1, 2)) ** 4 * (x - z * 3) ** 4
+    packed = p._packed
+    copies = [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+    assert packed is not None and p._packed is packed
+    for q in copies:
+        assert q._packed == packed and q == p and bool(q)
+    terms = dict(p.terms)
+    for q in copies:
+        assert q.terms == terms and (q * x).terms == (p * x).terms
+
+
+# -- the mirror test: reflection invariance without substitution ---------------
+
+@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+def test_mirror_test_agrees_with_substitution(label, coweight_subs):
+    from mckaydeform.rootdata import cartan_matrix, parse_type
+    t = parse_type(label)
+    names = tuple(f"mu{i}" for i in range(1, t.rank + 1))
+    W = VarTable(names)
+    C = cartan_matrix(t)
+    rng = random.Random(101 + t.rank)
+    coeffs = [QQ(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 7)]
+    for j in range(1, t.rank + 1):
+        subs = coweight_subs(t, j, names)
+        direction = {v: C[i][j - 1] for i, v in enumerate(names)}
+        verdicts = []
+        for _ in range(3):
+            p = _dense_poly(rng, W, 10, 3, coeffs)
+            sym = p + p.substitute(subs)
+            square = sym * sym                  # packed, invariant
+            bumped = sym + MPoly(W, {next(iter(p.terms)): QQ(1, 3)})
+            for q in (p, sym, square, bumped, sym * p):
+                want = q.substitute(subs) == q
+                assert poly.reflection_invariant(q, names[j - 1],
+                                                 direction) == want
+                verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+
+def test_mirror_test_reaches_every_odd_order():
+    # t^3 along c, t = mu_j / 2: its first derivative along c vanishes on
+    # the mirror mu_j = 0, its third does not
+    from mckaydeform.rootdata import DynkinType, cartan_matrix
+    C = cartan_matrix(DynkinType("E", 6))
+    for j in range(1, 7):
+        name = MU.names[j - 1]
+        direction = {v: C[i][j - 1] for i, v in enumerate(MU.names)}
+        mu = MPoly.variable(MU, name)
+        # a variable the reflection fixes
+        w = next(MPoly.variable(MU, v) for v, k in direction.items() if not k)
+        for p in (mu ** 3, mu ** 3 * w * QQ(5, 4), mu ** 5 + mu ** 2):
+            assert not poly.reflection_invariant(p, name, direction)
+        for p in (mu ** 2, mu ** 4 * QQ(1, 3) + 7, MPoly(MU)):
+            assert poly.reflection_invariant(p, name, direction)
+
+
+def test_mirror_test_off_the_packed_path():
+    # a Cyclo coefficient or a degree past the packed field: substitution
+    A2 = VarTable(("mu1", "mu2"))
+    m1, m2 = (MPoly.variable(A2, v) for v in A2.names)
+    direction = {"mu1": 2, "mu2": -1}
+    r3 = sqrt3()
+    subs = {"mu1": -m1, "mu2": m2 + m1}
+    for p in (m1 * m2 * r3, (m1 + m2 * 2) * m1 * r3 + m2, m1 ** 2 * r3):
+        assert poly.reflection_invariant(p, "mu1", direction) == (
+            p.substitute(subs) == p)
+    assert poly.reflection_invariant(m1 ** 2 * r3, "mu1", direction)
+    assert not poly.reflection_invariant(m1 * r3, "mu1", direction)
+    assert poly.reflection_invariant(m1 ** 300, "mu1", direction)
+    assert not poly.reflection_invariant(m1 ** 301, "mu1", direction)
+    with pytest.raises(ValueError):
+        poly.reflection_invariant(m1, "mu1", {"mu1": 1})
+    with pytest.raises(VariableMismatch):
+        poly.reflection_invariant(m1, "mu3", direction)
+    with pytest.raises(VariableMismatch):       # c on a variable p lacks
+        poly.reflection_invariant(m1, "mu1", {**direction, "mu3": -1})
 
 
 # -- Groebner bases: lex, local Tjurina ideals, the pair criteria -------------

@@ -7,7 +7,7 @@ from mckaydeform.rootdata import (ClosureBudgetExceeded,
                                   DiagramAutomorphism, DynkinType,
                                   InvalidAutomorphism, UnsupportedType,
                                   build_root_system, cartan_matrix,
-                                  coweight_reflection_subs, extended_edges,
+                                  extended_edges,
                                   fold, mckay_dimension_vector, omega_average,
                                   orbit, parse_type, standard_omega,
                                   vanishing_roots)
@@ -232,10 +232,10 @@ def test_reflection_permutes_positive_roots():
             assert flipped == 1
 
 
-def test_d4_coweight_reflection_formula():
+def test_d4_coweight_reflection_formula(coweight_subs):
     # mu_i -> mu_i - C_i1 mu_1
     names = ("m1", "m2", "m3", "m4")
-    subs = coweight_reflection_subs(D4, 1, names)
+    subs = coweight_subs(D4, 1, names)
     point = dict(zip(names, (QQ(1), QQ(2), QQ(3), QQ(4))))
     # each image is a constant polynomial: its one coefficient
     image = tuple(sum(subs[n].substitute(point).terms.values(), QQ(0))
