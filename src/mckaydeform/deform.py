@@ -526,9 +526,9 @@ def e6_flat_coefficients() -> dict:
     }
 
 
-# the monomial x^a y^b of each coefficient, as (a, b), in the order the
-# family equation adds them; and the rational factor beside sqrt(6) in the
-# two rows that carry it
+# the monomial x^a y^b of each coefficient, as (a, b), in the family
+# equation and (times x^2, as X^(a/2 + 1) Y^b) in the F4 quotient; and the
+# rational factor beside sqrt(6) in the two rows that carry it
 E6_MONOMIALS = {"Ax2y": (2, 1), "Axy": (1, 1), "Ax2": (2, 0), "Ay": (0, 1),
                 "Ax": (1, 0), "A0": (0, 0)}
 E6_SQRT6_ROWS = {"Ax": QQ(1, 144), "Axy": QQ(1, 12)}

@@ -197,6 +197,8 @@ class Cyclo:
 
     def __mul__(self, other):
         if is_rat(other):
+            if other == 1:      # immutable: the product is self
+                return self
             return Cyclo(self.n, tuple(c * QQ(other) for c in self.coeffs))
         if not isinstance(other, Cyclo):
             return NotImplemented

@@ -1,31 +1,29 @@
 """Sparse multivariate polynomials over exact scalars, plus ideal machinery.
 
 ``MPoly`` maps exponent tuples to nonzero exact coefficients (rational or
-``Cyclo``).  Products and substitutions take one of two coefficient paths:
+``Cyclo``); the order of its terms carries no meaning.  Products and
+substitutions run on packed monomials, a term's exponents as one int, one
+byte per variable, so that monomials multiply by adding ints.  Every
+substitution runs one kernel in one of two coefficient modes: int
+numerators over one common denominator, the result packed, when every
+coefficient involved is a ``QQ`` rational; otherwise (a ``Cyclo`` or a
+bare ``int`` anywhere) the exact scalars themselves, the result held as
+terms.  A product is packed when both operands are rational and not tiny,
+and is otherwise multiplied term by term, as is a call whose result could
+reach an exponent of 256, the field width.
 
-* the rational path, when every coefficient involved is a ``QQ`` rational
-  (and, for a product, the operands are not tiny): exponent tuples are
-  packed into one int, one byte per variable, and coefficients become int
-  numerators over one common denominator;
-* the generic path, a loop over the exact scalars themselves, for
-  ``Cyclo`` or bare ``int`` coefficients and for tiny products.
-
-A call whose result could reach an exponent of 256, the field width, takes
-the generic path.  Both paths build the result's terms in the same order,
-so float evaluation of a result sums in the same order either way.
-
-A result of the rational path keeps its packed form, (den, [(packed
-monomial, int numerator)]) with gcd(den, numerators) = 1, a content times
-an integer polynomial.  ``*``, ``substitute``, ``fold_root``, ``extend``,
-``==`` and ``reflection_invariant`` read it as it is; the ``Fraction``
-coefficients are built only when ``terms`` is first read, and that read
-drops the packed form, so a write through ``terms`` is seen by every later
+A packed result, (den, [(packed monomial, int numerator)]) with gcd(den,
+numerators) = 1, is a content times an integer polynomial.  ``*``,
+``substitute``, ``fold_root``, ``extend``, ``==`` and
+``reflection_invariant`` read it as it is; the ``Fraction`` coefficients
+are built only when ``terms`` is first read, and that read drops the
+packed form, so a write through ``terms`` is seen by every later
 operation.
 
-A coefficient in a field Q(a), a^k = c rational, can stay on the rational
-path: a becomes one more variable and ``fold_root`` maps a^j to
-c^(j//k) a^(j%k).  sqrt(3), sqrt(6), 2^(1/3), i, 2^(1/r) and 108^(1/4) are
-held this way.
+A coefficient in a field Q(a), a^k = c rational, can stay rational: a
+becomes one more variable and ``fold_root`` maps a^j to c^(j//k)
+a^(j%k).  sqrt(3), sqrt(6), 2^(1/3), i, 2^(1/r) and 108^(1/4) are held
+this way.
 
 An ``Ideal`` is its reduced Groebner basis (Buchberger's algorithm with a
 pair heap and the Gebauer-Moller update), held as ``buchberger`` returns
@@ -107,8 +105,8 @@ def order_key(order):
 class MPoly:
     """Sparse polynomial; ``terms`` maps exponent tuples to coefficients.
 
-    ``_packed`` is None here; a packed result of the rational path is a
-    ``_Packed`` until its ``terms`` is read."""
+    ``_packed`` is None here; a packed result is a ``_Packed`` until its
+    ``terms`` is read."""
 
     __slots__ = ("vars", "terms", "_packed")
 
@@ -234,18 +232,16 @@ class MPoly:
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return (self - other).is_zero()
-        a, b = self._packed, other._packed
-        if a is None and b is None:
-            return self.vars == other.vars and self.terms == other.terms
         if self.vars != other.vars:
             return False
-        if a is None or b is None:
-            return _equals_packed(*((self, other) if b is None
-                                    else (other, self)))
-        # both canonical: one positive den, numerators of gcd 1 with it;
-        # equal terms in one order are the common case
-        return a[0] == b[0] and len(a[1]) == len(b[1]) and (
-            a[1] == b[1] or dict(a[1]) == dict(b[1]))
+        if (self._packed is None and other._packed is None
+                or not (self.is_rational() and other.is_rational())):
+            return self.terms == other.terms
+        try:        # canonical: one positive den, numerators of gcd 1 with it
+            (da, a), (db, b) = _packed_of(self), _packed_of(other)
+        except ValueError:      # a term past the packed field: unequal
+            return False
+        return da == db and dict(a) == dict(b)
 
     def is_zero(self) -> bool:
         return not self
@@ -278,57 +274,15 @@ class MPoly:
         for v in bindings:
             if v not in self.vars.index:
                 raise VariableMismatch(v)
-        norm = {}
         out_names = [v for v in self.vars.names if v not in bindings]
-        for v, b in bindings.items():
+        for b in bindings.values():
             if isinstance(b, MPoly):
-                norm[v] = b
-                for name in b.vars.names:
-                    if name not in out_names:
-                        out_names.append(name)
-            else:
-                norm[v] = _coeff(b)
+                out_names += [v for v in b.vars.names if v not in out_names]
         out_vars = VarTable(out_names)
-        binding_polys = {
-            v: (_retable(b, out_vars) if isinstance(b, MPoly) else b)
-            for v, b in norm.items()}
-        if self.is_rational() and all(
-                b.is_rational() if isinstance(b, MPoly)
-                else type(b) is _RAT for b in binding_polys.values()):
-            weight = {v: (_degree(b) if isinstance(b, MPoly) else 0)
-                      for v, b in binding_polys.items()}
-            weights = [weight.get(v, 1) for v in self.vars.names]
-            top = max((sum(map(mul, weights, e)) for e in _exponents(self)),
-                      default=0)
-            if top < _FIELD_LIMIT:
-                return _substitute_rational(self, out_vars, binding_polys)
-        powers = {}             # (name, k) -> binding^k, from binding^(k-1)
-
-        def bound_power(v, k):
-            if (v, k) not in powers:
-                base = binding_polys[v]
-                if not isinstance(base, MPoly):
-                    powers[v, k] = base ** k
-                else:
-                    powers[v, k] = (bound_power(v, k - 1) if k > 1 else
-                                    MPoly.constant(out_vars, QQ(1))) * base
-            return powers[v, k]
-
-        total = MPoly(out_vars)
-        for e, c in self.terms.items():
-            passthrough = [0] * len(out_vars)
-            factors = []
-            for name, k in zip(self.vars.names, e):
-                if k and name in binding_polys:
-                    factors.append((name, k))
-                elif k:
-                    passthrough[out_vars.index[name]] = k
-            term = MPoly(out_vars)
-            term.terms[tuple(passthrough)] = c
-            for name, k in factors:
-                term = term * bound_power(name, k)
-            total = total + term
-        return total
+        return _substitute(self, out_vars, {
+            v: _retable(b, out_vars) if isinstance(b, MPoly)
+            else MPoly.constant(out_vars, _coeff(b))
+            for v, b in bindings.items()})
 
     def rename(self, mapping: dict) -> "MPoly":
         """Rename variables (bijective on the used names)."""
@@ -429,24 +383,6 @@ def _degree(p: MPoly) -> int:
     return max(map(sum, _exponents(p)), default=0)
 
 
-def _equals_packed(p: MPoly, q: MPoly) -> bool:
-    """``p == q`` for a packed p and a q held as terms, neither rebuilt: a
-    rational coefficient of q is compared crosswise with p's c/den."""
-    den, pairs = p._packed
-    terms = q.terms
-    if len(pairs) != len(terms):
-        return False
-    n = len(p.vars)
-    for m, c in pairs:
-        x = terms.get(tuple(m.to_bytes(n, "little")))
-        if type(x) is _RAT:
-            if x.numerator * den != c * x.denominator:
-                return False
-        elif x is None or x != QQ(c, den):
-            return False
-    return True
-
-
 def _denominator(terms) -> int:
     return lcm(*{c.denominator for c in terms.values()})
 
@@ -465,8 +401,9 @@ def _packed_of(p: MPoly):
     if p._packed is not None:
         return p._packed
     den = _denominator(p.terms)
-    return den, [(int.from_bytes(bytes(e), "little"), c)
-                 for e, c in _numerators(p.terms, den).items()]
+    return den, [(int.from_bytes(bytes(e), "little"),
+                  int(c.numerator) * (den // int(c.denominator)))
+                 for e, c in p.terms.items()]
 
 
 def _from_packed(vars, den, pairs) -> MPoly:
@@ -487,9 +424,8 @@ def _packed_poly(vars, packed) -> MPoly:
 
 class _Packed(MPoly):
     """An ``MPoly`` held packed, ``terms`` unset.  Its first read builds
-    the ``Fraction`` terms in the packed term order, drops the packed form
-    and turns the object into a plain ``MPoly``; only this class pays for
-    the ``__getattr__`` hook."""
+    the ``Fraction`` terms, drops the packed form and turns the object into
+    a plain ``MPoly``; only this class pays for the ``__getattr__`` hook."""
 
     __slots__ = ()
 
@@ -497,9 +433,8 @@ class _Packed(MPoly):
         if name != "terms":
             raise AttributeError(name)
         den, pairs = self._packed
-        n = len(self.vars)
-        self.terms = {tuple(m.to_bytes(n, "little")): QQ(c, den)
-                      for m, c in pairs}
+        self.terms = _held(self.vars,
+                           ((m, QQ(c, den)) for m, c in pairs)).terms
         self._packed = None
         self.__class__ = MPoly
         return self.terms
@@ -517,12 +452,8 @@ class _Packed(MPoly):
 
 
 def _mul_packed(a, b):
-    """Product of two packed term lists, built in the generic loop's order.
-
-    As in ``MPoly.__mul__``, the outer loop runs over the shorter operand
-    and a sum that reaches zero drops its key, so both paths give the same
-    term order.
-    """
+    """Product of two packed term lists, with int numerators or scalars;
+    a sum that reaches zero drops its key."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
@@ -545,62 +476,85 @@ def _mul_packed(a, b):
     return list(out.items())
 
 
-def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
-    """``p.substitute`` when every coefficient and binding is rational.
+def _scalars(p: MPoly):
+    """p as (1, [(packed monomial, scalar)]), the scalar counterpart of
+    ``_packed_of``: a packed p's numerators over its den, a bare ``int``
+    as a ``QQ``."""
+    if p._packed is not None:
+        den, pairs = p._packed
+        return 1, [(m, QQ(c, den)) for m, c in pairs]
+    return 1, [(int.from_bytes(bytes(e), "little"), QQ(c) if type(c) is int
+                 else c) for e, c in p.terms.items()]
 
-    A binding of at most one term, c * m, is folded into each term up
-    front (m^k into its packed monomial, c^k into its numerator and
-    denominator).  The product of the other bindings' powers depends only
-    on a term's exponents on them, its pattern: it is built once per
-    pattern by one chain of ``_mul_packed`` calls, and dropped after the
-    pattern's last use; each term adds a copy shifted by its monomial and
-    scaled by its numerator, in ints over one common denominator.  Shifting
-    and scaling keep every key collision and zero sum of the generic loop,
-    which multiplies each term by the same chain, so the result has the
-    generic loop's terms in its order.
-    """
-    folds = []              # (position, packed monomial, num, den)
-    moved = []              # (position, name) of the multi-term bindings
-    polys = {}              # name -> (denominator, {k: power})
-    used = _used(p)
-    for i, v in enumerate(p.vars.names):
-        if not used[i]:             # v occurs in no term: nothing to bind
-            continue
-        if v not in bindings:       # v passes through
-            folds.append((i, 1 << 8 * out_vars.index[v], 1, 1))
-            continue
-        b = bindings[v]
-        den, terms = (_packed_of(b) if isinstance(b, MPoly)
-                      else (b.denominator, [(0, b.numerator)]))
-        if len(terms) > 1:
-            polys[v] = (den, {1: terms})
-            moved.append((i, v))
-        else:                       # the zero polynomial folds as 0
-            (m, c), = terms or [(0, 0)]
-            folds.append((i, m, c, den))
-    at = [i for i, _ in moved]
+
+def _rows(p: MPoly, rational: bool):
+    """p's terms as (exponents, coefficient, den), the exponents a tuple or
+    a packed monomial's bytes: int numerators over their den when
+    ``rational``, else the scalars of ``_scalars`` over 1."""
     n = len(p.vars)
+    if not rational:
+        return ((m.to_bytes(n, "little"), c, 1) for m, c in _scalars(p)[1])
     if p._packed is None:
-        rows = ((e, c.numerator, c.denominator) for e, c in p.terms.items())
-    else:
-        den_p, pairs = p._packed
-        rows = ((m.to_bytes(n, "little"), c, den_p) for m, c in pairs)
+        return ((e, c.numerator, c.denominator) for e, c in p.terms.items())
+    den, pairs = p._packed
+    return ((m.to_bytes(n, "little"), c, den) for m, c in pairs)
 
-    def power(v, k):
-        cache = polys[v][1]
-        if k not in cache:
-            best = max(j for j in cache if j <= k)
-            value = cache[best]
-            for j in range(best + 1, k + 1):
-                value = _mul_packed(value, cache[1])
-                cache[j] = value
-        return cache[k]
 
-    plans = []              # (monomial, numerator, denominator, pattern)
-    uses = {}
+def _held(vars, pairs) -> MPoly:
+    """The polynomial of (packed monomial, scalar) pairs, held as terms."""
+    p = MPoly(vars)
+    n = len(vars)
+    p.terms = {tuple(m.to_bytes(n, "little")): c for m, c in pairs}
+    return p
+
+
+def _substitute(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
+    """``p.substitute``, every binding an ``MPoly`` on ``out_vars``: int
+    numerators over one denominator, the result packed, when everything is
+    rational; else the scalars of ``_scalars``, the result held as terms.
+
+    A binding of at most one term, c m, is folded into each term (m^k into
+    its monomial, c^k into its coefficient).  The product of the other
+    bindings' powers depends only on a term's exponents on them, its
+    pattern: each pattern's product is built by one chain of
+    ``_mul_packed`` calls, added in shifted and scaled for each term of the
+    pattern, and dropped.  A result that could reach the field width (each
+    bound variable weighted by its binding's degree, at least 1) is left
+    to ``_expand``."""
+    weights = [max(_degree(bindings[v]), 1) if v in bindings else 1
+               for v in p.vars.names]
+    if max((sum(map(mul, weights, e)) for e in _exponents(p)),
+           default=0) >= _FIELD_LIMIT:
+        return _expand(p, out_vars, bindings)
+    rational = p.is_rational() and all(
+        b.is_rational() for b in bindings.values())
+    read = _packed_of if rational else _scalars
+    shifts = []             # (position, packed monomial) of passing variables
+    folds = []              # (position, packed monomial, coefficient, den)
+    moved = []              # (position, den, [None, binding^1, ...])
+    dead = []               # positions of the variables bound to 0
+    for i, (v, used) in enumerate(zip(p.vars.names, _used(p))):
+        if not used:                # v occurs in no term: nothing to bind
+            continue
+        if v not in bindings:
+            shifts.append((i, 1 << 8 * out_vars.index[v]))
+            continue
+        den, terms = read(bindings[v])
+        if len(terms) > 1:
+            moved.append((i, den, [None, terms]))
+        elif terms:
+            folds.append((i, *terms[0], den))
+        else:
+            dead.append(i)
+    at = [i for i, _, _ in moved]
+    groups = {}             # pattern -> [(monomial, coefficient, den)]
     den = 1
-    for e, num, d in rows:
+    for e, num, d in _rows(p, rational):
+        if dead and any(map(e.__getitem__, dead)):
+            continue                # the term has a variable bound to 0
         m = 0
+        for i, mv in shifts:
+            m += mv * e[i]
         for i, mv, nv, dv in folds:
             k = e[i]
             if k:
@@ -608,41 +562,54 @@ def _substitute_rational(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
                 num *= nv ** k
                 d *= dv ** k
         pattern = tuple(map(e.__getitem__, at))
-        for (_, v), k in zip(moved, pattern):
-            d *= polys[v][0] ** k
-        if num:
-            plans.append((m, num, d, pattern))
-            uses[pattern] = uses.get(pattern, 0) + 1
-            den = lcm(den, d)
-
-    products = {}
+        for (_, dv, _), k in zip(moved, pattern):
+            d *= dv ** k
+        groups.setdefault(pattern, []).append((m, num, d))
+        den = lcm(den, d)
     total = {}
     get = total.get
-    for m, num, d, pattern in plans:
-        product = products.pop(pattern, None)
-        if product is None:
-            for (_, v), k in zip(moved, pattern):
-                if k:
-                    product = (power(v, k) if product is None
-                               else _mul_packed(product, power(v, k)))
-            if product is None:
-                product = [(0, 1)]
-        uses[pattern] -= 1
-        if uses[pattern]:
-            products[pattern] = product
-        scale = num * (den // d)
-        for mq, cq in product:
-            mq += m
-            acc = get(mq)
-            if acc is None:
-                total[mq] = scale * cq
-            else:
-                acc += scale * cq
-                if acc:
-                    total[mq] = acc
+    for pattern, rows in groups.items():
+        product = None
+        for (_, _, powers), k in zip(moved, pattern):
+            if k:
+                while len(powers) <= k:
+                    powers.append(_mul_packed(powers[-1], powers[1]))
+                product = (powers[k] if product is None
+                           else _mul_packed(product, powers[k]))
+        scaled = [(m, num if d == den else num * (den // d))
+                  for m, num, d in rows]
+        if product is None:         # no moved variable: the terms as they are
+            _add_terms(total, scaled)
+            continue
+        for m, scale in scaled:
+            for mq, cq in product:
+                mq += m
+                acc = get(mq)
+                if acc is None:
+                    total[mq] = scale * cq
                 else:
-                    del total[mq]
-    return _from_packed(out_vars, den, list(total.items()))
+                    acc += scale * cq
+                    if acc:
+                        total[mq] = acc
+                    else:
+                        del total[mq]
+    if rational:
+        return _from_packed(out_vars, den, list(total.items()))
+    return _held(out_vars, total.items())
+
+
+def _expand(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
+    """``_substitute`` past the packed field: each term's product of its
+    variables' powers through ``*`` and ``**``, summed by ``MPoly``."""
+    terms = []
+    for e, c in p.terms.items():
+        term = MPoly.constant(out_vars, _coeff(c))
+        for v, k in zip(p.vars.names, e):
+            if k:
+                term = term * (bindings[v] if v in bindings
+                               else MPoly.variable(out_vars, v)) ** k
+        terms += term.terms.items()
+    return MPoly(out_vars, terms)
 
 
 def _used(p: MPoly):
@@ -660,10 +627,7 @@ def _retable(p: MPoly, vars: VarTable) -> MPoly:
     occur in no term (``VariableMismatch`` otherwise)."""
     if p.vars == vars:
         return p
-    index = vars.index
-    pos = []                # each variable's place in ``vars``, or None
-    for v in p.vars.names:
-        pos.append(index.get(v))
+    pos = [vars.index.get(v) for v in p.vars.names]    # or None if absent
     if None in pos:
         for v, at, u in zip(p.vars.names, pos, _used(p)):
             if at is None and u:
@@ -700,27 +664,28 @@ def _move(e, pos, n):
 def fold_root(p: MPoly, name: str, k: int, c) -> MPoly:
     """``p`` reduced by a^k = c in its variable a = ``name``: each a^j
     becomes c^(j//k) a^(j%k), so the result has degree below k in a.  A
-    folded term lands where its monomial first appears."""
+    packed p with a rational c is folded on its int numerators and stays
+    packed; any other p on its scalars (``_scalars``), held as terms.  An
+    exponent of p past the packed field raises ``ValueError``."""
     if name not in p.vars.index:
         raise VariableMismatch(name)
-    i = p.vars.index[name]
-    if p._packed is None or not is_rat(c) or not c:
-        return MPoly(p.vars, [
-            (e[:i] + (e[i] % k,) + e[i + 1:], x * c ** (e[i] // k))
-            if e[i] >= k else (e, x) for e, x in p.terms.items()])
-    # packed: over den * cd^top, a^j's numerator gains cn^q cd^(top - q)
-    den, pairs = p._packed
-    c, shift = QQ(c), 8 * i
-    cn, cd = int(c.numerator), int(c.denominator)
+    shift = 8 * p.vars.index[name]
+    rational = p._packed is not None and is_rat(c)
+    if rational:
+        # over den * cd^top, a^j's numerator gains cn^q cd^(top - q)
+        (den, pairs), c = p._packed, QQ(c)
+        cn, cd = int(c.numerator), int(c.denominator)
+    else:
+        (den, pairs), cn, cd = _scalars(p), c, 1
     top = max(((m >> shift & 255) // k for m, _ in pairs), default=0)
-    scale = [cn ** q * cd ** (top - q) for q in range(top + 1)]
-    folded = []
-    for m, x in pairs:
-        q = (m >> shift & 255) // k
-        folded.append((m - (q * k << shift), x * scale[q]))
+    scale = [cn ** q * cd ** (top - q) if q else cd ** top
+             for q in range(top + 1)]
     out = {}
-    _add_terms(out, folded)
-    return _from_packed(p.vars, den * cd ** top, list(out.items()))
+    _add_terms(out, [(m - (q * k << shift), x * scale[q]) for m, x in pairs
+                     for q in [(m >> shift & 255) // k] if scale[q]])
+    if rational:
+        return _from_packed(p.vars, den * cd ** top, list(out.items()))
+    return _held(p.vars, out.items())
 
 
 def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
@@ -730,9 +695,10 @@ def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
     The reflection fixes its mirror v_j = 0 pointwise and negates c.  With
     v = w + t c, w on the mirror, p(w + t c) = sum_k t^k/k! (D_c^k p)(w),
     so p is invariant exactly when, for every odd k, D_c^k p has no term
-    free of v_j.  A rational p is tested on its packed form, one order of
-    D_c at a time; a term whose v_j power cannot fall to 0 by the last odd
-    order is dropped.  Any other p is substituted and compared.
+    free of v_j.  p is tested on its int numerators (``_packed_of``) or,
+    when not rational, its scalars (``_scalars``), one order of D_c at a
+    time; a term whose v_j power cannot fall to 0 by the last odd order is
+    dropped.  A p of degree 256 or more is substituted and compared.
     """
     for v in (name, *direction):
         if v not in p.vars.index:
@@ -742,14 +708,15 @@ def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
     if c[j] != 2:
         raise ValueError(f"direction has {c[j]} at {name}, not 2")
     degree = _degree(p)
-    if not (p.is_rational() and degree < _FIELD_LIMIT):
+    if degree >= _FIELD_LIMIT:
         x = {v: MPoly.variable(p.vars, v) for v in p.vars.names}
         return p.substitute({v: x[v] - x[name] * k for v, k in zip(
             p.vars.names, c) if k}) == p
     last = degree - 1 + degree % 2          # the largest odd order <= degree
     shift = 8 * j
     steps = [(1 << 8 * i, 8 * i, k) for i, k in enumerate(c) if k]
-    level = {m: x for m, x in _packed_of(p)[1] if m >> shift & 255 <= last}
+    _, pairs = (_packed_of if p.is_rational() else _scalars)(p)
+    level = {m: x for m, x in pairs if m >> shift & 255 <= last}
     for order in range(1, last + 1):
         out = {}
         get = out.get

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deform import UnsupportedLabel, family, _full_subs
+from .deform import (E6_MONOMIALS, E6_SQRT6_ROWS, UnsupportedLabel,
+                     e6_flat_coefficients, family, _full_subs)
 from .exact import QQ, imag_unit, omega as omega_scalar
 from .flat import epsilon_from_psi
 from .poly import Ideal, MPoly, VarTable, equal_mod_vars
@@ -203,14 +204,14 @@ def _quotient_G2() -> QuotientFamily:
 def _quotient_F4() -> QuotientFamily:
     tnames = ("t2", "t6", "t8", "t12")
     V = VarTable(("X", "Y", "Z") + tnames)
-    X, Y, Z, t2, t6, t8, t12 = (MPoly.variable(V, v) for v in V.names)
-    eqn = X ** 3 * QQ(-1, 4) + X * Y ** 3 + Z ** 2 \
-        - t2 * X ** 2 * Y * QQ(1, 4) \
-        + (t6 - t2 ** 3 * QQ(1, 8)) * X ** 2 * QQ(1, 48) \
-        + (-t8 + t6 * t2 * QQ(1, 4) - t2 ** 4 * QQ(1, 192)) * X * Y \
-        * QQ(1, 48) \
-        + (t12 - t8 * t2 ** 2 * QQ(1, 8) - t6 ** 2 * QQ(1, 8)
-           + t6 * t2 ** 3 * QQ(1, 96)) * X * QQ(1, 576)
+    X, Y, Z = (MPoly.variable(V, v) for v in ("X", "Y", "Z"))
+    # E6 at t5 = t9 = 0 times x^2 = X: a row's x^a y^b is X^(a/2 + 1) Y^b
+    eqn = X ** 3 * QQ(-1, 4) + X * Y ** 3 + Z ** 2
+    rows, to_t = e6_flat_coefficients(), {"psi" + t[1:]: t for t in tnames}
+    for name, (a, b) in E6_MONOMIALS.items():
+        if name not in E6_SQRT6_ROWS:
+            eqn = eqn + rows[name].substitute({"psi5": 0}).rename(
+                to_t).extend(V) * X ** (a // 2 + 1) * Y ** b
     SV = family("F4").vars
     x, y, z = (MPoly.variable(SV, v) for v in ("x", "y", "z"))
     imap = {"X": x * x, "Y": y, "Z": x * z}

@@ -55,6 +55,18 @@ def test_equivariance(label):
     assert rep["ok"], rep
 
 
+def test_e6_sigma_without_the_t5_flip_fails():
+    # negative control on the Cyclo path: the sqrt(6) x y and sqrt(6) x
+    # rows are odd in x, so sigma must negate t5 as well as t9
+    fam = family("E6")
+    sigma = {k: v for k, v in fam.omega_action["sigma"].items() if k != "t5"}
+    fam.omega_action = {"sigma": sigma}
+    rep = verify_equivariance(fam)
+    failed = [c for c in rep["checks"] if not c["ok"]]
+    assert [c["check"] for c in failed] == ["sigma preserves equation"]
+    assert failed[0]["residual_terms"] > 0 and not rep["ok"]
+
+
 @pytest.mark.parametrize("label", ("A3", "A5", "D4", "C3", "G2", "E6",
                                    "F4"))
 def test_parameter_actions(label):

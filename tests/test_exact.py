@@ -140,6 +140,13 @@ def test_cyclo_is_unhashable():
         hash(zeta(4))
 
 
+def test_cyclo_times_a_rational_one_is_itself():
+    # Cyclo is immutable: multiplying by 1 rebuilds no coordinate
+    z = sqrt6() + zeta(24)
+    assert z * 1 is z and z * QQ(1) is z and QQ(1) * z is z
+    assert z * QQ(2) == z + z and z * QQ(2) is not z
+
+
 def test_mat_mul_matches_the_entrywise_sum():
     rng = random.Random(17)
     for _ in range(30):

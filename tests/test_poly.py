@@ -7,7 +7,7 @@ from operator import add
 import pytest
 
 from mckaydeform import poly
-from mckaydeform.exact import QQ, sqrt3
+from mckaydeform.exact import QQ, sqrt3, zeta
 from mckaydeform.poly import (BudgetExceeded, ExponentOverflow, Ideal, MPoly,
                               VariableMismatch, VarTable, equal_mod_vars,
                               grevlex_key, order_key, quotient_basis)
@@ -258,17 +258,18 @@ def _dense_poly(rng, vars, nterms, deg, coeffs):
 
 
 def _generic(monkeypatch, fn):
-    """fn() with every product and substitution on the generic loop."""
+    """fn() with every product multiplied term by term and every
+    substitution expanded term by term, as past the packed field."""
     with monkeypatch.context() as m:
         m.setattr(poly, "_FIELD_LIMIT", 0)
         return fn()
 
 
 def _same_terms(p, q):
-    # values, coefficient types and term order all agree
+    # values and coefficient types agree; term order carries no meaning
     return (p.vars == q.vars
-            and [(e, type(c), c) for e, c in p.terms.items()]
-            == [(e, type(c), c) for e, c in q.terms.items()])
+            and {e: (type(c), c) for e, c in p.terms.items()}
+            == {e: (type(c), c) for e, c in q.terms.items()})
 
 
 def test_rational_product_matches_generic_loop(monkeypatch):
@@ -446,6 +447,97 @@ def test_cyclo_and_int_coefficients_keep_the_generic_types():
     assert moved == rational.substitute({"x": x}).substitute({"x": x * r3})
 
 
+# -- the substitution kernel's scalar mode ------------------------------------
+
+def test_scalar_substitution_matches_the_expansion(monkeypatch):
+    # Cyclo, bare-int and mixed coefficients run the kernel on scalars; the
+    # term-by-term expansion is the reference, coefficient types included
+    rng = random.Random(59)
+    r3, w = sqrt3(), zeta(3)
+    W = VarTable(("u", "v"))
+    u, v = (MPoly.variable(W, n) for n in "uv")
+    rats = [QQ(k, d) for k in (-2, 1, 3) for d in (1, 4)]
+    kinds = {"cyclo": [r3, -w, r3 * QQ(1, 2) + w, w * w],
+             "int": [-2, -1, 1, 3], "mixed": rats + [r3, 2, -w]}
+    for coeffs in kinds.values():
+        for _ in range(8):
+            p = _dense_poly(rng, V, rng.randint(1, 12), 3, coeffs)
+            bindings = {"x": _dense_poly(rng, W, rng.randint(1, 3), 2, coeffs),
+                        "y": rng.choice([QQ(0), 2, r3, w * QQ(2, 3)]),
+                        "z": u * rng.choice(coeffs) + rng.choice(coeffs)}
+            if rng.random() < 0.5:
+                del bindings["z"]           # z passes through
+            got = p.substitute(bindings)
+            want = _generic(monkeypatch, lambda: p.substitute(bindings))
+            assert got._packed is None and _same_terms(got, want)
+    # Cyclo bindings of a packed rational p: read as scalars, c/den
+    for _ in range(5):
+        p = (_dense_poly(rng, V, 6, 2, rats) * _dense_poly(rng, V, 4, 2, rats))
+        assert p._packed is not None
+        bindings = {"x": u * r3 + v, "y": w, "z": u * QQ(1, 3) - v * v}
+        got = p.substitute(bindings)
+        assert p._packed is not None
+        want = _generic(monkeypatch, lambda: p.substitute(bindings))
+        assert _same_terms(got, want)
+        assert got == p.substitute({"x": x, "y": y}).substitute(
+            bindings)
+
+
+def test_fold_root_on_scalars():
+    # a Cyclo or terms-held p is folded on its scalars and stays held as
+    # terms; each a^j becomes c^(j // k) a^(j % k)
+    rng = random.Random(61)
+    A = VarTable(("x", "a"))
+    r3, w = sqrt3(), zeta(3)
+    for c, coeffs in ((QQ(3, 2), [QQ(1, 2), QQ(-3)]), (6, [r3, w, QQ(2)]),
+                      (w, [QQ(1), r3]), (QQ(0), [r3, QQ(5)])):
+        p = _dense_poly(rng, A, 10, 7, coeffs)
+        folded = poly.fold_root(p, "a", 3, c)
+        want = MPoly(A, [((e[0], e[1] % 3), x * c ** (e[1] // 3))
+                         for e, x in p.terms.items()])
+        assert folded._packed is None and folded.terms == want.terms
+        assert all(e[1] < 3 for e in folded.terms)
+    # a packed p with a Cyclo c is read as scalars too
+    p, held = _packed_pair(rng, A, [QQ(1, 3), QQ(2), QQ(-1, 2)])
+    folded = poly.fold_root(p, "a", 2, r3)
+    assert p._packed is not None and folded._packed is None
+    assert folded == poly.fold_root(held, "a", 2, r3)
+    with pytest.raises(ValueError):     # an exponent past the packed field
+        poly.fold_root(MPoly(A, {(0, 300): QQ(1)}), "a", 2, QQ(3))
+
+
+def test_mirror_test_on_cyclo_coefficients_substitutes_nothing(
+        monkeypatch, coweight_subs):
+    # D4's simple coweight reflections on Cyclo polynomials: the mirror test
+    # reads their scalars and agrees with substitution, computed beforehand
+    from mckaydeform.rootdata import DynkinType, cartan_matrix
+    t = DynkinType("D", 4)
+    names = tuple(f"mu{i}" for i in range(1, 5))
+    W = VarTable(names)
+    C = cartan_matrix(t)
+    rng = random.Random(67)
+    coeffs = [sqrt3(), zeta(3), QQ(-1, 2), sqrt3() * QQ(3)]
+    cases = []
+    for j in range(1, 5):
+        subs = coweight_subs(t, j, names)
+        direction = {v: C[i][j - 1] for i, v in enumerate(names)}
+        for _ in range(2):
+            p = _dense_poly(rng, W, 4, 2, coeffs)
+            sym = p + p.substitute(subs)
+            for q in (p, sym, sym * p):
+                cases.append((q, names[j - 1], direction,
+                              q.substitute(subs) == q))
+
+    def refuse(*args):
+        raise AssertionError("substituted")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    assert {want for *_, want in cases} == {True, False}
+    for q, name, direction, want in cases:
+        assert not q.is_rational()
+        assert poly.reflection_invariant(q, name, direction) == want
+
+
 # -- the packed form of rational results --------------------------------------
 
 def _packed_pair(rng, vars, coeffs):
@@ -507,7 +599,7 @@ def test_a_write_through_terms_is_seen_by_every_operation():
 
 
 @pytest.mark.parametrize("c", [QQ(3, 2), 6, QQ(-1)])
-def test_packed_fold_root_keeps_the_generic_term_order(c):
+def test_packed_fold_root_matches_the_scalar_fold(c):
     rng = random.Random(97)
     A = VarTable(("x", "a", "y"))
     coeffs = [QQ(k, d) for k in (-3, -1, 2) for d in (1, 2, 5)]
@@ -519,7 +611,7 @@ def test_packed_fold_root_keeps_the_generic_term_order(c):
         dict_held = MPoly(A, dict((a * b).terms))
         assert _same_terms(poly.fold_root(p, "a", 2, c),
                            poly.fold_root(dict_held, "a", 2, c))
-    # a folded term that cancels drops its key; one that returns lands last
+    # a folded term that cancels drops its key
     ax = MPoly.variable(A, "a")
     p = (ax ** 2 - c) * _dense_poly(rng, A, 9, 2, coeffs)
     assert p._packed is not None and poly.fold_root(p, "a", 2, c).is_zero()
@@ -620,7 +712,8 @@ def test_mirror_test_reaches_every_odd_order():
 
 
 def test_mirror_test_off_the_packed_path():
-    # a Cyclo coefficient or a degree past the packed field: substitution
+    # a Cyclo coefficient is tested on its scalars; a degree past the
+    # packed field is substituted and compared
     A2 = VarTable(("mu1", "mu2"))
     m1, m2 = (MPoly.variable(A2, v) for v in A2.names)
     direction = {"mu1": 2, "mu2": -1}

@@ -29,6 +29,22 @@ def test_b2_quotient_equation():
     assert str(qf.target_ade) == "D4"
 
 
+def test_f4_quotient_equation_matches_printed_form():
+    # built from the E6 rows without sqrt(6); the printed form at t5 = t9 = 0
+    qf = quotient_family("F4")
+    V = qf.equation.vars
+    X, Y, Z, t2, t6, t8, t12 = (MPoly.variable(V, n) for n in V.names)
+    expect = X ** 3 * QQ(-1, 4) + X * Y ** 3 + Z ** 2 \
+        - t2 * X ** 2 * Y * QQ(1, 4) \
+        + (t6 - t2 ** 3 * QQ(1, 8)) * X ** 2 * QQ(1, 48) \
+        + (-t8 + t6 * t2 * QQ(1, 4) - t2 ** 4 * QQ(1, 192)) * X * Y \
+        * QQ(1, 48) \
+        + (t12 - t8 * t2 ** 2 * QQ(1, 8) - t6 ** 2 * QQ(1, 8)
+           + t6 * t2 ** 3 * QQ(1, 96)) * X * QQ(1, 576)
+    assert V.names == ("X", "Y", "Z", "t2", "t6", "t8", "t12")
+    assert qf.equation == expect
+
+
 def test_c3_quotient_coefficients():
     qf = quotient_family("C3")
     V = qf.equation.vars
@@ -87,6 +103,24 @@ def test_g2_scaled_map_fails_pullback(entry, monkeypatch):
     monkeypatch.setattr(quotient, "_quotient_G2", scaled)
     rep = verify_quotient_pullback("G2")
     assert not rep["ok"] and rep["residual_terms"] > 0
+
+
+def test_g2_image_moved_by_rho_fails_invariance(monkeypatch):
+    # negative control on the Cyclo path: X + x is fixed by sigma (which
+    # fixes x) and moved by rho (which sends x to y)
+    stored = quotient._quotient_G2
+
+    def shifted():
+        qf = stored()
+        x = MPoly.variable(qf.invariant_map["X"].vars, "x")
+        qf.invariant_map["X"] = qf.invariant_map["X"] + x
+        return qf
+
+    monkeypatch.setattr(quotient, "_quotient_G2", shifted)
+    rep = verify_invariant_generators("G2")
+    failed = {(c["generator"], c["image"]) for c in rep["checks"]
+              if not c["ok"]}
+    assert failed == {("rho", "X")} and not rep["ok"]
 
 
 CERTIFICATE_NAMES = {

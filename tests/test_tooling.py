@@ -2,7 +2,8 @@
 
 ``bench/spans.py`` names each traced layer by module and attribute path; a
 renamed or deleted function would break a traced run (``bench/run.py
---trace 1``), so every name is checked against the package.  And no
+--trace 1``), so every name is checked against the package, as is every
+package name the benchmark's worker and tracer read.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, and the exact
 modules hold no float constant.
@@ -42,6 +43,54 @@ def test_every_traced_layer_resolves_in_src(monkeypatch):
         found = owner.__dict__.get(attr) if owner_path else getattr(
             owner, attr, None)
         assert callable(found), f"{layer.metric}: {layer.module}.{layer.path}"
+
+
+def _package_names(tree):
+    """Dotted names a module reads from ``mckaydeform``: the names it
+    imports from a submodule, and every attribute chain on a module it
+    imports from the package."""
+    modules, names = {}, set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(
+                ".")[0] == "mckaydeform":
+            for a in n.names:
+                if n.module == "mckaydeform":
+                    modules[a.asname or a.name] = f"mckaydeform.{a.name}"
+                else:
+                    names.add(f"{n.module}.{a.name}")
+        elif isinstance(n, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in n.names
+                           if a.name.split(".")[0] == "mckaydeform")
+    for n in ast.walk(tree):
+        parts = []
+        while isinstance(n, ast.Attribute):
+            parts.append(n.attr)
+            n = n.value
+        if parts and isinstance(n, ast.Name) and n.id in modules:
+            names.add(".".join([modules[n.id]] + parts[::-1]))
+    return names
+
+
+def test_every_package_name_the_benchmark_reads_resolves_in_src():
+    names = set()
+    for stem in ("worker", "spans"):
+        names |= _package_names(ast.parse((BENCH / f"{stem}.py").read_text()))
+    assert {"mckaydeform.cli._d4_family_residual",
+            "mckaydeform.quiver.lambda_from_central",
+            "mckaydeform.flat.FRAME_GENERATOR_KEYS"} <= names
+    missing = []
+    for name in sorted(names):
+        module, *path = name.split(".")
+        owner = importlib.import_module(module)
+        assert SRC in pathlib.Path(owner.__file__).resolve().parents
+        for part in path:
+            if getattr(owner, part, None) is None and hasattr(
+                    owner, "__path__"):     # a submodule not yet imported
+                importlib.import_module(f"{owner.__name__}.{part}")
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(name)
+    assert not missing, missing
 
 
 # Names kept although only tests reach them, each with its reason.
