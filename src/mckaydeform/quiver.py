@@ -8,17 +8,18 @@ stored as an arrow bijection with scalar factors; admissibility couples
 those scalars to the orientation (symplecticity) and to the central-fibre
 conditions of the special fibre.
 
-Symbolic identities run over MPoly symbol matrices; moment-map fibres are
-sampled numerically (complex float shadow) for types A and D4.
+One moment map and one action serve MPoly symbols and exact rational
+points alike: equivariance is decided as an identity on symbols, and the
+fibres of types A and D4 are sampled as exact points, seeded.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from math import prod
 
-import numpy as np
-
-from .exact import QQ, mat_mul, trace
+from .exact import QQ, mat_mul, rat, rref, trace
 from .poly import MPoly, VarTable
 from .rootdata import (DynkinType, UnsupportedType, extended_edges,
                        mckay_dimension_vector)
@@ -135,20 +136,19 @@ def symplectic_form(quiver: McKayQuiver, phi: dict, psi: dict) -> MPoly:
 
 def moment_map(quiver: McKayQuiver, phi: dict) -> dict:
     """Vertex v -> sum over arrows a with target v of eps(a) phi_a phi_abar,
-    for phi mapping arrows to matrices of polynomials."""
-    vars = _table(phi)
+    for phi mapping arrows to matrices of polynomials or exact scalars.
+    Each block starts from its first product, as ``mat_mul``'s entries do."""
     out = {}
     for v in range(quiver.vertex_count()):
-        d = quiver.dims[v]
-        acc = tuple(tuple(MPoly(vars) for _ in range(d)) for _ in range(d))
+        acc = None
         for a in quiver.arrows:
             if a.tgt != v:
                 continue
-            prod = mat_mul(phi[a.name], phi[quiver.reverse[a.name]])
-            sgn = QQ(quiver.orientation[a.name])
-            acc = tuple(
-                tuple(acc[i][j] + prod[i][j] * sgn for j in range(d))
-                for i in range(d))
+            block = mat_mul(phi[a.name], phi[quiver.reverse[a.name]])
+            if quiver.orientation[a.name] < 0:
+                block = [[-x for x in row] for row in block]
+            acc = block if acc is None else [
+                [x + y for x, y in zip(r, b)] for r, b in zip(acc, block)]
         out[v] = acc
     return out
 
@@ -181,16 +181,6 @@ class OmegaActionOnM:
                               for row in matrices[src])
         for a in self.quiver.arrows:
             out.setdefault(a.name, matrices[a.name])
-        return out
-
-    def apply_numeric(self, rep: dict) -> dict:
-        out = {}
-        for a in self.quiver.arrows:
-            if a.name in self.arrow_map:
-                src, scalar = self.arrow_map[a.name]
-                out[a.name] = complex(QQ(scalar)) * rep[src]
-            else:
-                out[a.name] = rep[a.name]
         return out
 
     def scalar(self, slot: str):
@@ -342,127 +332,99 @@ def reference_action(t: DynkinType, generator: str = "sigma",
     return OmegaActionOnM(f"{t}:{generator}", q, perm, arrow_map)
 
 
-# -- numeric shadow -------------------------------------------------------------
-
-def _rng_annulus(rng, shape=()):
-    """Complex numbers with modulus in [0.5, 2] (conditioning control)."""
-    mod = rng.uniform(0.5, 2.0, size=shape)
-    arg = rng.uniform(0.0, 2 * np.pi, size=shape)
-    return mod * np.exp(1j * arg)
-
-
-def random_numeric_rep(quiver: McKayQuiver, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    out = {}
-    for a in quiver.arrows:
-        out[a.name] = _rng_annulus(rng, quiver.shape(a.name))
-    return out
-
-
-def numeric_moment_map(quiver: McKayQuiver, rep: dict) -> list:
-    out = []
-    for v in range(quiver.vertex_count()):
-        d = quiver.dims[v]
-        acc = np.zeros((d, d), dtype=complex)
-        for a in quiver.arrows:
-            if a.tgt != v:
-                continue
-            acc += quiver.orientation[a.name] * (
-                rep[a.name] @ rep[quiver.reverse[a.name]])
-        out.append(acc)
-    return out
-
+# -- moment-map equivariance and fibres ----------------------------------------
 
 def verify_moment_equivariance_numeric(act: OmegaActionOnM, seed: int = 0,
                                        trials: int = 100) -> dict:
-    """mu(sigma.phi) equals the vertex-permuted mu(phi) on random points."""
+    """mu(sigma phi) equals the vertex-permuted mu(phi), decided once as an
+    exact identity on symbols, as ``verify_symplectic_action`` is.
+
+    The witness is the largest coefficient of any entry of the difference.
+    ``seed`` and ``trials`` are accepted for callers that pass them; they
+    do not change the verdict.
+    """
     q = act.quiver
-    worst = 0.0
-    inv = [0] * len(act.vertex_perm)
-    for v, w in enumerate(act.vertex_perm):
-        inv[w] = v
-    for k in range(trials):
-        rep = random_numeric_rep(q, seed + k)
-        mm = numeric_moment_map(q, rep)
-        mm2 = numeric_moment_map(q, act.apply_numeric(rep))
-        for v in range(q.vertex_count()):
-            delta = np.max(np.abs(mm2[v] - mm[inv[v]]))
-            worst = max(worst, float(delta))
-    return {"label": act.label, "trials": trials, "max_residual": worst,
-            "ok": worst < 1e-9}
+    phi = SymbolicRep(q).matrices
+    mm = moment_map(q, phi)
+    moved = moment_map(q, act.apply_symbolic(phi))
+    worst = max((abs(c) for v, w in enumerate(act.vertex_perm)
+                 for row, want in zip(moved[w], mm[v])
+                 for x, y in zip(row, want) for c in (x - y).terms.values()),
+                default=QQ(0))
+    return {"label": act.label, "max_residual": worst, "ok": worst == 0}
 
 
-# -- moment-map fibre sampling ---------------------------------------------------
+def exact_central(central) -> list:
+    """A central value as exact rationals: ints, rationals, 'p/q' strings,
+    or floats at their exact binary value.  A complex value is refused."""
+    if any(isinstance(v, complex) for v in central):
+        raise ValueError(f"central value must be real: {central!r}")
+    return [rat(v) for v in central]
+
 
 def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
-    """One numeric point of the moment-map fibre over a central value.
+    """One exact rational point of the moment-map fibre over a central value.
 
     Type A: the cycle telescopes, so the products c_i = a_i b_i are fixed
-    by c_0 and the central value; a_i is drawn, b_i = c_i / a_i.  Type D4:
-    the four columns are drawn and the four rows solve the (rank 7) linear
-    system given by the outer-vertex scalars and the centre 2x2 block.
+    by c_0 and the central value; a_i and c_0 are drawn, b_i = c_i / a_i.
+    Type D4: the four columns c_i are drawn.  Outer vertex i fixes the row
+    (u_i, w_i) by w_i = (-z_i - c_i0 u_i) / c_i1, and the centre block
+    leaves four equations in the u_i (rank 3 on a generic draw), solved by
+    ``rref`` with the free u_i drawn.
     """
     q = McKayQuiver(t)
-    rng = np.random.default_rng(seed)
-    z = [complex(v) for v in central]
+    rng = random.Random(seed)
+
+    def draw():         # a small nonzero integer
+        return QQ(rng.choice((-3, -2, -1, 1, 2, 3)))
+    z = exact_central(central)
     if len(z) != q.vertex_count():
         raise ValueError(f"central value arity: {t} needs "
                          f"{q.vertex_count()} values, got {len(z)}")
-    total = sum(d * m for d, m in zip(q.dims, z))
-    if abs(total) > 1e-12:
+    if sum(d * m for d, m in zip(q.dims, z)):
         raise ValueError("central value must satisfy sum d_i z_i = 0")
     if t.family == "A":
         n = t.rank + 1
-        c0 = complex(_rng_annulus(rng))
-        c = [c0]
+        c = [draw()]
         for i in range(1, n):
             c.append(c[i - 1] - z[i])
-        a = [complex(_rng_annulus(rng)) for _ in range(n)]
-        rep = {}
-        for i in range(n):
-            rep[f"a{i}"] = np.array([[a[i]]])
-            rep[f"b{i}"] = np.array([[c[i] / a[i]]])
+        a = [draw() for _ in range(n)]
+        rep = {f"a{i}": ((a[i],),) for i in range(n)}
+        rep.update({f"b{i}": ((c[i] / a[i],),) for i in range(n)})
         return {"rep": rep, "quiver": q, "central": z}
     if t == DynkinType("D", 4):
         outer = (0, 1, 3, 4)
-        for attempt in range(10):
-            cols = {i: _rng_annulus(rng, (2, 1)) for i in outer}
-            # unknowns: rows r0, r1, r3, r4 stacked as an 8-vector
-            A = np.zeros((8, 8), dtype=complex)
-            rhs = np.zeros(8, dtype=complex)
-            for idx, i in enumerate(outer):
-                A[idx, 2 * idx: 2 * idx + 2] = cols[i][:, 0]
-                rhs[idx] = -z[i]
-            # centre block: sum_i cols_i rows_i = z_2 * Id
-            eq = 4
+        for _ in range(10):
+            cols = [(draw(), draw()) for _ in outer]
+            # centre entry (p, 0): sum_i c_ip u_i = z_2 [p == 0];
+            # entry (p, 1): sum_i c_ip w_i = z_2 [p == 1]
+            rows = []
             for p in range(2):
-                for qq in range(2):
-                    for idx, i in enumerate(outer):
-                        A[eq, 2 * idx + qq] += cols[i][p, 0]
-                    rhs[eq] = z[2] if p == qq else 0.0
-                    eq += 1
-            sol, residuals, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+                rows.append([c[p] for c in cols] + [z[2] if p == 0 else 0])
+                rows.append([-c[p] * c[0] / c[1] for c in cols] + [sum(
+                    (c[p] * z[i] / c[1] for c, i in zip(cols, outer)),
+                    z[2] if p == 1 else 0)])
+            red, pivots = rref(rows, 4)
+            if any(r[4] for r in red[len(pivots):]):
+                continue        # inconsistent: draw new columns
+            free = [k for k in range(4) if k not in pivots]
+            u = {k: draw() for k in free}
+            for r, k in zip(red, pivots):
+                u[k] = r[4] - sum(r[f] * u[f] for f in free)
             rep = {}
-            for idx, i in enumerate(outer):
-                rep[f"pa{i}"] = cols[i]
-                rep[f"pb{i}"] = sol[2 * idx: 2 * idx + 2].reshape(1, 2)
-            sample = {"rep": rep, "quiver": q, "central": z}
-            if fibre_residual(sample) <= 1e-10:
-                return sample
-        raise SingularSystem("no well-conditioned sample in 10 attempts")
+            for k, (i, (c0, c1)) in enumerate(zip(outer, cols)):
+                rep[f"pa{i}"] = ((c0,), (c1,))
+                rep[f"pb{i}"] = ((u[k], (-z[i] - c0 * u[k]) / c1),)
+            return {"rep": rep, "quiver": q, "central": z}
+        raise SingularSystem("no consistent system in 10 attempts")
     raise UnsupportedType(f"no sampler for {t}")
 
 
-def fibre_residual(sample: dict) -> float:
-    """Largest moment-map equation residual of a sample."""
-    q = sample["quiver"]
-    mm = numeric_moment_map(q, sample["rep"])
-    z = sample["central"]
-    res = 0.0
-    for v in range(q.vertex_count()):
-        d = q.dims[v]
-        res = max(res, float(np.max(np.abs(mm[v] - z[v] * np.eye(d)))))
-    return res
+def fibre_residual(sample: dict):
+    """Largest |entry| of mu(point) - z_v Id: exact, 0 on the fibre."""
+    z, mm = sample["central"], moment_map(sample["quiver"], sample["rep"])
+    return max(abs(x - z[v] if i == j else x) for v, mat in mm.items()
+               for i, row in enumerate(mat) for j, x in enumerate(row))
 
 
 def invariants_at_point(t: DynkinType, sample: dict):
@@ -470,24 +432,23 @@ def invariants_at_point(t: DynkinType, sample: dict):
     rep = sample["rep"]
     if t.family == "A":
         n = t.rank + 1
-        a = [rep[f"a{i}"][0, 0] for i in range(n)]
-        b = [rep[f"b{i}"][0, 0] for i in range(n)]
-        x = np.prod(a)
-        y = np.prod(b)
-        zc = sum(ai * bi for ai, bi in zip(a, b)) / n
-        return complex(x), complex(y), complex(zc)
+        a = [rep[f"a{i}"][0][0] for i in range(n)]
+        b = [rep[f"b{i}"][0][0] for i in range(n)]
+        return prod(a), prod(b), sum(x * y for x, y in zip(a, b)) / n
     if t == DynkinType("D", 4):
-        mu = sample["central"]
-        m = {i: rep[f"pa{i}"] @ rep[f"pb{i}"] for i in (0, 1, 3, 4)}
-        p03 = complex(np.trace(m[0] @ m[3]))
-        p34 = complex(np.trace(m[3] @ m[4]))
-        q034 = complex(np.trace(m[4] @ m[3] @ m[0]))
-        mu0, mu1, mu2, mu3, mu4 = mu
+        def s(i, j):
+            return mat_mul(rep[f"pb{i}"], rep[f"pa{j}"])[0][0]
+        # m_i = pa_i pb_i has rank 1, so a trace of a product of the m_i
+        # is a product of the scalars s(i, j) = pb_i pa_j
+        p03 = s(0, 3) * s(3, 0)         # tr(m_0 m_3)
+        p34 = s(3, 4) * s(4, 3)         # tr(m_3 m_4)
+        q034 = s(4, 3) * s(3, 0) * s(0, 4)      # tr(m_4 m_3 m_0)
+        mu0, mu1, mu2, mu3, mu4 = sample["central"]
         x = p34 + (mu3 - mu4) ** 2 / 4
         y = p03 + (mu3 - mu0) ** 2 / 4
         zc = q034 - (p03 * (mu3 - mu4) + p34 * (mu3 - mu0)
                      + mu3 * (mu2 + mu3) * (mu1 + mu2 + mu3)) / 2
-        return complex(x), complex(y), complex(zc)
+        return x, y, zc
     raise UnsupportedType(f"no invariants for {t}")
 
 
@@ -497,8 +458,8 @@ def lambda_from_central(central) -> list:
     tau sends the central value to h with alpha_i(h) = -z_i; for the cycle
     this pins lambda_i - lambda_{i-1} = z_i with sum(lambda) = 0.
     """
-    z = [complex(v) for v in central]
-    lam = [0j]
+    z = exact_central(central)
+    lam = [QQ(0)]
     for i in range(1, len(z)):
         lam.append(lam[i - 1] + z[i])
     mean = sum(lam) / len(lam)

@@ -6,8 +6,7 @@ per criterion.
 
 import sys
 import time
-
-import numpy as np
+from math import prod
 
 from mckaydeform.exact import QQ
 from mckaydeform.poly import MPoly, VarTable, equal_mod_vars
@@ -159,23 +158,22 @@ def test_criterion_08_moment_map_monte_carlo():
              "D4": [1, 1, -2, 1, 1]}
     for tname, central in cases.items():
         t = parse_type(tname)
-        worst = 0.0
+        worst = 0
         for k in range(100):
             s = sample_moment_fibre(t, central, seed=1000 + k)
-            ok = ok and fibre_residual(s) < 1e-10
+            ok = ok and fibre_residual(s) == 0
             x, y, z = invariants_at_point(t, s)
             if t.family == "A":
                 lam = lambda_from_central(central)
-                val = abs(np.prod([z - l for l in lam]) - x * y)
-                worst = max(worst, val / max(abs(x * y), 1.0))
+                worst = max(worst, abs(prod(z - v for v in lam) - x * y))
             else:
                 worst = max(worst, _d4_family_residual(central, x, y, z))
-        ok = ok and worst < 1e-8
+        ok = ok and worst == 0
     for tname, gen in (("A3", "sigma"), ("A5", "sigma"), ("D4", "sigma"),
                        ("D4", "rho")):
         rep = verify_moment_equivariance_numeric(
             reference_action(parse_type(tname), gen), seed=0, trials=100)
-        ok = ok and rep["max_residual"] < 1e-9
+        ok = ok and rep["max_residual"] == 0
     _report(8, "moment-map Monte Carlo (fibres + equivariance)", ok,
             time.monotonic() - start, 60)
 

@@ -131,20 +131,52 @@ def test_quiver_sample_zero_trials_is_usage_error(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
-def test_quiver_verify_action_zero_trials_is_usage_error(capsys):
-    code, report = run(["quiver", "verify-action", "--type", "A3",
-                        "--trials", "0"])
+@pytest.mark.parametrize("flag", ("--seed", "--trials"))
+def test_quiver_verify_action_takes_no_sampling_flag(flag, capsys):
+    # equivariance is one exact identity: there is nothing to sample
+    code, report = run(["quiver", "verify-action", "--type", "A3", flag,
+                        "2"])
     assert code == 2 and report is None
-    assert "--trials" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+def test_quiver_verify_action_writes_exact_witnesses(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["quiver", "verify-action", "--type", "E6",
+                "--out", str(out)])[0] == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] is None
+    rows = {c["name"]: c["witness"] for c in data["checks"]}
+    assert rows["E6_sigma_moment_equivariance"] == {"max_residual": "0"}
+
+
+def test_quiver_verify_action_fails_on_a_broken_action(monkeypatch):
+    import mckaydeform.quiver as quiver
+    real = quiver.reference_action
+    monkeypatch.setattr(quiver, "reference_action",
+                        lambda t, gen: real(t, gen, flip="pb3"))
+    code, report = run(["quiver", "verify-action", "--type", "D4",
+                        "--generator", "sigma"])
+    status = {c.name: c.status for c in report.checks}
+    assert code == 1
+    assert status["D4_sigma_moment_equivariance"] == "fail"
+
+
+def test_quiver_sample_writes_exact_witnesses(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["quiver", "sample", "--type", "A3", "--mu",
+                "3/2,-1/2,1/4,-5/4", "--trials", "5",
+                "--out", str(out)])[0] == 0
+    witnesses = [c["witness"] for c in json.loads(out.read_text())["checks"]]
+    assert witnesses == [{"max": "0"}, {"max": "0"}]
 
 
 def test_verify_action_explicit_generator_runs_only_that_one():
     code, report = run(["quiver", "verify-action", "--type", "D4",
-                        "--generator", "sigma", "--trials", "2"])
+                        "--generator", "sigma"])
     assert code == 0 and report.checks
     assert all(c.name.startswith("D4_sigma_") for c in report.checks)
-    code, report = run(["quiver", "verify-action", "--type", "D4",
-                        "--trials", "2"])
+    code, report = run(["quiver", "verify-action", "--type", "D4"])
     assert {c.name.split("_")[1] for c in report.checks} == {"sigma", "rho"}
 
 
@@ -217,7 +249,7 @@ def test_quotient_verify_command(label, tmp_path):
     code, statuses = _statuses(
         tmp_path, ["quotient", "verify", "--label", label])
     names = [f"{label}_invariant_generators", f"{label}_not_semiuniversal",
-             f"{label}_pullback"]
+             f"{label}_pullback", f"{label}_special_fibre_type"]
     if label != "F4":
         names.append(f"{label}_singular_locus")
     assert code == 0 and statuses == {n: "pass" for n in names}
@@ -513,3 +545,29 @@ def test_suite_error_outside_the_exit_code_table_propagates(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         run(["suite", "smoke"])
 
+
+
+@pytest.mark.parametrize("label, target", (("B2", "D4"), ("B3", "D5"),
+                                           ("B4", "D6"), ("C3", "D6"),
+                                           ("G2", "E7"), ("F4", "E7")))
+def test_quotient_special_fibre_has_the_target_type(label, target, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["quotient", "verify", "--label", label,
+                "--out", str(out)])[0] == 0
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    row = rows[f"{label}_special_fibre_type"]
+    assert row["status"] == "pass"
+    assert row["witness"] == {"target": target, "types": [target]}
+
+
+def test_wrong_target_ade_fails_the_special_fibre_row(monkeypatch):
+    import dataclasses
+
+    import mckaydeform.quotient as quotient
+    from mckaydeform.rootdata import DynkinType
+    real = quotient.quotient_family
+    monkeypatch.setattr(quotient, "quotient_family", lambda label: (
+        dataclasses.replace(real(label), target_ade=DynkinType("D", 5))))
+    code, report = run(["quotient", "verify", "--label", "B2"])
+    status = {c.name: c.status for c in report.checks}
+    assert code == 1 and status["B2_special_fibre_type"] == "fail"

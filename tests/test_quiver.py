@@ -1,14 +1,17 @@
 """Representation spaces, symplectic structure, actions, samplers."""
 
-import numpy as np
+import random
+from math import prod
+
 import pytest
 
+from mckaydeform.cli import _d4_family_residual
+from mckaydeform.exact import QQ, mat_mul, trace
 from mckaydeform.poly import MPoly
 from mckaydeform.quiver import (McKayQuiver, SymbolicRep,
                                 check_action_admissible, fibre_residual,
                                 invariants_at_point, lambda_from_central,
-                                moment_map, numeric_moment_map,
-                                random_numeric_rep, reference_action,
+                                moment_map, reference_action,
                                 sample_moment_fibre, symbolic_action_order,
                                 symplectic_form,
                                 verify_moment_equivariance_numeric,
@@ -126,28 +129,24 @@ def test_moment_trace_vanishes():
 
 
 @pytest.mark.parametrize("t", (A3, D4, E6))
-def test_numeric_moment_map_matches_the_exact_one(t):
+def test_moment_map_at_an_exact_point_is_the_symbolic_map_evaluated_there(t):
+    # one moment map serves symbols and points: at a rational point it
+    # equals the symbolic map with every symbol bound to that point
     q = McKayQuiver(t)
     phi = SymbolicRep(q)
-    exact = moment_map(q, phi.matrices)
-    for seed in (0, 1):
-        rep = random_numeric_rep(q, seed)
-        point = {}
-        for a in q.arrows:
-            rows, cols = q.shape(a.name)
-            for i in range(rows):
-                for j in range(cols):
-                    name = a.name if rows == cols == 1 else \
-                        f"{a.name}_{i + 1}{j + 1}"
-                    point[name] = rep[a.name][i, j]
-        numeric = numeric_moment_map(q, rep)
-        for v, mat in exact.items():
-            d = len(mat)
-            assert numeric[v].shape == (d, d)
-            for i in range(d):
-                for j in range(d):
-                    assert abs(mat[i][j].evaluate_numeric(point)
-                               - numeric[v][i, j]) < 1e-12
+    symbolic = moment_map(q, phi.matrices)
+    rng = random.Random(0)
+    point = {name: QQ(rng.randint(-9, 9), rng.randint(1, 5))
+             for name in phi.vars.names}
+
+    def at(mat):
+        return [[x.substitute(point).terms.get((), 0) for x in row]
+                for row in mat]
+    at_point = moment_map(q, {a: at(m) for a, m in phi.matrices.items()})
+    assert list(at_point) == list(symbolic)
+    for v, mat in symbolic.items():
+        assert at(mat) == at_point[v]
+        assert all(type(x) is QQ for row in at_point[v] for x in row)
 
 
 def test_zero_rep_moment_is_zero():
@@ -157,7 +156,7 @@ def test_zero_rep_moment_is_zero():
                           for row in phi.matrices[a.name])
             for a in q.arrows}
     mm = moment_map(q, zero)
-    assert all(entry.is_zero() for mat in mm.values()
+    assert all(not entry for mat in mm.values()
                for row in mat for entry in row)
 
 
@@ -208,61 +207,87 @@ def test_s3_relation_on_symbols():
 
 def test_moment_equivariance_numeric():
     for t, gen in ((A3, "sigma"), (A5, "sigma"), (D4, "sigma"),
-                   (D4, "rho")):
+                   (D4, "rho"), (E6, "sigma")):
         rep = verify_moment_equivariance_numeric(
             reference_action(t, gen), seed=5, trials=40)
-        assert rep["ok"], rep
+        assert rep["ok"] and rep["max_residual"] == 0, rep
     identity = reference_action(D4, "sigma")
     identity.arrow_map = {}
     identity.vertex_perm = tuple(range(5))
     rep = verify_moment_equivariance_numeric(identity, seed=5, trials=5)
-    assert rep["max_residual"] == 0.0
+    assert rep["max_residual"] == 0
+
+
+@pytest.mark.parametrize("t, gen, slot", (
+    (A3, "sigma", "a0"), (D4, "sigma", "pb3"), (A5, "sigma", "b2"),
+    (D4, "rho", "pa1"), (E6, "sigma", "pb4"),
+    (DynkinType("D", 5), "sigma", "pa4")))
+def test_flipped_scalar_fails_moment_equivariance(t, gen, slot):
+    # the identity is exact, so one negated slot scalar must break it
+    rep = verify_moment_equivariance_numeric(
+        reference_action(t, gen, flip=slot))
+    assert not rep["ok"] and rep["max_residual"] > 0
+
+
+def test_equivariance_verdict_ignores_seed_and_trials():
+    act = reference_action(D4, "rho")
+    assert verify_moment_equivariance_numeric(act, seed=0, trials=1) == \
+        verify_moment_equivariance_numeric(act, seed=9, trials=100)
 
 
 def test_sample_fibre_a3():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    z[0] = -z[1:].sum()
+    rng = random.Random(1)
+    z = [QQ(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(4)]
+    z[0] = -sum(z[1:])
     s = sample_moment_fibre(A3, z, seed=7)
-    assert fibre_residual(s) < 1e-10
+    assert fibre_residual(s) == 0
     x, y, zc = invariants_at_point(A3, s)
     lam = lambda_from_central(z)
-    val = np.prod([zc - l for l in lam]) - x * y
-    assert abs(val) / max(abs(x * y), 1) < 1e-8
+    assert prod(zc - v for v in lam) == x * y
 
 
 def test_sample_zero_fibre_constant_c():
     s = sample_moment_fibre(A3, [0, 0, 0, 0], seed=3)
     rep = s["rep"]
-    cs = [complex(rep[f"a{i}"][0, 0] * rep[f"b{i}"][0, 0])
-          for i in range(4)]
-    assert max(abs(c - cs[0]) for c in cs) < 1e-12
+    cs = [rep[f"a{i}"][0][0] * rep[f"b{i}"][0][0] for i in range(4)]
+    assert len(set(cs)) == 1
     x, y, zc = invariants_at_point(A3, s)
-    assert abs(zc - cs[0]) < 1e-12
+    assert zc == cs[0]
 
 
 def test_sample_fibre_d4_and_trace_identities():
     mu = (1, 1, -2, 1, 1)
     s = sample_moment_fibre(D4, mu, seed=42)
-    assert fibre_residual(s) < 1e-10
+    assert fibre_residual(s) == 0
     rep = s["rep"]
-    m = {i: rep[f"pa{i}"] @ rep[f"pb{i}"] for i in (0, 1, 3, 4)}
+    m = {i: mat_mul(rep[f"pa{i}"], rep[f"pb{i}"]) for i in (0, 1, 3, 4)}
 
     def tr(*idx):
-        return complex(np.trace(np.linalg.multi_dot([m[i] for i in idx])))
-    mu0, mu1, mu2, mu3, mu4 = (complex(v) for v in mu)
-    lhs = tr(0, 1) + tr(0, 3) + tr(0, 4)
-    assert abs(lhs + mu0 * (mu0 + mu2)) < 1e-9
-    assert abs(tr(0, 3, 0) + mu0 * tr(0, 3)) < 1e-9
-    assert abs(tr(3, 4, 3) + mu3 * tr(3, 4)) < 1e-9
+        out = m[idx[0]]
+        for i in idx[1:]:
+            out = mat_mul(out, m[i])
+        return trace(out)
+    mu0, mu1, mu2, mu3, mu4 = mu
+    assert tr(0, 1) + tr(0, 3) + tr(0, 4) + mu0 * (mu0 + mu2) == 0
+    assert tr(0, 3, 0) + mu0 * tr(0, 3) == 0
+    assert tr(3, 4, 3) + mu3 * tr(3, 4) == 0
+    assert _d4_family_residual(mu, *invariants_at_point(D4, s)) == 0
+
+
+def test_sampled_points_are_exact_rationals():
+    for t, mu in ((A5, ["1/2", "-1/4", "3/4", -1, 0.25, "-1/4"]),
+                  (D4, (1, 1, -2, 1, 1))):
+        s = sample_moment_fibre(t, mu, seed=11)
+        assert all(type(x) is QQ for mat in s["rep"].values()
+                   for row in mat for x in row)
 
 
 def test_sampler_determinism():
     mu = (1, 1, -2, 1, 1)
     s1 = sample_moment_fibre(D4, mu, seed=7)
     s2 = sample_moment_fibre(D4, mu, seed=7)
-    for name in s1["rep"]:
-        assert np.array_equal(s1["rep"][name], s2["rep"][name])
+    assert s1["rep"] == s2["rep"]
+    assert s1["rep"] != sample_moment_fibre(D4, mu, seed=8)["rep"]
 
 
 def test_sampler_rejects_bad_central_value():
@@ -270,8 +295,36 @@ def test_sampler_rejects_bad_central_value():
         sample_moment_fibre(A3, [1, 0, 0, 0], seed=0)
 
 
-def test_random_rep_annulus_bounds():
-    q = McKayQuiver(D4)
-    rep = random_numeric_rep(q, seed=0)
-    mods = np.concatenate([np.abs(m).ravel() for m in rep.values()])
-    assert mods.min() >= 0.5 - 1e-12 and mods.max() <= 2.0 + 1e-12
+def test_complex_central_value_is_refused():
+    with pytest.raises(ValueError, match="real"):
+        sample_moment_fibre(A3, [1j, -1j, 0, 0], seed=0)
+    with pytest.raises(ValueError, match="real"):
+        lambda_from_central([1 + 0j, -1, 0, 0])
+
+
+def test_float_central_value_is_taken_at_its_binary_value():
+    # 0.1 is not 1/10 in binary, so the sum condition fails exactly
+    with pytest.raises(ValueError, match="sum"):
+        sample_moment_fibre(A3, [-0.3, 0.1, 0.1, 0.1], seed=0)
+    s = sample_moment_fibre(A3, [-0.75, 0.25, 0.25, 0.25], seed=0)
+    assert s["central"] == [QQ(-3, 4)] + [QQ(1, 4)] * 3
+
+
+@pytest.mark.parametrize("t, mu", ((A3, (3, -1, -1, -1)),
+                                   (A5, (1, 2, -3, 1, -2, 1)),
+                                   (D4, (1, 1, -2, 1, 1))))
+def test_bumped_entry_fails_the_fibre(t, mu):
+    s = sample_moment_fibre(t, mu, seed=4)
+    assert fibre_residual(s) == 0
+    name = sorted(s["rep"])[1]
+    bumped = [list(row) for row in s["rep"][name]]
+    bumped[0][0] += 1
+    s["rep"] = {**s["rep"], name: bumped}
+    assert fibre_residual(s) > 0
+
+
+def test_d4_point_against_another_central_value_fails_the_family():
+    s = sample_moment_fibre(D4, (1, 1, -2, 1, 1), seed=5)
+    point = invariants_at_point(D4, s)
+    assert _d4_family_residual((1, 1, -2, 1, 1), *point) == 0
+    assert _d4_family_residual((2, 0, -2, 1, 1), *point) > 0

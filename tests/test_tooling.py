@@ -94,10 +94,7 @@ def test_every_package_name_the_benchmark_reads_resolves_in_src():
 
 
 # Names kept although only tests reach them, each with its reason.
-TEST_ONLY_ALLOWED = {
-    "moment_map": "exact reference that tests compare numeric_moment_map "
-                  "against",
-}
+TEST_ONLY_ALLOWED = {}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -167,12 +164,29 @@ def test_exact_modules_have_no_float_literal():
     # these modules build and decide exact answers: a float or complex
     # constant there is a tolerance or a weight that decides by rounding
     found = []
-    for stem in ("deform", "quotient", "flat", "klein", "rootdata"):
+    for stem in ("deform", "quotient", "flat", "klein", "rootdata", "quiver"):
         tree = ast.parse((SRC / "mckaydeform" / f"{stem}.py").read_text())
         found += [f"{stem}:{n.lineno} {n.value!r}" for n in ast.walk(tree)
                   if isinstance(n, ast.Constant)
                   and isinstance(n.value, (float, complex))]
     assert not found, found
+
+
+def test_only_deform_imports_numpy():
+    # numpy only proposes root candidates in deform; every other module
+    # computes exactly
+    importers = set()
+    for path in sorted((SRC / "mckaydeform").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                modules = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                modules = [n.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.stem)
+    assert importers == {"deform"}
 
 
 # Parameter defaults that no src/ or bench/ call overrides, each with its
