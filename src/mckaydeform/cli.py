@@ -213,12 +213,8 @@ def cmd_quiver_verify(args) -> RunReport:
                          verify_moment_equivariance_numeric,
                          verify_symplectic_action)
     t = parse_type(args.type)
-    if args.generator != "all":
-        gens = (args.generator,)
-    elif t == DynkinType("D", 4):
-        gens = ("sigma", "rho")
-    else:
-        gens = ("sigma",)
+    gens = ((args.generator,) if args.generator != "all" else
+            ("sigma", "rho") if t == DynkinType("D", 4) else ("sigma",))
     checks = []
     for gen in gens:
         act = reference_action(t, gen)
@@ -357,7 +353,7 @@ def cmd_quotient(args) -> RunReport:
         checks.append(Check.of(
             f"{label}_pullback", pull["ok"],
             {"map_status": pull["map_status"],
-             "tier": pull.get("tier", "exact")}))
+             "tier": pull["tier"]}))
         if label in ("B2", "C3", "G2"):
             loc = verify_singular_locus(label)
             checks.append(Check.of(f"{label}_singular_locus", loc["ok"]))

@@ -42,7 +42,7 @@ from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
                    equal_mod_vars, fold_root, quotient_basis,
                    reflection_invariant)
-from .rootdata import DynkinType, cartan_matrix
+from .rootdata import DynkinType, cartan_matrix, omega_generators
 
 
 class UnsupportedLabel(ValueError):
@@ -319,8 +319,9 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
     elif label in ("E6", "F4"):
         base, psis = family_E6(), psi_E6_of_mu()
         mu = dict(zip(MU_VARS.names, _variables(MU_VARS, MU_VARS.names)))
-        actions = {"sigma": {"mu1": mu["mu2"], "mu2": mu["mu1"],
-                             "mu4": mu["mu5"], "mu5": mu["mu4"]}}
+        swap, = omega_generators(DynkinType("E", 6), "z2")
+        actions = {"sigma": {f"mu{i}": mu[f"mu{j}"] for i, j in
+                             enumerate(swap.vertex_perm, 1) if i != j}}
         title = "{gen}: {name} -> {sign:+d} {name}"
     else:
         raise UnsupportedLabel(label)

@@ -133,11 +133,18 @@ class KleinData:
         return fold_root(p, "a", *self.root) if self.root else p
 
 
+def _diag(*d):
+    """The diagonal 3x3 action table with entries d."""
+    return tuple(tuple(QQ(x) if i == j else QQ(0) for j in range(3))
+                 for i, x in enumerate(d))
+
+
 def klein_data(t: DynkinType) -> KleinData:
     """Invariant parametrisation of C^2/Gamma and the Gamma'-action tables.
 
     Supported: A_{2r-1} (r >= 1), A_{2r} (r >= 1, flagged: no valid
-    Gamma'), D_{r+1} (r >= 3; D4 with its full S3 symmetry) and E6.
+    Gamma'), D_{r+1} (r >= 3; D4 with its full S3 symmetry) and E6.  The
+    Gamma' generators are read off the groups that build them.
     """
     z1, z2, a = _zpoly()
     X, Y, Z = (MPoly.variable(XYZ_VARS, v) for v in "XYZ")
@@ -145,35 +152,25 @@ def klein_data(t: DynkinType) -> KleinData:
 
     if t.family == "A":
         n = t.rank + 1  # |Gamma| = n, Gamma = C_n
-        ident3 = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
-                  (QQ(0), QQ(0), QQ(1)))
         data = (z1 * z2, z1 ** n, z2 ** n)
         relation = X ** n - Y * Z
         gamma = cyclic_group(n)
         if t.rank % 2 == 1:
             r = (t.rank + 1) // 2
-            g = ((zeta(4 * r), Cyclo.from_rat(0, 4 * r)),
-                 (Cyclo.from_rat(0, 4 * r), zeta(4 * r, 4 * r - 1)))
-            g2 = mat_mul(g, g)
-            h = ((QQ(0), i), (i, QQ(0)))
-            gamma_prime = SU2Group(f"D{r}", [g2, h], 4 * r)
+            gamma_prime = binary_dihedral(r)
+            g2, h = gamma_prime.generators
             sgn = QQ(-1) ** r
             act_h = ((QQ(-1), QQ(0), QQ(0)),
                      (QQ(0), QQ(0), sgn),
                      (QQ(0), sgn, QQ(0)))
-            omega = {"g2": (g2, ident3), "h": (h, act_h)}
+            omega = {"g2": (g2, _diag(1, 1, 1)), "h": (h, act_h)}
             return KleinData(f"A{t.rank}", t, *data, relation, gamma,
                              gamma_prime, omega)
         # even A: the candidate C_{4r+2}-action fails to lift (stored flag)
-        m = 2 * n
-        g = ((zeta(m), Cyclo.from_rat(0, m)),
-             (Cyclo.from_rat(0, m), zeta(m, m - 1)))
-        act_g = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
-                 (QQ(0), QQ(0), QQ(-1)))
-        gamma_prime = SU2Group(f"C{m}", [g], m)
+        gamma_prime = cyclic_group(2 * n)
+        omega = {"g": (gamma_prime.generators[0], _diag(1, -1, -1))}
         return KleinData(f"A{t.rank}", t, *data, relation, gamma,
-                         gamma_prime, {"g": (g, act_g)},
-                         no_valid_gamma_prime=True)
+                         gamma_prime, omega, no_valid_gamma_prime=True)
 
     if t.family == "D":
         r = t.rank - 1  # D_{r+1}, Gamma = binary dihedral D_{r-1}
@@ -187,19 +184,13 @@ def klein_data(t: DynkinType) -> KleinData:
                 (z1 * z2) * (z1 ** w + sgn_z * z2 ** w) * i)
         relation = X * Y ** 2 + QQ(-1) ** r * X ** r + Z ** 2
         gamma = binary_dihedral(r - 1)
-        flip = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)),
-                (QQ(0), QQ(0), QQ(-1)))
+        flip = _diag(1, -1, -1)
         if r == 3:
-            # D4: Gamma = D2 (quaternion), Gamma' = O, Omega = S3
+            # D4: Gamma = D2 (quaternion), Gamma' = O, Omega = S3; the
+            # tetrahedral generator c induces the order-3 action below (the
+            # diagonal-antidiagonal representative induces its square)
             gamma_prime = binary_octahedral()
-            inv_s2 = sqrt2().inverse()
-            # this octahedral representative induces the order-3 action
-            # below; the diagonal-antidiagonal representative induces its
-            # square
-            g = ((inv_s2 * zeta(8, 7), inv_s2 * zeta(8, 7)),
-                 (-(inv_s2 * zeta(8)), inv_s2 * zeta(8)))
-            zero8 = Cyclo.from_rat(0, 8)
-            h = ((zeta(8, 3), zero8), (zero8, zeta(8, 5)))
+            _, _, g, h = gamma_prime.generators
             half = QQ(1, 2)
             act_g = ((-half, half, QQ(0)),
                      (QQ(-3) * half, -half, QQ(0)),
@@ -208,9 +199,7 @@ def klein_data(t: DynkinType) -> KleinData:
         else:
             gamma_prime = binary_dihedral(2 * (r - 1))
             g, h = gamma_prime.generators
-            ident = ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
-                     (QQ(0), QQ(0), QQ(1)))
-            omega = {"g": (g, flip), "h": (h, ident)}
+            omega = {"g": (g, flip), "h": (h, _diag(1, 1, 1))}
         return KleinData(f"D{t.rank}", t, *data, relation, gamma,
                          gamma_prime, omega, root=(r, 2))
 
@@ -224,11 +213,7 @@ def klein_data(t: DynkinType) -> KleinData:
         relation = X ** 4 + Y ** 3 + Z ** 2
         gamma = binary_tetrahedral()
         gamma_prime = binary_octahedral()
-        zero8 = Cyclo.from_rat(0, 8)
-        g = ((zeta(8, 3), zero8), (zero8, zeta(8, 5)))
-        act_g = ((QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)),
-                 (QQ(0), QQ(0), QQ(-1)))
-        omega = {"g": (g, act_g)}
+        omega = {"g": (gamma_prime.generators[-1], _diag(-1, 1, -1))}
         return KleinData("E6", t, *data, relation, gamma, gamma_prime,
                          omega, root=(4, 108))
 

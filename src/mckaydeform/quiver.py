@@ -22,7 +22,7 @@ from math import prod
 from .exact import QQ, mat_mul, rat, rref, trace
 from .poly import MPoly, VarTable
 from .rootdata import (DynkinType, UnsupportedType, extended_edges,
-                       mckay_dimension_vector)
+                       mckay_dimension_vector, omega_generators)
 
 
 class SingularSystem(RuntimeError):
@@ -285,47 +285,35 @@ def verify_symplectic_action(act: OmegaActionOnM) -> bool:
 
 def reference_action(t: DynkinType, generator: str = "sigma",
                      flip: str | None = None) -> OmegaActionOnM:
-    """The concrete admissible actions used throughout the computations.
+    """The concrete admissible actions used throughout the computations:
+    sigma is the diagram involution and rho (D4) the order-3 rotation of
+    ``omega_generators``, with the affine vertex 0 fixed.
 
+    On D and E each arrow goes to the arrow joining the images of its ends,
+    with scalar 1.  On A_(2r-1), a_i -> b_(n-1-i) and b_i -> a_(n-1-i) with
+    lambda_i delta_i = -1 (ends alone are ambiguous on A1's double edge).
     ``flip`` names an arrow slot whose scalar is negated, producing the
     deliberately broken variant used to exercise the failure paths.
     """
     q = McKayQuiver(t)
-    fam, r = t.family, t.rank
-    arrow_map = {}
-    if fam == "A" and r % 2 == 1 and generator == "sigma":
-        n = r + 1
-        half = n // 2
-        perm = tuple((-v) % n for v in range(n))
-        for i in range(n):
-            j = n - 1 - i
-            s_a = QQ(-1) if i < half else QQ(1)
-            s_b = QQ(1) if i < half else QQ(-1)
-            arrow_map[f"a{i}"] = (f"b{j}", s_a)
-            arrow_map[f"b{i}"] = (f"a{j}", s_b)
-    elif t == DynkinType("D", 4) and generator == "sigma":
-        perm = (0, 1, 2, 4, 3)
-        for i, j in ((3, 4), (4, 3)):
-            arrow_map[f"pa{i}"] = (f"pa{j}", QQ(1))
-            arrow_map[f"pb{i}"] = (f"pb{j}", QQ(1))
-    elif t == DynkinType("D", 4) and generator == "rho":
-        perm = (0, 4, 2, 1, 3)  # vertices 1 -> 4 -> 3 -> 1
-        source = {1: 3, 3: 4, 4: 1}
-        for i, j in source.items():
-            arrow_map[f"pa{i}"] = (f"pa{j}", QQ(1))
-            arrow_map[f"pb{i}"] = (f"pb{j}", QQ(1))
-    elif t == DynkinType("E", 6) and generator == "sigma":
-        perm = (0, 2, 1, 3, 5, 4, 6)
-        for i, j in ((1, 2), (2, 1), (4, 5), (5, 4)):
-            arrow_map[f"pa{i}"] = (f"pa{j}", QQ(1))
-            arrow_map[f"pb{i}"] = (f"pb{j}", QQ(1))
-    elif fam == "D" and r >= 5 and generator == "sigma":
-        perm = tuple(range(r - 1)) + (r, r - 1)
-        for i, j in ((r - 1, r), (r, r - 1)):
-            arrow_map[f"pa{i}"] = (f"pa{j}", QQ(1))
-            arrow_map[f"pb{i}"] = (f"pb{j}", QQ(1))
-    else:
+    name = {"sigma": "z2", "rho": "z3"}.get(generator)
+    if name is None or t.family == "A" and (t.rank % 2 == 0 or name == "z3"):
         raise UnsupportedType(f"no reference action for {t}/{generator}")
+    g, = omega_generators(t, name)
+    perm = (0,) + g.vertex_perm
+    arrow_map = {}
+    if t.family == "A":
+        n = t.rank + 1
+        for i in range(n):
+            s = QQ(-1) if 2 * i < n else QQ(1)
+            arrow_map[f"a{i}"] = (f"b{n - 1 - i}", s)
+            arrow_map[f"b{i}"] = (f"a{n - 1 - i}", -s)
+    else:
+        by_ends = {(a.src, a.tgt): a.name for a in q.arrows}
+        for a in q.arrows:
+            image = by_ends[perm[a.src], perm[a.tgt]]
+            if image != a.name:
+                arrow_map[image] = (a.name, QQ(1))
     if flip is not None:
         src, sc = arrow_map[flip]
         arrow_map[flip] = (src, -sc)
@@ -368,8 +356,9 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
     Type A: the cycle telescopes, so the products c_i = a_i b_i are fixed
     by c_0 and the central value; a_i and c_0 are drawn, b_i = c_i / a_i.
     Type D4: the four columns c_i are drawn.  Outer vertex i fixes the row
-    (u_i, w_i) by w_i = (-z_i - c_i0 u_i) / c_i1, and the centre block
-    leaves four equations in the u_i (rank 3 on a generic draw), solved by
+    (u_i, w_i) by w_i = (-z_i - c_i0 u_i) / c_i1.  The centre block's
+    (1, 1) entry follows from the others through its trace, since
+    sum_i d_i z_i = 0, so three equations in the u_i remain, solved by
     ``rref`` with the free u_i drawn.
     """
     q = McKayQuiver(t)
@@ -396,14 +385,12 @@ def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
         outer = (0, 1, 3, 4)
         for _ in range(10):
             cols = [(draw(), draw()) for _ in outer]
-            # centre entry (p, 0): sum_i c_ip u_i = z_2 [p == 0];
-            # entry (p, 1): sum_i c_ip w_i = z_2 [p == 1]
-            rows = []
-            for p in range(2):
-                rows.append([c[p] for c in cols] + [z[2] if p == 0 else 0])
-                rows.append([-c[p] * c[0] / c[1] for c in cols] + [sum(
-                    (c[p] * z[i] / c[1] for c, i in zip(cols, outer)),
-                    z[2] if p == 1 else 0)])
+            # centre entries (0, 0), (0, 1), (1, 0): sum_i c_i0 u_i = z_2,
+            # sum_i c_i0 w_i = 0 and sum_i c_i1 u_i = 0
+            rows = [[c[0] for c in cols] + [z[2]],
+                    [-c[0] * c[0] / c[1] for c in cols] + [sum(
+                        c[0] * z[i] / c[1] for c, i in zip(cols, outer))],
+                    [c[1] for c in cols] + [0]]
             red, pivots = rref(rows, 4)
             if any(r[4] for r in red[len(pivots):]):
                 continue        # inconsistent: draw new columns

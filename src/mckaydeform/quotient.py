@@ -237,7 +237,8 @@ def verify_invariant_generators(label: str) -> dict:
 
 
 def verify_quotient_pullback(label: str) -> dict:
-    """The quotient equation pulls back to 0 modulo the family equation."""
+    """The quotient equation pulls back to 0 modulo the family equation.
+    The tier is 'exact-fit' for a fitted invariant map, else 'exact'."""
     qf = quotient_family(label)
     fam = family(qf.source_label)
     subs = dict(qf.invariant_map)
@@ -246,12 +247,9 @@ def verify_quotient_pullback(label: str) -> dict:
     pulled = qf.equation.substitute(subs)
     ideal = Ideal([fam.equation.extend(pulled.vars)])
     residual = ideal.normal_form(pulled)
-    report = {"label": label, "map_status": qf.map_status,
-              "residual_terms": len(residual.terms),
-              "ok": residual.is_zero()}
-    if label.upper() == "G2":
-        report["tier"] = "exact-fit"
-    return report
+    return {"label": label, "map_status": qf.map_status,
+            "tier": "exact-fit" if qf.map_status == "fitted" else "exact",
+            "residual_terms": len(residual.terms), "ok": residual.is_zero()}
 
 
 def _at_witness(f, names, point, relations=(), order="grevlex"):

@@ -87,8 +87,10 @@ def parse_type(text: str) -> DynkinType:
     return DynkinType(text[0].upper(), int(text[1:]))
 
 
-# Paper numbering of the E6 diagram: chain 1-4-6-5-2 with 3 on the centre 6.
-E6_EDGES = ((1, 4), (4, 6), (6, 3), (6, 5), (5, 2))
+# Paper numbering of the E6 diagram: chain 1-4-6-5-2 with 3 on the centre 6,
+# listed so that the extended diagram's arrows come out in the order the
+# quiver actions were written against.
+E6_EDGES = ((3, 6), (1, 4), (4, 6), (2, 5), (5, 6))
 
 
 def dynkin_edges(t: DynkinType):
@@ -280,37 +282,39 @@ def close_group(gens):
     return orbit([ident], lambda e: (g.compose(e) for g in gens))
 
 
-def standard_omega(t: DynkinType, name: str):
-    """Named symmetry groups: 'trivial', 'z2', 'z3' (D4), 's3' (D4)."""
+def omega_generators(t: DynkinType, name: str):
+    """Validated generators of the named symmetry group: 'trivial', 'z2',
+    'z3' (D4), 's3' (D4)."""
     r = t.rank
     ident = tuple(range(1, r + 1))
     if name == "trivial":
-        return [DiagramAutomorphism(ident)]
-    if name == "z2":
+        perms = [ident]
+    elif name == "z2":
         if t.family == "A":
-            perm = tuple(r + 1 - i for i in range(1, r + 1))
+            perms = [ident[::-1]]
         elif t.family == "D":
-            perm = ident[: r - 2] + (r, r - 1)
+            perms = [ident[: r - 2] + (r, r - 1)]
         elif t == DynkinType("E", 6):
-            swap = {1: 2, 2: 1, 4: 5, 5: 4, 3: 3, 6: 6}
-            perm = tuple(swap[i] for i in range(1, 7))
+            perms = [(2, 1, 3, 5, 4, 6)]
         else:
             raise UnsupportedType(f"no involution for {t}")
-        gens = [DiagramAutomorphism(perm)]
-    elif name == "z3":
+    elif name in ("z3", "s3"):
         if t != DynkinType("D", 4):
-            raise UnsupportedType("z3 symmetry needs D4")
-        gens = [DiagramAutomorphism((3, 2, 4, 1))]  # 1 -> 3 -> 4 -> 1
-    elif name == "s3":
-        if t != DynkinType("D", 4):
-            raise UnsupportedType("s3 symmetry needs D4")
-        gens = [DiagramAutomorphism((3, 2, 4, 1)),
-                DiagramAutomorphism((1, 2, 4, 3))]
+            raise UnsupportedType(f"{name} symmetry needs D4")
+        # rho: 1 -> 4 -> 3 -> 1; s3 adds the swap of 3 and 4
+        rho = (4, 2, 1, 3)
+        perms = [rho] if name == "z3" else [rho, (1, 2, 4, 3)]
     else:
         raise UnsupportedType(f"unknown symmetry name {name!r}")
+    gens = [DiagramAutomorphism(p) for p in perms]
     for g in gens:
         validate_automorphism(t, g)
-    return close_group(gens)
+    return gens
+
+
+def standard_omega(t: DynkinType, name: str):
+    """The named symmetry group, closed from ``omega_generators``."""
+    return close_group(omega_generators(t, name))
 
 
 # -- folding -----------------------------------------------------------------
@@ -318,10 +322,7 @@ def standard_omega(t: DynkinType, name: str):
 def _candidate_cartans(k: int):
     out = {}
     if k >= 1:
-        C = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
-        for i in range(k - 1):
-            C[i][i + 1] = C[i + 1][i] = -1
-        out[f"A{k}"] = [row[:] for row in C]
+        out[f"A{k}"] = cartan_matrix(DynkinType("A", k))
     if k >= 2:
         B = [row[:] for row in out[f"A{k}"]]
         B[k - 2][k - 1] = -2
@@ -336,11 +337,7 @@ def _candidate_cartans(k: int):
     if k == 2:
         out["G2"] = [[2, -1], [-3, 2]]
     if k >= 4:
-        D = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
-        for i in range(k - 2):
-            D[i][i + 1] = D[i + 1][i] = -1
-        D[k - 3][k - 1] = D[k - 1][k - 3] = -1
-        out[f"D{k}"] = D
+        out[f"D{k}"] = cartan_matrix(DynkinType("D", k))
     return out
 
 
@@ -438,29 +435,15 @@ def omega_average(rs: RootSystem, omega, h):
 # -- McKay data --------------------------------------------------------------
 
 def extended_edges(t: DynkinType):
-    """Edges of the extended (affine) diagram; vertex 0 is the affine one."""
-    fam, r = t.family, t.rank
+    """Edges of the extended (affine) diagram: vertex 0's edges, then the
+    Dynkin edges in their numbering.  A1's two edges join 0 and 1."""
     if not t.homogeneous:
         raise UnsupportedType(f"{t} has no McKay quiver")
-    if fam == "A":
-        if r == 1:
-            return ((0, 1), (0, 1))
-        return tuple((i, i + 1) for i in range(r)) + ((r, 0),)
-    if fam == "D":
-        # paper numbering for the quiver: 0 and 1 fork into 2, spine
-        # 2..r-2, fork r-1 and r on vertex r-2.
-        edges = [(0, 2), (1, 2)]
-        edges += [(i, i + 1) for i in range(2, r - 2)]
-        edges += [(r - 2, r - 1), (r - 2, r)]
-        return tuple(edges)
-    if fam == "E" and r == 6:
-        return ((0, 3), (3, 6), (1, 4), (4, 6), (2, 5), (5, 6))
-    if fam == "E" and r == 7:
-        return ((0, 1), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4))
-    if fam == "E" and r == 8:
-        return ((0, 8), (8, 7), (7, 6), (6, 5), (5, 4), (4, 3), (3, 1),
-                (2, 4))
-    raise UnsupportedType(str(t))
+    if t.family == "A":
+        return ((0, 1),) + dynkin_edges(t) + ((t.rank, 0),)
+    # vertex 0 hangs on the one simple root that pairs with the highest root
+    hook = 2 if t.family == "D" else {6: 3, 7: 1, 8: 8}[t.rank]
+    return ((0, hook),) + dynkin_edges(t)
 
 
 def mckay_dimension_vector(t: DynkinType):

@@ -51,6 +51,30 @@ def test_omega_action_tables(tname):
     assert report["ok"], report
 
 
+def _with_gens(kd, **gens):
+    """kd with the named omega generators' matrices replaced, tables kept."""
+    omega = {k: (gens.get(k, g), M) for k, (g, M) in kd.omega_action.items()}
+    return replace(kd, omega_action=omega)
+
+
+@pytest.mark.parametrize("tname, index", (
+    ("D4", 1), ("E6", 0), ("E6", 1), ("E6", 2)))
+def test_a_wrong_octahedral_generator_fails_the_action(tname, index):
+    # D4's g is the octahedral generator c and E6's the last one, h: any
+    # other position of binary_octahedral().generators breaks the table
+    kd = klein_data(DynkinType(tname[0], int(tname[1:])))
+    wrong = _with_gens(kd, g=binary_octahedral().generators[index])
+    assert verify_omega_action(kd)["ok"]
+    assert not verify_omega_action(wrong)["ok"]
+
+
+@pytest.mark.parametrize("tname", ["A3", "A5", "D5"])
+def test_swapped_gamma_prime_generators_fail_the_action(tname):
+    kd = klein_data(DynkinType(tname[0], int(tname[1:])))
+    (a, (g, _)), (b, (h, _)) = kd.omega_action.items()
+    assert not verify_omega_action(_with_gens(kd, **{a: h, b: g}))["ok"]
+
+
 def test_a_scale_off_by_one_power_fails_the_relation(monkeypatch, tmp_path):
     # X = a^3 X~ on D5 (a^4 = 2) in place of a^2 X~: the relation check
     # fails and every other check still passes

@@ -16,7 +16,8 @@ from mckaydeform.quiver import (McKayQuiver, SymbolicRep,
                                 symplectic_form,
                                 verify_moment_equivariance_numeric,
                                 verify_symplectic_action)
-from mckaydeform.rootdata import DynkinType
+from mckaydeform.rootdata import (DynkinType, UnsupportedType, extended_edges,
+                                  mckay_dimension_vector, parse_type)
 
 A3 = DynkinType("A", 3)
 A5 = DynkinType("A", 5)
@@ -169,6 +170,31 @@ def test_reference_actions_admissible():
         want = "reverses" if t.family == "A" else "preserves"
         assert act.orientation_behavior() == want
         assert symbolic_action_order(act) == (3 if gen == "rho" else 2)
+
+
+@pytest.mark.parametrize("tname, gen", (
+    ("A1", "sigma"), ("A3", "sigma"), ("A5", "sigma"), ("A7", "sigma"),
+    ("D4", "sigma"), ("D4", "rho"), ("D5", "sigma"), ("D6", "sigma"),
+    ("E6", "sigma")))
+def test_reference_action_is_a_symmetry_of_the_extended_diagram(tname, gen):
+    # the vertex permutation is the Dynkin generator with 0 fixed: it maps
+    # the extended edges onto themselves and keeps the dimension vector
+    t = parse_type(tname)
+    act = reference_action(t, gen)
+    pi = act.vertex_perm
+    assert pi[0] == 0 and sorted(pi) == list(range(t.rank + 1))
+    edges = sorted(tuple(sorted(e)) for e in extended_edges(t))
+    assert sorted(tuple(sorted((pi[i], pi[j]))) for i, j in edges) == edges
+    d = mckay_dimension_vector(t)
+    assert all(d[pi[v]] == d[v] for v in range(len(d)))
+
+
+@pytest.mark.parametrize("tname, gen", (
+    ("A4", "sigma"), ("A3", "rho"), ("D5", "rho"), ("E7", "sigma"),
+    ("D4", "tau")))
+def test_reference_action_refusals(tname, gen):
+    with pytest.raises(UnsupportedType):
+        reference_action(parse_type(tname), gen)
 
 
 def test_all_ones_a_action_fails():

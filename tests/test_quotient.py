@@ -67,6 +67,8 @@ def test_invariant_generators(label):
 def test_exact_pullbacks(label):
     rep = verify_quotient_pullback(label)
     assert rep["ok"] and rep["residual_terms"] == 0
+    # the tier follows the map status: only G2's fitted map is exact-fit
+    assert rep["map_status"] == "complete" and rep["tier"] == "exact"
 
 
 def test_g2_intermediate_presentation():

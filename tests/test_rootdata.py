@@ -7,10 +7,10 @@ from mckaydeform.rootdata import (ClosureBudgetExceeded,
                                   DiagramAutomorphism, DynkinType,
                                   InvalidAutomorphism, UnsupportedType,
                                   build_root_system, cartan_matrix,
-                                  extended_edges,
+                                  dynkin_edges, extended_edges,
                                   fold, mckay_dimension_vector, omega_average,
-                                  orbit, parse_type, standard_omega,
-                                  vanishing_roots)
+                                  omega_generators, orbit, parse_type,
+                                  standard_omega, vanishing_roots)
 
 A5 = DynkinType("A", 5)
 D4 = DynkinType("D", 4)
@@ -268,6 +268,40 @@ def test_vanishing_roots_generic_and_zero():
     assert len(vanishing_roots(rs, zero)) == 15
 
 
+@pytest.mark.parametrize("tname", [f"A{r}" for r in range(1, 8)]
+                         + [f"D{r}" for r in range(4, 9)]
+                         + ["E6", "E7", "E8"])
+def test_extended_diagram_is_the_dynkin_diagram_plus_vertex_0(tname):
+    # the extended edges are built on the Dynkin numbering: without vertex
+    # 0's edges they are the Dynkin edges; and 2 d_v = sum of the
+    # neighbours' d, the defining balance of delta, holds on them
+    t = parse_type(tname)
+    edges = extended_edges(t)
+    assert {frozenset(e) for e in edges if 0 not in e} == \
+        {frozenset(e) for e in dynkin_edges(t)}
+    assert sum(0 in e for e in edges) == (2 if t.family == "A" else 1)
+    d = mckay_dimension_vector(t)
+    around = [0] * len(d)
+    for i, j in edges:
+        around[i] += d[j]
+        around[j] += d[i]
+    assert around == [2 * v for v in d]
+
+
+def test_omega_generators_close_to_the_named_groups():
+    assert omega_generators(D4, "z3") == [DiagramAutomorphism((4, 2, 1, 3))]
+    assert [len(standard_omega(D4, n)) for n in ("z2", "z3", "s3")] == \
+        [2, 3, 6]
+    # A1's involution is the identity on its one Dynkin vertex, so the
+    # closed group has one element while the generator is still there
+    A1 = DynkinType("A", 1)
+    assert omega_generators(A1, "z2") == [DiagramAutomorphism((1,))]
+    assert len(standard_omega(A1, "z2")) == 1
+    for tname, name in (("E7", "z2"), ("D5", "z3"), ("A3", "s3")):
+        with pytest.raises(UnsupportedType):
+            omega_generators(parse_type(tname), name)
+
+
 def test_omega_average():
     rs = build_root_system(A5)
     omega = standard_omega(A5, "z2")
@@ -282,15 +316,6 @@ def test_mckay_dimension_vectors():
         (1, 2, 2, 3, 4, 3, 2, 1)
     assert mckay_dimension_vector(D4) == (1, 1, 2, 1, 1)
     assert mckay_dimension_vector(A5) == (1,) * 6
-    for tname in ("A3", "D5", "E6", "E7", "E8"):
-        # 2 d_v = sum of the neighbours' d: the defining balance of delta
-        t = parse_type(tname)
-        d = mckay_dimension_vector(t)
-        edges = extended_edges(t)
-        for v in range(len(d)):
-            around = [d[j] for i, j in edges if i == v] + \
-                [d[i] for i, j in edges if j == v]
-            assert 2 * d[v] == sum(around)
     with pytest.raises(UnsupportedType):
         mckay_dimension_vector(DynkinType("B", 3))
 
