@@ -37,8 +37,8 @@ import numpy as np
 from .exact import (QQ, Cyclo, charpoly, embed_complex, inverse_mod, mat_mul,
                     poly_divmod, poly_gcd, poly_mul, rref, scalar_to_json,
                     sqrt6, squarefree_split)
-from .flat import (MU_VARS, SQRT6_VAR, epsilon_from_psi, psi_D_in_xi,
-                   psi_E6_of_mu)
+from .flat import (MU_VARS, PQR_VARS, SQRT6_VAR, epsilon_from_psi,
+                   flat_coords_E6, psi_D_in_xi, psi_E6_of_mu)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
                    equal_mod_vars, fold_root, quotient_basis,
                    reflection_invariant)
@@ -538,22 +538,22 @@ E6_SQRT6_ROWS = {"Ax": QQ(1, 144), "Axy": QQ(1, 12)}
 def e6_mu_coefficients() -> dict:
     """The six coefficients as rational polynomials in mu_1..mu_6.
 
-    Each row of ``e6_flat_coefficients`` is taken at the flat coordinates
-    of ``psi_E6_of_mu`` (polynomials in mu and r = sqrt(6)), times r/144
-    resp. r/12 in the Ax and Axy rows, and folded by r^2 = 6: psi5 and
-    psi9 are r times rational polynomials, so no r is left.  They are
-    bound first and folded before the other four, so that the r^2 terms
-    of psi5^2 psi2 merge with the rest at once; one substitution would
-    carry A0 with almost twice its terms (and memory) until the fold.
+    Each row of ``e6_flat_coefficients`` is composed with the flat
+    coordinates in (p, q), at most 103 terms a row, times r/144 resp. r/12
+    (r = sqrt(6)) in the Ax and Axy rows, and mapped to mu once by
+    ``psi_E6_of_mu``, which gives each term r to its q-degree.  The Ax and
+    Axy rows are odd in q, so with their own r no r is left; a row left
+    with r is not rational in mu (``ArithmeticError``).
     """
-    psi = psi_E6_of_mu()
-    odd = {v: psi.pop(v) for v in ("psi5", "psi9")}
-    out = {}
+    psi = {name: p.extend(PQR_VARS) for _, name, p in flat_coords_E6().coords}
+    r = MPoly.variable(PQR_VARS, SQRT6_VAR)
+    rows = {}
     for name, coeff in e6_flat_coefficients().items():
-        p = coeff.substitute(odd)
+        rows[name] = coeff.substitute(psi)
         if name in E6_SQRT6_ROWS:
-            p = p * MPoly.variable(p.vars, SQRT6_VAR) * E6_SQRT6_ROWS[name]
-        p = fold_root(p, SQRT6_VAR, 2, 6).substitute(psi)
+            rows[name] = rows[name] * r * E6_SQRT6_ROWS[name]
+    out = {}
+    for name, p in psi_E6_of_mu(rows).items():
         try:
             out[name] = p.extend(MU_VARS)
         except VariableMismatch:

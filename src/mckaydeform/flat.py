@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .exact import QQ, split_quadratic, sqrt3
-from .poly import MPoly, VarTable, fold_root
+from .poly import MPoly, VarTable, _packed_of, _packed_poly, fold_root
 from .rootdata import DynkinType
 
 
@@ -289,8 +289,8 @@ def _over_sqrt3(p: MPoly) -> MPoly:
     """``p`` on its table plus s, each coefficient a + b sqrt(3) held as the
     rational terms a and b s (``ValueError`` outside Q(sqrt 3))."""
     out = MPoly(VarTable(p.vars.names + (SQRT3_VAR,)))
-    if p.is_rational():
-        return p.extend(out.vars)
+    if p.is_rational():     # packed, s is one more zero byte at the top
+        return _packed_poly(out.vars, _packed_of(p))
     root = sqrt3()
     for e, c in p.terms.items():
         for k, part in enumerate(split_quadratic(c, root)):
@@ -348,24 +348,28 @@ def e6_xy_of_mu():
 
 
 SQRT6_VAR = "r"
+PQR_VARS = VarTable(PQ_VARS.names + (SQRT6_VAR,))
 
 
-def psi_E6_of_mu() -> dict:
-    """Each flat coordinate as a rational polynomial in mu1..mu6 and r,
-    r = sqrt(6), of degree at most 1 in r.
+def psi_E6_of_mu(polys=None) -> dict:
+    """Polynomials in (p, q) or (p, q, r), r = sqrt(6), as rational
+    polynomials in mu1..mu6 and r of degree at most 1 in r; by default the
+    six flat coordinates.
 
     With x_i = sqrt(6) x~_i and y_i = sqrt(2) y~_i (``e6_xy_of_mu``),
     p_i = 6 x~_i^2 + 2 y~_i^2 is rational and q_i = r q~_i with
-    q~_i = 2 x~_i^3 - 2 x~_i y~_i^2.  Each term c p^a q^b is tagged by r^b
-    on the (p, q) side and folded by r^2 = 6, then p and q~ are bound (so
-    psi5 and psi9 come out as r times a rational polynomial, the others
-    free of r).
+    q~_i = 2 x~_i^3 - 2 x~_i y~_i^2.  Each term's q-degree is added to the
+    r exponent it already has, r^2 = 6 is folded, and p and q~ are bound
+    (so psi5 and psi9 come out as r times a rational polynomial, the other
+    flat coordinates free of r).
 
     p1, q1, p3, q3 have three or four terms in mu, p2 and q2 have 21 and
     55, so the sparse four are bound first and p2, q2 second: the
     substitution then builds each product p2^a q2^b once, for all the
     terms that share it.
     """
+    if polys is None:
+        polys = {name: p for _, name, p in flat_coords_E6().coords}
     xs, ys = e6_xy_of_mu()
     subs = {}
     for i in (1, 2, 3):
@@ -373,11 +377,10 @@ def psi_E6_of_mu() -> dict:
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
     dense = {v: subs.pop(v) for v in ("p2", "q2")}
-    tagged = VarTable(PQ_VARS.names + (SQRT6_VAR,))
     out = {}
-    for _, name, poly in flat_coords_E6().coords:
-        p = MPoly(tagged, {e + (e[3] + e[4] + e[5],): c
-                           for e, c in poly.terms.items()})
+    for name, poly in polys.items():
+        p = MPoly(PQR_VARS, {e[:6] + (e[3] + e[4] + e[5] + e[6],): c
+                             for e, c in poly.extend(PQR_VARS).terms.items()})
         out[name] = fold_root(p, SQRT6_VAR, 2, 6).substitute(
             subs).substitute(dense)
     return out

@@ -196,6 +196,34 @@ def test_e6_mu_coefficients_are_rational():
             assert QQ(c) == c
 
 
+def test_e6_small_rows_equal_the_rows_composed_in_mu():
+    # the rows are composed in (p, q) and mapped to mu once; composing
+    # them in mu from psi_E6_of_mu() gives the same polynomials
+    from mckaydeform.flat import MU_VARS, SQRT6_VAR, psi_E6_of_mu
+    from mckaydeform.poly import fold_root
+    psi = psi_E6_of_mu()
+    r = MPoly.variable(psi["psi5"].vars, SQRT6_VAR)
+    got = e6_mu_coefficients()
+    coeffs = e6_flat_coefficients()
+    for name in ("Ax2y", "Axy", "Ax2"):
+        row = coeffs[name].substitute(psi)
+        if name == "Axy":
+            row = row * r * QQ(1, 12)
+        want = fold_root(row, SQRT6_VAR, 2, 6).extend(MU_VARS)
+        assert got[name].terms == want.terms, name
+
+
+def test_e6_ax_row_without_its_sqrt6_is_refused(monkeypatch):
+    # negative control: Ax is odd in q, so without its factor r = sqrt(6)
+    # one r is left after the fold and the row is not rational in mu
+    ax = e6_flat_coefficients()["Ax"]
+    monkeypatch.setattr(deform, "e6_flat_coefficients", lambda: {"Ax": ax})
+    assert set(e6_mu_coefficients()) == {"Ax"}
+    monkeypatch.setattr(deform, "E6_SQRT6_ROWS", {})
+    with pytest.raises(ArithmeticError, match="Ax is not rational in mu"):
+        e6_mu_coefficients()
+
+
 def test_example_fibre_one_a1():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")

@@ -8,8 +8,8 @@ import pytest
 
 from mckaydeform.exact import QQ, Cyclo, imag_unit, sqrt2, sqrt3
 from mckaydeform.flat import (FRAME_GENERATOR_KEYS, MU_VARS, PQ_VARS,
-                              PQ_WEIGHTS, SQRT6_VAR, XY_VARS, e6_tower,
-                              e6_xy_of_mu, elementary_symmetric,
+                              PQ_WEIGHTS, PQR_VARS, SQRT6_VAR, XY_VARS,
+                              e6_tower, e6_xy_of_mu, elementary_symmetric,
                               epsilon_from_psi, flat_coords_A, flat_coords_D,
                               flat_coords_E6, frame_reflection_subs,
                               lambda_table, pochhammer, psi_A_in_lambda,
@@ -296,17 +296,21 @@ def test_algebraic_independence_at_random_point():
     assert rank == 2 * r - 1
 
 
-def test_psi_mu_parity_structure():
+@pytest.fixture(scope="module")
+def psi_mu():
+    return psi_E6_of_mu()
+
+
+def test_psi_mu_parity_structure(psi_mu):
     # psi5 and psi9 are r = sqrt(6) times rational polynomials, the others
     # free of r
-    psis = psi_E6_of_mu()
-    for name, p in psis.items():
+    for name, p in psi_mu.items():
         r = p.vars.index[SQRT6_VAR]
         assert {e[r] for e in p.terms} == (
             {1} if name in ("psi5", "psi9") else {0}), name
 
 
-def test_two_stage_psi_mu_equals_one_substitution():
+def test_two_stage_psi_mu_equals_one_substitution(psi_mu):
     # psi_E6_of_mu binds p1, q1, p3, q3 first and p2, q2 second; one
     # substitution of all six bindings gives the same polynomials
     xs, ys = e6_xy_of_mu()
@@ -314,17 +318,33 @@ def test_two_stage_psi_mu_equals_one_substitution():
     for i, (x, y) in enumerate(zip(xs, ys), 1):
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
-    psis = psi_E6_of_mu()
-    tagged = VarTable(PQ_VARS.names + (SQRT6_VAR,))
     for _, name, poly in flat_coords_E6().coords:
-        part = MPoly(tagged)
+        part = MPoly(PQR_VARS)
         for e, c in poly.terms.items():
             b = e[3] + e[4] + e[5]
             part.terms[e + (b % 2,)] = c * 6 ** (b // 2)
-        got = psis[name]
+        got = psi_mu[name]
         assert set(got.vars.names) == set(MU_VARS.names) | {SQRT6_VAR}
         assert got.terms == part.substitute(subs).extend(got.vars).terms, \
             name
+
+
+def test_psi_mu_maps_any_pq_polynomials(psi_mu):
+    # the flat coordinates on the (p, q, r) table map as in the default
+    # call, and an r a term already has adds to the r of its q-degree
+    r = MPoly.variable(PQR_VARS, SQRT6_VAR)
+    coords = {name: p.extend(PQR_VARS)
+              for _, name, p in flat_coords_E6().coords}
+    got = psi_E6_of_mu(coords)
+    assert got.keys() == psi_mu.keys()
+    for name, p in psi_mu.items():
+        assert got[name] == p, name
+    for name in ("psi2", "psi5"):
+        got = psi_E6_of_mu({name: coords[name] * r})[name]
+        p = psi_mu[name]
+        want = fold_root(p * MPoly.variable(p.vars, SQRT6_VAR),
+                         SQRT6_VAR, 2, 6)
+        assert got == want.extend(got.vars), name
 
 
 def test_elementary_symmetric():

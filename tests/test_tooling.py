@@ -16,20 +16,22 @@ import pathlib
 import re
 from collections import Counter
 
+import pytest
+
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _spans(monkeypatch):
+def _bench(monkeypatch, stem):
     monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location("spans", BENCH / "spans.py")
+    spec = importlib.util.spec_from_file_location(stem, BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_layer_resolves_in_src(monkeypatch):
-    layers = _spans(monkeypatch).LAYERS
+    layers = _bench(monkeypatch, "spans").LAYERS
     assert layers
     for layer in layers:
         module = importlib.import_module(layer.module)
@@ -43,6 +45,31 @@ def test_every_traced_layer_resolves_in_src(monkeypatch):
         found = owner.__dict__.get(attr) if owner_path else getattr(
             owner, attr, None)
         assert callable(found), f"{layer.metric}: {layer.module}.{layer.path}"
+
+
+@pytest.mark.parametrize("workload", ["e6_dense", "ideal_scan",
+                                      "smoke_mix"])
+def test_every_required_layer_fires_in_one_pass(monkeypatch, workload):
+    # one pass of the workload's units in process, traced as bench/run.py
+    # --trace 1 traces it: a layer that must fire on the workload and
+    # records no call fails here before it fails the traced benchmark
+    spans = _bench(monkeypatch, "spans")
+    worker = _bench(monkeypatch, "worker")
+    inputs = _bench(monkeypatch, "workloads").make_inputs(workload, 1)
+    recorder = spans.Recorder(0)
+    spans.install(recorder)
+    try:
+        errors = [worker._run_unit(fn)[2]
+                  for _, fn in worker._UNITS[workload](inputs)]
+    finally:
+        spans.uninstall(recorder)
+    assert errors == [None] * len(errors)
+    assert recorder.metrics(workload)["silent"] == []
+    if workload == "e6_dense":
+        calls, _ = recorder.self_times()
+        for metric in ("flat.psi_E6_of_mu", "deform.e6_mu_coefficients",
+                       "deform.verify_e6_coefficients"):
+            assert calls[spans._index(metric)] == 1, metric
 
 
 def _package_names(tree):
