@@ -13,6 +13,7 @@ compositions contribute.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -44,7 +45,7 @@ def _compositions(total: int, parts):
 class FlatSystem:
     dtype: DynkinType
     coxeter_number: int
-    coords: list          # ordered (degree, name, MPoly in natural vars)
+    coords: list | tuple  # ordered (degree, name, MPoly in natural vars)
     natural_vars: VarTable
 
 
@@ -214,10 +215,12 @@ def e6_tower() -> dict:
     return {"A": A, "B": B, "H": H, "C": C, "J": J, "K": K}
 
 
+@functools.cache
 def flat_coords_E6() -> FlatSystem:
+    """The E6 flat coordinates in (p, q), built once: a shared tuple."""
     t = e6_tower()
     A, B, H, C, J, K = (t[k] for k in "ABHCJK")
-    coords = [
+    coords = (
         (2, "psi2", A),
         (5, "psi5", B),
         (6, "psi6", C - A ** 3 * QQ(1, 8)),
@@ -225,7 +228,7 @@ def flat_coords_E6() -> FlatSystem:
         (9, "psi9", J),
         (12, "psi12", K - A ** 2 * H * QQ(1, 8) - C ** 2 * QQ(1, 8)
          + A ** 3 * C * QQ(5, 96) - A * B ** 2 - A ** 6 * QQ(1, 256)),
-    ]
+    )
     return FlatSystem(DynkinType("E", 6), 12, coords, PQ_VARS)
 
 
@@ -362,11 +365,6 @@ def psi_E6_of_mu(polys=None) -> dict:
     r exponent it already has, r^2 = 6 is folded, and p and q~ are bound
     (so psi5 and psi9 come out as r times a rational polynomial, the other
     flat coordinates free of r).
-
-    p1, q1, p3, q3 have three or four terms in mu, p2 and q2 have 21 and
-    55, so the sparse four are bound first and p2, q2 second: the
-    substitution then builds each product p2^a q2^b once, for all the
-    terms that share it.
     """
     if polys is None:
         polys = {name: p for _, name, p in flat_coords_E6().coords}
@@ -376,11 +374,9 @@ def psi_E6_of_mu(polys=None) -> dict:
         x, y = xs[i - 1], ys[i - 1]
         subs[f"p{i}"] = x * x * 6 + y * y * 2
         subs[f"q{i}"] = x ** 3 * QQ(2) - x * (y * y) * 2
-    dense = {v: subs.pop(v) for v in ("p2", "q2")}
     out = {}
     for name, poly in polys.items():
         p = MPoly(PQR_VARS, {e[:6] + (e[3] + e[4] + e[5] + e[6],): c
                              for e, c in poly.extend(PQR_VARS).terms.items()})
-        out[name] = fold_root(p, SQRT6_VAR, 2, 6).substitute(
-            subs).substitute(dense)
+        out[name] = fold_root(p, SQRT6_VAR, 2, 6).substitute(subs)
     return out

@@ -8,9 +8,10 @@ substitution runs one kernel in one of two coefficient modes: int
 numerators over one common denominator, the result packed, when every
 coefficient involved is a ``QQ`` rational; otherwise (a ``Cyclo`` or a
 bare ``int`` anywhere) the exact scalars themselves, the result held as
-terms.  A product is packed when both operands are rational and not tiny,
-and is otherwise multiplied term by term, as is a call whose result could
-reach an exponent of 256, the field width.
+terms; a binding of 8 terms or more is bound by Horner's rule.  A
+product is packed when both operands are rational and not tiny, and is
+otherwise multiplied term by term, as is a call whose result could reach
+an exponent of 256, the field width.
 
 A packed result, (den, [(packed monomial, int numerator)]) with gcd(den,
 numerators) = 1, is a content times an integer polynomial.  ``*``,
@@ -280,8 +281,7 @@ class MPoly:
                 out_names += [v for v in b.vars.names if v not in out_names]
         out_vars = VarTable(out_names)
         return _substitute(self, out_vars, {
-            v: _retable(b, out_vars) if isinstance(b, MPoly)
-            else MPoly.constant(out_vars, _coeff(b))
+            v: _retable(b, out_vars) if isinstance(b, MPoly) else _coeff(b)
             for v, b in bindings.items()})
 
     def rename(self, mapping: dict) -> "MPoly":
@@ -365,6 +365,11 @@ _FIELD_LIMIT = 256
 # two cross between 9 and 16 products of random 5-variable rational
 # polynomials, Python 3.11, Fraction rationals).
 _PACKED_MIN_PRODUCTS = 16
+# A binding of this many terms or more is dense, a Horner level: Horner
+# wins from 4 to 7 terms, the later the sparser the polynomial (random
+# rational polynomials of 5-60 terms in 3 variables, each bound to a random
+# binding of that size, Python 3.11, Fraction rationals), at 8 on all.
+_HORNER_MIN_TERMS = 8
 
 
 def _rational(terms) -> bool:
@@ -509,28 +514,34 @@ def _held(vars, pairs) -> MPoly:
 
 
 def _substitute(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
-    """``p.substitute``, every binding an ``MPoly`` on ``out_vars``: int
-    numerators over one denominator, the result packed, when everything is
-    rational; else the scalars of ``_scalars``, the result held as terms.
+    """``p.substitute``, each binding an ``MPoly`` on ``out_vars`` or a
+    scalar: int numerators over one denominator, the result packed, when
+    all is rational; else the scalars of ``_scalars``, held as terms.
 
-    A binding of at most one term, c m, is folded into each term (m^k into
-    its monomial, c^k into its coefficient).  The product of the other
+    A binding of at most one term, c m (a scalar is c), is folded into
+    each term (m^k into its monomial, c^k into its coefficient).  A dense
+    binding, of ``_HORNER_MIN_TERMS`` terms or more, is a Horner level, the
+    largest outermost: with the sums grouped by their exponent k on it,
+    from the top k down the sum so far is multiplied by the binding and
+    the group of k added in.  Within a group, the product of the sparse
     bindings' powers depends only on a term's exponents on them, its
     pattern: each pattern's product is built by one chain of
     ``_mul_packed`` calls, added in shifted and scaled for each term of the
     pattern, and dropped.  A result that could reach the field width (each
     bound variable weighted by its binding's degree, at least 1) is left
     to ``_expand``."""
-    weights = [max(_degree(bindings[v]), 1) if v in bindings else 1
-               for v in p.vars.names]
+    weights = [max(_degree(b), 1) if isinstance(b, MPoly) else 1
+               for b in map(bindings.get, p.vars.names)]
     if max((sum(map(mul, weights, e)) for e in _exponents(p)),
            default=0) >= _FIELD_LIMIT:
         return _expand(p, out_vars, bindings)
     rational = p.is_rational() and all(
-        b.is_rational() for b in bindings.values())
+        b.is_rational() if isinstance(b, MPoly) else type(b) is _RAT
+        for b in bindings.values())
     read = _packed_of if rational else _scalars
     shifts = []             # (position, packed monomial) of passing variables
     folds = []              # (position, packed monomial, coefficient, den)
+    dense = []              # (position, den, binding)
     moved = []              # (position, den, [None, binding^1, ...])
     dead = []               # positions of the variables bound to 0
     for i, (v, used) in enumerate(zip(p.vars.names, _used(p))):
@@ -539,14 +550,24 @@ def _substitute(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
         if v not in bindings:
             shifts.append((i, 1 << 8 * out_vars.index[v]))
             continue
-        den, terms = read(bindings[v])
-        if len(terms) > 1:
+        b = bindings[v]
+        if isinstance(b, MPoly):
+            den, terms = read(b)
+        else:                       # a scalar is one term, or none
+            den, c = ((int(b.denominator), int(b.numerator)) if rational
+                      else (1, b))
+            terms = [(0, c)] if c else []
+        if len(terms) >= _HORNER_MIN_TERMS:
+            dense.append((i, den, terms))
+        elif len(terms) > 1:
             moved.append((i, den, [None, terms]))
         elif terms:
             folds.append((i, *terms[0], den))
         else:
             dead.append(i)
-    at = [i for i, _, _ in moved]
+    dense.sort(key=lambda t: -len(t[2]))
+    bound = dense + moved
+    at = [i for i, _, _ in bound]
     groups = {}             # pattern -> [(monomial, coefficient, den)]
     den = 1
     for e, num, d in _rows(p, rational):
@@ -562,15 +583,17 @@ def _substitute(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
                 num *= nv ** k
                 d *= dv ** k
         pattern = tuple(map(e.__getitem__, at))
-        for (_, dv, _), k in zip(moved, pattern):
+        for (_, dv, _), k in zip(bound, pattern):
             d *= dv ** k
         groups.setdefault(pattern, []).append((m, num, d))
         den = lcm(den, d)
-    total = {}
-    get = total.get
+    h = len(dense)
+    blocks = {}             # exponents on the dense variables -> their sum
     for pattern, rows in groups.items():
+        total = blocks.setdefault(pattern[:h], {})
+        get = total.get
         product = None
-        for (_, _, powers), k in zip(moved, pattern):
+        for (_, _, powers), k in zip(moved, pattern[h:]):
             if k:
                 while len(powers) <= k:
                     powers.append(_mul_packed(powers[-1], powers[1]))
@@ -593,6 +616,19 @@ def _substitute(p: MPoly, out_vars: VarTable, bindings) -> MPoly:
                         total[mq] = acc
                     else:
                         del total[mq]
+    for level in reversed(range(h)):    # the innermost Horner level first
+        outer = {}
+        for key, block in blocks.items():
+            outer.setdefault(key[:level], {})[key[level]] = block
+        blocks = {}
+        for key, by_k in outer.items():
+            horner = {}
+            for k in range(max(by_k), -1, -1):
+                if horner:
+                    horner = dict(_mul_packed(horner.items(), dense[level][2]))
+                _add_terms(horner, by_k.get(k, {}).items())
+            blocks[key] = horner
+    total = blocks.get((), {})
     if rational:
         return _from_packed(out_vars, den, list(total.items()))
     return _held(out_vars, total.items())

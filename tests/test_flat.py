@@ -86,6 +86,13 @@ def test_e6_homogeneity_degrees():
         assert weighted_degrees(p, PQ_WEIGHTS) == {d}
 
 
+def test_e6_flat_coordinates_are_built_once_and_shared():
+    fs = flat_coords_E6()
+    assert flat_coords_E6() is fs
+    assert isinstance(fs.coords, tuple)
+    assert fs == flat_coords_E6.__wrapped__()
+
+
 def test_e6_psi2_is_A():
     fs = flat_coords_E6()
     coord = {name: p for _, name, p in fs.coords}
@@ -310,9 +317,10 @@ def test_psi_mu_parity_structure(psi_mu):
             {1} if name in ("psi5", "psi9") else {0}), name
 
 
-def test_two_stage_psi_mu_equals_one_substitution(psi_mu):
-    # psi_E6_of_mu binds p1, q1, p3, q3 first and p2, q2 second; one
-    # substitution of all six bindings gives the same polynomials
+def test_psi_mu_equals_the_parity_split_substitution(psi_mu):
+    # each term's q-degree b split as 6^(b // 2) r^(b % 2) by hand, then
+    # one substitution of all six bindings: the polynomials of
+    # psi_E6_of_mu's r tag and fold
     xs, ys = e6_xy_of_mu()
     subs = {}
     for i, (x, y) in enumerate(zip(xs, ys), 1):

@@ -483,6 +483,81 @@ def test_scalar_substitution_matches_the_expansion(monkeypatch):
             bindings)
 
 
+# -- dense bindings as Horner levels ------------------------------------------
+
+H = VarTable(("a", "b", "c", "d", "e"))
+W3 = VarTable(("u", "v", "w"))
+
+
+def _coefficients(kind):
+    # rationals with denominators; Cyclo ones as well in the scalar mode
+    rats = [QQ(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 5)]
+    return rats + ([sqrt3(), -zeta(3), sqrt3() * QQ(1, 2) + zeta(3)]
+                   if kind == "cyclo" else [])
+
+
+@pytest.mark.parametrize("kind", ["rational", "cyclo"])
+def test_dense_bindings_match_the_expansion(monkeypatch, kind):
+    # two dense bindings, Horner levels, beside a sparse, a one-term and a
+    # scalar or zero binding: the term-by-term expansion is the reference
+    rng = random.Random(71)
+    coeffs = _coefficients(kind)
+    n = poly._HORNER_MIN_TERMS
+    u = MPoly.variable(W3, "u")
+    for _ in range(8):
+        p = _dense_poly(rng, H, rng.randint(4, 16), 2, coeffs)
+        p = MPoly(H, {e: c for e, c in p.terms.items() if sum(e) <= 4})
+        bindings = {"a": _dense_poly(rng, W3, n + rng.randint(0, 4), 2,
+                                     coeffs),
+                    "b": _dense_poly(rng, W3, n, 2, coeffs),
+                    "c": _dense_poly(rng, W3, rng.randint(2, 3), 2, coeffs),
+                    "d": u * rng.choice(coeffs),
+                    "e": rng.choice([QQ(0), QQ(-2, 3), 3, MPoly(W3),
+                                     zeta(3)])}
+        got = p.substitute(bindings)
+        want = _generic(monkeypatch, lambda: p.substitute(bindings))
+        assert _same_terms(got, want)
+
+
+@pytest.mark.parametrize("kind", ["rational", "cyclo"])
+def test_dense_bindings_that_cancel_give_zero(kind):
+    rng = random.Random(73)
+    coeffs = _coefficients(kind)
+    big = _dense_poly(rng, W3, poly._HORNER_MIN_TERMS + 2, 2, coeffs)
+    a, b, e = (MPoly.variable(H, n) for n in "abe")
+    bindings = {"a": big, "b": big * big, "e": QQ(0)}
+    # a^2 - b cancels; every term of the second has e, bound to 0; the
+    # empty polynomial binds nothing
+    for p in (a * a - b, a * e + a ** 3 * b * e, MPoly(H)):
+        got = p.substitute(bindings)
+        assert got.is_zero(), p
+        assert got.vars.names == ("c", "d") + W3.names
+    assert (a ** 3 - a * b + a).substitute(bindings) == big.extend(
+        VarTable(("c", "d") + W3.names))
+
+
+def test_a_dense_binding_at_the_field_width_is_expanded(monkeypatch):
+    # a^k with a bound to a dense polynomial of degree g: the kernel for
+    # k g < 256, the term-by-term expansion from k g = 256 on
+    U = VarTable(("u",))
+    n = poly._HORNER_MIN_TERMS
+    big = MPoly(U, {(i,): QQ(1, i + 1) for i in range(n)})
+    k = -(-poly._FIELD_LIMIT // (n - 1))
+    a = MPoly.variable(VarTable(("a",)), "a")
+    expanded = []
+    expand = poly._expand
+
+    def spy(*args):
+        expanded.append(args[0])
+        return expand(*args)
+
+    monkeypatch.setattr(poly, "_expand", spy)
+    for power, past in ((k - 1, False), (k, True)):
+        got = (a ** power).substitute({"a": big})
+        assert bool(expanded) == past
+        assert got == big ** power
+
+
 def test_fold_root_on_scalars():
     # a Cyclo or terms-held p is folded on its scalars and stays held as
     # terms; each a^j becomes c^(j // k) a^(j % k)

@@ -3,7 +3,8 @@
 ``bench/spans.py`` names each traced layer by module and attribute path; a
 renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package, as is every
-package name the benchmark's worker and tracer read.  And no
+package name the benchmark's worker and tracer read.  Two work counts
+guard which substitutions run as Horner levels.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, and the exact
 modules hold no float constant.
@@ -70,6 +71,43 @@ def test_every_required_layer_fires_in_one_pass(monkeypatch, workload):
         for metric in ("flat.psi_E6_of_mu", "deform.e6_mu_coefficients",
                        "deform.verify_e6_coefficients"):
             assert calls[spans._index(metric)] == 1, metric
+
+
+def _coefficient_products(monkeypatch, fn):
+    """The coefficient products ``poly._mul_packed`` forms while fn runs."""
+    from mckaydeform import poly
+    count = [0]
+    mul_packed = poly._mul_packed
+
+    def counted(a, b):
+        count[0] += len(a) * len(b)
+        return mul_packed(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(poly, "_mul_packed", counted)
+        fn()
+    return count[0]
+
+
+def test_dense_bindings_go_to_horner_and_frame_bindings_do_not(monkeypatch):
+    # work counts, no timing.  The E6 rows reach mu through Horner levels:
+    # 338,475 coefficient products, against 605,316 on the pattern products
+    # with p2 and q2 bound in a second stage.  The 42 Frame checks, whose
+    # bindings have at most 3 terms, stay on the pattern products: 107,977,
+    # against 129,678 with the 3-term bindings and 225,209 with every
+    # multi-term binding as Horner levels.
+    from mckaydeform import deform, flat
+    fs, xy = flat.flat_coords_E6(), flat.psi_E6_in_xy()
+    gens = [(str(k), flat.frame_reflection_subs(k))
+            for k in flat.FRAME_GENERATOR_KEYS]
+    sheared = dict(flat.frame_reflection_subs((1, 0, 0)))
+    sheared["y1"] = sheared["y1"] + flat.MPoly.variable(flat.XY_VARS, "x1")
+    gens.append(("sheared", sheared))
+    assert _coefficient_products(
+        monkeypatch, deform.e6_mu_coefficients) <= 345_000
+    assert _coefficient_products(
+        monkeypatch,
+        lambda: flat.verify_w_invariance(fs, gens, expand=xy)) <= 107_977
 
 
 def _package_names(tree):
