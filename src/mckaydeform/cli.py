@@ -36,7 +36,7 @@ from .rootdata import (ClosureBudgetExceeded, DimensionMismatch, DynkinType,
 
 
 class Check:
-    def __init__(self, name, status, witness=None, runtime_ms=0):
+    def __init__(self, name, status, witness, runtime_ms):
         self.name = name
         self.status = status            # 'pass' | 'fail'
         self.witness = witness
@@ -271,17 +271,15 @@ def _d4_family_residual(mu, x, y, z):
 
 @lru_cache(maxsize=16)
 def _d4_fibre(mu: tuple):
-    """The D4 family's fibre at t = psi(xi(mu)): the flat coordinates
-    ``psi_D_in_xi(3)`` taken at the coweight coordinates ``d4_xi_of_mu``."""
-    from .deform import PSI_D4_VARS, d4_xi_of_mu, family
-    from .flat import psi_D_in_xi
+    """The D4 family's fibre at t = psi(mu), the flat coordinates
+    ``psi_D4_of_mu`` at the central value's mu_1..mu_4."""
+    from .deform import PSI_D4_VARS, family, psi_D4_of_mu
     at = {f"mu{i}": mu[i] for i in range(1, 5)}
-    xi = {k: p.substitute(at) for k, p in d4_xi_of_mu().items()}
     fam = family("D4")
     to_t = dict(zip(PSI_D4_VARS.names, fam.param_vars))
-    # each xi, and so each t, is a constant: an MPoly on no variables
-    return fam.fibre_equation({to_t[name]: p.substitute(xi)
-                               for name, p in psi_D_in_xi(3).items()})
+    # each t is a constant: an MPoly on no variables
+    return fam.fibre_equation({to_t[name]: p.substitute(at)
+                               for name, p in psi_D4_of_mu().items()})
 
 
 def cmd_family(args) -> RunReport:

@@ -291,8 +291,9 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
     Each flat coordinate's expected image is read off the base family's
     ``parameter_action_matrix`` (A_(2r-1) for A and B, D4 for D4, C3 and
     G2, E6 for E6 and F4), and compared with the Cartan-space action
-    substituted into it: reversal-negation for type A, the order-3 map and
-    xi4 -> -xi4 on the xi for D4, the vertex swap on mu for E6.
+    substituted into it: reversal-negation for type A; for D4 and E6, each
+    generator's ``omega_generators`` vertex permutation, mu_i -> mu_g(i)
+    (D4's sigma and rho are z2 and z3).
     """
     label = fam.label
     if label[0] in ("A", "B"):
@@ -304,25 +305,19 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
         actions = {"sigma": {f"lam{i}": -lam[2 * r - 1 - i]
                              for i in range(2 * r)}}
         title = "{name} -> (-1)^{degree} {name}"
-    elif label in ("D4", "C3", "G2"):
-        base, psis = family_D4(), psi_D_in_xi(3)
-        xi = _variables(next(iter(psis.values())).vars,
-                        ("xi1", "xi2", "xi3", "xi4"))
-        half = QQ(1, 2)
-        actions = {
-            "rho": {"xi1": (xi[0] + xi[1] + xi[2] + xi[3]) * half,
-                    "xi2": (xi[0] + xi[1] - xi[2] - xi[3]) * half,
-                    "xi3": (xi[0] - xi[1] + xi[2] - xi[3]) * half,
-                    "xi4": (-xi[0] + xi[1] + xi[2] - xi[3]) * half},
-            "sigma": {"xi4": -xi[3]}}
-        title = "{gen}: {name}"
-    elif label in ("E6", "F4"):
-        base, psis = family_E6(), psi_E6_of_mu()
-        mu = dict(zip(MU_VARS.names, _variables(MU_VARS, MU_VARS.names)))
-        swap, = omega_generators(DynkinType("E", 6), "z2")
-        actions = {"sigma": {f"mu{i}": mu[f"mu{j}"] for i, j in
-                             enumerate(swap.vertex_perm, 1) if i != j}}
-        title = "{gen}: {name} -> {sign:+d} {name}"
+    elif label in ("D4", "C3", "G2", "E6", "F4"):
+        if label in ("E6", "F4"):
+            t, base, psis = DynkinType("E", 6), family_E6(), psi_E6_of_mu()
+            gens, title = {"sigma": "z2"}, "{gen}: {name} -> {sign:+d} {name}"
+        else:
+            t, base, psis = DynkinType("D", 4), family_D4(), psi_D4_of_mu()
+            gens, title = {"rho": "z3", "sigma": "z2"}, "{gen}: {name}"
+        mu = psis["psi2"].vars
+        actions = {}
+        for gen, name in gens.items():
+            g, = omega_generators(t, name)
+            actions[gen] = {f"mu{i}": MPoly.variable(mu, f"mu{j}")
+                            for i, j in enumerate(g.vertex_perm, 1) if i != j}
     else:
         raise UnsupportedLabel(label)
     names = ["psi" + t[1:] for t in base.param_vars]
@@ -431,12 +426,8 @@ def _transport_linear(fwd, inv, action_subs, fold):
 def _linear_coeff(p: MPoly, name: str):
     if name not in p.vars.index:
         return QQ(0)
-    i = p.vars.index[name]
-    total = QQ(0)
-    for e, c in p.terms.items():
-        if e[i] == 1 and sum(e) == 1:
-            total = total + c
-    return total
+    e = tuple(int(v == name) for v in p.vars.names)
+    return p.terms.get(e, QQ(0))
 
 
 # -- the D4 coefficient identities -----------------------------------------------
@@ -473,6 +464,13 @@ def d4_xi_of_mu() -> dict:
     }
 
 
+def psi_D4_of_mu() -> dict:
+    """The D4 flat coordinates ``psi_D_in_xi(3)`` at ``d4_xi_of_mu``, as
+    polynomials in mu_1..mu_4."""
+    ximu = d4_xi_of_mu()
+    return {name: p.substitute(ximu) for name, p in psi_D_in_xi(3).items()}
+
+
 PSI_D4_VARS = VarTable(("psi2", "psi4", "psi6", "psi"))
 
 
@@ -493,9 +491,7 @@ def verify_d4_coefficients() -> dict:
     """W-invariance of the mu-coefficients and their flat-coordinate match."""
     coeffs = d4_mu_coefficients()
     checks = _reflection_checks(DynkinType("D", 4), D4_MU.names, coeffs)
-    # flat-coordinate match through xi(mu)
-    ximu = d4_xi_of_mu()
-    psimu = {name: p.substitute(ximu) for name, p in psi_D_in_xi(3).items()}
+    psimu = psi_D4_of_mu()
     for name, row in d4_flat_coefficients().items():
         expected = row.substitute(psimu)
         ok = coeffs[name].extend(expected.vars) == expected
@@ -693,7 +689,7 @@ def _class_points(gens, names, m, coords, tau, ade):
             for alpha in np.roots([embed_complex(c) for c in reversed(m)])]
 
 
-def analyze_hypersurface(f: MPoly, ambient_names=("x", "y", "z"),
+def analyze_hypersurface(f: MPoly, ambient_names,
                          budget: int = DEFAULT_BUDGET) -> SingularityReport:
     """Singular points of the hypersurface f = 0, each exact, with its
     Tjurina number and type.

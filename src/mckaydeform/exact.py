@@ -130,7 +130,7 @@ class Cyclo:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_rat(x, n: int = 1) -> "Cyclo":
+    def from_rat(x, n: int) -> "Cyclo":
         phi, _ = _cyclo_data(n)
         return Cyclo(n, (QQ(x),) + (QQ(0),) * (phi - 1))
 

@@ -302,19 +302,18 @@ def _over_sqrt3(p: MPoly) -> MPoly:
     return out
 
 
-def verify_w_invariance(fs: FlatSystem, generator_subs, expand=None) -> dict:
+def verify_w_invariance(fs: FlatSystem, generator_subs, expand) -> dict:
     """Exact invariance of each flat coordinate under each generator.
 
     ``generator_subs`` is a list of (label, substitution dict) with
-    coefficients in Q(sqrt 3); ``expand`` optionally maps the system into
-    the variables the substitutions act on (e.g. the eigenvalue
-    coordinates).  sqrt(3) is the extra variable s, so every substitution
-    runs on the rational kernel; the moved coordinate is folded by s^2 = 3
-    and compared with the coordinate.
+    coefficients in Q(sqrt 3); ``expand`` maps each coordinate's name to
+    the coordinate in the variables the substitutions act on (for E6,
+    ``psi_E6_in_xy``).  sqrt(3) is the extra variable s, so every
+    substitution runs on the rational kernel; the moved coordinate is
+    folded by s^2 = 3 and compared with the coordinate.
     """
     checks = []
-    coords = [(name, _over_sqrt3(expand[name] if expand else p))
-              for _, name, p in fs.coords]
+    coords = [(name, _over_sqrt3(expand[name])) for _, name, _ in fs.coords]
     for label, subs in generator_subs:
         lifted = {v: _over_sqrt3(b) for v, b in subs.items()}
         lifted[SQRT3_VAR] = MPoly.variable(VarTable((SQRT3_VAR,)), SQRT3_VAR)

@@ -888,7 +888,7 @@ class _Budget:
 DEFAULT_BUDGET = 10 ** 6
 
 
-def reduce_poly(p, basis, key, budget=None):
+def reduce_poly(p, basis, key, budget):
     """Remainder of p on complete division by the ``_Reducer``s ``basis``;
     p and the remainder map keys of the ``_PackedOrder`` ``key`` to
     coefficients, the remainder's in decreasing order.  Each step divides
@@ -902,7 +902,6 @@ def reduce_poly(p, basis, key, budget=None):
     lc // g, and c // g times the reducer is subtracted.  So an all-int p
     has a positive multiple of its remainder returned; any other p its
     exact remainder (rational terms as int numerators over one scale)."""
-    budget = budget or _Budget(DEFAULT_BUDGET)
     guard = key.guard
     exact = not all(type(c) is int for c in p.values())
     rational = exact and _rational(p)
@@ -954,12 +953,11 @@ def _inv(c):
     return QQ(1) / c if is_rat(c) else c.inverse()
 
 
-def buchberger(gens, order: _PackedOrder, budget=None):
+def buchberger(gens, order: _PackedOrder, budget):
     """Reduced Groebner basis of ``gens`` in ``order``, as ``_Reducer``s:
     Buchberger's algorithm, pairs taken smallest lcm first, with the
     Gebauer-Moller update (J. Symb. Comput. 6, 1988).  Each element is held
     as ``_normalize`` leaves it, from the generators to the final basis."""
-    budget = budget or _Budget(DEFAULT_BUDGET)
     basis, reducers, leads = [], [], []     # normalized, prepared, leads
     live, heap = {}, []         # pair (t, g), t > g -> lcm; heap of live keys
     G = []                      # elements whose lead no later lead divides

@@ -70,10 +70,7 @@ class McKayQuiver:
 def _positive_arrows(t: DynkinType):
     fam, r = t.family, t.rank
     if fam == "A":
-        n = r + 1
-        if r == 1:
-            return [("a0", 0, 1), ("a1", 1, 0)]
-        return [(f"a{i}", i, (i + 1) % n) for i in range(n)]
+        return [(f"a{i}", i, (i + 1) % (r + 1)) for i in range(r + 1)]
     d = mckay_dimension_vector(t)
     # D and E: orient every edge toward the larger dimension (toward the
     # centre)
@@ -283,7 +280,7 @@ def verify_symplectic_action(act: OmegaActionOnM) -> bool:
 
 # -- reference actions ---------------------------------------------------------
 
-def reference_action(t: DynkinType, generator: str = "sigma",
+def reference_action(t: DynkinType, generator: str,
                      flip: str | None = None) -> OmegaActionOnM:
     """The concrete admissible actions used throughout the computations:
     sigma is the diagram involution and rho (D4) the order-3 rotation of
@@ -350,7 +347,7 @@ def exact_central(central) -> list:
     return [rat(v) for v in central]
 
 
-def sample_moment_fibre(t: DynkinType, central, seed: int = 0) -> dict:
+def sample_moment_fibre(t: DynkinType, central, seed: int) -> dict:
     """One exact rational point of the moment-map fibre over a central value.
 
     Type A: the cycle telescopes, so the products c_i = a_i b_i are fixed

@@ -15,6 +15,7 @@ the same combination of the embedded simple roots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -355,20 +356,14 @@ def fold(t: DynkinType, omega) -> DynkinType:
     for g in group:
         validate_automorphism(t, g)
     r = t.rank
-    orbits = []
-    seen = set()
-    for i in range(1, r + 1):
-        if i in seen:
-            continue
-        orbit = sorted({g(i) for g in group})
-        orbits.append(orbit)
-        seen.update(orbit)
+    orbits = sorted({tuple(sorted({g(i) for g in group}))
+                     for i in range(1, r + 1)})
     if len(orbits) == r:
         return t
     C = cartan_matrix(t)
     adjacent_orbit = any(
         C[i - 1][j - 1] == -1
-        for orbit in orbits for i in orbit for j in orbit if i < j)
+        for P in orbits for i in P for j in P if i < j)
     k = len(orbits)
     if adjacent_orbit:
         # Even-A folding: an orbit of two adjacent vertices.  The invariant
@@ -446,19 +441,11 @@ def extended_edges(t: DynkinType):
     return ((0, hook),) + dynkin_edges(t)
 
 
+@functools.cache
 def mckay_dimension_vector(t: DynkinType):
-    """Minimal imaginary root on the extended diagram (entry 0 affine)."""
-    fam, r = t.family, t.rank
+    """The minimal imaginary root delta on the extended diagram: 1 at the
+    affine vertex 0, then the coefficients of the highest root, the last
+    positive root by height."""
     if not t.homogeneous:
         raise UnsupportedType(f"{t} has no McKay quiver")
-    if fam == "A":
-        return (1,) * (r + 1)
-    if fam == "D":
-        return (1, 1) + (2,) * (r - 3) + (1, 1)
-    if fam == "E" and r == 6:
-        return (1, 1, 1, 2, 2, 2, 3)
-    if fam == "E" and r == 7:
-        return (1, 2, 2, 3, 4, 3, 2, 1)
-    if fam == "E" and r == 8:
-        return (1, 2, 3, 4, 6, 5, 4, 3, 2)
-    raise UnsupportedType(str(t))
+    return (1,) + _positive_coeffs(cartan_matrix(t))[-1]

@@ -198,11 +198,11 @@ def test_criterion_10_example_fibres():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
     base = z * z - x ** 3 + 3 * x * y * y + x * x + y * y
-    rep0 = analyze_hypersurface(base)
+    rep0 = analyze_hypersurface(base, V.names)
     ok = rep0.global_tjurina == 1 \
         and [p.ade for p in rep0.singular_points] == ["A1"] \
         and rep0.singular_points[0].coords_exact == (0, 0, 0)
-    rep1 = analyze_hypersurface(base - QQ(4, 27))
+    rep1 = analyze_hypersurface(base - QQ(4, 27), V.names)
     ok = ok and rep1.global_tjurina == 3
     ok = ok and [p.ade for p in rep1.singular_points] == ["A1"] * 3
     ok = ok and all(p.tjurina == 1 for p in rep1.singular_points)
@@ -213,7 +213,7 @@ def test_criterion_10_example_fibres():
             and abs(p.coords_numeric[1] - ty) < 1e-8
             and abs(p.coords_numeric[2]) < 1e-8
             for p in rep1.singular_points)
-    special = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y)
+    special = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y, V.names)
     ok = ok and special.global_tjurina == 4 \
         and [p.ade for p in special.singular_points] == ["D4"]
     _report(10, "example fibres: A1, A1+A1+A1, special D4", ok,

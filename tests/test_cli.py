@@ -355,6 +355,22 @@ def test_dimension_vector_check_is_the_balance_condition(monkeypatch,
         1, "fail")
 
 
+@pytest.mark.parametrize("tname, hook", (("E6", 4), ("E7", 3), ("E8", 7),
+                                         ("D5", 3)))
+def test_dimension_vector_check_catches_a_wrong_hook(monkeypatch, tmp_path,
+                                                     tname, hook):
+    # delta comes from the highest root, apart from the typed diagram: the
+    # affine vertex hung on a wrong simple root fails the balance
+    import mckaydeform.rootdata as rootdata
+    argv = ["rootdata", "--type", tname]
+    name = f"dimension_vector_{tname}"
+    assert _check_status(tmp_path, argv, name) == (0, "pass")
+    edges = rootdata.extended_edges
+    monkeypatch.setattr(rootdata, "extended_edges",
+                        lambda t: ((0, hook),) + edges(t)[1:])
+    assert _check_status(tmp_path, argv, name) == (1, "fail")
+
+
 def test_flat_built_check_is_weighted_homogeneity(monkeypatch, tmp_path):
     # psi4 of A3 plus eps2 (degree 2) is not homogeneous of degree 4
     import mckaydeform.flat as flat
@@ -423,7 +439,7 @@ def test_fiber_analyze_point_outside_ade_is_refused(monkeypatch, tmp_path):
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
 
     def corank_three(fam, values, budget):
-        return deform.analyze_hypersurface(x ** 3 + y ** 3 + z ** 3)
+        return deform.analyze_hypersurface(x ** 3 + y ** 3 + z ** 3, V.names)
 
     monkeypatch.setattr(deform, "analyze_fibre", corank_three)
     out = tmp_path / "fiber.json"

@@ -13,8 +13,10 @@ from mckaydeform.deform import (UnsupportedLabel, analyze_fibre,
                                 verify_parameter_actions)
 from mckaydeform.exact import QQ, rat, sqrt6
 from mckaydeform.poly import MPoly, VarTable
+from mckaydeform.rootdata import DiagramAutomorphism
 
 ALL_LABELS = ("A3", "A5", "B2", "B3", "D4", "C3", "G2", "E6", "F4")
+XYZ = ("x", "y", "z")
 
 
 def test_family_labels_and_special_fibres():
@@ -90,6 +92,23 @@ def test_parameter_actions_check_the_family_rho(label, monkeypatch):
     rep = verify_parameter_actions(family(label))
     assert [c["check"] for c in rep["checks"] if not c["ok"]] == [
         "rho: psi4"]
+
+
+@pytest.mark.parametrize("label", ("D4", "C3", "G2"))
+def test_parameter_actions_read_rho_from_the_diagram(label, monkeypatch):
+    # rho acts on mu as the z3 vertex permutation of omega_generators: its
+    # inverse (3, 2, 4, 1) fixes psi2 and psi6 but not psi4 and psi
+    table = deform.omega_generators
+
+    def inverse_z3(t, name):
+        if name == "z3":
+            return [DiagramAutomorphism((3, 2, 4, 1))]
+        return table(t, name)
+
+    monkeypatch.setattr(deform, "omega_generators", inverse_z3)
+    rep = verify_parameter_actions(family(label))
+    assert [c["check"] for c in rep["checks"] if not c["ok"]] == [
+        "rho: psi4", "rho: psi"]
 
 
 def test_d4_family_equation_term_for_term():
@@ -228,7 +247,7 @@ def test_example_fibre_one_a1():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
     f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y
-    rep = analyze_hypersurface(f)
+    rep = analyze_hypersurface(f, XYZ)
     assert rep.global_tjurina == 1
     point = rep.singular_points[0]
     assert point.ade == "A1" and point.exact
@@ -239,7 +258,7 @@ def test_example_fibre_three_a1():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
     f = z * z - x ** 3 + 3 * x * y * y + x * x + y * y - QQ(4, 27)
-    rep = analyze_hypersurface(f)
+    rep = analyze_hypersurface(f, XYZ)
     assert rep.global_tjurina == 3
     assert [p.ade for p in rep.singular_points] == ["A1"] * 3
     xs = sorted(round(p.coords_numeric[0].real, 8)
@@ -275,7 +294,7 @@ def test_morse_points_build_no_local_ideal(ideals_built):
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
     rep = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y + x * x
-                               + y * y - QQ(4, 27))
+                               + y * y - QQ(4, 27), XYZ)
     assert [(p.ade, p.tjurina, p.exact) for p in rep.singular_points] == \
         [("A1", 1, True)] * 3
     assert len(ideals_built) == 1
@@ -319,7 +338,7 @@ def test_degenerate_point_beside_another(ideals_built, height, origin,
     # points apart, and (f, df) plus its cube, which types them
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
-    rep = analyze_hypersurface(x * x + y * y + height(z))
+    rep = analyze_hypersurface(x * x + y * y + height(z), XYZ)
     assert rep.global_tjurina == origin[1] + other[1][1]
     found = {p.coords_exact: (p.ade, p.tjurina)
              for p in rep.singular_points}
@@ -354,7 +373,7 @@ TYPING_TABLE = {
 @pytest.mark.parametrize("name", TYPING_TABLE)
 def test_normal_form_types(name):
     form, ade, tau = TYPING_TABLE[name]
-    rep = analyze_hypersurface(form(*_xyz()))
+    rep = analyze_hypersurface(form(*_xyz()), XYZ)
     assert rep.global_tjurina == tau
     assert [(p.coords_exact, p.ade, p.tjurina)
             for p in rep.singular_points] == [((0, 0, 0), ade, tau)]
@@ -367,7 +386,7 @@ def test_sheared_normal_form_types(name):
     # and leaves no variable in which it is a Jordan block of its own
     form, ade, tau = TYPING_TABLE[name]
     x, y, z = _xyz()
-    rep = analyze_hypersurface(form(x + y, y - z, z + 1))
+    rep = analyze_hypersurface(form(x + y, y - z, z + 1), XYZ)
     assert [(p.coords_exact, p.ade, p.tjurina)
             for p in rep.singular_points] == [((1, -1, -1), ade, tau)]
 
@@ -376,7 +395,8 @@ def test_points_x_plus_y_plus_z_cannot_tell_apart(ideals_built):
     # theta = x + y + z takes the value 0 at (1, -1, 0) and (-1, 1, 0):
     # the radical shows four points, and x + 2y + 4z tells them apart
     x, y, z = _xyz()
-    rep = analyze_hypersurface(z ** 2 + (x ** 2 - 1) ** 2 + (y ** 2 - 1) ** 2)
+    rep = analyze_hypersurface(z ** 2 + (x ** 2 - 1) ** 2 + (y ** 2 - 1) ** 2,
+                               XYZ)
     assert [(p.coords_exact, p.ade, p.minpoly)
             for p in rep.singular_points] == [
         ((-1, -1, 0), "A1", None), ((-1, 1, 0), "A1", None),
@@ -387,7 +407,7 @@ def test_points_x_plus_y_plus_z_cannot_tell_apart(ideals_built):
 def test_conjugate_degenerate_points_form_one_class():
     # two A2 points at z = +-sqrt 2, the roots of a^2 - 2
     x, y, z = _xyz()
-    rep = analyze_hypersurface(x ** 2 + y ** 2 + (z ** 2 - 2) ** 3)
+    rep = analyze_hypersurface(x ** 2 + y ** 2 + (z ** 2 - 2) ** 3, XYZ)
     assert rep.global_tjurina == 4
     for p in rep.singular_points:
         assert (p.ade, p.tjurina, p.minpoly) == ("A2", 2, (-2, 0, 1))
@@ -401,7 +421,8 @@ def test_points_over_a_cyclotomic_field():
     # coefficients in Q(zeta_24): an A2 point at the origin and an A1 point
     # at z = sqrt 6, a root of a linear factor over the field
     x, y, z = _xyz()
-    rep = analyze_hypersurface(x ** 2 + y ** 2 + z ** 3 * (z - sqrt6()) ** 2)
+    rep = analyze_hypersurface(x ** 2 + y ** 2 + z ** 3 * (z - sqrt6()) ** 2,
+                               XYZ)
     assert [(p.coords_exact, p.ade, p.minpoly)
             for p in rep.singular_points] == [
         ((0, 0, 0), "A2", None), ((0, 0, sqrt6()), "A1", None)]
@@ -420,7 +441,7 @@ def test_a3_point_of_a_triple_root(label):
 def test_special_fibre_d4():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
-    rep = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y)
+    rep = analyze_hypersurface(z * z - x ** 3 + 3 * x * y * y, XYZ)
     assert rep.global_tjurina == 4
     assert rep.singular_points[0].ade == "D4"
 
@@ -428,7 +449,7 @@ def test_special_fibre_d4():
 def test_smooth_fibre():
     V = VarTable(("x", "y", "z"))
     x, y, z = (MPoly.variable(V, n) for n in "xyz")
-    rep = analyze_hypersurface(z * z - x * y + 1)
+    rep = analyze_hypersurface(z * z - x * y + 1, XYZ)
     assert rep.is_smooth and rep.global_tjurina == 0
 
 

@@ -874,7 +874,8 @@ def test_local_tjurina_ideal_matches_sympy(monkeypatch, f, n, most):
     assert _reduced_basis(gens, "grevlex") == \
         _sympy_reduced_basis(gens, "grevlex")
     calls = _count_reductions(monkeypatch)
-    gb = poly.buchberger(gens, poly._PackedOrder(grevlex_key, V))
+    gb = poly.buchberger(gens, poly._PackedOrder(grevlex_key, V),
+                         poly._Budget(poly.DEFAULT_BUDGET))
     # every call past the final tail reduction of each element is an S-pair
     assert calls[0] - len(gb) <= most
 
@@ -885,7 +886,7 @@ def test_coprime_leads_need_no_s_pair(monkeypatch):
     gens = [x ** 3 + y + z, y ** 2 + z, z ** 2 + x]
     order = poly._PackedOrder(grevlex_key, V)
     calls = _count_reductions(monkeypatch)
-    gb = poly.buchberger(gens, order)
+    gb = poly.buchberger(gens, order, poly._Budget(poly.DEFAULT_BUDGET))
     assert sorted(repr(poly._monic(r, order)) for r in gb) == \
         sorted(map(repr, gens))
     assert calls[0] == len(gb)

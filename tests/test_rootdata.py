@@ -312,8 +312,14 @@ def test_omega_average():
 
 
 def test_mckay_dimension_vectors():
+    # independent references: the minimal imaginary roots of the affine
+    # diagrams, in the package's vertex numbering
+    assert mckay_dimension_vector(DynkinType("E", 6)) == \
+        (1, 1, 1, 2, 2, 2, 3)
     assert mckay_dimension_vector(DynkinType("E", 7)) == \
         (1, 2, 2, 3, 4, 3, 2, 1)
+    assert mckay_dimension_vector(DynkinType("E", 8)) == \
+        (1, 2, 3, 4, 6, 5, 4, 3, 2)
     assert mckay_dimension_vector(D4) == (1, 1, 2, 1, 1)
     assert mckay_dimension_vector(A5) == (1,) * 6
     with pytest.raises(UnsupportedType):

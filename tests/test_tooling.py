@@ -317,26 +317,31 @@ def _defaulted(tree):
     return out
 
 
-def test_every_parameter_default_is_overridden_somewhere():
-    # a default that every call leaves alone is a constant in disguise
+def _parameter_defaults():
+    """(name, parameter, positional index, calls) for every parameter
+    default in src/, name as ``module.qualname(parameter)``, and calls the
+    (positional count, keyword names, star) of each src/ and bench/ call to
+    it; a function also passed as a value is left out, as its calls are not
+    all seen."""
     package = SRC / "mckaydeform"
     paths = sorted(package.glob("*.py"))
     trees = {p: ast.parse(p.read_text())
              for p in paths + sorted(BENCH.glob("*.py"))}
     calls, referenced = _calls_and_references(trees.values())
-    knobs = []
     for path in paths:
         for qual, callee, param, index in _defaulted(trees[path]):
-            name = f"{path.stem}.{qual}({param})"
             # a class name in isinstance() or an annotation passes nothing
-            function = not qual.endswith(".__init__")
-            if (function and callee in referenced
-                    or name in ONE_VALUE_ALLOWED):
-                continue
-            if not any(star or param in keys
-                       or (index is not None and npos > index)
-                       for npos, keys, star in calls.get(callee, ())):
-                knobs.append(name)
+            if qual.endswith(".__init__") or callee not in referenced:
+                yield (f"{path.stem}.{qual}({param})", param, index,
+                       calls.get(callee, ()))
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that every call leaves alone is a constant in disguise
+    knobs = [name for name, param, index, calls in _parameter_defaults()
+             if name not in ONE_VALUE_ALLOWED and not any(
+                 star or param in keys or (index is not None and npos > index)
+                 for npos, keys, star in calls)]
     assert not knobs, knobs
 
 
@@ -367,3 +372,19 @@ def test_no_local_assigned_and_never_read():
         unread += [f"{path.stem}.{fn}: {name}:{line}" for fn, name, line
                    in _unread_locals(ast.parse(path.read_text()))]
     assert not unread, unread
+
+
+# Parameter defaults that every src/ and bench/ call overrides, each with
+# its reason for keeping the default.
+EVERY_CALL_OVERRIDES_ALLOWED = {}
+
+
+def test_every_parameter_default_is_left_in_place_somewhere():
+    # a default that every call overrides is a required parameter in
+    # disguise: no caller relies on its value
+    knobs = [name for name, param, index, calls in _parameter_defaults()
+             if name not in EVERY_CALL_OVERRIDES_ALLOWED and not any(
+                 star or param not in keys
+                 and (index is None or npos <= index)
+                 for npos, keys, star in calls)]
+    assert not knobs, knobs
