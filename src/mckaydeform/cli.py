@@ -249,37 +249,48 @@ def _mc_residuals(t, central, seed, trials) -> tuple:
     """(worst moment-map residual, worst family-equation residual) over
     ``trials`` exact fibre points drawn with seeds seed, seed + 1, ...;
     both are exact, and 0 when every point passes."""
-    lam = lambda_from_central(central) if t.family == "A" else None
     worst_fibre = worst_family = 0
     for k in range(trials):
         sample = sample_moment_fibre(t, central, seed=seed + k)
         worst_fibre = max(worst_fibre, fibre_residual(sample))
-        x, y, z = invariants_at_point(t, sample)
-        if lam is not None:
-            value = abs(prod(z - v for v in lam) - x * y)
-        else:
-            value = _d4_family_residual(central, x, y, z)
-        worst_family = max(worst_family, value)
+        worst_family = max(worst_family, _family_residual(
+            t, central, *invariants_at_point(t, sample)))
     return worst_fibre, worst_family
 
 
-def _d4_family_residual(mu, x, y, z):
-    """|f(x, y, z)|, f the D4 family's fibre over the central value mu."""
-    f = _d4_fibre(tuple(exact_central(mu)))
+def _family_residual(t, central, x, y, z):
+    """|f(x, y, z)|, f the fibre of t's family over the central value; A1
+    and the even-rank A_n, which have no flat system, take the fibre in
+    the eps coordinates, prod(z - lambda_i) - xy."""
+    if t.family == "A" and (t.rank == 1 or t.rank % 2 == 0):
+        return abs(prod(z - v for v in lambda_from_central(central)) - x * y)
+    f = _fibre(t, tuple(exact_central(central)))
     return abs(f.substitute({"x": x, "y": y, "z": z}).terms.get((), 0))
 
 
+def _d4_family_residual(mu, x, y, z):
+    """``_family_residual`` of D4 over the central value mu."""
+    return _family_residual(DynkinType("D", 4), mu, x, y, z)
+
+
 @lru_cache(maxsize=16)
-def _d4_fibre(mu: tuple):
-    """The D4 family's fibre at t = psi(mu), the flat coordinates
-    ``psi_D4_of_mu`` at the central value's mu_1..mu_4."""
-    from .deform import PSI_D4_VARS, family, psi_D4_of_mu
-    at = {f"mu{i}": mu[i] for i in range(1, 5)}
-    fam = family("D4")
-    to_t = dict(zip(PSI_D4_VARS.names, fam.param_vars))
+def _fibre(t: DynkinType, central: tuple):
+    """The fibre of t's family at t = psi(h): the flat coordinates at the
+    point h the central value gives (eigenvalues lambda for A, the
+    coweight coordinates xi of ``d4_xi_of_mu`` for D4)."""
+    from .deform import d4_xi_of_mu, family
+    from .flat import psi_A_in_lambda, psi_D_in_xi
+    fam = family(str(t))
+    if t.family == "A":
+        h = {f"lam{i}": v for i, v in enumerate(lambda_from_central(central))}
+        psis = psi_A_in_lambda((t.rank + 1) // 2)
+    else:
+        mu = {f"mu{i}": central[i] for i in range(1, 5)}
+        h = {k: p.substitute(mu) for k, p in d4_xi_of_mu().items()}
+        psis = psi_D_in_xi(3)
     # each t is a constant: an MPoly on no variables
-    return fam.fibre_equation({to_t[name]: p.substitute(at)
-                               for name, p in psi_D4_of_mu().items()})
+    return fam.fibre_equation({"t" + name[3:]: p.substitute(h)
+                               for name, p in psis.items()})
 
 
 def cmd_family(args) -> RunReport:

@@ -359,14 +359,19 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     image = fold(klein.relation.substitute(fwd))
     match = image == fam.special_fibre().extend(image.vars)
     zero_t = {n: QQ(0) for n in fam.param_vars}
+    slots = _variables(W, ("X", "Y", "Z"))
     details = {}
     for gen, klein_gen in gens.items():
         if gen not in fam.omega_action:
             continue
         subs0 = {k: v.substitute(zero_t)
                  for k, v in _full_subs(fam, gen).items()}
-        got = _transport_linear(fwd, inv, subs0, fold)
-        details[gen] = got == klein.omega_action[klein_gen][1]
+        # P o alpha o P^-1 on each slot against its row of Klein's table
+        details[gen] = all(equal_mod_vars(
+            fold(fwd[name].substitute(subs0).substitute(inv)),
+            sum((X * c for X, c in zip(slots, row) if c), MPoly(W)))
+            for name, row in zip(("X", "Y", "Z"),
+                                 klein.omega_action[klein_gen][1]))
     action_ok = all(details.values())
     return {"label": fam.label, "change": change,
             "relation_match": match, "action_match": action_ok,
@@ -403,24 +408,6 @@ def _klein_change(label, variables):
                 {"x": X + X * a, "y": Y, "z": Z}, "x = (1+i) X",
                 {"sigma": "g"})
     raise UnsupportedLabel(label)
-
-
-def _transport_linear(fwd, inv, action_subs, fold):
-    """Matrix of P o alpha o P^-1 on (X, Y, Z); None if not linear.
-
-    ``fold`` reduces the composite by the relation of the root the change
-    adjoins; a matrix entry left with that root makes it None."""
-    out = []
-    for name in ("X", "Y", "Z"):
-        back = fold(fwd[name].substitute(action_subs).substitute(inv))
-        row = tuple(_linear_coeff(back, target) for target in ("X", "Y", "Z"))
-        rest = back
-        for target, c in zip(("X", "Y", "Z"), row):
-            rest = rest - MPoly.variable(rest.vars, target) * c
-        if rest:
-            return None
-        out.append(row)
-    return tuple(out)
 
 
 def _linear_coeff(p: MPoly, name: str):

@@ -88,26 +88,19 @@ class SymbolicRep:
 
     def __init__(self, quiver: McKayQuiver, prefix: str = ""):
         self.quiver = quiver
-        names = []
+        names = {}
         for a in quiver.arrows:
             rows, cols = quiver.shape(a.name)
-            if rows == 1 and cols == 1:
-                names.append(f"{prefix}{a.name}")
-            else:
-                names.extend(f"{prefix}{a.name}_{i + 1}{j + 1}"
-                             for i in range(rows) for j in range(cols))
-        self.vars = VarTable(tuple(names))
+            names[a.name] = []
+            for i in range(1, rows + 1):
+                names[a.name].append(
+                    [f"{prefix}{a.name}_{i}{j}" for j in range(1, cols + 1)])
+        self.vars = VarTable(tuple(n for m in names.values()
+                                   for row in m for n in row))
         self.matrices = {}
-        for a in quiver.arrows:
-            rows, cols = quiver.shape(a.name)
-            if rows == 1 and cols == 1:
-                mat = ((MPoly.variable(self.vars, f"{prefix}{a.name}"),),)
-            else:
-                mat = tuple(
-                    tuple(MPoly.variable(
-                        self.vars, f"{prefix}{a.name}_{i + 1}{j + 1}")
-                        for j in range(cols)) for i in range(rows))
-            self.matrices[a.name] = mat
+        for arrow, m in names.items():
+            self.matrices[arrow] = tuple(
+                tuple(MPoly.variable(self.vars, n) for n in row) for row in m)
 
 
 def _table(matrices: dict) -> VarTable:

@@ -77,7 +77,7 @@ def _quotient_B(r: int) -> QuotientFamily:
     fs = _b_f_polys(r)
     even = (r % 2 == 0)
     sign = QQ(-4) if even else QQ(4)
-    eqn = Z * (X ** 2 + (QQ(-4) if even else QQ(4)) * Z ** r) + W ** 2
+    eqn = Z * (X ** 2 + sign * Z ** r) + W ** 2
     for i in range(1, r + 1):
         eqn = eqn + fs[2 * i].extend(V) * sign * Z ** (r - i + 1)
     SV = family(f"B{r}").vars
@@ -270,8 +270,7 @@ def verify_singular_locus(label: str) -> dict:
     label = label.upper()
     if label == "B2":
         V = VarTable(("X", "Z", "W", "t2", "t4", "s"))
-        t2, t4, s = (MPoly.variable(V, v) for v in ("t2", "t4", "s"))
-        f4 = t4 + t2 ** 2 * QQ(1, 8)
+        s, f4 = MPoly.variable(V, "s"), _b_f_polys(2)[4].extend(V)
         witness = {"X": s * 2, "Z": QQ(0), "W": QQ(0)}
         found = _at_witness(quotient_family("B2").equation.extend(V),
                             ("X", "Z", "W"), witness, [s * s - f4])
@@ -308,34 +307,23 @@ def verify_singular_locus(label: str) -> dict:
 
 
 def discriminant_B2() -> dict:
-    """The two singular-fibre conditions of the restricted B2 family.
-
-    Returns the branch polynomials in (t2, t4) and exact witnesses: the
-    origin on the f4 = 0 branch, and (0, 0, s) with s^2 = -t2/2 on the
-    f2^2 = 4 f4 branch.
+    """The two singular-fibre conditions of the restricted B2 family, f4 and
+    f2^2 - 4 f4 in (t2, t4), each certified by its witness: the origin is
+    singular modulo f4, and (0, 0, s) modulo f2^2 - 4 f4 and s^2 + f2/2.
     """
-    V = VarTable(("t2", "t4"))
-    t2, t4 = (MPoly.variable(V, v) for v in V.names)
-    f2 = t2
-    f4 = t4 + t2 ** 2 * QQ(1, 8)
-    fam = family("B2")
-    # branch 1: fibre over (t2, -t2^2/8) is singular at the origin
-    T = MPoly.variable(VarTable(("t2",)), "t2")
-    fibre1 = fam.equation.substitute({"t4": T ** 2 * QQ(-1, 8)})
-    origin = _at_witness(fibre1, ("x", "y", "z"),
-                         {"x": QQ(0), "y": QQ(0), "z": QQ(0)})
-    # branch 2: fibre over (t2, t2^2/8) is singular at (0, 0, s)
-    WV = VarTable(("t2", "s"))
-    st2, s = (MPoly.variable(WV, v) for v in WV.names)
-    fibre2 = fam.equation.substitute({"t4": st2 ** 2 * QQ(1, 8)})
-    at_s = _at_witness(fibre2, ("x", "y", "z"),
-                       {"x": QQ(0), "y": QQ(0), "z": s},
-                       [s * s + st2 * QQ(1, 2)])
+    fs = _b_f_polys(2)
+    V = VarTable(("x", "y", "z", "t2", "t4", "s"))
+    f2, f4, s = fs[2].extend(V), fs[4].extend(V), MPoly.variable(V, "s")
+    eqn = family("B2").equation.extend(V)
+    origin = _at_witness(eqn, ("x", "y", "z"),
+                         {"x": QQ(0), "y": QQ(0), "z": QQ(0)}, [f4])
+    at_s = _at_witness(eqn, ("x", "y", "z"), {"x": QQ(0), "y": QQ(0), "z": s},
+                       [f2 ** 2 - f4 * 4, s * s + f2 * QQ(1, 2)])
     checks = [{"check": "origin singular when f4 = 0",
                "ok": all(ok for _, ok in origin)},
               {"check": "(0,0,s) singular when f2^2 = 4 f4",
                "ok": all(ok for _, ok in at_s)}]
-    return {"conditions": [f4, f2 ** 2 - f4 * 4], "checks": checks,
+    return {"conditions": [fs[4], fs[2] ** 2 - fs[4] * 4], "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mckaydeform.cli import run
-from mckaydeform.exact import ShapeMismatch
+from mckaydeform.exact import QQ, ShapeMismatch
 from mckaydeform.poly import MPoly, VariableMismatch, VarTable
 from mckaydeform.rootdata import DimensionMismatch
 
@@ -129,6 +129,43 @@ def test_quiver_sample_zero_trials_is_usage_error(capsys):
                         "--mu", "1,1,-2,1,1", "--trials", "0"])
     assert code == 2 and report is None
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tname,mu", (("A1", "1,-1"), ("A2", "1,-1,0"),
+                                      ("A4", "1,1,-2,1,-1")))
+def test_quiver_sample_takes_a_ranks_without_a_flat_system(tname, mu):
+    # only A_(2r-1), r >= 2, has a flat system; A1 and the even ranks are
+    # checked against the fibre in the eps coordinates
+    code, report = run(["quiver", "sample", "--type", tname, "--mu", mu,
+                        "--seed", "3", "--trials", "3"])
+    assert code == 0
+    assert [c.status for c in report.checks] == ["pass", "pass"]
+
+
+def test_mc_fibres_catch_a_wrong_a_flat_system(monkeypatch):
+    # negative control: the Saito series with Pochhammer argument
+    # (h-i+2)/h gives a wrong A flat system; the fibre at t = psi(lambda)
+    # then misses the sampled invariants at suite full's central values
+    from math import factorial
+
+    from mckaydeform import cli, flat
+    from mckaydeform.rootdata import parse_type
+
+    def shifted(i, h, gens, vars):
+        return flat._composition_series(
+            i, gens, vars, lambda d: QQ(-1) ** (d - 1)
+            * flat.pochhammer(QQ(h - i + 2, h), d - 1) / factorial(d))
+    monkeypatch.setattr(flat, "_saito_series", shifted)
+    cli._fibre.cache_clear()
+    try:
+        for tname, central, want in (
+                ("A3", [1.5, -0.5, 0.25, -1.25], QQ(6889, 131072)),
+                ("A5", [0.5, -0.25, 0.75, -1.0, 0.25, -0.25],
+                 QQ(4306153, 35831808))):
+            assert cli._mc_residuals(parse_type(tname), central, 42, 3) \
+                == (0, want)
+    finally:
+        cli._fibre.cache_clear()
 
 
 @pytest.mark.parametrize("flag", ("--seed", "--trials"))

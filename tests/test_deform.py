@@ -179,6 +179,17 @@ def test_normal_form_rejects_a_wrong_action():
     assert rep["per_generator"] == {"sigma": False}
 
 
+def test_normal_form_rejects_a_nonlinear_action():
+    # negative control: sigma with z -> -z + x^2 transports to an action
+    # that is not linear on (X, Y, Z), so it matches no row of the table
+    fam = family("C3")
+    x, z = (MPoly.variable(fam.vars, v) for v in ("x", "z"))
+    fam.omega_action["sigma"]["z"] = -z + x ** 2
+    rep = special_fibre_normal_form(fam)
+    assert rep["relation_match"]
+    assert rep["per_generator"] == {"sigma": False} and not rep["ok"]
+
+
 def test_d4_coefficient_identities():
     rep = verify_d4_coefficients()
     assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]

@@ -95,7 +95,7 @@ def test_symplectic_single_arrow_term():
     form = symplectic_form(q, phi.matrices, psi.matrices)
     # the a0 phi / b0 psi coefficient survives with sign eps(a0) = +1
     names = form.vars.names
-    target = tuple(1 if n in ("f_a0", "g_b0") else 0 for n in names)
+    target = tuple(1 if n in ("f_a0_11", "g_b0_11") else 0 for n in names)
     assert form.terms.get(target) == 1
 
 

@@ -167,6 +167,21 @@ def test_discriminant_b2():
     assert not cond2.substitute(zero)
 
 
+def test_discriminant_b2_certifies_the_conditions_it_reports(monkeypatch):
+    # negative control: with f4 off the family's by t2^2/56, the reported
+    # conditions are wrong, and neither witness is singular modulo them
+    real = quotient._b_f_polys
+
+    def shifted(r):
+        fs = real(r)
+        t2 = MPoly.variable(fs[4].vars, "t2")
+        return {**fs, 4: fs[4] + t2 ** 2 * QQ(1, 56)}
+    monkeypatch.setattr(quotient, "_b_f_polys", shifted)
+    rep = discriminant_B2()
+    assert [c["ok"] for c in rep["checks"]] == [False, False]
+    assert rep["conditions"][0] == shifted(2)[4] and not rep["ok"]
+
+
 def test_non_semiuniversality():
     expect = {"B2": (2, 4), "B3": (3, 5), "C3": (3, 6), "G2": (2, 7),
               "F4": (4, 7)}
