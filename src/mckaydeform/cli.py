@@ -363,9 +363,8 @@ def cmd_quotient(args) -> RunReport:
             f"{label}_pullback", pull["ok"],
             {"map_status": pull["map_status"],
              "tier": pull["tier"]}))
-        if label in ("B2", "C3", "G2"):
-            loc = verify_singular_locus(label)
-            checks.append(Check.of(f"{label}_singular_locus", loc["ok"]))
+        loc = verify_singular_locus(label)
+        checks.append(Check.of(f"{label}_singular_locus", loc["ok"]))
         nsu = non_semiuniversality_check(label)
         checks.append(Check.of(
             f"{label}_not_semiuniversal", nsu["ok"],

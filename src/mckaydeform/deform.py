@@ -42,11 +42,11 @@ from .flat import (MU_VARS, PQR_VARS, SQRT6_VAR, epsilon_from_psi,
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
                    equal_mod_vars, fold_root, quotient_basis,
                    reflection_invariant)
-from .rootdata import DynkinType, cartan_matrix, omega_generators
+from .rootdata import (DynkinType, UnsupportedType, cartan_matrix,
+                       omega_generators, parse_type)
 
-
-class UnsupportedLabel(ValueError):
-    pass
+# a label that names no family: the refusal ``parse_type`` raises too
+UnsupportedLabel = UnsupportedType
 
 
 class UnknownParameter(ValueError):
@@ -178,7 +178,7 @@ def _restrict(base: DeformationFamily, label: str, killed,
 def family(label: str) -> DeformationFamily:
     """A_{2r-1}, D4 and E6 are built directly; B_r, C3, G2 and F4 restrict
     A_{2r-1}, D4 or E6 to the parameters the diagram symmetry fixes."""
-    label = label.upper()
+    label = str(parse_type(label))
     if label.startswith("A") and int(label[1:]) % 2 == 1:
         return family_A((int(label[1:]) + 1) // 2)
     if label.startswith("B"):
@@ -264,11 +264,9 @@ def parameter_action_matrix(fam: DeformationFamily, gen: str):
 
 
 def fixed_parameter_locus(fam: DeformationFamily):
-    """Parameters forced to zero on the common fixed locus of the actions.
-
-    Returns the sorted list of coordinate names when the fixed space is a
-    coordinate subspace (all cases here), else the raw constraint rows.
-    """
+    """Parameters forced to zero on the common fixed locus of the actions,
+    sorted by name; a locus that is no coordinate subspace raises
+    ``ValueError``."""
     gens = set(fam.omega_action) | set(fam.param_actions)
     n = len(fam.param_vars)
     rows = []
@@ -279,10 +277,10 @@ def fixed_parameter_locus(fam: DeformationFamily):
             if any(row):
                 rows.append(row)
     rows, pivots = rref(rows, n)
-    rows = rows[:len(pivots)]
-    if all(sum(1 for x in row if x) == 1 for row in rows):
-        return sorted(fam.param_vars[c] for c in pivots)
-    return rows
+    if any(sum(1 for x in row if x) != 1 for row in rows[:len(pivots)]):
+        raise ValueError(f"the fixed locus of {fam.label} is no coordinate "
+                         "subspace")
+    return sorted(fam.param_vars[c] for c in pivots)
 
 
 def verify_parameter_actions(fam: DeformationFamily) -> dict:

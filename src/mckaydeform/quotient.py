@@ -14,25 +14,28 @@ and verified:
   printed normal form is not published.  It is stated here as found by an
   exact fit, and the pullback and invariance checks certify it exactly.
 
-Also here: the singular-section certificates behind the everywhere-
-singular propositions, and the two-branch discriminant of the B2 case.
+Each quotient family carries the source family it is the quotient of.
+Also here: one fixed-point certificate, read off the two families, that
+every quotient fibre is singular, and the two-branch discriminant of the
+B2 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deform import (E6_MONOMIALS, E6_SQRT6_ROWS, UnsupportedLabel,
-                     e6_flat_coefficients, family, _full_subs)
+from .deform import (E6_MONOMIALS, E6_SQRT6_ROWS, DeformationFamily,
+                     UnsupportedLabel, e6_flat_coefficients, family,
+                     _full_subs)
 from .exact import QQ, imag_unit, omega as omega_scalar
 from .flat import epsilon_from_psi
 from .poly import Ideal, MPoly, VarTable, equal_mod_vars
-from .rootdata import DynkinType
+from .rootdata import DynkinType, parse_type
 
 
 @dataclass
 class QuotientFamily:
-    source_label: str
+    source: DeformationFamily
     quotient_vars: tuple
     param_vars: tuple
     equation: MPoly
@@ -58,7 +61,7 @@ def _b_f_polys(r: int) -> dict:
 
 
 def quotient_family(label: str) -> QuotientFamily:
-    label = label.upper()
+    label = str(parse_type(label))
     if label.startswith("B"):
         return _quotient_B(int(label[1:]))
     if label == "C3":
@@ -80,14 +83,14 @@ def _quotient_B(r: int) -> QuotientFamily:
     eqn = Z * (X ** 2 + sign * Z ** r) + W ** 2
     for i in range(1, r + 1):
         eqn = eqn + fs[2 * i].extend(V) * sign * Z ** (r - i + 1)
-    SV = family(f"B{r}").vars
-    x, y, z = (MPoly.variable(SV, v) for v in ("x", "y", "z"))
+    fam = family(f"B{r}")
+    x, y, z = (MPoly.variable(fam.vars, v) for v in ("x", "y", "z"))
     i_unit = imag_unit()
     if even:
         imap = {"X": x + y, "Z": z * z, "W": z * (x - y) * i_unit}
     else:
         imap = {"X": x - y, "Z": z * z, "W": z * (x + y) * i_unit}
-    return QuotientFamily(f"B{r}", ("X", "Z", "W"), tnames, eqn, imap,
+    return QuotientFamily(fam, ("X", "Z", "W"), tnames, eqn, imap,
                           "complete", DynkinType("D", r + 2))
 
 
@@ -107,14 +110,14 @@ def _quotient_C3() -> QuotientFamily:
         + t2 ** 5 * QQ(1, 13824)
     eqn = X ** 5 * QQ(-1, 64) + X * Y ** 2 - W ** 2 + A_X4 * X ** 4 \
         + A_X3 * X ** 3 + A_X2 * X ** 2 + A_X * X + A_Y * Y + A_0
-    SV = family("C3").vars
-    x, y, z = (MPoly.variable(SV, v) for v in ("x", "y", "z"))
-    st2, st4 = (MPoly.variable(SV, v) for v in ("t2", "t4"))
+    fam = family("C3")
+    x, y, z, st2, st4 = (MPoly.variable(fam.vars, v)
+                         for v in ("x", "y", "z", "t2", "t4"))
     yp = x * QQ(1, 2) + y - st2 * QQ(1, 4)
     shift = x ** 2 * QQ(1, 8) - x * st2 * QQ(1, 8) + st2 ** 2 * QQ(1, 32) \
         + st4 * QQ(1, 8)
     imap = {"X": x, "Y": yp * yp - shift, "W": yp * z}
-    return QuotientFamily("C3", ("X", "Y", "W"), tnames, eqn, imap,
+    return QuotientFamily(fam, ("X", "Y", "W"), tnames, eqn, imap,
                           "complete", DynkinType("D", 6))
 
 
@@ -196,7 +199,7 @@ def _quotient_G2() -> QuotientFamily:
     z, t2 = (MPoly.variable(V, v) for v in ("z", "t2"))
     imap = {"X": data["W"] - t2 ** 2 * QQ(3, 4), "Y": z * z,
             "Z": data["Yg"] * z * QQ(1, 2)}
-    return QuotientFamily("G2", ("X", "Y", "Z"), ("t2", "t6"),
+    return QuotientFamily(data["fam"], ("X", "Y", "Z"), ("t2", "t6"),
                           g2_star2_equation(), imap, "fitted",
                           DynkinType("E", 7))
 
@@ -212,10 +215,10 @@ def _quotient_F4() -> QuotientFamily:
         if name not in E6_SQRT6_ROWS:
             eqn = eqn + rows[name].substitute({"psi5": 0}).rename(
                 to_t).extend(V) * X ** (a // 2 + 1) * Y ** b
-    SV = family("F4").vars
-    x, y, z = (MPoly.variable(SV, v) for v in ("x", "y", "z"))
+    fam = family("F4")
+    x, y, z = (MPoly.variable(fam.vars, v) for v in ("x", "y", "z"))
     imap = {"X": x * x, "Y": y, "Z": x * z}
-    return QuotientFamily("F4", ("X", "Y", "Z"), tnames, eqn, imap,
+    return QuotientFamily(fam, ("X", "Y", "Z"), tnames, eqn, imap,
                           "complete", DynkinType("E", 7))
 
 
@@ -224,7 +227,7 @@ def _quotient_F4() -> QuotientFamily:
 def verify_invariant_generators(label: str) -> dict:
     """Every invariant-map image is fixed by all the symmetry generators."""
     qf = quotient_family(label)
-    fam = family(qf.source_label)
+    fam = qf.source
     checks = []
     for gen in fam.omega_action:
         subs = _full_subs(fam, gen)
@@ -240,7 +243,7 @@ def verify_quotient_pullback(label: str) -> dict:
     """The quotient equation pulls back to 0 modulo the family equation.
     The tier is 'exact-fit' for a fitted invariant map, else 'exact'."""
     qf = quotient_family(label)
-    fam = family(qf.source_label)
+    fam = qf.source
     subs = dict(qf.invariant_map)
     for v in qf.param_vars:
         subs[v] = MPoly.variable(fam.vars, v)
@@ -252,56 +255,49 @@ def verify_quotient_pullback(label: str) -> dict:
             "residual_terms": len(residual.terms), "ok": residual.is_zero()}
 
 
-def _at_witness(f, names, point, relations=(), order="grevlex"):
+def _at_witness(f, names, point, ideal):
     """f and its partials in ``names`` at ``point``, each value reduced
-    modulo the relations the point satisfies: (name, vanishes) pairs."""
-    ideal = Ideal(relations, order=order) if relations else None
-    out = []
-    for name, p in [("f", f)] + [(f"df/d{v}", f.diff(v)) for v in names]:
-        value = p.substitute(point)
-        if ideal is not None:
-            value = ideal.normal_form(value)
-        out.append((name, value.is_zero()))
-    return out
+    modulo the ideal of relations the point satisfies: (name, vanishes)
+    pairs."""
+    partials = [(f"df/d{v}", f.diff(v)) for v in names]
+    return [(name, ideal.normal_form(p.substitute(point)).is_zero())
+            for name, p in [("f", f)] + partials]
 
 
 def verify_singular_locus(label: str) -> dict:
-    """Exact certificates that every fibre of the quotient is singular."""
-    label = label.upper()
-    if label == "B2":
-        V = VarTable(("X", "Z", "W", "t2", "t4", "s"))
-        s, f4 = MPoly.variable(V, "s"), _b_f_polys(2)[4].extend(V)
-        witness = {"X": s * 2, "Z": QQ(0), "W": QQ(0)}
-        found = _at_witness(quotient_family("B2").equation.extend(V),
-                            ("X", "Z", "W"), witness, [s * s - f4])
-        checks = [{"check": f"{name} at (2s, 0, 0) mod s^2 = f4", "ok": ok}
-                  for name, ok in found]
-    elif label == "C3":
-        V = VarTable(("Xs", "t2", "t4", "t6"))
-        Xs, t2, t4, t6 = (MPoly.variable(V, v) for v in V.names)
-        cubic = Xs ** 3 - t2 * Xs ** 2 \
-            + (t4 + t2 ** 2 * QQ(1, 4)) * Xs \
-            - (t2 ** 3 + t2 * t4 * 18 + t6 * 108) * QQ(1, 108)
-        Ys = (Xs ** 2 * 4 - Xs * t2 * 4 + t2 ** 2 + t4 * 4) * QQ(-1, 32)
-        found = _at_witness(quotient_family("C3").equation, ("X", "Y", "W"),
-                            {"X": Xs, "Y": Ys, "W": QQ(0)}, [cubic], "lex")
-        checks = [{"check": f"{name} at (Xs, Ys, 0) mod cubic", "ok": ok}
-                  for name, ok in found]
-    elif label == "G2":
-        eqn = quotient_family("G2").equation
-        V = VarTable(("X", "t2", "t6"))
-        X, t2, t6 = (MPoly.variable(V, v) for v in V.names)
-        section = {"Y": QQ(0), "Z": QQ(0), "X": X}
-        checks = [{"check": f"{name} vanishes on (X, 0, 0)", "ok": ok}
-                  for name, ok in _at_witness(eqn, ("X", "Z"), section)]
-        dY = eqn.diff("Y").substitute(section)
-        stated = X ** 3 + (t2 ** 4 * QQ(-15, 16) - t2 * t6 * 81) * X \
-            + t2 ** 6 * QQ(-11, 32) + t2 ** 3 * t6 * QQ(-189, 4) \
-            - t6 ** 2 * 729
-        checks.append({"check": "df/dY on the section is the stated cubic",
-                       "ok": equal_mod_vars(dY, stated)})
-    else:
-        raise UnsupportedLabel(label)
+    """Exact certificate that every fibre of the quotient is singular.
+
+    sigma fixes P(s) = (v + sigma v)/2, where v is s on the first ambient
+    coordinate whose average depends on s; P(s) is on the source fibre
+    where R(s) = F(P(s)) = 0.  R must have degree >= 1 in s and a nonzero
+    constant leading coefficient, so that it has a root over every t.
+    A point fixed by an order-2 symmetry that is no reflection there maps
+    to an A1 point of the quotient (Slodowy, LNM 815, 1980): the quotient
+    equation and its partials vanish at ``invariant_map(P(s))`` modulo R.
+    """
+    qf = quotient_family(label)
+    fam = qf.source
+    V = VarTable(("s",) + fam.vars.names)
+    s = MPoly.variable(V, "s")
+    sigma = _full_subs(fam, "sigma")
+    for a in fam.ambient_vars:
+        v = {b: s if b == a else MPoly(V) for b in fam.ambient_vars}
+        point = {b: (sigma[b].substitute(v).extend(V) + v[b]) * QQ(1, 2)
+                 for b in fam.ambient_vars}
+        if any(e[0] for p in point.values() for e in p.terms):
+            break
+    # lex with s first: R leads with a pure power of s exactly when its
+    # leading coefficient in s is a constant, and reducing modulo R is
+    # then division by R in s
+    ideal = Ideal([fam.equation.substitute(point).extend(V)], order="lex")
+    (k, *rest), = ideal.leading_exponents()
+    images = {q: qf.invariant_map[q].substitute(point)
+              for q in qf.quotient_vars}
+    checks = [{"check": "R = F(P(s)) has a root over every t",
+               "ok": k >= 1 and not any(rest)}]
+    checks += [{"check": f"{name} at the image of P(s) mod R", "ok": ok}
+               for name, ok in _at_witness(qf.equation, qf.quotient_vars,
+                                           images, ideal)]
     return {"label": label, "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
@@ -316,9 +312,9 @@ def discriminant_B2() -> dict:
     f2, f4, s = fs[2].extend(V), fs[4].extend(V), MPoly.variable(V, "s")
     eqn = family("B2").equation.extend(V)
     origin = _at_witness(eqn, ("x", "y", "z"),
-                         {"x": QQ(0), "y": QQ(0), "z": QQ(0)}, [f4])
+                         {"x": QQ(0), "y": QQ(0), "z": QQ(0)}, Ideal([f4]))
     at_s = _at_witness(eqn, ("x", "y", "z"), {"x": QQ(0), "y": QQ(0), "z": s},
-                       [f2 ** 2 - f4 * 4, s * s + f2 * QQ(1, 2)])
+                       Ideal([f2 ** 2 - f4 * 4, s * s + f2 * QQ(1, 2)]))
     checks = [{"check": "origin singular when f4 = 0",
                "ok": all(ok for _, ok in origin)},
               {"check": "(0,0,s) singular when f2^2 = 4 f4",

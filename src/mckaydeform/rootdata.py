@@ -85,7 +85,13 @@ class DynkinType:
 
 
 def parse_type(text: str) -> DynkinType:
-    return DynkinType(text[0].upper(), int(text[1:]))
+    """The type a label such as "E6" names; any other text raises
+    ``UnsupportedType`` naming it."""
+    try:
+        rank = int(text[1:])
+    except ValueError:
+        raise UnsupportedType(f"invalid Dynkin type {text}") from None
+    return DynkinType(text[0].upper(), rank)
 
 
 # Paper numbering of the E6 diagram: chain 1-4-6-5-2 with 3 on the centre 6,

@@ -239,8 +239,8 @@ def test_criterion_12_singular_section_certificates():
     from mckaydeform.quotient import verify_singular_locus
     start = time.monotonic()
     ok = all(verify_singular_locus(label)["ok"]
-             for label in ("B2", "C3", "G2"))
-    _report(12, "everywhere-singular certificates (B2, C3, G2)", ok,
+             for label in ("B2", "B3", "C3", "G2", "F4"))
+    _report(12, "everywhere-singular certificates (B2, B3, C3, G2, F4)", ok,
             time.monotonic() - start, 60)
 
 

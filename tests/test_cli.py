@@ -281,15 +281,25 @@ def _statuses(tmp_path, argv):
     return code, {c["name"]: c["status"] for c in checks}
 
 
-@pytest.mark.parametrize("label", ["B2", "C3", "G2", "F4"])
+@pytest.mark.parametrize("label", ["B2", "B3", "C3", "G2", "F4"])
 def test_quotient_verify_command(label, tmp_path):
     code, statuses = _statuses(
         tmp_path, ["quotient", "verify", "--label", label])
     names = [f"{label}_invariant_generators", f"{label}_not_semiuniversal",
-             f"{label}_pullback", f"{label}_special_fibre_type"]
-    if label != "F4":
-        names.append(f"{label}_singular_locus")
+             f"{label}_pullback", f"{label}_singular_locus",
+             f"{label}_special_fibre_type"]
     assert code == 0 and statuses == {n: "pass" for n in names}
+
+
+@pytest.mark.parametrize("argv", (
+    ["family", "--label", "B-2"], ["fiber", "analyze", "--label", "B-2"],
+    ["quotient", "verify", "--label", "B-2"], ["family", "--label", "E6x"],
+    ["family", "--label", ""], ["rootdata", "--type", ""]))
+def test_a_malformed_label_is_refused_by_name(argv, capsys):
+    # every command reads labels through rootdata.parse_type
+    code, report = run(argv)
+    assert code == 2 and report is None
+    assert f"error: invalid Dynkin type {argv[-1]}\n" in capsys.readouterr().err
 
 
 def test_quotient_discriminant_command(tmp_path):

@@ -123,9 +123,17 @@ def test_d4_family_equation_term_for_term():
 
 
 def test_fixed_parameter_loci():
-    assert fixed_parameter_locus(family("A5")) == ["t3", "t5"]
-    assert fixed_parameter_locus(family("D4")) == ["t", "t4"]
-    assert fixed_parameter_locus(family("E6")) == ["t5", "t9"]
+    expect = {"A3": ["t3"], "A5": ["t3", "t5"], "A7": ["t3", "t5", "t7"],
+              "D4": ["t", "t4"], "E6": ["t5", "t9"]}
+    for label in ("A3", "A5", "A7", "B2", "B3", "B4", "D4", "C3", "G2",
+                  "E6", "F4"):
+        assert fixed_parameter_locus(family(label)) == expect.get(label, [])
+    # sigma swapping t2 and t4 fixes t2 = t4, no coordinate subspace
+    fam = family("B2")
+    t2, t4 = (MPoly.variable(fam.vars, n) for n in ("t2", "t4"))
+    fam.omega_action["sigma"].update(t2=t4, t4=t2)
+    with pytest.raises(ValueError, match="no coordinate subspace"):
+        fixed_parameter_locus(fam)
 
 
 @pytest.mark.parametrize("label, params, gens", (

@@ -1,6 +1,7 @@
 """Quotient families: generators, pullbacks, certificates, discriminant."""
 
-import numpy as np
+import cmath
+
 import pytest
 
 from mckaydeform.deform import analyze_hypersurface
@@ -125,20 +126,71 @@ def test_g2_image_moved_by_rho_fails_invariance(monkeypatch):
     assert failed == {("rho", "X")} and not rep["ok"]
 
 
-CERTIFICATE_NAMES = {
-    "B2": [f"{n} at (2s, 0, 0) mod s^2 = f4"
-           for n in ("f", "df/dX", "df/dZ", "df/dW")],
-    "C3": [f"{n} at (Xs, Ys, 0) mod cubic"
-           for n in ("f", "df/dX", "df/dY", "df/dW")],
-    "G2": [f"{n} vanishes on (X, 0, 0)" for n in ("f", "df/dX", "df/dZ")]
-    + ["df/dY on the section is the stated cubic"],
-}
+LABELS = ("B2", "B3", "C3", "G2", "F4")
+QUOTIENT_VARS = {"B2": "XZW", "B3": "XZW", "C3": "XYW", "G2": "XYZ",
+                 "F4": "XYZ"}
 
 
-@pytest.mark.parametrize("label", ("B2", "C3", "G2"))
+@pytest.mark.parametrize("label", LABELS)
 def test_singular_locus_certificate_names(label):
     rep = verify_singular_locus(label)
-    assert [c["check"] for c in rep["checks"]] == CERTIFICATE_NAMES[label]
+    assert [c["check"] for c in rep["checks"]] == [
+        "R = F(P(s)) has a root over every t"] + [
+        f"{n} at the image of P(s) mod R"
+        for n in ["f"] + [f"df/d{v}" for v in QUOTIENT_VARS[label]]]
+
+
+def _failed(rep):
+    return [c["check"].split(" ")[0] for c in rep["checks"] if not c["ok"]]
+
+
+def _patched(monkeypatch, change):
+    stored = quotient.quotient_family
+
+    def patched(label):
+        qf = stored(label)
+        change(qf)
+        return qf
+    monkeypatch.setattr(quotient, "quotient_family", patched)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_singular_locus_fails_on_a_shifted_equation(label, monkeypatch):
+    # negative control: t2 X / 7 added to the quotient equation; F4's X = x^2
+    # is 0 at the fixed point, so there only df/dX sees it
+    def shift(qf):
+        V = qf.equation.vars
+        qf.equation = qf.equation + MPoly.variable(V, "t2") \
+            * MPoly.variable(V, "X") * QQ(1, 7)
+    _patched(monkeypatch, shift)
+    rep = verify_singular_locus(label)
+    assert _failed(rep) == (["df/dX"] if label == "F4" else ["f", "df/dX"])
+    assert not rep["ok"]
+
+
+def test_singular_locus_fails_on_c3_without_the_shift(monkeypatch):
+    # negative control: C3's Y image as yp^2, without its shift
+    def unshifted(qf):
+        x, y, t2 = (MPoly.variable(qf.source.vars, n)
+                    for n in ("x", "y", "t2"))
+        yp = x * QQ(1, 2) + y - t2 * QQ(1, 4)
+        qf.invariant_map["Y"] = yp * yp
+    _patched(monkeypatch, unshifted)
+    assert _failed(verify_singular_locus("C3")) == ["f", "df/dX", "df/dY"]
+
+
+def test_singular_locus_needs_a_root_over_every_t(monkeypatch):
+    # negative control: F4's sigma scaling y by 2 t2 - 1 averages y = s to
+    # t2 s, so R(s) is the true relation at t2 s.  Every vanishing check
+    # still holds modulo it, but its leading coefficient is a multiple of
+    # t2, and over t2 = 0 it has no root.
+    def scaled(qf):
+        V = qf.source.vars
+        y, t2 = (MPoly.variable(V, n) for n in ("y", "t2"))
+        qf.source.omega_action["sigma"]["y"] = y * (t2 * 2 - 1)
+    _patched(monkeypatch, scaled)
+    rep = verify_singular_locus("F4")
+    assert _failed(rep) == ["R"] and not rep["ok"]
 
 
 def test_discriminant_b2_check_names():
@@ -147,7 +199,7 @@ def test_discriminant_b2_check_names():
         "origin singular when f4 = 0", "(0,0,s) singular when f2^2 = 4 f4"]
 
 
-@pytest.mark.parametrize("label", ("B2", "C3", "G2"))
+@pytest.mark.parametrize("label", LABELS)
 def test_singular_locus_certificates(label):
     rep = verify_singular_locus(label)
     assert rep["ok"], rep
@@ -211,7 +263,7 @@ def test_b2_quotient_grid_always_singular():
             rep = analyze_hypersurface(fibre, qf.quotient_vars)
             assert not rep.is_smooth, (t2, t4)
             f4 = complex(QQ(t4) + QQ(t2) ** 2 / 8)
-            root = np.sqrt(f4)
+            root = cmath.sqrt(f4)
             found = {round(p.coords_numeric[0].real, 8)
                      + 1j * round(p.coords_numeric[0].imag, 8)
                      for p in rep.singular_points}
