@@ -27,9 +27,9 @@ local algebra modulo the cube of the maximal ideal gives the ADE type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 
 import numpy as np
@@ -176,24 +176,38 @@ def _restrict(base: DeformationFamily, label: str, killed,
 
 
 def family(label: str) -> DeformationFamily:
-    """A_{2r-1}, D4 and E6 are built directly; B_r, C3, G2 and F4 restrict
-    A_{2r-1}, D4 or E6 to the parameters the diagram symmetry fixes."""
-    label = str(parse_type(label))
-    if label.startswith("A") and int(label[1:]) % 2 == 1:
+    """A_{2r-1} (r >= 2), D4 and E6 are built directly; B_r, C3, G2 and F4
+    restrict A_{2r-1}, D4 or E6 to the parameters the diagram symmetry
+    fixes.  Each family is built once per process; every call returns a
+    copy whose dicts the caller may change (the polynomials are shared)."""
+    return _fresh(_family(str(parse_type(label))))
+
+
+def _fresh(fam: DeformationFamily) -> DeformationFamily:
+    """``fam`` with its action dicts copied two levels deep."""
+    return replace(fam, omega_action={g: dict(subs) for g, subs
+                                      in fam.omega_action.items()},
+                   param_actions={g: dict(subs) for g, subs
+                                  in fam.param_actions.items()})
+
+
+@cache
+def _family(label: str) -> DeformationFamily:
+    if label.startswith("A") and int(label[1:]) % 2 == 1 and label != "A1":
         return family_A((int(label[1:]) + 1) // 2)
     if label.startswith("B"):
         r = int(label[1:])
-        return _restrict(family_A(r), f"B{r}",
+        return _restrict(_family(f"A{2 * r - 1}"), f"B{r}",
                          [f"t{i}" for i in range(3, 2 * r + 1, 2)])
     if label == "C3":
-        return _restrict(family_D4(), label, ("t",))
+        return _restrict(_family("D4"), label, ("t",))
     if label == "G2":
-        d4 = family_D4()
+        d4 = _family("D4")
         x, y, z, t2 = _variables(d4.vars, ("x", "y", "z", "t2"))
         rho = {"x": y, "y": -x - y + t2 * QQ(1, 2), "z": z}
         return _restrict(d4, label, ("t4", "t"), {"rho": rho})
     if label == "F4":
-        return _restrict(family_E6(), label, ("t5", "t9"))
+        return _restrict(_family("E6"), label, ("t5", "t9"))
     if label == "D4":
         return family_D4()
     if label == "E6":
@@ -297,7 +311,7 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
     if label[0] in ("A", "B"):
         r = (int(label[1:]) + 1) // 2 if label[0] == "A" else int(label[1:])
         from .flat import psi_A_in_lambda
-        base, psis = family_A(r), psi_A_in_lambda(r)
+        base, psis = _family(f"A{2 * r - 1}"), psi_A_in_lambda(r)
         lam = _variables(next(iter(psis.values())).vars,
                          [f"lam{i}" for i in range(2 * r)])
         actions = {"sigma": {f"lam{i}": -lam[2 * r - 1 - i]
@@ -305,10 +319,10 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
         title = "{name} -> (-1)^{degree} {name}"
     elif label in ("D4", "C3", "G2", "E6", "F4"):
         if label in ("E6", "F4"):
-            t, base, psis = DynkinType("E", 6), family_E6(), psi_E6_of_mu()
+            t, base, psis = DynkinType("E", 6), _family("E6"), psi_E6_of_mu()
             gens, title = {"sigma": "z2"}, "{gen}: {name} -> {sign:+d} {name}"
         else:
-            t, base, psis = DynkinType("D", 4), family_D4(), psi_D4_of_mu()
+            t, base, psis = DynkinType("D", 4), _family("D4"), psi_D4_of_mu()
             gens, title = {"rho": "z3", "sigma": "z2"}, "{gen}: {name}"
         mu = psis["psi2"].vars
         actions = {}

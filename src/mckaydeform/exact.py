@@ -5,7 +5,9 @@ kinds:
 
 * plain rationals (gmpy2 ``mpq``, falling back to ``fractions.Fraction``),
 * ``Cyclo`` -- elements of Q(zeta_n) on the power basis 1, zeta, ...,
-  zeta^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
+  zeta^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial, as int
+  coordinates over one denominator in lowest terms (H. Cohen, GTM 138,
+  4.2): a product is an int convolution and reduction, with one gcd.
 
 Values are immutable; mixed arithmetic coerces upward (rational -> Cyclo)
 and across conductors via the lcm embedding.  A float shadow
@@ -26,7 +28,7 @@ entries alike; a product whose shapes do not match raises
 from __future__ import annotations
 
 import cmath
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as QQ
@@ -90,7 +92,7 @@ def _cyclo_data(n: int):
     # divisors are monic, so the division runs on ints
     cyc = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
-        lower = [-int(c) for c in _cyclo_data(d)[1][0]] + [1]
+        lower = [-c for c in _cyclo_data(d)[1][0]] + [1]
         cyc, rem = poly_divmod(cyc, lower)
         if any(rem):
             raise ArithmeticError("non-exact division in cyclotomic setup")
@@ -98,7 +100,7 @@ def _cyclo_data(n: int):
     phi = len(cyc) - 1
     assert phi == _euler_phi(n)
     # zeta^k on the power basis for phi <= k <= max needed (2*phi - 2 covers
-    # products; n covers conductor embeddings), in ints until stored
+    # products; n covers conductor embeddings)
     top = [-c for c in cyc[:phi]]
     rows = [top]
     for _ in range(phi, max(2 * phi - 2, n)):
@@ -108,41 +110,64 @@ def _cyclo_data(n: int):
         if lead:
             nxt = [a + lead * b for a, b in zip(nxt, top)]
         rows.append(nxt)
-    _CYCLO_CACHE[n] = (phi, [[QQ(c) for c in row] for row in rows])
+    _CYCLO_CACHE[n] = (phi, rows)
     return _CYCLO_CACHE[n]
 
 
 class Cyclo:
-    """Element of Q(zeta_n), coordinates on the power basis mod Phi_n."""
+    """Element of Q(zeta_n): int coordinates ``nums`` over one positive
+    int ``den``, gcd 1, so equal elements of one conductor have equal
+    fields; ``coeffs`` derives the rational coordinates."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, coeffs):
         phi, _ = _cyclo_data(n)
-        coeffs = tuple(QQ(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {n}")
+        if not all(map(is_rat, coeffs)):
+            raise TypeError(f"coordinates must be exact rationals: {coeffs}")
+        den = lcm(*(c.denominator for c in coeffs))
+        self._set(n, [c.numerator * (den // c.denominator) for c in coeffs],
+                  den)
+
+    def _set(self, n, nums, den):
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @staticmethod
+    def _new(n: int, nums, den) -> "Cyclo":
+        """nums / den brought to lowest terms; len(nums) must be phi(n)."""
+        return object.__new__(Cyclo)._set(n, nums, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(QQ(c, self.den) for c in self.nums)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rat(x, n: int) -> "Cyclo":
         phi, _ = _cyclo_data(n)
-        return Cyclo(n, (QQ(x),) + (QQ(0),) * (phi - 1))
+        return Cyclo._new(n, [x.numerator] + [0] * (phi - 1), x.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "Cyclo":
         phi, rows = _cyclo_data(n)
         power %= n
         if power < phi:
-            coeffs = [QQ(0)] * phi
-            coeffs[power] = QQ(1)
-            return Cyclo(n, coeffs)
-        return Cyclo(n, rows[power - phi])
+            nums = [0] * phi
+            nums[power] = 1
+            return Cyclo._new(n, nums, 1)
+        return Cyclo._new(n, rows[power - phi], 1)
 
     # -- conductor handling -------------------------------------------
     def lift(self, m: int) -> "Cyclo":
@@ -151,18 +176,17 @@ class Cyclo:
             return self
         if m % self.n:
             raise ValueError("conductor must be a multiple")
-        step = m // self.n
-        out = Cyclo.from_rat(0, m)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclo.zeta(m, j * step) * c
-        return out
+        phi, rows = _cyclo_data(m)
+        step, nums = m // self.n, [0] * m
+        for j, c in enumerate(self.nums):
+            nums[j * step] = c          # zeta_n^j = zeta_m^(j step)
+        return Cyclo._new(m, _reduce(nums, phi, rows), self.den)
 
     def reduce_rat(self):
         """Return a plain rational if the element lies in Q, else self."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return self
+        if any(self.nums[1:]):
+            return self
+        return QQ(self.nums[0], self.den)
 
     @staticmethod
     def _pair(a, b):
@@ -182,15 +206,17 @@ class Cyclo:
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        return Cyclo(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return Cyclo._new(a.n, [x * b.den + y * a.den
+                                for x, y in zip(a.nums, b.nums)],
+                          a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, tuple(-c for c in self.coeffs))
+        return Cyclo._new(self.n, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclo) else -QQ(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -199,35 +225,28 @@ class Cyclo:
         if is_rat(other):
             if other == 1:      # immutable: the product is self
                 return self
-            return Cyclo(self.n, tuple(c * QQ(other) for c in self.coeffs))
+            return Cyclo._new(self.n, [c * other.numerator for c in self.nums],
+                              self.den * other.denominator)
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = Cyclo._pair(self, other)
         phi, rows = _cyclo_data(a.n)
-        conv = [QQ(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
                     conv[i + j] += x * y
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                out = [o + c * r for o, r in zip(out, row)]
-        return Cyclo(a.n, out)
+        return Cyclo._new(a.n, _reduce(conv, phi, rows), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if not self:
             raise DivisionByZero("inverse of zero")
-        # Phi_n rebuilt from x^phi = rows[0]
+        # Phi_n rebuilt from x^phi = rows[0]; 1/(nums/den) = den/nums
         _, rows = _cyclo_data(self.n)
-        modulus = [-c for c in rows[0]] + [QQ(1)]
-        return Cyclo(self.n, inverse_mod(self.coeffs, modulus))
+        modulus = [-c for c in rows[0]] + [1]
+        return Cyclo(self.n, inverse_mod(self.nums, modulus)) * self.den
 
     def __truediv__(self, other):
         if is_rat(other):
@@ -256,14 +275,15 @@ class Cyclo:
 
     # -- predicates ------------------------------------------------------
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         if is_rat(other):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return not any(self.nums[1:]) and \
+                self.nums[0] * other.denominator == other.numerator * self.den
         if isinstance(other, Cyclo):
             a, b = Cyclo._pair(self, other)
-            return a.coeffs == b.coeffs
+            return a.nums == b.nums and a.den == b.den
         return NotImplemented
 
     def __repr__(self):
@@ -272,6 +292,15 @@ class Cyclo:
             if c:
                 terms.append(f"{c}" if j == 0 else f"{c}*z{self.n}^{j}")
         return " + ".join(terms) if terms else "0"
+
+
+def _reduce(nums, phi, rows):
+    """The phi int coordinates of sum_k nums[k] zeta^k modulo Phi_n."""
+    out = nums[:phi]
+    for k in range(phi, len(nums)):
+        if nums[k]:
+            out = [o + nums[k] * r for o, r in zip(out, rows[k - phi])]
+    return out
 
 
 # -- univariate polynomials over any exact scalar (lists, low degree first) --

@@ -22,11 +22,12 @@ B2 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 from .deform import (E6_MONOMIALS, E6_SQRT6_ROWS, DeformationFamily,
                      UnsupportedLabel, e6_flat_coefficients, family,
-                     _full_subs)
+                     _fresh, _full_subs)
 from .exact import QQ, imag_unit, omega as omega_scalar
 from .flat import epsilon_from_psi
 from .poly import Ideal, MPoly, VarTable, equal_mod_vars
@@ -61,7 +62,14 @@ def _b_f_polys(r: int) -> dict:
 
 
 def quotient_family(label: str) -> QuotientFamily:
-    label = str(parse_type(label))
+    """Built once per process; each call returns a copy, as ``family``."""
+    qf = _quotient_family(str(parse_type(label)))
+    return replace(qf, source=_fresh(qf.source),
+                   invariant_map=dict(qf.invariant_map))
+
+
+@cache
+def _quotient_family(label: str) -> QuotientFamily:
     if label.startswith("B"):
         return _quotient_B(int(label[1:]))
     if label == "C3":

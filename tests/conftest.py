@@ -2,8 +2,17 @@
 
 import pytest
 
+from mckaydeform import deform, quotient
 from mckaydeform.poly import MPoly, VarTable
 from mckaydeform.rootdata import cartan_matrix
+
+
+@pytest.fixture(autouse=True)
+def fresh_family_caches():
+    """Each test builds its families anew: a test that patches a builder
+    (``family_D4``, say) or changes a family sees only its own build."""
+    deform._family.cache_clear()
+    quotient._quotient_family.cache_clear()
 
 
 def _coweight_reflection_subs(t, j, names):

@@ -302,6 +302,14 @@ def test_a_malformed_label_is_refused_by_name(argv, capsys):
     assert f"error: invalid Dynkin type {argv[-1]}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ("A1", "A2"))
+def test_family_refuses_a_label_it_does_not_build_by_name(label, capsys):
+    # A1 is a valid type, but no A_(2r-1) family with r >= 2
+    code, report = run(["family", "--label", label])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == f"error: {label}\n"
+
+
 def test_quotient_discriminant_command(tmp_path):
     argv = ["quotient", "discriminant", "--label", "B2"]
     assert _statuses(tmp_path, argv) == (0, {"B2_discriminant": "pass"})

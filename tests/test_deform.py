@@ -27,6 +27,19 @@ def test_family_labels_and_special_fibres():
         family("H17")
 
 
+def test_family_calls_return_equal_but_independent_families():
+    # each family is built once per process: a caller's change to the
+    # returned dicts must not reach the next call
+    first, second = family("G2"), family("G2")
+    assert first == second and first is not second
+    built = {g: dict(subs) for g, subs in second.omega_action.items()}
+    first.omega_action["rho"]["x"] = first.omega_action["rho"]["y"]
+    del first.omega_action["sigma"]
+    third = family("G2")
+    assert third.omega_action == second.omega_action == built
+    assert verify_equivariance(third)["ok"]
+
+
 def test_b2_equation_matches_printed_form():
     fam = family("B2")
     V = fam.vars

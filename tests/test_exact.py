@@ -2,6 +2,7 @@
 univariate and matrix helpers over those scalars."""
 
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -134,6 +135,13 @@ def test_scalar_to_json_refuses_a_float(x):
         scalar_to_json(x)
 
 
+@pytest.mark.parametrize("coords", ([0.1, 1], [QQ(1), 1j], ["1/2", 0]))
+def test_cyclo_refuses_a_coordinate_that_is_no_rational(coords):
+    # a float would be read as its binary value, 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        Cyclo(4, coords)
+
+
 def test_cyclo_is_unhashable():
     # equality crosses conductors; no hash is kept in step with it
     with pytest.raises(TypeError):
@@ -262,6 +270,81 @@ def test_rref_over_a_cyclotomic_field_matches_sympy():
             assert sympy.simplify(to_sympy(x) - y) == 0
 
 
+CONDUCTORS = (3, 4, 8, 12, 24)
+
+
+def _random_cyclo(rng, n):
+    phi, _ = exact._cyclo_data(n)
+    return Cyclo(n, [QQ(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(phi)])
+
+
+def _sympy_element(x, m):
+    """x in Q(zeta_m) for sympy: its power-basis polynomial at X^(m/n)."""
+    import sympy
+    step = m // x.n
+    return sympy.Poly.from_dict(
+        {(j * step,): _sympy_rational(c) for j, c in enumerate(x.coeffs)},
+        sympy.Symbol("X"), domain="QQ")
+
+
+def _sympy_reduced(p, m):
+    """The phi(m) coordinates of p modulo cyclotomic_poly(m)."""
+    import sympy
+    phi_m = sympy.Poly(sympy.cyclotomic_poly(m, p.gen), p.gen, domain="QQ")
+    coords = p.rem(phi_m).all_coeffs()[::-1]
+    return coords + [0] * (exact._cyclo_data(m)[0] - len(coords))
+
+
+def _is_canonical(x):
+    # one positive denominator, in lowest terms with the integer coordinates
+    return type(x.den) is int and x.den > 0 and gcd(x.den, *x.nums) == 1 \
+        and all(type(c) is int for c in x.nums)
+
+
+def test_cyclo_arithmetic_matches_sympy_modulo_the_cyclotomic_polynomial():
+    import sympy
+    rng = random.Random(2029)
+    for trial in range(60):
+        na, nb = rng.choice(CONDUCTORS), rng.choice(CONDUCTORS)
+        m = lcm(na, nb)
+        a, b = _random_cyclo(rng, na), _random_cyclo(rng, nb)
+        A, B = _sympy_element(a, m), _sympy_element(b, m)
+        An, Bn = _sympy_element(a, na), _sympy_element(b, nb)
+        k = rng.randint(2, 5)
+        cases = [(a.lift(m), m, A), (a + b, m, A + B), (a - b, m, A - B),
+                 (a * b, m, A * B), (a ** k, na, An ** k)]
+        if b:
+            phi_b = sympy.Poly(sympy.cyclotomic_poly(nb, Bn.gen), Bn.gen)
+            phi_m = sympy.Poly(sympy.cyclotomic_poly(m, B.gen), B.gen)
+            cases += [(b.inverse(), nb, Bn.invert(phi_b)),
+                      (b ** -k, nb, Bn.invert(phi_b) ** k),
+                      (a / b, m, A * B.invert(phi_m))]
+        for got, n, want in cases:
+            assert got.n == n and _is_canonical(got)
+            assert [_sympy_rational(c) for c in got.coeffs] == \
+                _sympy_reduced(want, n)
+
+
+def test_equal_cyclo_values_have_equal_fields():
+    rng = random.Random(2030)
+    for trial in range(60):
+        n = rng.choice(CONDUCTORS)
+        a, b, c = (_random_cyclo(rng, n) for _ in range(3))
+        lhs, rhs = a * (b + c), a * b + a * c
+        assert _is_canonical(lhs) and _is_canonical(rhs)
+        assert (lhs.n, lhs.nums, lhs.den) == (rhs.n, rhs.nums, rhs.den)
+        twice = (a + a) * QQ(1, 2)
+        assert (twice.nums, twice.den) == (a.nums, a.den)
+        zero = a - a
+        assert (zero.nums, zero.den) == ((0,) * len(a.nums), 1)
+    x = Cyclo(4, [QQ(2, 4), QQ(-6, 8)])
+    assert (x.nums, x.den) == ((2, -3), 4) and x.coeffs == (QQ(1, 2),
+                                                            QQ(-3, 4))
+    y = Cyclo(4, [QQ(4), QQ(-6)]) / -2
+    assert (y.nums, y.den) == ((-2, 3), 1)
+
+
 def test_charpoly_matches_sympy_on_random_rational_matrices():
     import sympy
     rng = random.Random(41)
@@ -350,7 +433,7 @@ def test_cyclotomic_polynomials_are_the_mobius_products():
         assert not any(num)
         phi, rows = exact._cyclo_data(n)
         assert [-c for c in rows[0]] + [1] == q and len(q) == phi + 1
-        assert all(type(c) is type(QQ(1)) for row in rows for c in row)
+        assert all(type(c) is int for row in rows for c in row)
 
 
 def test_long_division_by_sparse_and_non_monic_divisors():

@@ -193,6 +193,24 @@ def test_singular_locus_needs_a_root_over_every_t(monkeypatch):
     assert _failed(rep) == ["R"] and not rep["ok"]
 
 
+def test_quotient_family_calls_return_equal_but_independent_families():
+    # each quotient family is built once per process: a caller's change to
+    # its dicts or its source family's must not reach the next call
+    first, second = quotient_family("F4"), quotient_family("F4")
+    assert first == second and first is not second
+    imap, sigma = dict(second.invariant_map), dict(
+        second.source.omega_action["sigma"])
+    first.invariant_map["X"] = first.invariant_map["Y"]
+    first.source.omega_action["sigma"]["x"] = first.invariant_map["Z"]
+    del first.source.omega_action["sigma"]["z"]
+    third = quotient_family("F4")
+    assert third.invariant_map == second.invariant_map == imap
+    assert third.source.omega_action["sigma"] == sigma
+    assert second.source.omega_action["sigma"] == sigma
+    assert verify_invariant_generators("F4")["ok"]
+    assert verify_quotient_pullback("F4")["ok"]
+
+
 def test_discriminant_b2_check_names():
     rep = discriminant_B2()
     assert [c["check"] for c in rep["checks"]] == [

@@ -4,7 +4,8 @@
 renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package, as is every
 package name the benchmark's worker and tracer read.  Two work counts
-guard which substitutions run as Horner levels.  And no
+guard which substitutions run as Horner levels, and one that ``Cyclo``
+sums and products stay on integer coordinates.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, and the exact
 modules hold no float constant.
@@ -108,6 +109,30 @@ def test_dense_bindings_go_to_horner_and_frame_bindings_do_not(monkeypatch):
     assert _coefficient_products(
         monkeypatch,
         lambda: flat.verify_w_invariance(fs, gens, expand=xy)) <= 107_977
+
+
+def test_cyclo_sum_and_product_build_no_rational(monkeypatch):
+    # work count, no timing: Cyclo holds int coordinates over one
+    # denominator, so a product and a sum of two dense Q(zeta_24) elements
+    # construct no QQ; on rational coordinates the product alone builds
+    # one per coordinate product and per reduction step
+    from mckaydeform import exact
+    a = exact.Cyclo(24, [exact.QQ(2 * k - 7, k + 1) for k in range(8)])
+    b = exact.Cyclo(24, [exact.QQ(5 - 2 * k, 3) for k in range(8)])
+    built = [0]
+    qq = exact.QQ
+
+    def counted(*args):
+        built[0] += 1
+        return qq(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "QQ", counted)
+        product, total = a * b, a + b
+    assert built[0] == 0
+    za, zb = exact.embed_complex(a), exact.embed_complex(b)
+    assert abs(exact.embed_complex(product) - za * zb) < 1e-9
+    assert abs(exact.embed_complex(total) - (za + zb)) < 1e-12
 
 
 def _package_names(tree):
