@@ -63,6 +63,13 @@ def is_rat(x) -> bool:
     return isinstance(x, RAT_TYPES)
 
 
+def over_one_den(xs) -> tuple:
+    """(nums, den): the rationals xs as int numerators over the lcm of
+    their denominators."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _euler_phi(n: int) -> int:
     result, m, p = n, n, 2
     while p * p <= m:
@@ -128,9 +135,7 @@ class Cyclo:
             raise ValueError(f"need {phi} coordinates for conductor {n}")
         if not all(map(is_rat, coeffs)):
             raise TypeError(f"coordinates must be exact rationals: {coeffs}")
-        den = lcm(*(c.denominator for c in coeffs))
-        self._set(n, [c.numerator * (den // c.denominator) for c in coeffs],
-                  den)
+        self._set(n, *over_one_den(coeffs))
 
     def _set(self, n, nums, den):
         g = gcd(den, *nums)
@@ -456,9 +461,18 @@ def rref(rows, ncols):
 
     Pivots on the first ``ncols`` columns (later columns, e.g. a right-hand
     side, are carried along).  Returns (rows, pivots): the reduced rows, the
-    pivot rows first, and the pivot column of each of those rows.
+    pivot rows first, and the pivot column of each of those rows.  A row
+    after the pivots is zero on the first ``ncols`` columns and is returned
+    only up to a nonzero factor.
+
+    Rational rows are scaled to int rows and eliminated fraction-free
+    (Bareiss, Math. Comp. 22, 1968), each row divided by its content, and
+    each pivot row by its pivot once at the end: every row stays a nonzero
+    multiple of the field loop's, so the pivots and pivot rows are its.
     """
     rows = [list(r) for r in rows]
+    if all(is_rat(x) for r in rows for x in r):
+        return _rref_int([over_one_den(r)[0] for r in rows], ncols)
     pivots = []
     for col in range(ncols):
         rp = len(pivots)
@@ -476,6 +490,31 @@ def rref(rows, ncols):
                 rows[i] = [a - f * b for a, b in zip(row, rows[rp])]
         pivots.append(col)
     return rows, pivots
+
+
+def _rref_int(rows, ncols):
+    """``rref`` of int rows: row i becomes p row_i - f row_pivot, over the
+    content of that row."""
+    pivots = []
+    for col in range(ncols):
+        rp = len(pivots)
+        if rp == len(rows):
+            break
+        piv = next((i for i in range(rp, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rp], rows[piv] = rows[piv], rows[rp]
+        prow = rows[rp]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rp and f:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new) or 1      # 0: the row is now zero
+                rows[i] = [x // g for x in new]
+        pivots.append(col)
+    out = [[QQ(x, r[c]) for x in r] for r, c in zip(rows, pivots)]
+    return out + [[QQ(x) for x in r] for r in rows[len(pivots):]], pivots
 
 
 # -- named constants ------------------------------------------------------

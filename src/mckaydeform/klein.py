@@ -37,7 +37,7 @@ class SU2Group:
         for (a, b), (c, d) in self.generators:
             if a * d - b * c != 1:
                 raise ValueError(f"{self.label}: generator not in SL2")
-        # one conductor for every entry: then the entries' coordinates are
+        # one conductor for every entry: then the entries' (nums, den) are
         # an exact key, equal for equal elements only
         n = lcm(*(x.n for g in self.generators for row in g for x in row
                   if isinstance(x, Cyclo)))
@@ -50,7 +50,8 @@ class SU2Group:
         one = [[lifted(QQ(int(i == j))) for j in range(2)] for i in range(2)]
         self.elements = orbit(
             [one], lambda e: (mat_mul(g, e) for g in gens),
-            key=lambda A: tuple(lifted(x).coeffs for row in A for x in row),
+            key=lambda A: tuple((y.nums, y.den) for row in A
+                                for y in map(lifted, row)),
             cap=CLOSURE_CAP)
         return self.elements
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
+from functools import cache, lru_cache
+from math import lcm, prod
 
-from .exact import QQ, mat_mul, rat, rref, trace
+from .exact import QQ, mat_mul, over_one_den, rat, rref, trace
 from .poly import MPoly, VarTable
 from .rootdata import (DynkinType, UnsupportedType, extended_edges,
                        mckay_dimension_vector, omega_generators)
@@ -55,6 +56,11 @@ class McKayQuiver:
             self.reverse[name] = bar
             self.reverse[bar] = name
         self.by_name = {a.name: a for a in self.arrows}
+        # vertex v -> (a, abar, eps(a)) for the arrows a with target v
+        self.incoming = tuple(
+            tuple((a.name, self.reverse[a.name], self.orientation[a.name])
+                  for a in self.arrows if a.tgt == v)
+            for v in range(len(self.dims)))
 
     def shape(self, arrow_name: str):
         a = self.by_name[arrow_name]
@@ -65,6 +71,13 @@ class McKayQuiver:
 
     def vertex_count(self):
         return len(self.dims)
+
+
+@cache
+def _quiver(t: DynkinType) -> McKayQuiver:
+    """The McKay quiver of t, built once per process: the fibre samplers
+    share it and nothing writes to it."""
+    return McKayQuiver(t)
 
 
 def _positive_arrows(t: DynkinType):
@@ -129,13 +142,11 @@ def moment_map(quiver: McKayQuiver, phi: dict) -> dict:
     for phi mapping arrows to matrices of polynomials or exact scalars.
     Each block starts from its first product, as ``mat_mul``'s entries do."""
     out = {}
-    for v in range(quiver.vertex_count()):
+    for v, arrows in enumerate(quiver.incoming):
         acc = None
-        for a in quiver.arrows:
-            if a.tgt != v:
-                continue
-            block = mat_mul(phi[a.name], phi[quiver.reverse[a.name]])
-            if quiver.orientation[a.name] < 0:
+        for a, bar, eps in arrows:
+            block = mat_mul(phi[a], phi[bar])
+            if eps < 0:
                 block = [[-x for x in row] for row in block]
             acc = block if acc is None else [
                 [x + y for x, y in zip(r, b)] for r, b in zip(acc, block)]
@@ -350,58 +361,87 @@ def sample_moment_fibre(t: DynkinType, central, seed: int) -> dict:
     (1, 1) entry follows from the others through its trace, since
     sum_i d_i z_i = 0, so three equations in the u_i remain, solved by
     ``rref`` with the free u_i drawn.
+
+    The draws are ints and the central value is read as ints Z over one
+    denominator D, so every entry is one int quotient.
     """
-    q = McKayQuiver(t)
+    q = _quiver(t)
     rng = random.Random(seed)
 
     def draw():         # a small nonzero integer
-        return QQ(rng.choice((-3, -2, -1, 1, 2, 3)))
+        return rng.choice((-3, -2, -1, 1, 2, 3))
     z = exact_central(central)
     if len(z) != q.vertex_count():
         raise ValueError(f"central value arity: {t} needs "
                          f"{q.vertex_count()} values, got {len(z)}")
-    if sum(d * m for d, m in zip(q.dims, z)):
+    Z, D = over_one_den(z)
+    if sum(d * m for d, m in zip(q.dims, Z)):
         raise ValueError("central value must satisfy sum d_i z_i = 0")
     if t.family == "A":
         n = t.rank + 1
-        c = [draw()]
+        c = [D * draw()]                # D c_i
         for i in range(1, n):
-            c.append(c[i - 1] - z[i])
+            c.append(c[i - 1] - Z[i])
         a = [draw() for _ in range(n)]
-        rep = {f"a{i}": ((a[i],),) for i in range(n)}
-        rep.update({f"b{i}": ((c[i] / a[i],),) for i in range(n)})
+        rep = {f"a{i}": ((QQ(a[i]),),) for i in range(n)}
+        rep.update({f"b{i}": ((QQ(c[i], D * a[i]),),) for i in range(n)})
         return {"rep": rep, "quiver": q, "central": z}
     if t == DynkinType("D", 4):
         outer = (0, 1, 3, 4)
         for _ in range(10):
             cols = [(draw(), draw()) for _ in outer]
             # centre entries (0, 0), (0, 1), (1, 0): sum_i c_i0 u_i = z_2,
-            # sum_i c_i0 w_i = 0 and sum_i c_i1 u_i = 0
-            rows = [[c[0] for c in cols] + [z[2]],
-                    [-c[0] * c[0] / c[1] for c in cols] + [sum(
-                        c[0] * z[i] / c[1] for c, i in zip(cols, outer))],
-                    [c[1] for c in cols] + [0]]
+            # sum_i c_i0 w_i = 0 and sum_i c_i1 u_i = 0; the first times D,
+            # the second times D m, m the lcm of the c_i1
+            m = lcm(*(c1 for _, c1 in cols))
+            rows = [[D * c0 for c0, _ in cols] + [Z[2]],
+                    [-D * (m // c1) * c0 * c0 for c0, c1 in cols] + [sum(
+                        (m // c1) * c0 * Z[i]
+                        for (c0, c1), i in zip(cols, outer))],
+                    [c1 for _, c1 in cols] + [0]]
             red, pivots = rref(rows, 4)
             if any(r[4] for r in red[len(pivots):]):
                 continue        # inconsistent: draw new columns
             free = [k for k in range(4) if k not in pivots]
-            u = {k: draw() for k in free}
+            u = {k: (draw(), 1) for k in free}      # u_k = U / e
             for r, k in zip(red, pivots):
-                u[k] = r[4] - sum(r[f] * u[f] for f in free)
+                nums, e = over_one_den(r)
+                u[k] = (nums[4] - sum(nums[f] * u[f][0] for f in free), e)
             rep = {}
             for k, (i, (c0, c1)) in enumerate(zip(outer, cols)):
-                rep[f"pa{i}"] = ((c0,), (c1,))
-                rep[f"pb{i}"] = ((u[k], (-z[i] - c0 * u[k]) / c1),)
+                U, e = u[k]
+                rep[f"pa{i}"] = ((QQ(c0),), (QQ(c1),))
+                rep[f"pb{i}"] = ((QQ(U, e), QQ(-Z[i] * e - c0 * U * D,
+                                                D * e * c1)),)
             return {"rep": rep, "quiver": q, "central": z}
         raise SingularSystem("no consistent system in 10 attempts")
     raise UnsupportedType(f"no sampler for {t}")
 
 
 def fibre_residual(sample: dict):
-    """Largest |entry| of mu(point) - z_v Id: exact, 0 on the fibre."""
-    z, mm = sample["central"], moment_map(sample["quiver"], sample["rep"])
-    return max(abs(x - z[v] if i == j else x) for v, mat in mm.items()
-               for i, row in enumerate(mat) for j, x in enumerate(row))
+    """Largest |entry| of mu(point) - z_v Id: exact, 0 on the fibre.
+
+    The point and z are read as int matrices over one denominator D, so
+    each vertex block is an int product, compared with D^2 z_v Id."""
+    q, z, rep = sample["quiver"], sample["central"], sample["rep"]
+    D = lcm(*(x.denominator for x in z), *(
+        x.denominator for m in rep.values() for row in m for x in row))
+    ints = {a: [[x.numerator * (D // x.denominator) for x in row]
+                for row in m] for a, m in rep.items()}
+    worst = 0
+    for v, arrows in enumerate(q.incoming):
+        n = q.dims[v]
+        block = [[0] * n for _ in range(n)]
+        for a, bar, eps in arrows:
+            cols = list(zip(*ints[bar]))
+            for i, row in enumerate(ints[a]):
+                for j, col in enumerate(cols):
+                    block[i][j] += eps * sum(x * y for x, y in zip(row, col))
+        zv = z[v].numerator * (D // z[v].denominator) * D
+        worst = max(worst, *(abs(x - zv if i == j else x)
+                             for i, row in enumerate(block)
+                             for j, x in enumerate(row)))
+    return QQ(worst, D * D)
 
 
 def invariants_at_point(t: DynkinType, sample: dict):
@@ -413,8 +453,10 @@ def invariants_at_point(t: DynkinType, sample: dict):
         b = [rep[f"b{i}"][0][0] for i in range(n)]
         return prod(a), prod(b), sum(x * y for x, y in zip(a, b)) / n
     if t == DynkinType("D", 4):
-        def s(i, j):
-            return mat_mul(rep[f"pb{i}"], rep[f"pa{j}"])[0][0]
+        def s(i, j):        # the 1 x 1 product pb_i pa_j
+            (p0, p1), = rep[f"pb{i}"]
+            (q0,), (q1,) = rep[f"pa{j}"]
+            return p0 * q0 + p1 * q1
         # m_i = pa_i pb_i has rank 1, so a trace of a product of the m_i
         # is a product of the scalars s(i, j) = pb_i pa_j
         p03 = s(0, 3) * s(3, 0)         # tr(m_0 m_3)
@@ -433,11 +475,16 @@ def lambda_from_central(central) -> list:
     """Eigenvalue parameters from a type-A central value.
 
     tau sends the central value to h with alpha_i(h) = -z_i; for the cycle
-    this pins lambda_i - lambda_{i-1} = z_i with sum(lambda) = 0.
+    this pins lambda_i - lambda_{i-1} = z_i with sum(lambda) = 0.  Memoised
+    on the exact central value; each call returns its own list.
     """
-    z = exact_central(central)
+    return list(_lambda_from_central(tuple(exact_central(central))))
+
+
+@lru_cache(maxsize=16)
+def _lambda_from_central(z: tuple) -> tuple:
     lam = [QQ(0)]
     for i in range(1, len(z)):
         lam.append(lam[i - 1] + z[i])
     mean = sum(lam) / len(lam)
-    return [v - mean for v in lam]
+    return tuple(v - mean for v in lam)

@@ -2,17 +2,20 @@
 
 import pytest
 
-from mckaydeform import deform, quotient
+from mckaydeform import deform, quiver, quotient
 from mckaydeform.poly import MPoly, VarTable
 from mckaydeform.rootdata import cartan_matrix
 
 
 @pytest.fixture(autouse=True)
 def fresh_family_caches():
-    """Each test builds its families anew: a test that patches a builder
-    (``family_D4``, say) or changes a family sees only its own build."""
+    """Each test builds its families, quivers and eigenvalue parameters
+    anew: a test that patches a builder (``family_D4``, ``McKayQuiver``,
+    say) or changes a family sees only its own build."""
     deform._family.cache_clear()
     quotient._quotient_family.cache_clear()
+    quiver._quiver.cache_clear()
+    quiver._lambda_from_central.cache_clear()
 
 
 def _coweight_reflection_subs(t, j, names):

@@ -270,6 +270,65 @@ def test_rref_over_a_cyclotomic_field_matches_sympy():
             assert sympy.simplify(to_sympy(x) - y) == 0
 
 
+def _field_rref(rows, ncols):
+    """rref as a plain field loop: each pivot row scaled to 1, then its
+    column cleared in every other row."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rp = len(pivots)
+        if rp == len(rows):
+            break
+        piv = next((i for i in range(rp, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rp], rows[piv] = rows[piv], rows[rp]
+        inv = QQ(1) / rows[rp][col]
+        rows[rp] = [x * inv for x in rows[rp]]
+        for i, row in enumerate(rows):
+            if i != rp and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, rows[rp])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def test_rational_rref_matches_the_field_loop():
+    # fraction-free on ints: the same pivots and pivot rows; a row after
+    # the pivots is zero on the pivot columns and a nonzero multiple of
+    # the loop's row (right-hand sides make some of them nonzero)
+    rng = random.Random(30)
+    for trial in range(300):
+        m, n, extra = rng.randint(1, 5), rng.randint(1, 6), rng.randint(0, 2)
+        rows = _random_rational_matrix(rng, m, n + extra,
+                                       rng.randint(0, min(m, n + extra)))
+        rows = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+                 for x in row] for row in rows]
+        got, pivots = rref(rows, n)
+        want, want_pivots = _field_rref(rows, n)
+        assert pivots == want_pivots
+        k = len(pivots)
+        assert got[:k] == want[:k]
+        assert all(type(x) is QQ for row in got for x in row)
+        for g, w in zip(got[k:], want[k:]):
+            assert not any(g[:n])
+            j = next((j for j, x in enumerate(w) if x), None)
+            if j is None:
+                assert not any(g)
+            else:
+                assert g[j] and g == [x * (g[j] / w[j]) for x in w]
+
+
+def test_rref_with_a_cyclotomic_entry_runs_the_field_loop():
+    rng = random.Random(31)
+    r3 = sqrt3().lift(12)
+    for trial in range(20):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        rows = _random_rational_matrix(rng, m, n + 1, rng.randint(1, m))
+        i, j = rng.randrange(m), rng.randrange(n)
+        rows[i][j] = rows[i][j] + r3 * QQ(rng.randint(1, 3))
+        assert rref(rows, n) == _field_rref(rows, n)
+
 CONDUCTORS = (3, 4, 8, 12, 24)
 
 

@@ -5,12 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from mckaydeform.exact import QQ, mat_mul
+from mckaydeform.exact import QQ, Cyclo, mat_mul
 from mckaydeform.klein import (binary_dihedral, binary_octahedral,
                                binary_tetrahedral, cyclic_group, klein_data,
                                verify_invariance, verify_omega_action)
 from mckaydeform.poly import MPoly
-from mckaydeform.rootdata import ClosureBudgetExceeded, DynkinType
+from mckaydeform.rootdata import ClosureBudgetExceeded, DynkinType, orbit
 
 
 def test_group_orders():
@@ -26,6 +26,30 @@ def test_group_orders():
         elements = group.enumerate()
         for k, e in enumerate(elements):
             assert not any(e == f for f in elements[:k]), group.label
+
+
+@pytest.mark.parametrize("tname", ["A3", "A5", "D4", "D5", "E6"])
+def test_group_elements_keyed_on_int_coordinates_match_rational_keys(tname):
+    # the orbit is keyed on each entry's (nums, den) in one conductor; its
+    # rational coordinates key the same elements in the same order
+    kd = klein_data(DynkinType(tname[0], int(tname[1:])))
+    for group in (kd.gamma, kd.gamma_prime):
+        if group is None:
+            continue
+        elements = group.enumerate()
+        n = elements[0][0][0].n
+
+        def lifted(x):
+            return x.lift(n) if isinstance(x, Cyclo) else Cyclo.from_rat(x, n)
+        gens = [[[lifted(x) for x in row] for row in g]
+                for g in group.generators]
+
+        def key(A):
+            return tuple(lifted(x).coeffs for row in A for x in row)
+        want = orbit([elements[0]], lambda e: (mat_mul(g, e) for g in gens),
+                     key=key)
+        assert len(elements) == group.order_expected == len(want)
+        assert elements == want
 
 
 def test_closure_budget(monkeypatch):

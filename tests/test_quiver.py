@@ -354,3 +354,100 @@ def test_d4_point_against_another_central_value_fails_the_family():
     point = invariants_at_point(D4, s)
     assert _d4_family_residual((1, 1, -2, 1, 1), *point) == 0
     assert _d4_family_residual((2, 0, -2, 1, 1), *point) > 0
+
+
+# Points drawn before the sampler moved onto int numerators: type, central
+# value, then per seed 0-4 the entries of every arrow matrix, arrows in
+# name order, rows in order.
+PINNED_POINTS = (
+    ("A3", [1.5, -0.5, 0.25, -1.25], (
+        "1 -3 -1 2 1 -1/2 -5/4 5/4",
+        "2 -3 -1 -3 -1 1/2 7/4 1/6",
+        "-3 -3 -1 -2 1 5/6 11/4 3/4",
+        "2 2 -2 -1 -1 -3/4 7/8 1/2",
+        "-1 -3 3 1 2 1/2 -7/12 -1/2")),
+    ("A5", [0.5, -0.25, 0.75, -1.0, 0.25, -0.25], (
+        "1 -3 -1 2 1 1 1 -5/12 -1/2 3/4 5/4 3/2",
+        "2 -3 -1 -3 1 1 -1 7/12 5/2 1/2 -7/4 -3/2",
+        "-3 -3 -1 -2 3 3 1 11/12 7/2 5/4 -11/12 -5/6",
+        "2 2 -2 -1 2 1 -1 -7/8 5/4 3/2 -7/8 -3/2",
+        "-1 -3 3 1 1 -2 2 7/12 -5/6 -3/2 -7/4 3/4")),
+    ("D4", [1, 1, -2, 1, 1], (
+        "1 1 -3 -1 2 1 1 -1 17/2 -19/2 -7/2 23/2 -11 21 1 2",
+        "-2 2 -3 -1 -3 1 1 1 -3/2 -2 4/3 -3 4/3 3 3 -4",
+        "-3 -3 -3 -1 -2 3 3 -1 -29/30 13/10 27/22 -59/22 -49/55 -51/55 -1 -2",
+        "-2 2 2 -2 -1 2 1 3 27/8 23/8 2 5/2 -1 -1 -1/4 -1/4",
+        "-2 -1 -3 3 1 1 -2 -3 -7/9 23/9 -1/27 -10/27 -29/3 26/3 -3 7/3")),
+    ("D4", ["1/3", "2/5", "-1", "1/2", "23/30"], (
+        "1 1 -3 -1 2 1 1 -1 457/60 -159/20 -217/60 45/4 -307/30 599/30 "
+        "1 53/30",
+        "-2 2 -3 -1 -3 1 1 1 -179/120 -199/120 211/180 -187/60 52/45 89/30 "
+        "3 -113/30",
+        "-3 -3 -3 -1 -2 3 3 -1 -317/300 1051/900 237/220 -623/220 -567/550 "
+        "-1409/1650 -1 -67/30",
+        "-2 2 2 -2 -1 2 1 3 581/240 541/240 2 11/5 -11/150 -43/150 -139/600 "
+        "-107/600",
+        "-2 -1 -3 3 1 1 -2 -3 -67/54 76/27 -41/324 -421/1620 -355/36 337/36 "
+        "-3 203/90")),
+)
+
+
+@pytest.mark.parametrize("tname, mu, points", PINNED_POINTS)
+def test_sampled_points_are_the_pinned_ones(tname, mu, points):
+    t = parse_type(tname)
+    for seed, want in enumerate(points):
+        rep = sample_moment_fibre(t, mu, seed)["rep"]
+        assert [x for a in sorted(rep) for row in rep[a] for x in row] \
+            == [QQ(w) for w in want.split()]
+
+
+def test_non_dyadic_d4_points_lie_on_the_fibre_and_the_family():
+    mu = ["1/3", "2/5", "-1", "1/2", "23/30"]
+    for seed in range(5):
+        s = sample_moment_fibre(D4, mu, seed)
+        assert fibre_residual(s) == 0
+        assert _d4_family_residual(mu, *invariants_at_point(D4, s)) == 0
+
+
+@pytest.mark.parametrize("t, mu, seed, name, step, want", (
+    (D4, ["1/3", "2/5", "-1", "1/2", "23/30"], 2, "pb0", (0, 1, QQ(1, 7)),
+     QQ(3, 7)),
+    (A5, [0.5, -0.25, 0.75, -1.0, 0.25, -0.25], 1, "a2", (0, 0, QQ(2, 9)),
+     QQ(5, 9))))
+def test_bumped_residual_over_mixed_denominators_is_exact(t, mu, seed, name,
+                                                          step, want):
+    # the entries' denominators (up to 1650 on D4) and the bump's 7 or 9
+    # share no common one: the residual is still the exact largest entry
+    s = sample_moment_fibre(t, mu, seed)
+    i, j, delta = step
+    bumped = [list(row) for row in s["rep"][name]]
+    bumped[i][j] += delta
+    s["rep"] = {**s["rep"], name: bumped}
+    got = fibre_residual(s)
+    assert got == want and type(got) is QQ
+
+
+def test_quiver_is_built_once_per_type_and_patches_see_their_own(
+        monkeypatch):
+    import mckaydeform.quiver as quiver
+    built = []
+
+    class Counted(McKayQuiver):
+        def __init__(self, t):
+            built.append(t)
+            super().__init__(t)
+    monkeypatch.setattr(quiver, "McKayQuiver", Counted)
+    first = sample_moment_fibre(D4, (1, 1, -2, 1, 1), seed=0)
+    second = sample_moment_fibre(D4, (1, 1, -2, 1, 1), seed=1)
+    assert built == [D4] and type(first["quiver"]) is Counted
+    assert second["quiver"] is first["quiver"]
+
+
+def test_lambda_from_central_returns_a_fresh_list():
+    central = [1.5, -0.5, 0.25, -1.25]
+    lam = lambda_from_central(central)
+    want = list(lam)
+    lam[0] = QQ(99)
+    lam.append(QQ(1))
+    assert lambda_from_central(central) == want
+    assert lambda_from_central([QQ(3, 2), "-1/2", "1/4", -1.25]) == want

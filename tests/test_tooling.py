@@ -4,8 +4,10 @@
 renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package, as is every
 package name the benchmark's worker and tracer read.  Two work counts
-guard which substitutions run as Horner levels, and one that ``Cyclo``
-sums and products stay on integer coordinates.  And no
+guard which substitutions run as Horner levels, one that ``Cyclo``
+sums and products stay on integer coordinates, and one that the
+moment-fibre sampler, its residual and rational ``rref`` run no
+``Fraction`` arithmetic.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, and the exact
 modules hold no float constant.
@@ -134,6 +136,55 @@ def test_cyclo_sum_and_product_build_no_rational(monkeypatch):
     assert abs(exact.embed_complex(product) - za * zb) < 1e-9
     assert abs(exact.embed_complex(total) - (za + zb)) < 1e-12
 
+
+_FRACTION_OPS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__truediv__", "__rtruediv__", "__neg__",
+                 "__pow__", "__rpow__")
+
+
+def _fraction_ops(monkeypatch, call):
+    """How many ``Fraction`` arithmetic operations ``call()`` runs, counted
+    by wrapping the operators on the class."""
+    from fractions import Fraction
+    ops = [0]
+
+    def counted(op):
+        def run(*args):
+            ops[0] += 1
+            return op(*args)
+        return run
+    with monkeypatch.context() as m:
+        for name in _FRACTION_OPS:
+            m.setattr(Fraction, name, counted(getattr(Fraction, name)))
+        call()
+    return ops[0]
+
+
+def test_moment_fibre_points_and_rational_rref_run_on_ints(monkeypatch):
+    # work count, no timing: the sampler, the exact residual and rref read
+    # rationals as int numerators over one denominator; the field versions
+    # ran 137 (D4 sample), 50 (D4 residual), 30 (A5 residual) and 78
+    # (3 x 5 rref) Fraction operations
+    from mckaydeform import exact, quiver
+    from mckaydeform.rootdata import DynkinType
+    QQ = exact.QQ
+    d4, mu = DynkinType("D", 4), [1, 1, -2, 1, 1]
+    s4 = quiver.sample_moment_fibre(d4, mu, seed=0)
+    s5 = quiver.sample_moment_fibre(
+        DynkinType("A", 5), [0.5, -0.25, 0.75, -1.0, 0.25, -0.25], seed=0)
+    rows = [[QQ(1, 2), QQ(-2, 3), QQ(3), QQ(1, 5), QQ(7)],
+            [QQ(2), QQ(1, 3), QQ(-1, 4), QQ(5), QQ(-1)],
+            [QQ(-3, 7), QQ(4), QQ(1), QQ(2, 3), QQ(1, 2)]]
+    calls = (lambda: quiver.sample_moment_fibre(d4, mu, seed=1),
+             lambda: quiver.fibre_residual(s4),
+             lambda: quiver.fibre_residual(s5),
+             lambda: exact.rref(rows, 4))
+    assert [_fraction_ops(monkeypatch, c) for c in calls] == [0, 0, 0, 0]
+    assert quiver.fibre_residual(s4) == quiver.fibre_residual(s5) == 0
+    assert exact.rref(rows, 4) == ([
+        [1, 0, 0, QQ(39718, 16605), QQ(-35, 246)],
+        [0, 1, 0, QQ(2653, 5535), QQ(-149, 328)],
+        [0, 0, 1, QQ(-416, 1845), QQ(185, 82)]], [0, 1, 2])
 
 def _package_names(tree):
     """Dotted names a module reads from ``mckaydeform``: the names it
