@@ -10,11 +10,11 @@ The three family presentations:
 * type E6: the degree-12 normal form whose six coefficients are the rows
   of ``e6_flat_coefficients``, two of them normalised by sqrt(6).
 
-Restricting to the symmetry-fixed parameters yields the B_r, C3, G2, F4
-families.  The E6 coefficients in the coweight variables mu hold sqrt(6),
-and the changes of variables onto the Klein relations hold 2^(1/3) or i,
-as one extra variable of a rational polynomial, folded by its relation
-(``poly.fold_root``).
+B_r, C3, G2 and F4 are each one row (base, generators): the base family
+on the parameters those generators fix.  The E6 coefficients in the
+coweight variables mu hold sqrt(6), and the changes of variables onto the
+Klein relations hold 2^(1/3) or i, as one extra variable of a rational
+polynomial, folded by its relation (``poly.fold_root``).
 
 ``analyze_fibre`` finds every singular point of a fibre exactly, from the
 exact multiplication matrices of the quotient by the Jacobian ideal
@@ -38,7 +38,7 @@ from .exact import (QQ, Cyclo, charpoly, embed_complex, inverse_mod, mat_mul,
                     poly_divmod, poly_gcd, poly_mul, rref, scalar_to_json,
                     sqrt6, squarefree_split)
 from .flat import (MU_VARS, PQR_VARS, SQRT6_VAR, epsilon_from_psi,
-                   flat_coords_E6, psi_D_in_xi, psi_E6_of_mu)
+                   flat_coords_E6, psi_A_in_lambda, psi_D_in_xi, psi_E6_of_mu)
 from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
                    equal_mod_vars, fold_root, quotient_basis,
                    reflection_invariant)
@@ -60,9 +60,11 @@ class DeformationFamily:
     param_vars: tuple
     equation: MPoly               # fibre equation, = 0 on the family
     omega_action: dict            # generator -> substitution dict
-    restricted: bool
-    # generators that act on the base but whose printed ambient formula
-    # only holds on the restricted locus (the D4 three-cycle)
+    # the label of the A_(2r-1), D4 or E6 family this one restricts; its
+    # own label for those three
+    base: str
+    # generators whose whole substitutions preserve the equation only on a
+    # restricted family's locus (the D4 three-cycle, on t4 = t = 0)
     param_actions: dict = field(default_factory=dict)
     vars: VarTable = field(init=False)
 
@@ -110,8 +112,9 @@ def family_A(r: int) -> DeformationFamily:
              "z": -MPoly.variable(V, "z")}
     for i in range(2, 2 * r + 1):
         sigma[f"t{i}"] = MPoly.variable(V, f"t{i}") * (QQ(-1) ** i)
-    return DeformationFamily(f"A{2 * r - 1}", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=False)
+    label = f"A{2 * r - 1}"
+    return DeformationFamily(label, ("x", "y", "z"), tnames, eqn,
+                             {"sigma": sigma}, label)
 
 
 def family_D4() -> DeformationFamily:
@@ -126,13 +129,12 @@ def family_D4() -> DeformationFamily:
     for name, row in d4_flat_coefficients().items():
         eqn = eqn - row.rename(to_t).extend(V) * monomials[name]
     sigma = {"x": x, "y": -x - y + t2 * QQ(1, 2), "z": -z, "t": -t}
-    # the ambient three-cycle formula is exact only on the t4 = t = 0
-    # locus; on the full base only its parameter part is carried
-    rho_params = {"t4": t4 * QQ(-1, 2) - 3 * t,
-                  "t": t4 * QQ(1, 4) - t * QQ(1, 2)}
+    # the three-cycle preserves the equation only on t4 = t = 0
+    rho = {"x": y, "y": -x - y + t2 * QQ(1, 2), "z": z,
+           "t4": t4 * QQ(-1, 2) - 3 * t, "t": t4 * QQ(1, 4) - t * QQ(1, 2)}
     return DeformationFamily("D4", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=False,
-                             param_actions={"rho": rho_params})
+                             {"sigma": sigma}, "D4",
+                             param_actions={"rho": rho})
 
 
 def family_E6() -> DeformationFamily:
@@ -151,28 +153,24 @@ def family_E6() -> DeformationFamily:
                      if name in E6_SQRT6_ROWS else row)
     sigma = {"x": -x, "z": -z, "t5": -t5, "t9": -t9}
     return DeformationFamily("E6", ("x", "y", "z"), tnames, eqn,
-                             {"sigma": sigma}, restricted=False)
+                             {"sigma": sigma}, "E6")
 
 
-def _restrict(base: DeformationFamily, label: str, killed,
-              extra=None) -> DeformationFamily:
-    """``base`` on the locus where the ``killed`` parameters are 0.
-
-    The surviving parameters keep the base family's order, and every
-    symmetry's substitution is restricted to the new table.  ``extra``
-    maps generator names to substitutions, written in the base family's
-    variables, that act only on the restricted family.
-    """
-    tnames = tuple(v for v in base.param_vars if v not in killed)
+def _restrict(base: DeformationFamily, label: str, gens) -> DeformationFamily:
+    """``base`` on the parameters that the generators ``gens`` fix: those
+    ``fixed_parameter_locus`` kills are 0, the rest keep the base family's
+    order, and the family carries each generator's whole substitution,
+    restricted to the new table, and no other generator."""
+    zero = {v: QQ(0) for v in fixed_parameter_locus(base, gens)}
+    tnames = tuple(v for v in base.param_vars if v not in zero)
     V = VarTable(base.ambient_vars + tnames)
-    zero = {v: QQ(0) for v in killed}
-    actions = {}
-    for gen, subs in {**base.omega_action, **(extra or {})}.items():
-        actions[gen] = {k: p.substitute(zero).extend(V)
-                        for k, p in subs.items() if k not in zero}
+    subs = {**base.param_actions, **base.omega_action}
+    actions = {gen: {k: p.substitute(zero).extend(V)
+                     for k, p in subs[gen].items() if k not in zero}
+               for gen in gens}
     return DeformationFamily(label, base.ambient_vars, tnames,
                              base.equation.substitute(zero).extend(V),
-                             actions, restricted=True)
+                             actions, base.label)
 
 
 def family(label: str) -> DeformationFamily:
@@ -193,21 +191,16 @@ def _fresh(fam: DeformationFamily) -> DeformationFamily:
 
 @cache
 def _family(label: str) -> DeformationFamily:
-    if label.startswith("A") and int(label[1:]) % 2 == 1 and label != "A1":
-        return family_A((int(label[1:]) + 1) // 2)
-    if label.startswith("B"):
-        r = int(label[1:])
-        return _restrict(_family(f"A{2 * r - 1}"), f"B{r}",
-                         [f"t{i}" for i in range(3, 2 * r + 1, 2)])
-    if label == "C3":
-        return _restrict(_family("D4"), label, ("t",))
-    if label == "G2":
-        d4 = _family("D4")
-        x, y, z, t2 = _variables(d4.vars, ("x", "y", "z", "t2"))
-        rho = {"x": y, "y": -x - y + t2 * QQ(1, 2), "z": z}
-        return _restrict(d4, label, ("t4", "t"), {"rho": rho})
-    if label == "F4":
-        return _restrict(_family("E6"), label, ("t5", "t9"))
+    r = int(label[1:])
+    if label[0] == "A" and r % 2 == 1 and r > 1:
+        return family_A((r + 1) // 2)
+    # each restricted family as (base, generators) (Slodowy, LNM 815, 1980)
+    restrictions = {f"B{r}": (f"A{2 * r - 1}", ("sigma",)),
+                    "C3": ("D4", ("sigma",)), "G2": ("D4", ("sigma", "rho")),
+                    "F4": ("E6", ("sigma",))}
+    if label in restrictions:
+        base, gens = restrictions[label]
+        return _restrict(_family(base), label, gens)
     if label == "D4":
         return family_D4()
     if label == "E6":
@@ -277,11 +270,12 @@ def parameter_action_matrix(fam: DeformationFamily, gen: str):
     return M
 
 
-def fixed_parameter_locus(fam: DeformationFamily):
-    """Parameters forced to zero on the common fixed locus of the actions,
-    sorted by name; a locus that is no coordinate subspace raises
-    ``ValueError``."""
-    gens = set(fam.omega_action) | set(fam.param_actions)
+def fixed_parameter_locus(fam: DeformationFamily, gens=None):
+    """Parameters forced to zero on the common fixed locus of the actions
+    of ``gens`` (by default every generator), sorted by name; a locus that
+    is no coordinate subspace raises ``ValueError``."""
+    if gens is None:
+        gens = [*fam.omega_action, *fam.param_actions]
     n = len(fam.param_vars)
     rows = []
     for gen in gens:
@@ -300,29 +294,27 @@ def fixed_parameter_locus(fam: DeformationFamily):
 def verify_parameter_actions(fam: DeformationFamily) -> dict:
     """The base family's linear parameter actions hold exactly upstairs on h.
 
-    Each flat coordinate's expected image is read off the base family's
-    ``parameter_action_matrix`` (A_(2r-1) for A and B, D4 for D4, C3 and
-    G2, E6 for E6 and F4), and compared with the Cartan-space action
-    substituted into it: reversal-negation for type A; for D4 and E6, each
-    generator's ``omega_generators`` vertex permutation, mu_i -> mu_g(i)
-    (D4's sigma and rho are z2 and z3).
+    Each flat coordinate's expected image is read off the
+    ``parameter_action_matrix`` of ``fam.base``, and compared with the
+    Cartan-space action substituted into it: reversal-negation for type A;
+    for D4 and E6, each generator's ``omega_generators`` vertex
+    permutation, mu_i -> mu_g(i) (D4's sigma and rho are z2 and z3).
     """
-    label = fam.label
-    if label[0] in ("A", "B"):
-        r = (int(label[1:]) + 1) // 2 if label[0] == "A" else int(label[1:])
-        from .flat import psi_A_in_lambda
-        base, psis = _family(f"A{2 * r - 1}"), psi_A_in_lambda(r)
+    t, base = parse_type(fam.base), _family(fam.base)
+    if t.family == "A":
+        r = (t.rank + 1) // 2
+        psis = psi_A_in_lambda(r)
         lam = _variables(next(iter(psis.values())).vars,
                          [f"lam{i}" for i in range(2 * r)])
         actions = {"sigma": {f"lam{i}": -lam[2 * r - 1 - i]
                              for i in range(2 * r)}}
         title = "{name} -> (-1)^{degree} {name}"
-    elif label in ("D4", "C3", "G2", "E6", "F4"):
-        if label in ("E6", "F4"):
-            t, base, psis = DynkinType("E", 6), _family("E6"), psi_E6_of_mu()
+    else:
+        if t.family == "E":
+            psis = psi_E6_of_mu()
             gens, title = {"sigma": "z2"}, "{gen}: {name} -> {sign:+d} {name}"
         else:
-            t, base, psis = DynkinType("D", 4), _family("D4"), psi_D4_of_mu()
+            psis = psi_D4_of_mu()
             gens, title = {"rho": "z3", "sigma": "z2"}, "{gen}: {name}"
         mu = psis["psi2"].vars
         actions = {}
@@ -330,9 +322,7 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
             g, = omega_generators(t, name)
             actions[gen] = {f"mu{i}": MPoly.variable(mu, f"mu{j}")
                             for i, j in enumerate(g.vertex_perm, 1) if i != j}
-    else:
-        raise UnsupportedLabel(label)
-    names = ["psi" + t[1:] for t in base.param_vars]
+    names = ["psi" + v[1:] for v in base.param_vars]
     checks = []
     for gen, subs in actions.items():
         M = parameter_action_matrix(base, gen)
@@ -345,7 +335,7 @@ def verify_parameter_actions(fam: DeformationFamily) -> dict:
             check = title.format(gen=gen, name=name, degree=name[3:],
                                  sign=int(M[i][i]))
             checks.append({"check": check, "ok": ok})
-    return {"label": label, "checks": checks,
+    return {"label": fam.label, "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
 
@@ -361,8 +351,9 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     from .klein import klein_data
 
     W = VarTable(fam.vars.names + ("X", "Y", "Z", "a"))
-    klein_type, root, fwd, inv, change, gens = _klein_change(
-        fam.label, _variables(W, ("x", "y", "z", "X", "Y", "Z", "a")))
+    klein_type = parse_type(fam.base)
+    root, fwd, inv, change, gens = _klein_change(
+        klein_type, _variables(W, ("x", "y", "z", "X", "Y", "Z", "a")))
 
     def fold(p):
         return fold_root(p, "a", *root) if root else p
@@ -390,36 +381,30 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
             "per_generator": details, "ok": match and action_ok}
 
 
-def _klein_change(label, variables):
-    """The Klein type of a family's special fibre; the relation a^k = c,
-    as (k, c), of the root a its change of variables adjoins (None when it
-    adjoins none); the change onto the Klein relation, forward (X, Y, Z in
-    x, y, z, a) and inverse (x, y, z in X, Y, Z, a), rational in a; the
-    change as text; and the Klein generator each family generator becomes.
+def _klein_change(t: DynkinType, variables):
+    """For a family whose base family has type t, its special fibre's
+    Klein type: the relation a^k = c, as (k, c), of the root a its change
+    of variables adjoins (None when it adjoins none); the change onto the
+    Klein relation, forward (X, Y, Z in x, y, z, a) and inverse (x, y, z
+    in X, Y, Z, a), rational in a; the change as text; and the Klein
+    generator each family generator becomes.
     """
     x, y, z, X, Y, Z, a = variables
-    if label[0] in "AB":
-        n = int(label[1:])
-        klein_type = DynkinType("A", 2 * n - 1 if label[0] == "B" else n)
+    if t.family == "A":
         # identity change up to slot names
-        return (klein_type, None, {"X": z, "Y": x, "Z": y},
-                {"z": X, "x": Y, "y": Z}, "(X, Y, Z) = (z, x, y)",
-                {"sigma": "h"})
-    if label in ("C3", "G2", "D4"):
+        return (None, {"X": z, "Y": x, "Z": y}, {"z": X, "x": Y, "y": Z},
+                "(X, Y, Z) = (z, x, y)", {"sigma": "h"})
+    if t.family == "D":
         # a = 2^(1/3); inverse: x = -a^2 X, y = (a^2/2) (X - Y)
-        return (DynkinType("D", 4), (3, QQ(2)),
+        return ((3, QQ(2)),
                 {"X": -x * a * QQ(1, 2), "Y": -(y + x * QQ(1, 2)) * a,
                  "Z": z},
                 {"x": -X * a ** 2, "y": (X - Y) * a ** 2 * QQ(1, 2), "z": Z},
                 "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z",
                 {"sigma": "h", "rho": "g"})
-    if label in ("F4", "E6"):
-        # a = i; 1/(1+i) = (1-i)/2, and (1+i)^4 = -4
-        return (DynkinType("E", 6), (2, QQ(-1)),
-                {"X": (x - x * a) * QQ(1, 2), "Y": y, "Z": z},
-                {"x": X + X * a, "y": Y, "z": Z}, "x = (1+i) X",
-                {"sigma": "g"})
-    raise UnsupportedLabel(label)
+    # E6: a = i; 1/(1+i) = (1-i)/2, and (1+i)^4 = -4
+    return ((2, QQ(-1)), {"X": (x - x * a) * QQ(1, 2), "Y": y, "Z": z},
+            {"x": X + X * a, "y": Y, "z": Z}, "x = (1+i) X", {"sigma": "g"})
 
 
 def _linear_coeff(p: MPoly, name: str):

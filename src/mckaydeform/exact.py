@@ -18,11 +18,11 @@ one more variable, folded by ``poly.fold_root``.
 
 Univariate polynomials (coefficient lists, low degree first) and matrices
 (lists of rows) over either kind carry what the fibre analysis needs:
-division, inverse modulo a polynomial, gcd, Yun's square-free split, the
-characteristic polynomial and ``rref``.  ``mat_mul`` and ``trace`` are the
-package's one matrix product and trace, over exact scalars or ``MPoly``
-entries alike; a product whose shapes do not match raises
-``ShapeMismatch``.
+division, inverse modulo a polynomial, gcd, Yun's square-free split and
+the characteristic polynomial; ``rref`` reduces rational matrices alone.
+``mat_mul`` and ``trace`` are the package's one matrix product and trace,
+over exact scalars or ``MPoly`` entries alike; a product whose shapes do
+not match raises ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -457,7 +457,8 @@ def charpoly(M):
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form over any exact scalar field.
+    """Reduced row echelon form of rational rows; any other entry raises
+    ``TypeError``.
 
     Pivots on the first ``ncols`` columns (later columns, e.g. a right-hand
     side, are carried along).  Returns (rows, pivots): the reduced rows, the
@@ -465,36 +466,15 @@ def rref(rows, ncols):
     after the pivots is zero on the first ``ncols`` columns and is returned
     only up to a nonzero factor.
 
-    Rational rows are scaled to int rows and eliminated fraction-free
-    (Bareiss, Math. Comp. 22, 1968), each row divided by its content, and
-    each pivot row by its pivot once at the end: every row stays a nonzero
-    multiple of the field loop's, so the pivots and pivot rows are its.
+    The rows are scaled to int rows and eliminated fraction-free (Bareiss,
+    Math. Comp. 22, 1968): row i becomes p row_i - f row_pivot, over the
+    content of that row, and each pivot row is divided by its pivot once
+    at the end.  Every row stays a nonzero multiple of plain Gauss-Jordan
+    elimination's, so the pivots and pivot rows are its.
     """
-    rows = [list(r) for r in rows]
-    if all(is_rat(x) for r in rows for x in r):
-        return _rref_int([over_one_den(r)[0] for r in rows], ncols)
-    pivots = []
-    for col in range(ncols):
-        rp = len(pivots)
-        if rp == len(rows):
-            break
-        piv = next((i for i in range(rp, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rp], rows[piv] = rows[piv], rows[rp]
-        inv = QQ(1) / rows[rp][col]
-        rows[rp] = [x * inv for x in rows[rp]]
-        for i, row in enumerate(rows):
-            if i != rp and row[col]:
-                f = row[col]
-                rows[i] = [a - f * b for a, b in zip(row, rows[rp])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def _rref_int(rows, ncols):
-    """``rref`` of int rows: row i becomes p row_i - f row_pivot, over the
-    content of that row."""
+    if not all(is_rat(x) for r in rows for x in r):
+        raise TypeError("rref takes rational rows only")
+    rows = [over_one_den(r)[0] for r in rows]
     pivots = []
     for col in range(ncols):
         rp = len(pivots)

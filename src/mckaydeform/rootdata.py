@@ -407,13 +407,15 @@ def vanishing_roots(rs: RootSystem, h):
 def omega_action_on_cartan(rs: RootSystem, sigma: DiagramAutomorphism, h):
     """sigma . h through the coroot basis (alpha_i^vee = alpha_i here).
 
-    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j
-    (C is nonsingular: each row of its reduced form is one x_i); an h
+    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j,
+    so x is the rational inverse of the integer Cartan matrix C, from one
+    ``rref`` of [C | I], times that vector (over Q(zeta_24) for E6); an h
     outside their span fails the exact back-check and is refused."""
     r = len(rs.simple_roots)
-    rows, _ = rref([[QQ(c) for c in row] + [_dot(h, a)]
-                    for row, a in zip(rs.cartan, rs.simple_roots)], r)
-    coeffs = [row[r] for row in rows]
+    inverse, _ = rref([list(row) + [int(i == j) for j in range(r)]
+                       for i, row in enumerate(rs.cartan)], r)
+    pairings = [_dot(h, a) for a in rs.simple_roots]
+    coeffs = [_dot(row[r:], pairings) for row in inverse]
     if _combine(coeffs, rs.simple_roots) != tuple(h):
         raise ValueError(
             f"h is outside the span of the simple roots of {rs.dtype}")

@@ -168,6 +168,31 @@ def test_mc_fibres_catch_a_wrong_a_flat_system(monkeypatch):
         cli._fibre.cache_clear()
 
 
+@pytest.mark.parametrize("old, new", (
+    ("x = p34 + (mu3 - mu4) ** 2 / 4", "x = p34 + (mu3 - mu4) ** 2 / 5"),
+    ("y = p03 + (mu3 - mu0) ** 2 / 4", "y = p03 + (mu3 - mu0) ** 2 / 5"),
+    ("(mu1 + mu2 + mu3)) / 2", "(mu1 + mu2 + mu3)) / 3")))
+def test_mc_fibres_d4_sees_each_correction_term(old, new, monkeypatch):
+    # negative control: each correction term of the D4 invariants, typed
+    # in wrong, fails suite full's mc_fibres[D4] at its central value; at
+    # (1, 1, -2, 1, 1) mu3 - mu4, mu3 - mu0 and mu1 + mu2 + mu3 are 0, so
+    # every term vanishes and each mutation passes there
+    import inspect
+
+    from mckaydeform import cli, quiver
+    source = inspect.getsource(quiver.invariants_at_point)
+    assert source.count(old) == 1
+    scope = dict(vars(quiver))
+    exec(source.replace(old, new), scope)
+    monkeypatch.setattr(cli, "invariants_at_point",
+                        scope["invariants_at_point"])
+    rows = {name: rest for name, *rest in cli._suite_rows("full", 42)}
+    check, *args = rows["mc_fibres[D4]"]
+    ok, witness = check(*args)
+    assert not ok and witness["max_residual"] != "0"
+    assert check("D4", [1, 1, -2, 1, 1]) == (True, {"max_residual": "0"})
+
+
 @pytest.mark.parametrize("flag", ("--seed", "--trials"))
 def test_quiver_verify_action_takes_no_sampling_flag(flag, capsys):
     # equivariance is one exact identity: there is nothing to sample

@@ -16,6 +16,9 @@ from mckaydeform.poly import MPoly, VarTable
 from mckaydeform.rootdata import DiagramAutomorphism
 
 ALL_LABELS = ("A3", "A5", "B2", "B3", "D4", "C3", "G2", "E6", "F4")
+# the family each restricted family restricts; the others are their own
+BASES = {"B2": "A3", "B3": "A5", "B4": "A7", "C3": "D4", "G2": "D4",
+         "F4": "E6"}
 XYZ = ("x", "y", "z")
 
 
@@ -140,7 +143,9 @@ def test_fixed_parameter_loci():
               "D4": ["t", "t4"], "E6": ["t5", "t9"]}
     for label in ("A3", "A5", "A7", "B2", "B3", "B4", "D4", "C3", "G2",
                   "E6", "F4"):
-        assert fixed_parameter_locus(family(label)) == expect.get(label, [])
+        fam = family(label)
+        assert fixed_parameter_locus(fam) == expect.get(label, [])
+        assert fam.base == BASES.get(label, label)
     # sigma swapping t2 and t4 fixes t2 = t4, no coordinate subspace
     fam = family("B2")
     t2, t4 = (MPoly.variable(fam.vars, n) for n in ("t2", "t4"))
@@ -154,14 +159,69 @@ def test_fixed_parameter_loci():
     ("B3", ("t2", "t4", "t6"), {"sigma"}),
     ("C3", ("t2", "t4", "t6"), {"sigma"}),
     ("G2", ("t2", "t6"), {"sigma", "rho"}),
-    ("F4", ("t2", "t6", "t8", "t12"), {"sigma"})))
+    ("F4", ("t2", "t6", "t8", "t12"), {"sigma"}),
+    ("B4", ("t2", "t4", "t6", "t8"), {"sigma"})))
 def test_restricted_family_parameters_and_generators(label, params, gens):
-    # the parameters the symmetry fixes, in the base family's order; only
-    # G2 gains an action (rho) that exists downstairs alone
+    # the parameters the generators fix, in the base family's order; only
+    # G2 carries an action (rho) that preserves the equation downstairs alone
     fam = family(label)
-    assert fam.restricted and fam.param_vars == params
-    assert set(fam.omega_action) == gens
+    assert fam.base == BASES[label] and fam.param_vars == params
+    assert set(fam.omega_action) == gens and fam.param_actions == {}
     assert fam.vars.names == ("x", "y", "z") + params
+
+
+def _mutate_d4(monkeypatch, gen, name, image):
+    """``family_D4`` with generator ``gen``'s image of ``name`` replaced by
+    ``image`` of the family's variables, by name."""
+    built = deform.family_D4
+
+    def mutated():
+        fam = built()
+        v = {n: MPoly.variable(fam.vars, n) for n in fam.vars.names}
+        actions = {**fam.omega_action, **fam.param_actions}
+        actions[gen][name] = image(v)
+        return fam
+
+    monkeypatch.setattr(deform, "family_D4", mutated)
+
+
+def _failing(argv):
+    from mckaydeform.cli import run
+    _, report = run(argv)
+    return [c.name for c in report.checks if c.status == "fail"]
+
+
+def test_d4_sigma_fixing_t_keeps_t_in_c3(monkeypatch):
+    # negative control for the restriction table: C3's parameters are
+    # those D4's sigma fixes, so a sigma that fixes t keeps t in C3, and
+    # C3 and D4 then fail; rho still kills t, so G2 is unchanged
+    _mutate_d4(monkeypatch, "sigma", "t", lambda v: v["t"])
+    assert family("C3").param_vars == ("t2", "t4", "t6", "t")
+    assert family("G2").param_vars == ("t2", "t6")
+    assert _failing(["suite", "smoke"]) == [
+        "family_equivariance[C3]", "family_equivariance[D4]",
+        "quotient_pullback[C3]"]
+
+
+def test_d4_three_cycle_images_are_checked(monkeypatch):
+    # the three-cycle is written once, in family_D4: a wrong y image fails
+    # G2, which carries it on t4 = t = 0
+    _mutate_d4(monkeypatch, "rho", "y",
+               lambda v: -v["x"] - v["y"] + v["t2"] * QQ(1, 3))
+    assert _failing(["suite", "smoke"]) == [
+        "family_equivariance[G2]", "quotient_generators[G2]"]
+    assert _failing(["family", "--label", "G2"]) == [
+        "G2_rho preserves equation", "G2_sigma rho sigma == rho^-1"]
+
+
+def test_d4_three_cycle_t_image_is_seen_by_the_base_check_alone(
+        monkeypatch):
+    # t is 0 on G2, so a wrong t image reaches only the check of the
+    # parameter action upstairs; suite smoke (50/50) and suite full
+    # (62/62) both pass with it
+    _mutate_d4(monkeypatch, "rho", "t",
+               lambda v: v["t4"] * QQ(1, 4) + v["t"] * QQ(1, 2))
+    assert _failing(["family", "--label", "G2"]) == ["G2_base[rho: psi]"]
 
 
 _D4_CHANGE = "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z"

@@ -1039,10 +1039,20 @@ class _Mpz(int):
             else NotImplemented
 
 
+def _mpz_numerators(monkeypatch):
+    """From here on, QQ's numerators and denominators are not ``int``, as
+    under gmpy2."""
+    from fractions import Fraction
+    if QQ is Fraction:      # with gmpy2, QQ's numerators are mpz already
+        for name in ("numerator", "denominator"):
+            monkeypatch.setattr(Fraction, name, property(
+                lambda a, f="_" + name: _Mpz(getattr(a, f))))
+    assert type(QQ(3, 2).numerator) is not int
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_rationals_with_non_int_numerators_give_the_same_ideals(
         order, monkeypatch):
-    from fractions import Fraction
     rng = random.Random(79)
     polys = [_random_poly(rng, nterms=6, deg=3) * QQ(5, 3) for _ in range(4)]
     want = []
@@ -1050,16 +1060,47 @@ def test_rationals_with_non_int_numerators_give_the_same_ideals(
         ideal = Ideal(gens, order=order)
         want.append((ideal.groebner_basis(),
                      [ideal.normal_form(p) for p in polys]))
-    if QQ is Fraction:      # with gmpy2, QQ's numerators are mpz already
-        for name in ("numerator", "denominator"):
-            monkeypatch.setattr(Fraction, name, property(
-                lambda a, f="_" + name: _Mpz(getattr(a, f))))
-    assert type(QQ(3, 2).numerator) is not int
+    _mpz_numerators(monkeypatch)
     for gens, (gb, nfs) in zip(FRACTIONAL_IDEALS, want):
         ideal = Ideal(gens, order=order)
         assert ideal.groebner_basis() == gb
         assert [ideal.normal_form(p) for p in polys] == nfs
         assert all(type(r.lc) is int for r in ideal._reducers)
+
+
+def test_int_paths_with_non_int_numerators_give_the_same_values(
+        monkeypatch):
+    # the moment-fibre sampler, its residual, the D4 invariants, rref and
+    # Cyclo products and inverses read rationals as int numerators over
+    # one denominator; with mpz-like numerators each value stays the same
+    from mckaydeform import quiver
+    from mckaydeform.exact import Cyclo, rref
+    from mckaydeform.rootdata import parse_type
+    centrals = {"A3": [1.5, -0.5, 0.25, -1.25],
+                "A5": [0.5, -0.25, 0.75, -1.0, 0.25, -0.25],
+                "D4": ["1/3", "2/5", "-1", "1/2", "23/30"]}
+    rng = random.Random(83)
+    rows = [[QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)]
+            for _ in range(3)]
+    elems = [Cyclo(12, [QQ(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in range(4)]) for _ in range(6)]
+
+    def values():
+        out = []
+        for tname, central in centrals.items():
+            t = parse_type(tname)
+            for seed in range(20):
+                s = quiver.sample_moment_fibre(t, central, seed)
+                out.append((s["rep"], quiver.fibre_residual(s),
+                            quiver.invariants_at_point(t, s)))
+        out.append(rref(rows, 4))
+        out += [(a * b, a * QQ(3, 7), a.inverse())
+                for a, b in zip(elems, elems[1:]) if a]
+        return out
+
+    want = values()
+    _mpz_numerators(monkeypatch)
+    assert values() == want
 
 
 def test_rational_ideal_reduces_cyclo_coefficients_linearly():

@@ -311,6 +311,25 @@ def test_omega_average():
     assert omega_average(rs, omega, fixed) == fixed
 
 
+def test_e6_omega_action_and_average_at_a_rational_h():
+    # the E6 simple roots lie in Q(zeta_24), so the Cartan solve's right
+    # side does; the values are pinned from the field elimination that
+    # the rational inverse of the Cartan matrix replaced
+    from mckaydeform.exact import scalar_to_json
+    from mckaydeform.rootdata import omega_action_on_cartan
+    rs = build_root_system(E6)
+    omega = standard_omega(E6, "z2")
+    h = (QQ(1, 2), QQ(-1, 3), QQ(2), QQ(3, 5), QQ(-1), QQ(7, 4))
+    assert [scalar_to_json(c) for c in omega_action_on_cartan(
+        rs, omega[1], h)] == ["-1", "7/4", "2", "3/5", "1/2", "-1/3"]
+    assert [scalar_to_json(c) for c in omega_average(rs, omega, h)] == [
+        "-1/4", "17/24", "2", "3/5", "-1/4", "17/24"]
+    # a simple root goes to the simple root its vertex is sent to
+    for i, a in enumerate(rs.simple_roots, 1):
+        assert omega_action_on_cartan(rs, omega[1], a) == \
+            rs.simple_roots[omega[1](i) - 1]
+
+
 def test_mckay_dimension_vectors():
     # independent references: the minimal imaginary roots of the affine
     # diagrams, in the package's vertex numbering

@@ -9,8 +9,9 @@ sums and products stay on integer coordinates, and one that the
 moment-fibre sampler, its residual and rational ``rref`` run no
 ``Fraction`` arithmetic.  And no
 function, class or method in ``src/`` may exist only for the tests, no
-parameter default may be one that every call leaves alone, and the exact
-modules hold no float constant.
+parameter default may be one that every call leaves alone, the exact
+modules hold no float constant, and ``deform`` reads family label text in
+its table of restrictions alone.
 """
 
 import ast
@@ -310,6 +311,35 @@ def test_exact_modules_have_no_float_literal():
         found += [f"{stem}:{n.lineno} {n.value!r}" for n in ast.walk(tree)
                   if isinstance(n, ast.Constant)
                   and isinstance(n.value, (float, complex))]
+    assert not found, found
+
+
+def test_deform_reads_no_family_label_outside_family():
+    # which family restricts which is stated once, as the (base,
+    # generators) rows of deform._family; everything else reads fam.base,
+    # and no code compares, indexes or slices label text
+    tree = ast.parse((SRC / "mckaydeform" / "deform.py").read_text())
+    table = next(n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_family")
+    inside = {id(n) for n in ast.walk(table)}
+
+    def is_label(n):
+        return (isinstance(n, ast.Name) and n.id == "label"
+                or isinstance(n, ast.Attribute) and n.attr == "label")
+
+    found = []
+    for n in ast.walk(tree):
+        if id(n) in inside:
+            continue
+        if isinstance(n, ast.Compare):
+            operands = [n.left, *n.comparators]
+        elif isinstance(n, ast.Subscript):
+            operands = [n.value]
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            operands = [n.func.value]       # label.startswith(...), say
+        else:
+            continue
+        found += [f"deform:{n.lineno}" for _ in filter(is_label, operands)]
     assert not found, found
 
 
