@@ -305,12 +305,11 @@ def cmd_family(args) -> RunReport:
     pa = verify_parameter_actions(fam)
     for c in pa["checks"]:
         checks.append(Check.of(f"{fam.label}_base[{c['check']}]", c["ok"]))
-    if fam.base != fam.label or fam.label.startswith("A"):
-        nf = special_fibre_normal_form(fam)
-        checks.append(Check.of(f"{fam.label}_normal_form_relation",
-                               nf["relation_match"]))
-        checks.append(Check.of(f"{fam.label}_normal_form_action",
-                               nf["action_match"]))
+    nf = special_fibre_normal_form(fam)
+    checks.append(Check.of(f"{fam.label}_normal_form_relation",
+                           nf["relation_match"]))
+    checks.append(Check.of(f"{fam.label}_normal_form_action",
+                           nf["action_match"]))
     report = RunReport(f"family --label {fam.label}", checks)
     if args.show:
         report.payload = {"equation": fam.equation.to_json(),
@@ -460,6 +459,8 @@ def _suite_rows(name, seed) -> list:
                 over=("A3", "B2", "B3", "D4", "C3", "G2", "E6", "F4"))
     rows += per("normal_form", ok_on, deform.special_fibre_normal_form,
                 deform.family, over=("B2", "B3", "C3", "G2", "F4"))
+    rows.append(("base[D4]", ok_on, deform.verify_parameter_actions,
+                 deform.family, "D4"))
     rows.append(("d4_coefficients", ok, deform.verify_d4_coefficients))
     rows += [(f"symplectic[{t},{gen}]", symplectic, t, gen)
              for t, gen in (("A3", "sigma"), ("D4", "sigma"), ("D4", "rho"),

@@ -11,7 +11,9 @@ bare ``int`` anywhere) the exact scalars themselves, the result held as
 terms; a binding of 8 terms or more is bound by Horner's rule.  A
 product is packed when both operands are rational and not tiny, and is
 otherwise multiplied term by term, as is a call whose result could reach
-an exponent of 256, the field width.
+an exponent of 256, the field width.  ``reflection_invariant`` tests a
+reflection on its mirror by one Taylor shift per moved variable; it
+substitutes only past the field width.
 
 A packed result, (den, [(packed monomial, int numerator)]) with gcd(den,
 numerators) = 1, is a content times an integer polynomial.  ``*``,
@@ -44,7 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import namedtuple
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .exact import QQ, Cyclo, embed_complex, is_rat, scalar_to_json
@@ -728,13 +730,15 @@ def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
     """Whether p(v - v_j c) = p(v), with v_j the variable ``name`` and c
     the integer vector ``direction`` (variable names to entries, c_j = 2).
 
-    The reflection fixes its mirror v_j = 0 pointwise and negates c.  With
-    v = w + t c, w on the mirror, p(w + t c) = sum_k t^k/k! (D_c^k p)(w),
-    so p is invariant exactly when, for every odd k, D_c^k p has no term
-    free of v_j.  p is tested on its int numerators (``_packed_of``) or,
-    when not rational, its scalars (``_scalars``), one order of D_c at a
-    time; a term whose v_j power cannot fall to 0 by the last odd order is
-    dropped.  A p of degree 256 or more is substituted and compared.
+    The reflection fixes its mirror v_j = 0 pointwise and negates c, so
+    with v = w + t c, w on the mirror, p is invariant exactly when
+    p(w + t c) has no odd power of t.  That is expanded once on p's int
+    numerators (``_packed_of``) or, when not rational, its scalars
+    (``_scalars``), t held in v_j's byte as w_j = 0: v_j -> 2t scales a
+    term by 2^(its v_j exponent), then one Taylor shift per other moved
+    variable, v_i -> v_i + c_i t, spreads v_i^e over C(e, b) c_i^b
+    v_i^(e-b) t^b; the last keeps only the odd powers of t.  A p of
+    degree 256 or more is substituted and compared.
     """
     for v in (name, *direction):
         if v not in p.vars.index:
@@ -743,30 +747,31 @@ def reflection_invariant(p: MPoly, name: str, direction: dict) -> bool:
     c = [direction.get(v, 0) for v in p.vars.names]
     if c[j] != 2:
         raise ValueError(f"direction has {c[j]} at {name}, not 2")
-    degree = _degree(p)
-    if degree >= _FIELD_LIMIT:
+    if _degree(p) >= _FIELD_LIMIT:
         x = {v: MPoly.variable(p.vars, v) for v in p.vars.names}
         return p.substitute({v: x[v] - x[name] * k for v, k in zip(
             p.vars.names, c) if k}) == p
-    last = degree - 1 + degree % 2          # the largest odd order <= degree
     shift = 8 * j
-    steps = [(1 << 8 * i, 8 * i, k) for i, k in enumerate(c) if k]
+    moves = [(8 * i, k) for i, k in enumerate(c) if k and i != j]
     _, pairs = (_packed_of if p.is_rational() else _scalars)(p)
-    level = {m: x for m, x in pairs if m >> shift & 255 <= last}
-    for order in range(1, last + 1):
-        out = {}
+    if not moves:
+        return not any(m >> shift & 1 for m, _ in pairs)
+    level = [(m, x * 2 ** (m >> shift & 255)) for m, x in pairs]
+    for at, k in moves:
+        last = at == moves[-1][0]
+        step, rows, out = (1 << shift) - (1 << at), {}, {}
         get = out.get
-        for m, x in level.items():
-            for unit, at, k in steps:
-                e = m >> at & 255
-                if e:
-                    out[m - unit] = get(m - unit, 0) + x * k * e
-        reach = last - order
-        level = {m: x for m, x in out.items()
-                 if x and m >> shift & 255 <= reach}
-        if order % 2 and any(not m >> shift & 255 for m in level):
-            return False
-    return True
+        for m, x in level:
+            e = m >> at & 255
+            row = rows.get(e)
+            if row is None:
+                row = [(b * step, comb(e, b) * k ** b) for b in range(e + 1)]
+                # on the last pass, t's power m_j + b must come out odd
+                row = rows[e] = (row[1::2], row[::2]) if last else (row, row)
+            for d, y in row[m >> shift & 1]:
+                out[m + d] = get(m + d, 0) + x * y
+        level = [(m, x) for m, x in out.items() if x]
+    return not level
 
 
 def equal_mod_vars(a: MPoly, b: MPoly) -> bool:

@@ -335,6 +335,16 @@ def test_family_refuses_a_label_it_does_not_build_by_name(label, capsys):
     assert capsys.readouterr().err == f"error: {label}\n"
 
 
+@pytest.mark.parametrize("label", ("D4", "E6"))
+def test_family_reports_the_normal_form_of_a_base_family(label, tmp_path):
+    # D4 and E6 restrict no family; their special fibres are put in normal
+    # form like every other label's
+    code, statuses = _statuses(tmp_path, ["family", "--label", label])
+    assert code == 0 and set(statuses.values()) == {"pass"}
+    assert {f"{label}_normal_form_relation",
+            f"{label}_normal_form_action"} <= set(statuses)
+
+
 def test_quotient_discriminant_command(tmp_path):
     argv = ["quotient", "discriminant", "--label", "B2"]
     assert _statuses(tmp_path, argv) == (0, {"B2_discriminant": "pass"})
@@ -607,7 +617,7 @@ def test_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch,
     assert failed["status"] == "fail"
     assert failed["witness"] == {
         "error": "BudgetExceeded: reduction budget exhausted"}
-    assert len(checks) == 49
+    assert len(checks) == 50
     assert all(c["status"] == "pass" for c in checks.values())
 
 

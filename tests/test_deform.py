@@ -194,12 +194,13 @@ def _failing(argv):
 def test_d4_sigma_fixing_t_keeps_t_in_c3(monkeypatch):
     # negative control for the restriction table: C3's parameters are
     # those D4's sigma fixes, so a sigma that fixes t keeps t in C3, and
-    # C3 and D4 then fail; rho still kills t, so G2 is unchanged
+    # C3 and D4 then fail, D4's parameter action too; rho still kills t,
+    # so G2 is unchanged
     _mutate_d4(monkeypatch, "sigma", "t", lambda v: v["t"])
     assert family("C3").param_vars == ("t2", "t4", "t6", "t")
     assert family("G2").param_vars == ("t2", "t6")
     assert _failing(["suite", "smoke"]) == [
-        "family_equivariance[C3]", "family_equivariance[D4]",
+        "base[D4]", "family_equivariance[C3]", "family_equivariance[D4]",
         "quotient_pullback[C3]"]
 
 
@@ -214,13 +215,13 @@ def test_d4_three_cycle_images_are_checked(monkeypatch):
         "G2_rho preserves equation", "G2_sigma rho sigma == rho^-1"]
 
 
-def test_d4_three_cycle_t_image_is_seen_by_the_base_check_alone(
-        monkeypatch):
-    # t is 0 on G2, so a wrong t image reaches only the check of the
-    # parameter action upstairs; suite smoke (50/50) and suite full
-    # (62/62) both pass with it
+def test_d4_three_cycle_t_image_is_seen_by_the_base_checks(monkeypatch):
+    # t is 0 on G2, so a wrong t image reaches only the checks of the
+    # parameter action upstairs: suite smoke's base[D4] row, which suite
+    # full also runs, and each family's <L>_base rows
     _mutate_d4(monkeypatch, "rho", "t",
                lambda v: v["t4"] * QQ(1, 4) + v["t"] * QQ(1, 2))
+    assert _failing(["suite", "smoke"]) == ["base[D4]"]
     assert _failing(["family", "--label", "G2"]) == ["G2_base[rho: psi]"]
 
 

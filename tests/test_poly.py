@@ -809,6 +809,51 @@ def test_mirror_test_off_the_packed_path():
         poly.reflection_invariant(m1, "mu1", {**direction, "mu3": -1})
 
 
+def test_mirror_test_agrees_with_substitution_on_random_reflections():
+    # seeded: rational and sqrt(3) coefficients, 2-6 variables, degrees
+    # 0-12, c_j = 2 and entries -3..3 on 0-4 other variables; every other
+    # input is made invariant as p + p o s
+    rng = random.Random(3301)
+    r3 = sqrt3()
+    verdicts = set()
+    for case in range(300):
+        W = VarTable(tuple(f"v{i}" for i in range(rng.randint(2, 6))))
+        v = [MPoly.variable(W, n) for n in W.names]
+        j, *others = rng.sample(range(len(v)), rng.randint(1, min(5, len(v))))
+        c = {W.names[i]: rng.randint(-3, 3) for i in others}
+        c[W.names[j]] = 2
+        s = {n: v[i] - v[j] * c.get(n, 0) for i, n in enumerate(W.names)}
+        p = MPoly(W)
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * len(v)
+            for _ in range(rng.randint(0, 12)):
+                e[rng.randrange(len(v))] += 1
+            k = QQ(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 7)))
+            p = p + MPoly(W, {tuple(e): k + r3 * k if case % 4 > 1 else k})
+        if case % 2:
+            p = p + p.substitute(s)
+        want = p.substitute(s) == p
+        assert poly.reflection_invariant(p, W.names[j], c) == want
+        verdicts.add((p.is_rational(), want))
+    assert len(verdicts) == 4
+
+
+def test_each_e6_row_bumped_fails_where_substitution_fails(coweight_subs):
+    # negative control: mu_a^2 mu_b / 7 added to each E6 row; the mirror
+    # test fails exactly the reflections under which substitution moves it
+    from mckaydeform.deform import _reflection_checks, e6_mu_coefficients
+    from mckaydeform.rootdata import DynkinType
+    t = DynkinType("E", 6)
+    for a, (name, p) in enumerate(e6_mu_coefficients().items()):
+        mu = [MPoly.variable(p.vars, n) for n in p.vars.names]
+        q = p + mu[a] ** 2 * mu[(a + 2) % 6] * QQ(1, 7)
+        failed = {c["check"] for c in _reflection_checks(
+            t, p.vars.names, {name: q}) if not c["ok"]}
+        moved = {f"{name} invariant under r_{j}" for j in range(1, 7)
+                 if q.substitute(coweight_subs(t, j, p.vars.names)) != q}
+        assert failed == moved and 0 < len(moved) < 6
+
+
 # -- Groebner bases: lex, local Tjurina ideals, the pair criteria -------------
 
 def _as_sympy(g, syms):

@@ -5,9 +5,10 @@ renamed or deleted function would break a traced run (``bench/run.py
 --trace 1``), so every name is checked against the package, as is every
 package name the benchmark's worker and tracer read.  Two work counts
 guard which substitutions run as Horner levels, one that ``Cyclo``
-sums and products stay on integer coordinates, and one that the
+sums and products stay on integer coordinates, one that the
 moment-fibre sampler, its residual and rational ``rref`` run no
-``Fraction`` arithmetic.  And no
+``Fraction`` arithmetic, and one that the reflection checks of the E6
+and D4 rows run no ``Fraction`` arithmetic and no substitution.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, the exact
 modules hold no float constant, and ``deform`` reads family label text in
@@ -186,6 +187,30 @@ def test_moment_fibre_points_and_rational_rref_run_on_ints(monkeypatch):
         [1, 0, 0, QQ(39718, 16605), QQ(-35, 246)],
         [0, 1, 0, QQ(2653, 5535), QQ(-149, 328)],
         [0, 0, 1, QQ(-416, 1845), QQ(185, 82)]], [0, 1, 2])
+
+
+def test_reflection_checks_run_on_ints_and_substitute_nothing(monkeypatch):
+    # work count, no timing: the mirror test reads the E6 and D4 rows as
+    # int numerators, and substitutes only past the packed field (degree
+    # 256), which no row reaches
+    from mckaydeform import deform
+    from mckaydeform.poly import MPoly
+    from mckaydeform.rootdata import DynkinType
+    cases = ((DynkinType("E", 6), deform.MU_VARS.names,
+              deform.e6_mu_coefficients()),
+             (DynkinType("D", 4), deform.D4_MU.names,
+              deform.d4_mu_coefficients()))
+
+    def refuse(*args):
+        raise AssertionError("substituted")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    for t, names, rows in cases:
+        checks = []
+        assert _fraction_ops(monkeypatch, lambda: checks.extend(
+            deform._reflection_checks(t, names, rows))) == 0
+        assert len(checks) == t.rank * len(rows)
+        assert all(c["ok"] for c in checks)
 
 def _package_names(tree):
     """Dotted names a module reads from ``mckaydeform``: the names it
