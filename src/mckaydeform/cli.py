@@ -31,8 +31,9 @@ from .poly import DEFAULT_BUDGET, BudgetExceeded, VariableMismatch
 from .quiver import (exact_central, fibre_residual, invariants_at_point,
                      lambda_from_central, sample_moment_fibre)
 from .rootdata import (ClosureBudgetExceeded, DimensionMismatch, DynkinType,
-                       UnsupportedType, fold, parse_type, standard_omega,
-                       vanishing_roots, omega_average, build_root_system)
+                       UnsupportedType, cartan_point, fold, parse_type,
+                       standard_omega, vanishing_roots, omega_average,
+                       build_root_system)
 
 
 class Check:
@@ -115,6 +116,8 @@ def cmd_rootdata(args) -> RunReport:
     checks.append(Check.of(
         f"positive_root_count_{t}", 2 * count == t.rank * coxeter_number(t),
         {"count": count}))
+    if args.omega and not args.h:
+        raise ValueError("--omega acts on --h, and no --h is given")
     if args.h:
         # the roots orthogonal to h need the ambient embedding
         rs = build_root_system(t)
@@ -123,7 +126,7 @@ def cmd_rootdata(args) -> RunReport:
             raise ValueError(f"--h needs {rs.ambient_dim} values for {t}, "
                              f"got {len(h)}")
         van = vanishing_roots(rs, h)
-        avg = omega_average(rs, standard_omega(t, args.omega), h)
+        avg = omega_average(rs, standard_omega(t, args.omega or "z2"), h)
         # rebuilt from their simple-root coefficients, the returned roots
         # are exactly the positive roots orthogonal to h
         rebuilt = [tuple(sum(c * a[k] for c, a in zip(v, rs.simple_roots))
@@ -172,6 +175,8 @@ def cmd_flat(args) -> RunReport:
     from .flat import (PQ_WEIGHTS, flat_coords_A, flat_coords_D,
                        flat_coords_E6, weighted_degrees)
     t = parse_type(args.type)
+    if args.full and t != DynkinType("E", 6):
+        raise ValueError(f"--full checks the E6 Frame invariance, not {t}")
     if t.family == "A" and t.rank % 2 == 0:
         raise UnsupportedType(f"flat coordinates are built for A_(2r-1), "
                               f"not {t}")
@@ -192,7 +197,7 @@ def cmd_flat(args) -> RunReport:
         check, all(weighted_degrees(p, weights) == {d}
                   for d, _, p in fs.coords),
         {"degrees": [d for d, _, _ in fs.coords]})]
-    if t.family == "E" and args.full:
+    if args.full:
         checks.append(Check.of("flat_E6_frame_invariance",
                                _e6_frame_invariance(fs)))
     report = RunReport(f"flat --type {t}", checks)
@@ -275,22 +280,17 @@ def _d4_family_residual(mu, x, y, z):
 
 @lru_cache(maxsize=16)
 def _fibre(t: DynkinType, central: tuple):
-    """The fibre of t's family at t = psi(h): the flat coordinates at the
-    point h the central value gives (eigenvalues lambda for A, the
-    coweight coordinates xi of ``d4_xi_of_mu`` for D4)."""
-    from .deform import d4_xi_of_mu, family
+    """The fibre of t's family at t = psi(h), h the ``cartan_point`` of mu =
+    (z_1, ..., z_r): eigenvalues lambda for A, coweights xi for D4."""
+    from .deform import family
     from .flat import psi_A_in_lambda, psi_D_in_xi
-    fam = family(str(t))
-    if t.family == "A":
-        h = {f"lam{i}": v for i, v in enumerate(lambda_from_central(central))}
-        psis = psi_A_in_lambda((t.rank + 1) // 2)
-    else:
-        mu = {f"mu{i}": central[i] for i in range(1, 5)}
-        h = {k: p.substitute(mu) for k, p in d4_xi_of_mu().items()}
-        psis = psi_D_in_xi(3)
+    psis = (psi_A_in_lambda((t.rank + 1) // 2) if t.family == "A"
+            else psi_D_in_xi(3))
+    h = dict(zip(next(iter(psis.values())).vars.names,
+                 cartan_point(t, central[1:])))
     # each t is a constant: an MPoly on no variables
-    return fam.fibre_equation({"t" + name[3:]: p.substitute(h)
-                               for name, p in psis.items()})
+    return family(str(t)).fibre_equation(
+        {"t" + name[3:]: p.substitute(h) for name, p in psis.items()})
 
 
 def cmd_family(args) -> RunReport:
@@ -527,8 +527,8 @@ def build_parser():
     rd.add_argument("--type", required=True)
     rd.add_argument("--h", default=None,
                     help="comma-separated Cartan vector")
-    rd.add_argument("--omega", default="z2",
-                    choices=("trivial", "z2", "z3", "s3"))
+    rd.add_argument("--omega", choices=("trivial", "z2", "z3", "s3"),
+                    help="symmetry group averaging --h (default z2)")
     rd.set_defaults(fn=cmd_rootdata)
 
     k = sub.add_parser("klein", help="Klein invariant verification")

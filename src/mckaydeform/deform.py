@@ -11,10 +11,11 @@ The three family presentations:
   of ``e6_flat_coefficients``, two of them normalised by sqrt(6).
 
 B_r, C3, G2 and F4 are each one row (base, generators): the base family
-on the parameters those generators fix.  The E6 coefficients in the
-coweight variables mu hold sqrt(6), and the changes of variables onto the
-Klein relations hold 2^(1/3) or i, as one extra variable of a rational
-polynomial, folded by its relation (``poly.fold_root``).
+on the parameters those generators fix.  The coefficients in mu are read
+at ``rootdata.cartan_point``.  E6's hold sqrt(6) and the linear changes P
+onto the Klein relations hold 2^(1/3) or i, each as one more variable of a
+rational polynomial, folded by its relation (``poly.fold_root``).  A
+symmetry alpha is checked against Klein's matrix M as P o alpha = M o P.
 
 ``analyze_fibre`` finds every singular point of a fibre exactly, from the
 exact multiplication matrices of the quotient by the Jacobian ideal
@@ -43,7 +44,7 @@ from .poly import (DEFAULT_BUDGET, Ideal, MPoly, VariableMismatch, VarTable,
                    equal_mod_vars, fold_root, quotient_basis,
                    reflection_invariant)
 from .rootdata import (DynkinType, UnsupportedType, cartan_matrix,
-                       omega_generators, parse_type)
+                       cartan_point, omega_generators, parse_type)
 
 # a label that names no family: the refusal ``parse_type`` raises too
 UnsupportedLabel = UnsupportedType
@@ -205,7 +206,7 @@ def _family(label: str) -> DeformationFamily:
         return family_D4()
     if label == "E6":
         return family_E6()
-    raise UnsupportedLabel(label)
+    raise UnsupportedLabel(f"no deformation family for {label}")
 
 
 # -- equivariance ---------------------------------------------------------------
@@ -350,10 +351,9 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     """
     from .klein import klein_data
 
-    W = VarTable(fam.vars.names + ("X", "Y", "Z", "a"))
+    W = VarTable(fam.vars.names + ("a",))
     klein_type = parse_type(fam.base)
-    root, fwd, inv, change, gens = _klein_change(
-        klein_type, _variables(W, ("x", "y", "z", "X", "Y", "Z", "a")))
+    root, fwd, change, gens = _klein_change(klein_type, W)
 
     def fold(p):
         return fold_root(p, "a", *root) if root else p
@@ -362,49 +362,46 @@ def special_fibre_normal_form(fam: DeformationFamily) -> dict:
     image = fold(klein.relation.substitute(fwd))
     match = image == fam.special_fibre().extend(image.vars)
     zero_t = {n: QQ(0) for n in fam.param_vars}
-    slots = _variables(W, ("X", "Y", "Z"))
     details = {}
     for gen, klein_gen in gens.items():
         if gen not in fam.omega_action:
             continue
         subs0 = {k: v.substitute(zero_t)
                  for k, v in _full_subs(fam, gen).items()}
-        # P o alpha o P^-1 on each slot against its row of Klein's table
+        # P o alpha = M o P on each slot, M's row from Klein's table: the
+        # relation match certifies P invertible, so P o alpha o P^-1 = M
         details[gen] = all(equal_mod_vars(
-            fold(fwd[name].substitute(subs0).substitute(inv)),
-            sum((X * c for X, c in zip(slots, row) if c), MPoly(W)))
-            for name, row in zip(("X", "Y", "Z"),
-                                 klein.omega_action[klein_gen][1]))
+            fold(fwd[name].substitute(subs0)),
+            sum((fwd[s] * c for s, c in zip("XYZ", row) if c), MPoly(W)))
+            for name, row in zip("XYZ", klein.omega_action[klein_gen][1]))
     action_ok = all(details.values())
     return {"label": fam.label, "change": change,
             "relation_match": match, "action_match": action_ok,
             "per_generator": details, "ok": match and action_ok}
 
 
-def _klein_change(t: DynkinType, variables):
+def _klein_change(t: DynkinType, W: VarTable):
     """For a family whose base family has type t, its special fibre's
     Klein type: the relation a^k = c, as (k, c), of the root a its change
     of variables adjoins (None when it adjoins none); the change onto the
-    Klein relation, forward (X, Y, Z in x, y, z, a) and inverse (x, y, z
-    in X, Y, Z, a), rational in a; the change as text; and the Klein
-    generator each family generator becomes.
+    Klein relation (X, Y, Z in x, y, z, a), rational in a; the change as
+    text; and the Klein generator each family generator becomes.
     """
-    x, y, z, X, Y, Z, a = variables
+    x, y, z, a = _variables(W, ("x", "y", "z", "a"))
     if t.family == "A":
         # identity change up to slot names
-        return (None, {"X": z, "Y": x, "Z": y}, {"z": X, "x": Y, "y": Z},
-                "(X, Y, Z) = (z, x, y)", {"sigma": "h"})
+        return (None, {"X": z, "Y": x, "Z": y}, "(X, Y, Z) = (z, x, y)",
+                {"sigma": "h"})
     if t.family == "D":
-        # a = 2^(1/3); inverse: x = -a^2 X, y = (a^2/2) (X - Y)
+        # a = 2^(1/3)
         return ((3, QQ(2)),
                 {"X": -x * a * QQ(1, 2), "Y": -(y + x * QQ(1, 2)) * a,
                  "Z": z},
-                {"x": -X * a ** 2, "y": (X - Y) * a ** 2 * QQ(1, 2), "z": Z},
                 "X=-4^(-1/3) x, Y=-4^(1/6) (y+x/2), Z=z",
                 {"sigma": "h", "rho": "g"})
-    # E6: a = i; 1/(1+i) = (1-i)/2, and (1+i)^4 = -4
+    # E6: a = i; 1/(1+i) = (1-i)/2
     return ((2, QQ(-1)), {"X": (x - x * a) * QQ(1, 2), "Y": y, "Z": z},
-            {"x": X + X * a, "y": Y, "z": Z}, "x = (1+i) X", {"sigma": "g"})
+            "x = (1+i) X", {"sigma": "g"})
 
 
 def _linear_coeff(p: MPoly, name: str):
@@ -436,23 +433,12 @@ def d4_mu_coefficients() -> dict:
     return {"A": A, "B": B, "C": C, "D": D}
 
 
-def d4_xi_of_mu() -> dict:
-    """xi_k(mu) from mu <-> -sum mu_i Lambda_i^vee (D4 coweights)."""
-    m = {f"mu{i}": MPoly.variable(D4_MU, f"mu{i}") for i in (1, 2, 3, 4)}
-    half = QQ(1, 2)
-    return {
-        "xi1": -m["mu1"] - m["mu2"] - (m["mu3"] + m["mu4"]) * half,
-        "xi2": -m["mu2"] - (m["mu3"] + m["mu4"]) * half,
-        "xi3": -(m["mu3"] + m["mu4"]) * half,
-        "xi4": (m["mu3"] - m["mu4"]) * half,
-    }
-
-
 def psi_D4_of_mu() -> dict:
-    """The D4 flat coordinates ``psi_D_in_xi(3)`` at ``d4_xi_of_mu``, as
-    polynomials in mu_1..mu_4."""
-    ximu = d4_xi_of_mu()
-    return {name: p.substitute(ximu) for name, p in psi_D_in_xi(3).items()}
+    """The D4 flat coordinates ``psi_D_in_xi(3)`` at xi = ``cartan_point``
+    of mu, as polynomials in mu_1..mu_4."""
+    h = cartan_point(DynkinType("D", 4), _variables(D4_MU, D4_MU.names))
+    xi = {f"xi{k}": p for k, p in enumerate(h, 1)}
+    return {name: p.substitute(xi) for name, p in psi_D_in_xi(3).items()}
 
 
 PSI_D4_VARS = VarTable(("psi2", "psi4", "psi6", "psi"))

@@ -4,11 +4,11 @@ Type A flat coordinates are polynomials in the elementary symmetric
 functions eps_i of the eigenvalue coordinates; type D uses the elementary
 symmetric functions x_{2i} of the squares plus the odd product coordinate;
 type E6 is generated from the two differential operators on the invariants
-p_i = x_i^2 + y_i^2, q_i = x_i^3/3 - x_i y_i^2 of the 27-line model.
+p_i = x_i^2 + y_i^2, q_i = x_i^3/3 - x_i y_i^2 of the 27-line model, whose
+(x, y) at coweight coordinates mu is ``rootdata.cartan_point``.
 
-The series coefficients use the rising factorial (a, n) = a (a+1) ...
-(a+n-1) and never truncate: for fixed degree i only finitely many
-compositions contribute.
+The series use the rising factorial (a, n) = a (a+1) ... (a+n-1) and
+never truncate: at a fixed degree only finitely many compositions add.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .exact import QQ, split_quadratic, sqrt3
+from .exact import QQ, is_rat, split_quadratic, sqrt2, sqrt3, sqrt6
 from .poly import MPoly, VarTable, _packed_of, _packed_poly, fold_root
-from .rootdata import DynkinType
+from .rootdata import DynkinType, cartan_point
 
 
 def pochhammer(a, n: int):
@@ -330,23 +330,19 @@ MU_VARS = VarTable(tuple(f"mu{i}" for i in range(1, 7)))
 
 
 def e6_xy_of_mu():
-    """The linear map mu -> (x, y) of the 27-line model, up to sqrt(6) and
-    sqrt(2).
-
-    Returns (x_parts, y_parts): x_i = sqrt(6) * x_parts[i], y_i = sqrt(2) *
-    y_parts[i] with rational linear forms in mu (mu_i = -lambda_i).
-    """
-    mu = [MPoly.variable(MU_VARS, f"mu{i}") for i in range(1, 7)]
-    lam = [-m for m in mu]
-    x1 = lam[0] * QQ(-1, 6) + lam[3] * QQ(-1, 3)
-    y1 = lam[0] * QQ(1, 2)
-    x2 = lam[0] * QQ(1, 6) + lam[1] * QQ(1, 6) + lam[3] * QQ(1, 3) \
-        + lam[4] * QQ(1, 3) + lam[5] * QQ(1, 2)
-    y2 = (lam[0] + lam[1]) * QQ(-1, 2) - lam[2] - lam[3] - lam[4] \
-        - lam[5] * QQ(3, 2)
-    x3 = lam[1] * QQ(-1, 6) + lam[4] * QQ(-1, 3)
-    y3 = lam[1] * QQ(1, 2)
-    return (x1, x2, x3), (y1, y2, y3)
+    """(x_parts, y_parts) of ``cartan_point(E6, mu)`` = (x1, y1, ..., y3) in
+    the 27-line model: x_i = sqrt(6) x_parts[i], y_i = sqrt(2) y_parts[i],
+    linear forms in mu certified rational (else ``ArithmeticError``)."""
+    h = cartan_point(DynkinType("E", 6), [MPoly.variable(MU_VARS, v)
+                                          for v in MU_VARS.names])
+    scales, parts = (sqrt6() / 6, sqrt2() / 2), []
+    for k, p in enumerate(h):
+        terms = {e: (c * scales[k % 2]).reduce_rat()
+                 for e, c in p.terms.items()}
+        if not all(map(is_rat, terms.values())):
+            raise ArithmeticError(f"h_{k + 1} is not rational over its scale")
+        parts.append(MPoly(MU_VARS, terms))
+    return tuple(parts[0::2]), tuple(parts[1::2])
 
 
 SQRT6_VAR = "r"

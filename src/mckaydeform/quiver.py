@@ -9,8 +9,9 @@ those scalars to the orientation (symplecticity) and to the central-fibre
 conditions of the special fibre.
 
 One moment map and one action serve MPoly symbols and exact rational
-points alike: equivariance is decided as an identity on symbols, and the
-fibres of types A and D4 are sampled as exact points, seeded.
+points alike: equivariance is decided as an identity on symbols, and
+seeded exact points sample the fibres of types A and D4 (A's eigenvalues
+are ``rootdata.cartan_point`` of the central value).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from math import lcm, prod
 
 from .exact import QQ, mat_mul, over_one_den, rat, rref, trace
 from .poly import MPoly, VarTable
-from .rootdata import (DynkinType, UnsupportedType, extended_edges,
-                       mckay_dimension_vector, omega_generators)
+from .rootdata import (DynkinType, UnsupportedType, cartan_point,
+                       extended_edges, mckay_dimension_vector,
+                       omega_generators)
 
 
 class SingularSystem(RuntimeError):
@@ -472,19 +474,14 @@ def invariants_at_point(t: DynkinType, sample: dict):
 
 
 def lambda_from_central(central) -> list:
-    """Eigenvalue parameters from a type-A central value.
-
-    tau sends the central value to h with alpha_i(h) = -z_i; for the cycle
-    this pins lambda_i - lambda_{i-1} = z_i with sum(lambda) = 0.  Memoised
-    on the exact central value; each call returns its own list.
+    """Eigenvalue parameters from a type-A central value: the point h =
+    ``cartan_point`` of mu = (z_1, ..., z_r), so alpha_i(h) = -z_i; for
+    the cycle, lambda_i - lambda_{i-1} = z_i with sum(lambda) = 0.
+    Memoised on the exact central value; each call returns its own list.
     """
     return list(_lambda_from_central(tuple(exact_central(central))))
 
 
 @lru_cache(maxsize=16)
 def _lambda_from_central(z: tuple) -> tuple:
-    lam = [QQ(0)]
-    for i in range(1, len(z)):
-        lam.append(lam[i - 1] + z[i])
-    mean = sum(lam) / len(lam)
-    return tuple(v - mean for v in lam)
+    return cartan_point(DynkinType("A", len(z) - 1), z[1:])

@@ -78,7 +78,7 @@ def _quotient_family(label: str) -> QuotientFamily:
         return _quotient_G2()
     if label == "F4":
         return _quotient_F4()
-    raise UnsupportedLabel(label)
+    raise UnsupportedLabel(f"no quotient family for {label}")
 
 
 def _quotient_B(r: int) -> QuotientFamily:

@@ -1,16 +1,17 @@
-"""Root systems, diagram automorphisms, foldings and McKay dimension data.
+"""Root systems, the coweight chart, automorphisms, foldings, McKay data.
 
 Types A_r and D_r live in Bourbaki orthonormal coordinates over Q.  Type E6
 uses the six-dimensional model in which the Weyl group is the symmetry group
 of the 27-vertex polytope: simple roots are sqrt(2) times the unit normals
-of six reflection hyperplanes, with coordinates in Q(zeta_24) (they involve
-sqrt(2), sqrt(3), sqrt(6)).  The E6 vertex numbering follows the deformation
-computations, not the reference-book order.
+of six reflection hyperplanes, over Q(zeta_24) (sqrt 2, sqrt 3, sqrt 6),
+numbered as the deformation computations number them, not as the books do.
+The point h = -sum mu_i Lambda_i^vee that a central value or coweight
+coordinate mu names is stated here alone, in these models (``cartan_point``).
 
-Root identity, positivity and height are integer facts: the positive
-roots are integer coefficient vectors over the simple roots, closed under
-the simple reflections through the Cartan matrix, and an embedded root is
-the same combination of the embedded simple roots.
+Root identity, positivity and height are integer facts: the positive roots
+are integer coefficient vectors over the simple roots, closed under the
+simple reflections through the Cartan matrix, and an embedded root is the
+same combination of the embedded simple roots.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ E6_SIMPLE_NORMALS = {1: (3, 0, 0), 2: (0, 0, 3), 3: (0, 1, 0),
                      4: (1, 0, 0), 5: (0, 0, 1), 6: (3, 3, 3)}
 
 
-def build_root_system(t: DynkinType) -> RootSystem:
+def _simple_roots(t: DynkinType):
     fam, r = t.family, t.rank
     if fam in ("A", "D"):
         # alpha_i = e_i - e_(i+1); D's last one is e_(r-1) + e_r
@@ -226,13 +227,35 @@ def build_root_system(t: DynkinType) -> RootSystem:
                    for i in range(r if fam == "A" else r - 1)]
         if fam == "D":
             simples.append(tuple(QQ(int(k >= r - 2)) for k in range(n)))
-        return RootSystem(t, n, simples)
+        return simples
     if fam == "E" and r == 6:
         s2 = sqrt2().lift(24)
-        simples = [tuple(s2 * c for c in _frame_normal(E6_SIMPLE_NORMALS[i]))
-                   for i in range(1, 7)]
-        return RootSystem(t, 6, simples)
+        return [tuple(s2 * c for c in _frame_normal(E6_SIMPLE_NORMALS[i]))
+                for i in range(1, 7)]
     raise UnsupportedType(f"root system not built for {t}")
+
+
+def build_root_system(t: DynkinType) -> RootSystem:
+    simples = _simple_roots(t)
+    return RootSystem(t, len(simples[0]), simples)
+
+
+@functools.cache
+def coweights(t: DynkinType) -> tuple:
+    """The fundamental coweights Lambda_i^vee = sum_j (C^-1)_ij alpha_j
+    (alpha_i^vee = alpha_i here), so <Lambda_i^vee, alpha_j> = delta_ij;
+    C^-1 is the right half of one ``rref`` of [C | I]."""
+    r, simples = t.rank, _simple_roots(t)
+    inverse, _ = rref([row + [int(i == j) for j in range(r)]
+                       for i, row in enumerate(cartan_matrix(t))], r)
+    return tuple(_combine(row[r:], simples) for row in inverse)
+
+
+def cartan_point(t: DynkinType, mu) -> tuple:
+    """h = -sum mu_i Lambda_i^vee, the point with alpha_i(h) = -mu_i that a
+    McKay central value or coweight coordinate mu names (Kronheimer, J.
+    Differential Geom. 29, 1989), for rational or polynomial mu."""
+    return _combine([-m for m in mu], coweights(t))
 
 
 def coxeter_number(t: DynkinType) -> int:
@@ -405,22 +428,15 @@ def vanishing_roots(rs: RootSystem, h):
 
 
 def omega_action_on_cartan(rs: RootSystem, sigma: DiagramAutomorphism, h):
-    """sigma . h through the coroot basis (alpha_i^vee = alpha_i here).
-
-    h's coordinates x over the simple roots solve C x = (<h, alpha_j>)_j,
-    so x is the rational inverse of the integer Cartan matrix C, from one
-    ``rref`` of [C | I], times that vector (over Q(zeta_24) for E6); an h
-    outside their span fails the exact back-check and is refused."""
-    r = len(rs.simple_roots)
-    inverse, _ = rref([list(row) + [int(i == j) for j in range(r)]
-                       for i, row in enumerate(rs.cartan)], r)
+    """sigma . h: h = sum_j <h, alpha_j> Lambda_j^vee, and sigma sends
+    Lambda_j^vee to Lambda_sigma(j)^vee; an h outside the span of the
+    simple roots fails the exact back-check and is refused."""
+    lam = coweights(rs.dtype)
     pairings = [_dot(h, a) for a in rs.simple_roots]
-    coeffs = [_dot(row[r:], pairings) for row in inverse]
-    if _combine(coeffs, rs.simple_roots) != tuple(h):
+    if _combine(pairings, lam) != tuple(h):
         raise ValueError(
             f"h is outside the span of the simple roots of {rs.dtype}")
-    return _combine(coeffs, [rs.simple_roots[sigma(i + 1) - 1]
-                             for i in range(r)])
+    return _combine(pairings, [lam[p - 1] for p in sigma.vertex_perm])
 
 
 def omega_average(rs: RootSystem, omega, h):

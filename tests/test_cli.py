@@ -332,7 +332,33 @@ def test_family_refuses_a_label_it_does_not_build_by_name(label, capsys):
     # A1 is a valid type, but no A_(2r-1) family with r >= 2
     code, report = run(["family", "--label", label])
     assert code == 2 and report is None
-    assert capsys.readouterr().err == f"error: {label}\n"
+    assert capsys.readouterr().err == \
+        f"error: no deformation family for {label}\n"
+
+
+@pytest.mark.parametrize("argv, err", (
+    (["quotient", "verify", "--label", "D4"], "no quotient family for D4"),
+    (["flat", "--type", "A3", "--full"],
+     "--full checks the E6 Frame invariance, not A3"),
+    (["flat", "--type", "D5", "--full"],
+     "--full checks the E6 Frame invariance, not D5"),
+    (["rootdata", "--type", "A3", "--omega", "s3"],
+     "--omega acts on --h, and no --h is given"),
+    (["rootdata", "--type", "E6", "--omega", "z2"],
+     "--omega acts on --h, and no --h is given")))
+def test_a_flag_or_label_that_would_be_ignored_is_refused_by_name(
+        argv, err, capsys):
+    # aim 3: nothing is silently ignored; the refusal names what it refuses
+    code, report = run(argv)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_rootdata_averages_over_z2_unless_omega_names_a_group():
+    argv = ["rootdata", "--type", "A5", "--h", "1,2,3,-1,-2,-3"]
+    witnesses = [run(argv + extra)[1].to_json()["checks"]
+                 for extra in ([], ["--omega", "z2"], ["--omega", "trivial"])]
+    assert witnesses[0] == witnesses[1] != witnesses[2]
 
 
 @pytest.mark.parametrize("label", ("D4", "E6"))

@@ -272,6 +272,24 @@ def test_normal_form_rejects_a_nonlinear_action():
     assert rep["per_generator"] == {"sigma": False} and not rep["ok"]
 
 
+@pytest.mark.parametrize("label", ("A3", "D4", "E6"))
+def test_a_change_that_loses_a_variable_fails_the_relation(label,
+                                                          monkeypatch):
+    # the action is checked as P o alpha = M o P, with no inverse of P;
+    # that is P o alpha o P^-1 = M only for an invertible P, and the
+    # relation check refuses a P whose Z slot repeats Y (P loses a
+    # variable): the Klein relation no longer carries x, y and z
+    change = deform._klein_change
+
+    def lossy(t, W):
+        root, fwd, text, gens = change(t, W)
+        return root, dict(fwd, Z=fwd["Y"]), text, gens
+
+    monkeypatch.setattr(deform, "_klein_change", lossy)
+    rep = special_fibre_normal_form(family(label))
+    assert rep["relation_match"] is False and not rep["ok"]
+
+
 def test_d4_coefficient_identities():
     rep = verify_d4_coefficients()
     assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]

@@ -294,6 +294,21 @@ def test_unknown_label():
         quotient_family("Q9")
 
 
+def test_f4_pullback_sees_a_row_misplaced_in_family_e6_alone(monkeypatch):
+    # _quotient_F4 builds its equation from e6_flat_coefficients apart from
+    # family_E6, so the F4 pullback is the suites' check of where
+    # family_E6 puts each row: Ax2 at x^2 y instead of x^2 fails it, while
+    # the E6 and F4 families still pass their own checks
+    from mckaydeform import deform
+    from mckaydeform.cli import run
+    monkeypatch.setattr(deform, "E6_MONOMIALS",
+                        dict(deform.E6_MONOMIALS, Ax2=(2, 1)))
+    assert quotient.E6_MONOMIALS["Ax2"] == (2, 0)
+    assert verify_quotient_pullback("F4")["ok"] is False
+    for label in ("E6", "F4"):
+        assert run(["family", "--label", label])[0] == 0
+
+
 def test_star2_equation_shape():
     eqn = g2_star2_equation()
     V = eqn.vars

@@ -344,3 +344,112 @@ def test_mckay_dimension_vectors():
     with pytest.raises(UnsupportedType):
         mckay_dimension_vector(DynkinType("B", 3))
 
+
+
+# -- the coweight chart -------------------------------------------------------
+
+CHART_TYPES = ([DynkinType("A", r) for r in range(1, 8)]
+               + [DynkinType("D", r) for r in (4, 5, 6)] + [E6])
+
+
+@pytest.mark.parametrize("t", CHART_TYPES, ids=str)
+def test_cartan_point_pairs_each_simple_root_to_minus_mu(t):
+    # <h, alpha_i> = -mu_i exactly at seeded rational mu, and the chart on
+    # polynomial mu, evaluated there, is the same point
+    import random
+
+    from mckaydeform.poly import MPoly, VarTable
+    from mckaydeform.rootdata import cartan_point
+    rng = random.Random(str(t))
+    mu = [QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(t.rank)]
+    h = cartan_point(t, mu)
+    simples = build_root_system(t).simple_roots
+    assert [sum(x * y for x, y in zip(h, a)) for a in simples] == [
+        -m for m in mu]
+    V = VarTable(tuple(f"mu{i}" for i in range(1, t.rank + 1)))
+    chart = cartan_point(t, [MPoly.variable(V, v) for v in V.names])
+    point = dict(zip(V.names, mu))
+    assert len(chart) == len(h)
+    assert all(p.substitute(point) == c for p, c in zip(chart, h))
+
+
+def _linear_forms(V, rows):
+    """The linear forms on V with these coefficient rows ('p/q' text)."""
+    from mckaydeform.poly import MPoly
+    return [sum((MPoly.variable(V, v) * QQ(c) for v, c in zip(V.names, row)
+                 if QQ(c)), MPoly(V)) for row in rows]
+
+
+# the typed charts cartan_point replaced, as they computed them: eigenvalues
+# lambda at a central value z (A), xi1..xi4 in mu (D4), and the parts of
+# x1, x2, x3, y1, y2, y3 over sqrt(6) resp. sqrt(2) in mu (E6)
+TYPED_LAMBDAS = (
+    (["5/6", "-5/6"], ["5/12", "-5/12"]),
+    (["1/5", "0", "-1/5"], ["1/15", "1/15", "-2/15"]),
+    (["-35/3", "7/3", "1/3", "9"], ["-25/6", "-11/6", "-3/2", "15/2"]),
+    (["-5", "7", "-1", "2", "-3"], ["-26/5", "9/5", "4/5", "14/5", "-1/5"]),
+    (["443/60", "-9/2", "1", "-4/3", "-4/5", "-7/4"],
+     ["517/120", "-23/120", "97/120", "-21/40", "-53/40", "-123/40"]))
+TYPED_D4_XI = (("-1", "-1", "-1/2", "-1/2"), ("0", "-1", "-1/2", "-1/2"),
+               ("0", "0", "-1/2", "-1/2"), ("0", "0", "1/2", "-1/2"))
+TYPED_E6_XY = (("1/6", "0", "0", "1/3", "0", "0"),
+               ("-1/6", "-1/6", "0", "-1/3", "-1/3", "-1/2"),
+               ("0", "1/6", "0", "0", "1/3", "0"),
+               ("-1/2", "0", "0", "0", "0", "0"),
+               ("1/2", "1/2", "1", "1", "1", "3/2"),
+               ("0", "-1/2", "0", "0", "0", "0"))
+
+
+@pytest.mark.parametrize("z, lam", TYPED_LAMBDAS)
+def test_lambda_from_central_is_the_typed_eigenvalue_chart(z, lam):
+    from mckaydeform.quiver import lambda_from_central
+    assert lambda_from_central(z) == [QQ(v) for v in lam]
+
+
+def test_the_d4_and_e6_charts_are_the_typed_ones_term_for_term():
+    from mckaydeform.deform import D4_MU, _variables
+    from mckaydeform.flat import MU_VARS, e6_xy_of_mu
+    from mckaydeform.rootdata import cartan_point
+    xi = cartan_point(D4, _variables(D4_MU, D4_MU.names))
+    assert [p.terms for p in xi] == [
+        p.terms for p in _linear_forms(D4_MU, TYPED_D4_XI)]
+    xs, ys = e6_xy_of_mu()
+    assert [p.terms for p in xs + ys] == [
+        p.terms for p in _linear_forms(MU_VARS, TYPED_E6_XY)]
+
+
+def test_an_irrational_e6_part_is_refused(monkeypatch):
+    # each part of x over sqrt(6) and of y over sqrt(2) is certified
+    # rational: Lambda_1 times sqrt(3) leaves parts in Q(sqrt 3)
+    from mckaydeform import flat, rootdata
+    from mckaydeform.exact import sqrt3
+    lam = rootdata.coweights(E6)
+    monkeypatch.setattr(rootdata, "coweights", lambda t: (
+        tuple(c * sqrt3() for c in lam[0]),) + lam[1:])
+    with pytest.raises(ArithmeticError, match="not rational"):
+        flat.e6_xy_of_mu()
+
+
+def test_swapped_coweights_fail_the_d4_rows_a_fibre_and_the_back_check(
+        monkeypatch):
+    # negative control: Lambda_1 and Lambda_2 swapped in the one chart
+    # (in the suites: base[D4], d4_coefficients, mc_fibres[A3|A5|D4] and
+    # e6_coefficients_weyl_invariant fail)
+    from mckaydeform import cli, deform, quiver, rootdata
+    from mckaydeform.rootdata import omega_action_on_cartan
+    A3, central = DynkinType("A", 3), ["3/2", "-1/2", "1/4", "-5/4"]
+    point = quiver.invariants_at_point(
+        A3, quiver.sample_moment_fibre(A3, central, seed=0))
+    assert cli._family_residual(A3, central, *point) == 0
+    lam = rootdata.coweights
+    monkeypatch.setattr(rootdata, "coweights",
+                        lambda t: (lam(t)[1], lam(t)[0]) + lam(t)[2:])
+    cli._fibre.cache_clear()
+    try:
+        assert cli._family_residual(A3, central, *point) != 0
+    finally:
+        cli._fibre.cache_clear()
+    assert deform.verify_d4_coefficients()["ok"] is False
+    with pytest.raises(ValueError, match="outside the span"):
+        omega_action_on_cartan(build_root_system(D4), standard_omega(
+            D4, "s3")[1], tuple(QQ(v) for v in (1, 2, 0, 3)))

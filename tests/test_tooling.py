@@ -11,8 +11,9 @@ moment-fibre sampler, its residual and rational ``rref`` run no
 and D4 rows run no ``Fraction`` arithmetic and no substitution.  And no
 function, class or method in ``src/`` may exist only for the tests, no
 parameter default may be one that every call leaves alone, the exact
-modules hold no float constant, and ``deform`` reads family label text in
-its table of restrictions alone.
+modules hold no float constant, ``deform`` reads family label text in
+its table of restrictions alone, and no module reads another module's
+private name outside the few listed with their reasons.
 """
 
 import ast
@@ -366,6 +367,50 @@ def test_deform_reads_no_family_label_outside_family():
             continue
         found += [f"deform:{n.lineno}" for _ in filter(is_label, operands)]
     assert not found, found
+
+
+# Private names one module of the package reads from another, each with
+# its reason; the coweight chart, say, is read as rootdata.cartan_point.
+PRIVATE_IMPORTS_ALLOWED = {
+    ("cli", "rootdata._positive_coeffs"):
+        "rootdata --type counts the positive roots of E7 and E8, which "
+        "have no embedded model, from the Cartan matrix alone",
+    ("flat", "poly._packed_of"):
+        "_over_sqrt3 lifts a rational coordinate on its packed form",
+    ("flat", "poly._packed_poly"):
+        "_over_sqrt3 lifts a rational coordinate on its packed form",
+    ("flat", "rootdata._frame_normal"):
+        "the Frame reflections are built on the normals that give the E6 "
+        "simple roots",
+    ("quotient", "deform._fresh"):
+        "quotient_family hands out copies of its source family as family "
+        "does",
+    ("quotient", "deform._full_subs"):
+        "the invariant-generator check completes a generator's "
+        "substitution as the equivariance check does",
+}
+
+
+def test_no_module_reads_another_modules_private_name():
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = set()
+    for path in sorted((SRC / "mckaydeform").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                if n.module is None:        # from . import quiver
+                    modules |= {a.asname or a.name for a in n.names}
+                else:
+                    found |= {(path.stem, f"{n.module}.{a.name}")
+                              for a in n.names if private(a.name)}
+        found |= {(path.stem, f"{n.value.id}.{n.attr}")
+                  for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name) and n.value.id in modules
+                  and private(n.attr)}
+    assert found == set(PRIVATE_IMPORTS_ALLOWED)
 
 
 def test_only_deform_imports_numpy():
