@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from functools import lru_cache
@@ -582,6 +583,9 @@ def build_parser():
     for parser in (f, rd, k, fl, qv, qp, fa, fb, qt, su):
         parser.add_argument("--out", default=None,
                             help="write the JSON report to this path")
+    # "--mu -1,1": a rational list is a value, as a negative number is
+    rd._negative_number_matcher = qp._negative_number_matcher = re.compile(
+        r"-?[\d./]+(,-?[\d./]+)*$")
     return p
 
 

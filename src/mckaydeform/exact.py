@@ -530,25 +530,24 @@ def split_quadratic(x, root: Cyclo) -> tuple:
     """Rationals (a, b) with x = a + b * root, for an irrational ``root``
     whose square is rational (such as ``sqrt3()``).
 
-    Exact: b is read off one coordinate where ``root`` is nonzero, a off
-    the constant one, and every coordinate is then checked.  An x outside
-    Q(root) raises ``ValueError``.
+    Exact, on the int coordinates: b is read off one coordinate j where
+    ``root`` is nonzero, a off the constant one, and every other
+    coordinate k is checked by X_k R_j == X_j R_k.  An x outside Q(root)
+    raises ``ValueError``.
     """
     if is_rat(x):
         return QQ(x), QQ(0)
     if not isinstance(x, Cyclo):
         raise ValueError(f"{x!r} is not a cyclotomic scalar")
     x, r = Cyclo._pair(x, root)
-    j = next((j for j, c in enumerate(r.coeffs) if j and c), None)
+    X, R = x.nums, r.nums
+    j = next((j for j, c in enumerate(R) if j and c), None)
     if j is None:
         raise ValueError(f"{root} is rational")
-    b = x.coeffs[j] / r.coeffs[j]
-    a = x.coeffs[0] - b * r.coeffs[0]
-    want = [b * c for c in r.coeffs]
-    want[0] += a
-    if list(x.coeffs) != want:
+    if any(X[k] * R[j] != X[j] * R[k] for k in range(1, len(X))):
         raise ValueError(f"{x} does not lie in Q({root})")
-    return a, b
+    den = x.den * R[j]
+    return QQ(X[0] * R[j] - X[j] * R[0], den), QQ(X[j] * r.den, den)
 
 
 # -- numeric shadow --------------------------------------------------------

@@ -347,10 +347,16 @@ def verify_moment_equivariance_numeric(act: OmegaActionOnM, seed: int = 0,
 
 def exact_central(central) -> list:
     """A central value as exact rationals: ints, rationals, 'p/q' strings,
-    or floats at their exact binary value.  A complex value is refused."""
+    or floats at their exact binary value; memoised, each call gets its own
+    list.  A complex value is refused on every call: 1 + 0j hashes as 1."""
     if any(isinstance(v, complex) for v in central):
         raise ValueError(f"central value must be real: {central!r}")
-    return [rat(v) for v in central]
+    return list(_exact_central(tuple(central)))
+
+
+@lru_cache(maxsize=16)
+def _exact_central(central: tuple) -> tuple:
+    return tuple(rat(v) for v in central)
 
 
 def sample_moment_fibre(t: DynkinType, central, seed: int) -> dict:
@@ -420,16 +426,22 @@ def sample_moment_fibre(t: DynkinType, central, seed: int) -> dict:
     raise UnsupportedType(f"no sampler for {t}")
 
 
+def _int_rep(rep: dict, den: int = 1) -> tuple:
+    """(ints, D): a point's matrices as int numerators over D, the lcm of
+    ``den`` and their denominators."""
+    D = lcm(den, *(x.denominator for m in rep.values() for row in m
+                   for x in row))
+    return {a: [[x.numerator * (D // x.denominator) for x in row]
+                for row in m] for a, m in rep.items()}, D
+
+
 def fibre_residual(sample: dict):
     """Largest |entry| of mu(point) - z_v Id: exact, 0 on the fibre.
 
     The point and z are read as int matrices over one denominator D, so
     each vertex block is an int product, compared with D^2 z_v Id."""
-    q, z, rep = sample["quiver"], sample["central"], sample["rep"]
-    D = lcm(*(x.denominator for x in z), *(
-        x.denominator for m in rep.values() for row in m for x in row))
-    ints = {a: [[x.numerator * (D // x.denominator) for x in row]
-                for row in m] for a, m in rep.items()}
+    q, z = sample["quiver"], sample["central"]
+    ints, D = _int_rep(sample["rep"], lcm(*(x.denominator for x in z)))
     worst = 0
     for v, arrows in enumerate(q.incoming):
         n = q.dims[v]
@@ -447,28 +459,36 @@ def fibre_residual(sample: dict):
 
 
 def invariants_at_point(t: DynkinType, sample: dict):
-    """The invariant coordinates (x, y, z) of a sampled fibre point."""
-    rep = sample["rep"]
+    """The invariant coordinates (x, y, z) of a sampled fibre point, each
+    one int quotient: the point is read as ints over D, mu0 .. mu4 over E."""
+    ints, D = _int_rep(sample["rep"])
     if t.family == "A":
         n = t.rank + 1
-        a = [rep[f"a{i}"][0][0] for i in range(n)]
-        b = [rep[f"b{i}"][0][0] for i in range(n)]
-        return prod(a), prod(b), sum(x * y for x, y in zip(a, b)) / n
+        a = [ints[f"a{i}"][0][0] for i in range(n)]
+        b = [ints[f"b{i}"][0][0] for i in range(n)]
+        return (QQ(prod(a), D ** n), QQ(prod(b), D ** n),
+                QQ(sum(x * y for x, y in zip(a, b)), n * D * D))
     if t == DynkinType("D", 4):
-        def s(i, j):        # the 1 x 1 product pb_i pa_j
-            (p0, p1), = rep[f"pb{i}"]
-            (q0,), (q1,) = rep[f"pa{j}"]
+        def s(i, j):        # D^2 times the 1 x 1 product pb_i pa_j
+            (p0, p1), = ints[f"pb{i}"]
+            (q0,), (q1,) = ints[f"pa{j}"]
             return p0 * q0 + p1 * q1
         # m_i = pa_i pb_i has rank 1, so a trace of a product of the m_i
         # is a product of the scalars s(i, j) = pb_i pa_j
-        p03 = s(0, 3) * s(3, 0)         # tr(m_0 m_3)
-        p34 = s(3, 4) * s(4, 3)         # tr(m_3 m_4)
-        q034 = s(4, 3) * s(3, 0) * s(0, 4)      # tr(m_4 m_3 m_0)
-        mu0, mu1, mu2, mu3, mu4 = sample["central"]
-        x = p34 + (mu3 - mu4) ** 2 / 4
-        y = p03 + (mu3 - mu0) ** 2 / 4
-        zc = q034 - (p03 * (mu3 - mu4) + p34 * (mu3 - mu0)
-                     + mu3 * (mu2 + mu3) * (mu1 + mu2 + mu3)) / 2
+        p03 = s(0, 3) * s(3, 0)         # D^4 tr(m_0 m_3)
+        p34 = s(3, 4) * s(4, 3)         # D^4 tr(m_3 m_4)
+        q034 = s(4, 3) * s(3, 0) * s(0, 4)      # D^6 tr(m_4 m_3 m_0)
+        (mu0, mu1, mu2, mu3, mu4), E = over_one_den(sample["central"])
+        d4, e2 = D ** 4, E * E
+        # x = tr(m_3 m_4) + (mu3 - mu4)^2 / 4 over 4 D^4 E^2, y likewise, and
+        # z = tr(m_4 m_3 m_0) - (tr(m_0 m_3) (mu3 - mu4) + tr(m_3 m_4) (mu3
+        # - mu0) + mu3 (mu2 + mu3) (mu1 + mu2 + mu3)) / 2 over 2 D^6 E^3
+        x = QQ(4 * e2 * p34 + d4 * (mu3 - mu4) ** 2, 4 * d4 * e2)
+        y = QQ(4 * e2 * p03 + d4 * (mu3 - mu0) ** 2, 4 * d4 * e2)
+        zc = QQ(2 * E * e2 * q034 - D * D * (
+            e2 * (p03 * (mu3 - mu4) + p34 * (mu3 - mu0))
+            + d4 * mu3 * (mu2 + mu3) * (mu1 + mu2 + mu3)),
+            2 * d4 * D * D * E * e2)
         return x, y, zc
     raise UnsupportedType(f"no invariants for {t}")
 

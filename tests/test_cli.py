@@ -169,14 +169,16 @@ def test_mc_fibres_catch_a_wrong_a_flat_system(monkeypatch):
 
 
 @pytest.mark.parametrize("old, new", (
-    ("x = p34 + (mu3 - mu4) ** 2 / 4", "x = p34 + (mu3 - mu4) ** 2 / 5"),
-    ("y = p03 + (mu3 - mu0) ** 2 / 4", "y = p03 + (mu3 - mu0) ** 2 / 5"),
-    ("(mu1 + mu2 + mu3)) / 2", "(mu1 + mu2 + mu3)) / 3")))
+    ("+ d4 * (mu3 - mu4) ** 2", "+ 2 * d4 * (mu3 - mu4) ** 2"),
+    ("+ d4 * (mu3 - mu0) ** 2", "+ 2 * d4 * (mu3 - mu0) ** 2"),
+    ("q034 - D * D * (", "q034 - 2 * D * D * (")), ids=("x", "y", "z"))
 def test_mc_fibres_d4_sees_each_correction_term(old, new, monkeypatch):
     # negative control: each correction term of the D4 invariants, typed
-    # in wrong, fails suite full's mc_fibres[D4] at its central value; at
-    # (1, 1, -2, 1, 1) mu3 - mu4, mu3 - mu0 and mu1 + mu2 + mu3 are 0, so
-    # every term vanishes and each mutation passes there
+    # in wrong (x's and y's 1/4 as 1/2, z's 1/2 as 1, each over its own
+    # term so the traces keep theirs), fails suite full's mc_fibres[D4] at
+    # its central value; at (1, 1, -2, 1, 1) mu3 - mu4, mu3 - mu0 and
+    # mu1 + mu2 + mu3 are 0, so every term vanishes and each mutation
+    # passes there
     import inspect
 
     from mckaydeform import cli, quiver
@@ -703,3 +705,28 @@ def test_wrong_target_ade_fails_the_special_fibre_row(monkeypatch):
     code, report = run(["quotient", "verify", "--label", "B2"])
     status = {c.name: c.status for c in report.checks}
     assert code == 1 and status["B2_special_fibre_type"] == "fail"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["quiver", "sample", "--type", "A1"], ["--mu", "-1,1"]),
+    (["quiver", "sample", "--type", "A4"], ["--mu", "-1/2,-1.5,3,-1,0"]),
+    (["rootdata", "--type", "A2"], ["--h", "-1,0,1"])])
+def test_a_negative_first_entry_is_a_value(argv, option, tmp_path, capsys):
+    # argparse exempts only a plain negative number from being an option;
+    # "--mu -1,1" reads as "--mu=-1,1" did
+    runs = []
+    for form in (option, ["=".join(option)]):
+        out = tmp_path / f"{len(form)}.json"
+        code, _ = run(argv + form + ["--out", str(out)])
+        runs.append((code, capsys.readouterr(), out.read_bytes()))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quiver", "sample", "--type", "A1", "--mu", "-1,x"],
+    ["rootdata", "--type", "A2", "--h", "-1,0,y"]])
+def test_a_malformed_negative_list_is_refused_by_name(argv, capsys):
+    code, report = run(argv)
+    assert code == 2 and report is None
+    assert f"argument {argv[-2]}: expected one argument" in \
+        capsys.readouterr().err

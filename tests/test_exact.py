@@ -75,6 +75,45 @@ def test_split_quadratic_refuses_a_rational_root():
         split_quadratic(sqrt3(), Cyclo.from_rat(2, 12))
 
 
+def _fraction_split(x, root):
+    """(a, b) on the ``Fraction`` coordinates, or None outside Q(root): the
+    field formulas the int version replaced."""
+    x, r = Cyclo._pair(x, root)
+    j = next(j for j, c in enumerate(r.coeffs) if j and c)
+    b = x.coeffs[j] / r.coeffs[j]
+    a = x.coeffs[0] - b * r.coeffs[0]
+    want = [b * c for c in r.coeffs]
+    want[0] += a
+    return (a, b) if list(x.coeffs) == want else None
+
+
+def test_split_quadratic_equals_the_fraction_formulas():
+    # property test: seeded elements of Q(zeta_12) and Q(zeta_24), inside
+    # and outside Q(sqrt 3), against scaled and lifted roots
+    rng = random.Random(31)
+
+    def q():
+        return QQ(rng.randint(-9, 9), rng.randint(1, 7))
+    r3 = sqrt3()
+    roots = (r3, r3 * QQ(-2, 3), r3.lift(24), r3 * QQ(5, 4))
+    seen = set()
+    for k in range(60):
+        x = r3 * q() + q()
+        if k % 3:           # move it off Q(sqrt 3), or not at all
+            x = x + zeta(12, rng.randrange(4)) * q() * rng.randint(0, 1)
+        if k % 4 == 0:
+            x = x.lift(24)
+        want = _fraction_split(x, roots[k % 4])
+        seen.add(want is None)
+        if want is None:
+            with pytest.raises(ValueError, match="does not lie"):
+                split_quadratic(x, roots[k % 4])
+        else:
+            got = split_quadratic(x, roots[k % 4])
+            assert got == want and all(type(v) is type(QQ(1)) for v in got)
+    assert seen == {True, False}
+
+
 def test_named_square_roots():
     for root, target in ((sqrt2(), 2), (sqrt3(), 3), (sqrt6(), 6)):
         assert (root * root).reduce_rat() == target

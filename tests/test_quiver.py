@@ -9,7 +9,8 @@ from mckaydeform.cli import _d4_family_residual
 from mckaydeform.exact import QQ, mat_mul, trace
 from mckaydeform.poly import MPoly
 from mckaydeform.quiver import (McKayQuiver, SymbolicRep,
-                                check_action_admissible, fibre_residual,
+                                check_action_admissible, exact_central,
+                                fibre_residual,
                                 invariants_at_point, lambda_from_central,
                                 moment_map, reference_action,
                                 sample_moment_fibre, symbolic_action_order,
@@ -451,3 +452,76 @@ def test_lambda_from_central_returns_a_fresh_list():
     lam.append(QQ(1))
     assert lambda_from_central(central) == want
     assert lambda_from_central([QQ(3, 2), "-1/2", "1/4", -1.25]) == want
+
+
+def _fraction_invariants(t, sample):
+    """The invariants on the point's ``Fraction`` entries, by the field
+    formulas the int version replaced."""
+    rep = sample["rep"]
+    if t.family == "A":
+        n = t.rank + 1
+        a = [rep[f"a{i}"][0][0] for i in range(n)]
+        b = [rep[f"b{i}"][0][0] for i in range(n)]
+        return prod(a), prod(b), sum(x * y for x, y in zip(a, b)) / n
+
+    def s(i, j):
+        (p0, p1), = rep[f"pb{i}"]
+        (q0,), (q1,) = rep[f"pa{j}"]
+        return p0 * q0 + p1 * q1
+    p03, p34 = s(0, 3) * s(3, 0), s(3, 4) * s(4, 3)
+    q034 = s(4, 3) * s(3, 0) * s(0, 4)
+    mu0, mu1, mu2, mu3, mu4 = sample["central"]
+    return (p34 + (mu3 - mu4) ** 2 / 4, p03 + (mu3 - mu0) ** 2 / 4,
+            q034 - (p03 * (mu3 - mu4) + p34 * (mu3 - mu0)
+                    + mu3 * (mu2 + mu3) * (mu1 + mu2 + mu3)) / 2)
+
+
+def _random_a_central(rng, n):
+    z = [QQ(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n - 1)]
+    return [-sum(z)] + z
+
+
+@pytest.mark.parametrize("t, centrals", [
+    *((DynkinType("A", r), None) for r in range(1, 6)),
+    (D4, ((1, 1, -2, 1, 1), ("1/3", "2/5", "-1", "1/2", "23/30"),
+          (0.125, 0.375, -0.75, 1.5, -0.5)))])
+def test_invariants_at_point_equal_the_fraction_formulas(t, centrals):
+    # property test: on seeded points the int numerators give the values
+    # and the types of the field formulas
+    rng = random.Random(97)
+    for seed in range(12):
+        central = (_random_a_central(rng, t.rank + 1) if centrals is None
+                   else centrals[seed % 3])
+        s = sample_moment_fibre(t, central, seed)
+        got = invariants_at_point(t, s)
+        assert got == _fraction_invariants(t, s)
+        assert all(type(v) is type(QQ(1)) for v in got)
+
+
+def test_exact_central_returns_a_fresh_list_the_memo_keeps(monkeypatch):
+    from mckaydeform import quiver
+    converted = []
+    monkeypatch.setattr(quiver, "rat", lambda v: converted.append(v) or
+                        QQ(v))
+    central = ("1/3", 0.25, QQ(-7, 12), 0)
+    first = exact_central(central)
+    want = list(first)
+    first[0] = QQ(99)
+    first.append(QQ(1))
+    assert exact_central(central) == want == [
+        QQ(1, 3), QQ(1, 4), QQ(-7, 12), 0]
+    assert exact_central(central) is not exact_central(central)
+    assert converted == list(central)       # converted once, then read
+    assert exact_central([1]) == exact_central([1.0]) \
+        == exact_central([QQ(1)]) == [QQ(1)]
+
+
+def test_exact_central_refuses_a_complex_value_on_every_call():
+    # a raised error is never memoised, and 1 + 0j == 1 hashes as 1, so a
+    # memoised real value does not let its complex twin through
+    for _ in range(2):
+        with pytest.raises(ValueError, match="real"):
+            exact_central([1j, -1j, 0, 0])
+    assert exact_central([1, -1, 0, 0]) == [1, -1, 0, 0]
+    with pytest.raises(ValueError, match="real"):
+        exact_central([1 + 0j, -1, 0, 0])

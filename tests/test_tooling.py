@@ -164,25 +164,33 @@ def _fraction_ops(monkeypatch, call):
 
 
 def test_moment_fibre_points_and_rational_rref_run_on_ints(monkeypatch):
-    # work count, no timing: the sampler, the exact residual and rref read
-    # rationals as int numerators over one denominator; the field versions
-    # ran 137 (D4 sample), 50 (D4 residual), 30 (A5 residual) and 78
-    # (3 x 5 rref) Fraction operations
+    # work count, no timing: the sampler, the exact residual, the
+    # invariants and rref read rationals as int numerators over one
+    # denominator; the field versions ran 137 (D4 sample), 50 (D4
+    # residual), 30 (A5 residual), 46 (D4 invariants), 25 (A5 invariants)
+    # and 78 (3 x 5 rref) Fraction operations.  A repeated central value
+    # is read from the memo (test_quiver counts its conversions)
     from mckaydeform import exact, quiver
     from mckaydeform.rootdata import DynkinType
     QQ = exact.QQ
     d4, mu = DynkinType("D", 4), [1, 1, -2, 1, 1]
+    a5, mu5 = DynkinType("A", 5), [0.5, -0.25, 0.75, -1.0, 0.25, -0.25]
     s4 = quiver.sample_moment_fibre(d4, mu, seed=0)
-    s5 = quiver.sample_moment_fibre(
-        DynkinType("A", 5), [0.5, -0.25, 0.75, -1.0, 0.25, -0.25], seed=0)
+    s4g = quiver.sample_moment_fibre(d4, ["1/3", "2/5", -1, "1/2", "23/30"],
+                                     seed=0)
+    s5 = quiver.sample_moment_fibre(a5, mu5, seed=0)
     rows = [[QQ(1, 2), QQ(-2, 3), QQ(3), QQ(1, 5), QQ(7)],
             [QQ(2), QQ(1, 3), QQ(-1, 4), QQ(5), QQ(-1)],
             [QQ(-3, 7), QQ(4), QQ(1), QQ(2, 3), QQ(1, 2)]]
     calls = (lambda: quiver.sample_moment_fibre(d4, mu, seed=1),
              lambda: quiver.fibre_residual(s4),
              lambda: quiver.fibre_residual(s5),
+             lambda: quiver.invariants_at_point(d4, s4),
+             lambda: quiver.invariants_at_point(d4, s4g),
+             lambda: quiver.invariants_at_point(a5, s5),
+             lambda: quiver.exact_central(mu5),
              lambda: exact.rref(rows, 4))
-    assert [_fraction_ops(monkeypatch, c) for c in calls] == [0, 0, 0, 0]
+    assert [_fraction_ops(monkeypatch, c) for c in calls] == [0] * 8
     assert quiver.fibre_residual(s4) == quiver.fibre_residual(s5) == 0
     assert exact.rref(rows, 4) == ([
         [1, 0, 0, QQ(39718, 16605), QQ(-35, 246)],
