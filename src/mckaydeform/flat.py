@@ -16,10 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .exact import QQ, is_rat, split_quadratic, sqrt2, sqrt3, sqrt6
-from .poly import MPoly, VarTable, _packed_of, _packed_poly, fold_root
+from .poly import (MPoly, VarTable, _packed_of, _packed_poly, fold_root,
+                   reflection_invariant)
 from .rootdata import DynkinType, cartan_point
 
 
@@ -302,25 +303,94 @@ def _over_sqrt3(p: MPoly) -> MPoly:
     return out
 
 
+def _fixed(p: MPoly, lifted: dict) -> bool:
+    """Whether p, lifted over sqrt 3, is fixed by the lifted bindings."""
+    moved = fold_root(p.substitute(lifted), SQRT3_VAR, 2, 3)
+    return moved == p.extend(moved.vars)
+
+
+@functools.cache
+def _pq_route() -> tuple:
+    """The six natural variables N = ``pq_in_xy`` lifted over sqrt 3, and
+    F o N for the coordinates F of ``flat_coords_E6``."""
+    return tuple(map(_over_sqrt3, pq_in_xy().values())), psi_E6_in_xy()
+
+
+def _rational_reflection(subs: dict):
+    """(names, c, alpha) when the bindings are a linear map s = I - c alpha^T
+    of their bound names, rational, with alpha(c) = 2 and c a primitive int
+    vector; else None."""
+    names, R = tuple(subs), []                  # R = I - s, by rows
+    for v, b in subs.items():
+        if not (isinstance(b, MPoly) and b.is_rational()):
+            return None
+        R.append([QQ(int(v == w)) for w in names])
+        for e, coef in b.terms.items():
+            w = b.vars.names[e.index(1)] if sum(e) == 1 else None
+            if w not in names:
+                return None
+            R[-1][names.index(w)] -= coef
+    col = next((col for col in zip(*R) if any(col)), None)
+    if col is None:
+        return None
+    den = lcm(*(x.denominator for x in col))
+    g = gcd(*(int(x * den) for x in col))
+    c = [int(x * den) // g for x in col]
+    alpha = next([x / k for x in row] for row, k in zip(R, c) if k)
+    if R != [[k * a for a in alpha] for k in c] or sum(
+            a * k for a, k in zip(alpha, c)) != 2:
+        return None
+    return names, c, alpha
+
+
+def _invariant_on_mirror(p: MPoly, reflection) -> bool:
+    """Whether p(v - alpha(v) c) = p(v): the first v_j with alpha_j != 0 is
+    bound to (sigma - sum_(i != j) alpha_i v_i) / alpha_j, sigma held in
+    v_j's slot, and the chart's reflection u -> u - sigma (c, c_j := 2) is
+    decided by ``reflection_invariant``."""
+    names, c, alpha = reflection
+    j = next(j for j, a in enumerate(alpha) if a)
+    x = [MPoly.variable(p.vars, v) for v in names]
+    form = sum((v * a for v, a in zip(x, alpha) if a), MPoly(p.vars))
+    direction = {v: k for v, k in zip(names, c) if k} | {names[j]: 2}
+    chart = x[j] + (x[j] - form) * (1 / alpha[j])
+    return reflection_invariant(p.substitute({names[j]: chart}), names[j],
+                                direction)
+
+
 def verify_w_invariance(fs: FlatSystem, generator_subs, expand) -> dict:
     """Exact invariance of each flat coordinate under each generator.
 
     ``generator_subs`` is a list of (label, substitution dict) with
     coefficients in Q(sqrt 3); ``expand`` maps each coordinate's name to
     the coordinate in the variables the substitutions act on (for E6,
-    ``psi_E6_in_xy``).  sqrt(3) is the extra variable s, so every
-    substitution runs on the rational kernel; the moved coordinate is
-    folded by s^2 = 3 and compared with the coordinate.
+    ``psi_E6_in_xy``).  Each verdict is that of substituting the generator
+    into ``expand[name]``, reached by the first route exact for the check:
+    1. a generator fixing E6's p_i, q_i fixes every polynomial in them, so
+       it passes (name, F) once ``expand[name]`` is certified, once per
+       call, to be F o N, N = ``pq_in_xy``;
+    2. a rational reflection is decided on its mirror;
+    3. else it is substituted, sqrt(3) held as the extra variable s so the
+       rational kernel runs, folded by s^2 = 3 and compared.
     """
-    checks = []
-    coords = [(name, _over_sqrt3(expand[name])) for _, name, _ in fs.coords]
+    own = {name: F for _, name, F in flat_coords_E6().coords}
+    on_pq = fs.natural_vars == PQ_VARS
+    lift = functools.cache(lambda name: _over_sqrt3(expand[name]))
+    certified, checks = {}, []
     for label, subs in generator_subs:
         lifted = {v: _over_sqrt3(b) for v, b in subs.items()}
         lifted[SQRT3_VAR] = MPoly.variable(VarTable((SQRT3_VAR,)), SQRT3_VAR)
-        for name, p in coords:
-            moved = fold_root(p.substitute(lifted), SQRT3_VAR, 2, 3)
-            checks.append({"generator": label, "coordinate": name,
-                           "ok": moved == p.extend(moved.vars)})
+        fixes_pq = on_pq and all(_fixed(n, lifted) for n in _pq_route()[0])
+        reflection = None if fixes_pq else _rational_reflection(subs)
+        for _, name, F in fs.coords:
+            if fixes_pq and name not in certified:
+                certified[name] = expand[name] == (
+                    _pq_route()[1][name] if own.get(name) is F
+                    else F.substitute(pq_in_xy()))
+            ok = fixes_pq and certified[name] or (
+                _invariant_on_mirror(expand[name], reflection) if reflection
+                else _fixed(lift(name), lifted))
+            checks.append({"generator": label, "coordinate": name, "ok": ok})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 

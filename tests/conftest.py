@@ -2,22 +2,23 @@
 
 import pytest
 
-from mckaydeform import deform, quiver, quotient
+from mckaydeform import deform, flat, quiver, quotient
 from mckaydeform.poly import MPoly, VarTable
 from mckaydeform.rootdata import cartan_matrix
 
 
 @pytest.fixture(autouse=True)
 def fresh_family_caches():
-    """Each test builds its families, quivers, exact central values and
-    eigenvalue parameters anew: a test that patches a builder
-    (``family_D4``, ``McKayQuiver``, say) or changes a family sees only its
-    own build."""
+    """Each test builds its families, quivers, exact central values,
+    eigenvalue parameters and the E6 Frame checks' (x, y) coordinates anew:
+    a test that patches a builder (``family_D4``, ``McKayQuiver``, say) or
+    changes a family sees only its own build."""
     deform._family.cache_clear()
     quotient._quotient_family.cache_clear()
     quiver._quiver.cache_clear()
     quiver._lambda_from_central.cache_clear()
     quiver._exact_central.cache_clear()
+    flat._pq_route.cache_clear()
 
 
 def _coweight_reflection_subs(t, j, names):

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from mckaydeform import flat
 from mckaydeform.exact import QQ, Cyclo, imag_unit, rref, sqrt2, sqrt3
 from mckaydeform.flat import (FRAME_GENERATOR_KEYS, MU_VARS, PQ_VARS,
                               PQ_WEIGHTS, PQR_VARS, SQRT6_VAR, XY_VARS,
-                              e6_tower, e6_xy_of_mu, elementary_symmetric,
-                              epsilon_from_psi, flat_coords_A, flat_coords_D,
-                              flat_coords_E6, frame_reflection_subs,
-                              lambda_table, pochhammer, psi_A_in_lambda,
+                              FlatSystem, e6_tower, e6_xy_of_mu,
+                              elementary_symmetric, epsilon_from_psi,
+                              flat_coords_A, flat_coords_D, flat_coords_E6,
+                              frame_reflection_subs, lambda_table,
+                              pochhammer, pq_in_xy, psi_A_in_lambda,
                               psi_D_in_xi, psi_E6_in_xy, psi_E6_of_mu,
                               verify_w_invariance, weighted_degrees,
                               xi_table)
@@ -177,6 +179,125 @@ def test_frame_check_refuses_a_coefficient_outside_q_sqrt3():
         verify_w_invariance(flat_coords_E6(), [("sqrt2", subs)],
                             expand=psi_E6_in_xy())
 
+
+def test_the_plane_generators_fix_p_and_q_and_333_is_a_rational_reflection():
+    # route 1 rests on the five W(A2)^3 generators fixing the six natural
+    # variables; (3, 3, 3) moves each of them and goes to its mirror
+    natural = pq_in_xy()
+    for k in FRAME_GENERATOR_KEYS[:5]:
+        subs = frame_reflection_subs(k)
+        assert all(n.substitute(subs) == n for n in natural.values()), k
+    subs = frame_reflection_subs((3, 3, 3))
+    assert all(n.substitute(subs) != n for n in natural.values())
+    names, c, alpha = flat._rational_reflection(subs)
+    assert names == XY_VARS.names and c == [1, 0, 1, 0, 1, 0]
+    assert alpha == [QQ(2, 3) * k for k in c]
+
+
+def _random_reflection(rng, orthogonal):
+    """s = I - c alpha^T on (x, y), alpha(c) = 2: c an int vector on one to
+    three variables, alpha 2 c / |c|^2 or a random rational form; with the
+    linear form alpha(v)."""
+    c = [0] * 6
+    for i in rng.sample(range(6), rng.randint(1, 3)):
+        c[i] = rng.choice((-2, -1, 1, 2))
+    raw, dot = c, 0
+    while not dot:
+        if not orthogonal:
+            raw = [QQ(rng.randint(-3, 3), rng.randint(1, 3))
+                   * (rng.random() < 0.5) for _ in c]
+        dot = sum(a * k for a, k in zip(raw, c))
+    x = [MPoly.variable(XY_VARS, v) for v in XY_VARS.names]
+    form = sum((v * (QQ(2 * a) / dot) for v, a in zip(x, raw) if a),
+               MPoly(XY_VARS))
+    return {v: x[i] - form * c[i] for i, v in enumerate(XY_VARS.names)}, form
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mirror_verdicts_match_the_substitution(seed):
+    # seeded rational reflections, orthogonal on even seeds: on the six
+    # psi, on psi + psi o s (invariant, s being an involution) and on that
+    # plus alpha^deg (invariant exactly at even degree)
+    rng = random.Random(3700 + seed)
+    subs, form = _random_reflection(rng, seed % 2 == 0)
+    assert flat._rational_reflection(subs) is not None
+    fs, xy = flat_coords_E6(), psi_E6_in_xy()
+    moved = {n: xy[n].substitute(subs) for _, n, _ in fs.coords}
+    fixed = {n: xy[n] + moved[n] for n in moved}
+    bumped = {n: fixed[n] + form ** d for d, n, _ in fs.coords}
+    for expand, want in (
+            (xy, [moved[n] == xy[n] for n in moved]), (fixed, [True] * 6),
+            (bumped, [bumped[n].substitute(subs) == bumped[n]
+                      for n in moved])):
+        rep = verify_w_invariance(fs, [("s", subs)], expand=expand)
+        assert [c["ok"] for c in rep["checks"]] == want
+
+
+def test_an_expand_off_p_and_q_falls_back_to_substitution():
+    xy = dict(psi_E6_in_xy())
+    xy["psi8"] = xy["psi8"] + MPoly.variable(XY_VARS, "x1") ** 8
+    subs = frame_reflection_subs((1, 0, 0))
+    rep = verify_w_invariance(flat_coords_E6(), [("(1, 0, 0)", subs)],
+                              expand=xy)
+    got = [c["ok"] for c in rep["checks"]]
+    assert got == [True, True, True, False, True, True]
+    assert got == [xy[n].substitute(subs) == xy[n] for n in sorted(
+        xy, key=lambda n: int(n[3:]))]
+
+
+def test_a_coordinate_off_the_cache_is_composed_on_the_fly(monkeypatch):
+    # psi8 with 5/191 for 5/192 is composed with (p, q)(x, y) once per
+    # call; the five cached coordinates are not composed again
+    t = e6_tower()
+    psi8 = t["H"] - t["A"] * t["C"] * QQ(1, 4) + t["A"] ** 4 * QQ(5, 191)
+    fs = flat_coords_E6()
+    coords = [(d, n, psi8 if n == "psi8" else p) for d, n, p in fs.coords]
+    system = FlatSystem(fs.dtype, fs.coxeter_number, coords, PQ_VARS)
+    xy = dict(psi_E6_in_xy())
+    xy["psi8"] = psi8.substitute(pq_in_xy())
+    gens = [(str(k), frame_reflection_subs(k)) for k in FRAME_GENERATOR_KEYS]
+    flat._pq_route()
+    composed = []
+    real = flat.pq_in_xy
+    monkeypatch.setattr(flat, "pq_in_xy",
+                        lambda: composed.append(1) or real())
+    rep = verify_w_invariance(system, gens, expand=xy)
+    assert len(composed) == 1
+    got = [c["ok"] for c in rep["checks"] if c["coordinate"] == "psi8"]
+    assert got == [xy["psi8"].substitute(subs) == xy["psi8"]
+                   for _, subs in gens]
+
+
+def _xy(name):
+    return MPoly.variable(XY_VARS, name)
+
+
+def _fixed_by(p, subs):
+    """The substitution verdict; unbound variables move to the end of the
+    result's table."""
+    moved = p.substitute(subs)
+    return moved == p.extend(moved.vars)
+
+
+@pytest.mark.parametrize("subs", [
+    {"x1": _xy("y1"), "y1": _xy("x1")},
+    {"x1": _xy("x2"), "y1": _xy("y2"), "x2": _xy("x1"), "y2": _xy("y1")},
+    {"x1": -_xy("x1")},
+    {"x1": -_xy("x1"), "y1": -_xy("y1")},
+    {"x1": _xy("x1") + _xy("y1")},
+    {"x1": _xy("x1") * 3},
+], ids=["x1<->y1", "plane-swap", "x1->-x1", "half-turn", "transvection",
+        "x1->3x1"])
+def test_generators_off_w_a2_cubed_match_the_substitution(subs):
+    # no coordinate to compose: were a control decided on p and q, F o N
+    # would be asked of None and raise.  The last two are I - c alpha^T
+    # with alpha(c) = 0 and -2, no reflections
+    fs, xy = flat_coords_E6(), psi_E6_in_xy()
+    blind = FlatSystem(fs.dtype, fs.coxeter_number,
+                       [(d, n, None) for d, n, _ in fs.coords], PQ_VARS)
+    rep = verify_w_invariance(blind, [("control", subs)], expand=xy)
+    assert [c["ok"] for c in rep["checks"]] == [
+        _fixed_by(xy[n], subs) for _, n, _ in fs.coords]
 
 def _random_over_root(rng, vars, nterms, deg, k=2):
     """Random rational polynomial on ``vars`` (last variable the root) of

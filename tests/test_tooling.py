@@ -99,9 +99,11 @@ def test_dense_bindings_go_to_horner_and_frame_bindings_do_not(monkeypatch):
     # work counts, no timing.  The E6 rows reach mu through Horner levels:
     # 338,475 coefficient products, against 605,316 on the pattern products
     # with p2 and q2 bound in a second stage.  The 42 Frame checks, whose
-    # bindings have at most 3 terms, stay on the pattern products: 107,977,
-    # against 129,678 with the 3-term bindings and 225,209 with every
-    # multi-term binding as Horner levels.
+    # bindings have at most 3 terms, stay on the pattern products: 9,910,
+    # composing the six coordinates with (p, q)(x, y) once per process
+    # (107,977 when every check was substituted, against 129,678 with the
+    # 3-term bindings and 225,209 with every multi-term binding as Horner
+    # levels).
     from mckaydeform import deform, flat
     fs, xy = flat.flat_coords_E6(), flat.psi_E6_in_xy()
     gens = [(str(k), flat.frame_reflection_subs(k))
@@ -113,7 +115,30 @@ def test_dense_bindings_go_to_horner_and_frame_bindings_do_not(monkeypatch):
         monkeypatch, deform.e6_mu_coefficients) <= 345_000
     assert _coefficient_products(
         monkeypatch,
-        lambda: flat.verify_w_invariance(fs, gens, expand=xy)) <= 107_977
+        lambda: flat.verify_w_invariance(fs, gens, expand=xy)) <= 9_910
+
+
+def test_frame_checks_substitute_no_generator_into_a_coordinate(
+        monkeypatch):
+    # the 36 genuine checks substitute each generator into the natural
+    # variables p_i, q_i alone: five fix all six and pass on p and q, and
+    # (3, 3, 3), which moves p1 first, binds one variable of each
+    # coordinate to its mirror chart
+    from mckaydeform import flat
+    from mckaydeform.poly import MPoly
+    fs, xy = flat.flat_coords_E6(), flat.psi_E6_in_xy()
+    gens = [(str(k), flat.frame_reflection_subs(k))
+            for k in flat.FRAME_GENERATOR_KEYS]
+    natural = flat._pq_route()[0]
+    calls, substitute = [], MPoly.substitute
+
+    def traced(self, bindings):
+        calls.append((any(self is n for n in natural), len(bindings)))
+        return substitute(self, bindings)
+
+    monkeypatch.setattr(MPoly, "substitute", traced)
+    assert flat.verify_w_invariance(fs, gens, expand=xy)["ok"]
+    assert sorted(calls) == [(False, 1)] * 6 + [(True, 7)] * 31
 
 
 def test_cyclo_sum_and_product_build_no_rational(monkeypatch):
